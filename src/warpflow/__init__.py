@@ -22,12 +22,12 @@ from .elliptic import (EllipticSolution, gradient_norm_probe,
 from .errors import (ConfigParseError, DegenerateBoundaryData, DegeneratePoint,
                      InsufficientSeries, InvalidShapeParameters,
                      NonPositiveCoefficient, SolverFailure, StepRejected,
-                     TimestepUnderflow, WarpflowError)
+                     WarpflowError)
 from .flow import (FlowState, Schedule, StepperConfig, default_probe_centers,
                    initial_state, run_flow, step, tension_residual)
 from .geometry import (FlatTorus, UnitSphere, WarpFunction, make_target,
                        warp_force)
-from .mesh import (BallIndex, DiscreteField, DomainMesh,
+from .mesh import (BallIndex, DomainMesh,
                    assemble_weighted_stiffness, ball_energy, build_mesh,
                    dirichlet_energy, dump_mesh, local_energy_matrix,
                    unit_stiffness, write_snapshot)

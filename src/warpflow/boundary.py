@@ -28,7 +28,6 @@ class BoundaryData:
     phi_ext: np.ndarray = field(default=None, repr=False)
     psi_ext: np.ndarray = field(default=None, repr=False)
     energy_phi0: float = 0.0
-    energy_phi_ext: float = 0.0
     energy_psi_ext: float = 0.0
     grad4_psi_ext: float = 0.0
     phi_c2_proxy: float = 0.0
@@ -44,7 +43,6 @@ class BoundaryData:
         bd.phi_ext = harmonic_extension(mesh, phi)
         bd.psi_ext = harmonic_extension(mesh, psi)
         bd.energy_phi0 = dirichlet_energy(mesh, phi0)
-        bd.energy_phi_ext = dirichlet_energy(mesh, bd.phi_ext)
         bd.energy_psi_ext = dirichlet_energy(mesh, bd.psi_ext)
         g2 = mesh.tri_grad_sq(bd.psi_ext)
         bd.grad4_psi_ext = float(np.sum(mesh.areas * g2 * g2))
@@ -63,10 +61,6 @@ class BoundaryData:
         lap = mesh.laplacian(K, phi_ext)
         sup2 = float(np.max(np.linalg.norm(lap, axis=1)))
         return sup0 + sup1 + sup2
-
-    def energy_budget(self, warp_upper: float) -> float:
-        """E(phi0) + Lam * E(psi_ext): the total-energy budget of the run."""
-        return self.energy_phi0 + warp_upper * self.energy_psi_ext
 
 
 # -- analytic presets -------------------------------------------------------

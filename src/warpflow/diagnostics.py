@@ -167,11 +167,11 @@ def mono_tolerance(dt: float, h: float, e_g0: float) -> float:
 
 # -- record construction ----------------------------------------------------
 
-def energy_functionals(state, previous=None) -> EnergyRecord:
-    """Energies of a flow state; kinetic terms from `previous` if given.
+def energy_functionals(state) -> EnergyRecord:
+    """Energies of a flow state; the kinetic and rate fields are left zero.
 
-    run_flow replaces the single-interval kinetic estimate with the exact
-    per-step accumulation between records.
+    run_flow fills them in from its exact per-step accumulation between
+    records.
     """
     mesh, warp = state.mesh, state.warp
     dens_u = tri_energy_density(mesh, state.u)
@@ -180,14 +180,6 @@ def energy_functionals(state, previous=None) -> EnergyRecord:
     e_u = float(dens_u.sum())
     e_v = float(dens_v.sum())
     e_beta_v = float((beta_tri * dens_v).sum())
-
-    kin, rate = 0.0, 0.0
-    if previous is not None and state.t > previous.t:
-        span = state.t - previous.t
-        diff2 = float(np.dot(mesh.lumped_mass,
-                             np.sum((state.u - previous.u) ** 2, axis=1)))
-        kin = diff2 / span
-        rate = math.sqrt(diff2) / span
 
     lap = mesh.laplacian(state.unit_stiffness, state.u)
     proxy = float(np.dot(mesh.lumped_mass, np.sum(lap * lap, axis=1)))
@@ -205,8 +197,8 @@ def energy_functionals(state, previous=None) -> EnergyRecord:
 
     return EnergyRecord(
         t=state.t, e_u=e_u, e_v=e_v, e_beta_v=e_beta_v, e_g=e_u - e_beta_v,
-        kinetic_increment=kin, kinetic_cum=kin, laplacian_proxy=proxy,
-        rate_l2=rate, l2_centered=l2c, l4_centered=l4c,
+        kinetic_increment=0.0, kinetic_cum=0.0, laplacian_proxy=proxy,
+        rate_l2=0.0, l2_centered=l2c, l4_centered=l4c,
         grad4_u=grad4_u, grad4_v=grad4_v,
         max_local_energy=0.0, max_local_vertex=-1,
         dt=state.dt, step_count=state.step_count)
@@ -369,6 +361,10 @@ def inequality_suite(records, bounds: RunBounds, thresholds: ThresholdConfig,
 
     if events is not None and len(events) > 0:
         checks.append(check_singularity_counts(events, bounds, thresholds))
+    # plain Python numbers, so stored and printed constants never show numpy types
+    for c in checks:
+        c.constants = {k: int(v) if isinstance(v, (int, np.integer)) else float(v)
+                       for k, v in c.constants.items()}
     return checks
 
 

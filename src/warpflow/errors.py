@@ -33,14 +33,6 @@ class StepRejected(WarpflowError):
     """Internal control flow: a trial step moved a node too far and must be retried."""
 
 
-class TimestepUnderflow(WarpflowError):
-    """The timestep was halved below its floor; operational blow-up signal."""
-
-    def __init__(self, message, time=None):
-        super().__init__(message)
-        self.time = time
-
-
 class InsufficientSeries(WarpflowError):
     """A diagnostic needs more recorded frames than the report contains."""
 

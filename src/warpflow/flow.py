@@ -13,11 +13,11 @@ Schemes:
 
 After every trial step the nodal values are projected back onto the target
 and the boundary rows reset to phi exactly.  A trial step whose largest
-nodal displacement exceeds max_move_fraction * h raises StepRejected; the
-driver halves dt and retries, and signals TimestepUnderflow once dt falls
-below dt_min = dt_min_factor * h^2.  After an underflow the driver records
-the time, takes one uncapped dt_min step (the discrete stand-in for
-restarting from the weak limit) and resumes with the CFL timestep.
+nodal displacement exceeds max_move_fraction * h raises StepRejected.
+`march` owns the dt policy for every driver: it halves dt and retries, and
+once dt falls below dt_min = dt_min_factor * h^2 (timestep underflow) it
+takes one uncapped dt_min step (the discrete stand-in for restarting from
+the weak limit) and resumes with the CFL timestep.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ import scipy.sparse as sp
 from .boundary import BoundaryData
 from .diagnostics import (DiagnosticsReport, ThresholdConfig, energy_functionals)
 from .elliptic import cg_solve, solve_warped_laplace
-from .errors import (DegeneratePoint, SolverFailure, StepRejected,
-                     TimestepUnderflow)
+from .errors import DegeneratePoint, SolverFailure, StepRejected
 from .geometry import warp_force
 from .mesh import (BallIndex, DomainMesh, local_energy_matrix,
                    tri_energy_density, unit_stiffness)
@@ -119,14 +118,8 @@ class FlowState:
         return self.ctx.K1
 
 
-def _solve_potential(state_or_ctx, mesh, warp, bdata, u, x0=None):
-    ctx = state_or_ctx
-    if warp.kind == "constant":
-        # decoupled: v is the one-time harmonic extension of psi
-        sol = solve_warped_laplace(mesh, np.full(mesh.num_vertices, warp.a),
-                                   bdata.psi, x0=x0)
-    else:
-        sol = solve_warped_laplace(mesh, warp.beta(u), bdata.psi, x0=x0)
+def _solve_potential(ctx, warp, bdata, u, x0=None):
+    sol = solve_warped_laplace(ctx.mesh, warp.beta(u), bdata.psi, x0=x0)
     ctx.stats["elliptic_solves"] += 1
     ctx.stats["elliptic_iterations"] += sol.iterations
     ctx.stats["max_elliptic_residual"] = max(ctx.stats["max_elliptic_residual"],
@@ -143,7 +136,7 @@ def initial_state(mesh: DomainMesh, target, warp, bdata: BoundaryData,
     if np.max(np.abs(u0[mesh.boundary] - bdata.phi[mesh.boundary])) != 0.0:
         raise ValueError("initial map must equal the boundary trace on the boundary")
     ctx = _FlowContext(mesh, bdata)
-    v0 = _solve_potential(ctx, mesh, warp, bdata, u0)
+    v0 = _solve_potential(ctx, warp, bdata, u0)
     # dt policy keys off the configured mesh size; tolerances elsewhere use
     # the realized max edge mesh.h
     return FlowState(mesh=mesh, target=target, warp=warp, bdata=bdata,
@@ -177,8 +170,8 @@ def step(state: FlowState, config: StepperConfig, dt: float = None,
     """One projected step of size dt (default state.dt); returns the new state.
 
     Raises StepRejected when the largest nodal move exceeds
-    max_move_fraction * h (with enforce_cap), TimestepUnderflow never (the
-    driver owns dt control), SolverFailure with the time attached.
+    max_move_fraction * h (with enforce_cap) or the projection degenerates,
+    and SolverFailure with the time attached; dt control belongs to `march`.
     """
     mesh, ctx = state.mesh, state.ctx
     dt = state.dt if dt is None else float(dt)
@@ -218,8 +211,9 @@ def step(state: FlowState, config: StepperConfig, dt: float = None,
             f"nodal move {move:.3e} exceeds {config.max_move_fraction} * h")
 
     try:
+        # constant warp decouples v: it stays the initial harmonic extension
         v_new = state.v if state.warp.kind == "constant" else \
-            _solve_potential(ctx, mesh, state.warp, state.bdata, u_new, x0=state.v)
+            _solve_potential(ctx, state.warp, state.bdata, u_new, x0=state.v)
     except SolverFailure as exc:
         raise SolverFailure(f"{exc} (at t = {state.t + dt:.6g})",
                             time=state.t + dt) from exc
@@ -228,6 +222,46 @@ def step(state: FlowState, config: StepperConfig, dt: float = None,
     return replace(state, u=u_new, v=v_new, t=state.t + dt,
                    step_count=state.step_count + 1,
                    last_rate=math.sqrt(diff2) / dt, last_drift=drift)
+
+
+def march(states: list, config: StepperConfig, t_end: float):
+    """Advance `states` in lockstep to t_end under one shared adaptive dt.
+
+    A trial step that any member rejects is retried at half the dt; after an
+    accepted step dt doubles, capped at the CFL value.  When halving would
+    drop dt below dt_min (timestep underflow), every member takes one
+    uncapped dt_min step and dt restarts at the CFL value; more than
+    max_forced_steps forced steps in a row raise SolverFailure.  Yields
+    (states, dt, forced) after every step taken, each state's dt set to the
+    next planned step.
+    """
+    h = states[0].mesh.target_h
+    dt_cfl, dt_floor = config.dt_initial(h), config.dt_min(h)
+    controller = states[0].dt if states[0].dt > 0 else dt_cfl
+    forced_run = 0
+    while states[0].t < t_end - 1e-14:
+        t = states[0].t
+        dt = min(controller, t_end - t)
+        try:
+            new = [step(s, config, dt=dt) for s in states]
+        except StepRejected:
+            controller = dt / 2.0
+            if controller >= dt_floor:
+                continue
+            forced_run += 1
+            if forced_run > config.max_forced_steps:
+                raise SolverFailure(
+                    f"persistent timestep underflow at t = {t:.6g}", time=t)
+            forced, dt = True, dt_floor
+            new = [step(s, config, dt=dt, enforce_cap=False) for s in states]
+            controller = dt_cfl
+        else:
+            forced, forced_run = False, 0
+            controller = min(controller * 2.0, dt_cfl)
+        for s in new:
+            s.dt = controller
+        states = new
+        yield states, dt, forced
 
 
 def default_probe_centers(mesh: DomainMesh) -> list:
@@ -298,46 +332,21 @@ def run_flow(state: FlowState, config: StepperConfig, schedule: Schedule,
         kin_since_record = 0.0
 
     record(state)
-    dt_cfl = config.dt_initial(mesh.target_h)
-    dt_floor = config.dt_min(mesh.target_h)
-    controller = state.dt if state.dt > 0 else dt_cfl
-    forced_run = 0
-
-    while state.t < schedule.t_end - 1e-14:
-        dt_try = min(controller, schedule.t_end - state.t)
-        try:
-            new_state = step(state, config, dt=dt_try)
-        except StepRejected:
-            controller = dt_try / 2.0
-            if controller < dt_floor:
-                # operational blow-up: log, take one uncapped floor step,
-                # restart the controller at the CFL value
-                report.underflow_times.append(float(state.t))
-                record(state)
-                forced_run += 1
-                if forced_run > config.max_forced_steps:
-                    raise SolverFailure(
-                        f"persistent timestep underflow at t = {state.t:.6g}",
-                        time=state.t)
-                new_state = step(state, config, dt=dt_floor, enforce_cap=False)
-                controller = dt_cfl
-                kin = new_state.last_rate ** 2 * dt_floor
-                kin_since_record += kin
-                kin_total += kin
-                state = new_state
-                state.dt = controller
-                record(state)
-            continue
-        forced_run = 0
-        kin = new_state.last_rate ** 2 * dt_try
+    for (new_state,), dt, forced in march([state], config, schedule.t_end):
+        if forced:
+            # operational blow-up: log it and record the state the forced
+            # step started from
+            report.underflow_times.append(float(state.t))
+            record(state)
+        kin = new_state.last_rate ** 2 * dt
         kin_since_record += kin
         kin_total += kin
         state = new_state
-        controller = min(controller * 2.0, dt_cfl)
-        state.dt = controller
-        if schedule.diag_stride > 0 and state.step_count % schedule.diag_stride == 0:
+        if forced or (schedule.diag_stride > 0
+                      and state.step_count % schedule.diag_stride == 0):
             record(state)
-        if (schedule.snapshot_cb is not None and schedule.snapshot_stride > 0
+        if (not forced and schedule.snapshot_cb is not None
+                and schedule.snapshot_stride > 0
                 and state.step_count % schedule.snapshot_stride == 0):
             schedule.snapshot_cb(state)
 

@@ -53,11 +53,6 @@ class UnitSphere:
         d = np.abs(np.linalg.norm(q, axis=1) - 1.0)
         return d[0] if single else d
 
-    def tangent_projector(self, y: np.ndarray) -> np.ndarray:
-        """P(y) = I - y y^T for unit y."""
-        y = np.asarray(y, dtype=float)
-        return np.eye(self.embedding_dim) - np.outer(y, y)
-
     def project_tangent(self, y, X):
         """Tangential part of X at y: X - (X . y) y.  Vectorized over rows."""
         y = np.asarray(y, dtype=float)
@@ -65,14 +60,6 @@ class UnitSphere:
         if y.ndim == 1:
             return X - np.dot(X, y) * y
         return X - np.sum(X * y, axis=1, keepdims=True) * y
-
-    def second_fundamental_form(self, y, X):
-        """A(y)(X, X) = |X_t|^2 y after projecting X to the tangent space."""
-        Xt = self.project_tangent(y, X)
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            return float(np.dot(Xt, Xt)) * y
-        return np.sum(Xt * Xt, axis=1, keepdims=True) * y
 
     def curvature_force(self, y: np.ndarray, grad_sq: np.ndarray) -> np.ndarray:
         """Nodal curvature term |grad u|^2 u for the tension field (grad_sq per node)."""
@@ -108,15 +95,8 @@ class FlatTorus:
         d = np.zeros(q.shape[0])
         return d[0] if single else d
 
-    def tangent_projector(self, y: np.ndarray) -> np.ndarray:
-        return np.eye(2)
-
     def project_tangent(self, y, X):
         return np.asarray(X, dtype=float)
-
-    def second_fundamental_form(self, y, X):
-        y = np.asarray(y, dtype=float)
-        return np.zeros_like(y)
 
     def curvature_force(self, y: np.ndarray, grad_sq: np.ndarray) -> np.ndarray:
         return np.zeros_like(y)

@@ -162,22 +162,6 @@ class DomainMesh:
         return lap[:, 0] if squeeze else lap
 
 
-@dataclass
-class DiscreteField:
-    """Nodal field on a mesh; values (nv,) scalar or (nv, d) vector."""
-
-    mesh: DomainMesh
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape[0] != self.mesh.num_vertices:
-            raise ValueError("value count must equal vertex count")
-
-    def max_distance_to(self, target) -> float:
-        return float(np.max(target.distance(self.values)))
-
-
 # -- constructors --------------------------------------------------------
 
 def _doubling_count(length: float, step: float, start: int = 1) -> int:
@@ -303,12 +287,6 @@ def dirichlet_energy(mesh: DomainMesh, values: np.ndarray,
     return float(dens.sum())
 
 
-def weighted_energy(mesh: DomainMesh, values: np.ndarray,
-                    tri_weights: np.ndarray) -> float:
-    """(1/2) integral of w |grad f|^2 with per-triangle weights w."""
-    return float(np.sum(tri_weights * tri_energy_density(mesh, values)))
-
-
 def ball_triangles(mesh: DomainMesh, center, radius: float) -> np.ndarray:
     """Indices of triangles whose barycenter lies in the ball (membership rule)."""
     center = np.asarray(center, dtype=float)
@@ -340,10 +318,6 @@ class BallIndex:
             for r in radii:
                 members[(int(c), r)] = ball_triangles(mesh, mesh.vertices[c], r)
         return cls(mesh, centers, radii, members)
-
-    def energy(self, values: np.ndarray, center: int, radius: float) -> float:
-        dens = tri_energy_density(self.mesh, values)
-        return float(dens[self.members[(int(center), float(radius))]].sum())
 
 
 def local_energy_matrix(mesh: DomainMesh, radius: float) -> sp.csr_matrix:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -31,7 +31,9 @@ from .diagnostics import (DiagnosticsReport, ThresholdConfig, convergence_monito
                           hard_checks_pass, inequality_suite, report_from_dict,
                           report_to_dict, singularity_detect)
 from .errors import ConfigParseError
-from .flow import (FlowState, Schedule, StepperConfig, initial_state, run_flow,
+# step is unused here but stays bound: perfbench/child.py patches
+# scenario.step next to flow.step to stamp the first step of a run
+from .flow import (Schedule, StepperConfig, initial_state, march, run_flow,
                    step)
 from .geometry import WarpFunction, make_target
 from .mesh import build_mesh, dump_mesh, write_snapshot
@@ -168,6 +170,10 @@ class ScenarioConfig:
         )
         if cfg.target_name not in ("sphere", "torus"):
             raise ConfigParseError(f"unknown target {cfg.target_name!r}")
+        if cfg.mesh_shape == "annulus":
+            missing = [k for k in ("mesh.r_in", "mesh.r_out") if k not in flat]
+            if missing:
+                raise ConfigParseError(f"annulus config is missing {', '.join(missing)}")
         return cfg
 
     def flat_echo(self) -> dict:
@@ -193,6 +199,18 @@ def resolve_config(name_or_path) -> dict:
         flat.setdefault("name", str(name_or_path))
         return flat
     raise ConfigParseError(f"no config file or shipped scenario named {name_or_path!r}")
+
+
+def _load_config(flat_or_cfg, overrides: dict = None) -> ScenarioConfig:
+    """A ScenarioConfig from itself, a flat key dict, a path or a shipped name.
+
+    `overrides` patches the flat keys; it is ignored for a ScenarioConfig.
+    """
+    if isinstance(flat_or_cfg, ScenarioConfig):
+        return flat_or_cfg
+    if isinstance(flat_or_cfg, (str, Path)):
+        flat_or_cfg = resolve_config(flat_or_cfg)
+    return ScenarioConfig.from_flat({**flat_or_cfg, **(overrides or {})})
 
 
 @dataclass
@@ -274,23 +292,11 @@ def run_scenario(flat_or_cfg, out_dir=None, h=None, t_end=None,
     `flat_or_cfg` is a flat key dict (from parse/resolve) or a ScenarioConfig.
     `h` and `t_end` override the config; `overrides` patches flat keys first.
     """
-    if isinstance(flat_or_cfg, ScenarioConfig):
-        cfg = flat_or_cfg
-    else:
-        if isinstance(flat_or_cfg, (str, Path)):
-            flat_or_cfg = resolve_config(flat_or_cfg)
-        flat = dict(flat_or_cfg)
-        if overrides:
-            flat.update(overrides)
-        cfg = ScenarioConfig.from_flat(flat)
+    cfg = _load_config(flat_or_cfg, overrides)
     if h is not None:
-        cfg = ScenarioConfig(**{**asdict(cfg), "mesh_h": float(h),
-                                "r_grid": cfg.r_grid,
-                                "output_formats": cfg.output_formats})
+        cfg = replace(cfg, mesh_h=float(h))
     if t_end is not None:
-        cfg = ScenarioConfig(**{**asdict(cfg), "t_end": float(t_end),
-                                "r_grid": cfg.r_grid,
-                                "output_formats": cfg.output_formats})
+        cfg = replace(cfg, t_end=float(t_end))
 
     setup = build_scenario(cfg)
     state = initial_state(setup.mesh, setup.target, setup.warp, setup.bdata,
@@ -353,6 +359,7 @@ class TwinResult:
     amplification: float
     times: list = field(default_factory=list)
     diffs: list = field(default_factory=list)
+    underflow_times: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -369,17 +376,11 @@ def twin_run(flat_or_cfg, delta: float = None, overrides: dict = None) -> TwinRe
     The perturbation is seeded white noise projected to the tangent space,
     zeroed on the boundary and scaled so its largest nodal norm is delta;
     delta = 0 reuses the exact same initial array, so the difference is
-    identically zero.  Both runs always take the same dt sequence.
+    identically zero.  Both runs march together under run_flow's dt
+    controller, so they take the same dt sequence and survive timestep
+    underflow the same way; underflow_times lists where it struck.
     """
-    if isinstance(flat_or_cfg, ScenarioConfig):
-        cfg = flat_or_cfg
-    else:
-        if isinstance(flat_or_cfg, (str, Path)):
-            flat_or_cfg = resolve_config(flat_or_cfg)
-        flat = dict(flat_or_cfg)
-        if overrides:
-            flat.update(overrides)
-        cfg = ScenarioConfig.from_flat(flat)
+    cfg = _load_config(flat_or_cfg, overrides)
     delta = cfg.twin_delta if delta is None else float(delta)
 
     setup = build_scenario(cfg)
@@ -405,32 +406,18 @@ def twin_run(flat_or_cfg, delta: float = None, overrides: dict = None) -> TwinRe
     times = [0.0]
     diffs = [_l2_diff(mesh, base.u, pert.u)]
     initial_diff = diffs[0]
-    controller = setup.stepper.dt_initial(mesh.target_h)
-    dt_floor = setup.stepper.dt_min(mesh.target_h)
-    from .errors import StepRejected, TimestepUnderflow
-    t = 0.0
-    while t < cfg.t_end - 1e-14:
-        dt_try = min(controller, cfg.t_end - t)
-        try:
-            nb = step(base, setup.stepper, dt=dt_try)
-            np_ = step(pert, setup.stepper, dt=dt_try)
-        except StepRejected:
-            controller = dt_try / 2.0
-            if controller < dt_floor:
-                raise TimestepUnderflow(
-                    f"twin run underflow at t = {t:.6g}", time=t)
-            continue
-        base, pert = nb, np_
-        t = base.t
-        controller = min(controller * 2.0, setup.stepper.dt_initial(mesh.target_h))
-        times.append(float(t))
+    underflow_times = []
+    for (base, pert), _, forced in march([base, pert], setup.stepper, cfg.t_end):
+        if forced:
+            underflow_times.append(times[-1])
+        times.append(float(base.t))
         diffs.append(_l2_diff(mesh, base.u, pert.u))
 
     sup_diff = max(diffs)
     amp = sup_diff / initial_diff if initial_diff > 0 else 0.0
     return TwinResult(delta=delta, initial_diff=initial_diff, sup_diff=sup_diff,
                       final_diff=diffs[-1], amplification=amp,
-                      times=times, diffs=diffs)
+                      times=times, diffs=diffs, underflow_times=underflow_times)
 
 
 # -- report re-checking --------------------------------------------------------

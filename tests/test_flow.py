@@ -6,7 +6,8 @@ from warpflow.boundary import boundary_data_from_presets
 from warpflow.diagnostics import ThresholdConfig
 from warpflow.errors import SolverFailure, StepRejected
 from warpflow.flow import (Schedule, StepperConfig, default_probe_centers,
-                           initial_state, run_flow, step, tension_residual)
+                           initial_state, march, run_flow, step,
+                           tension_residual)
 from warpflow.geometry import WarpFunction, make_target
 from warpflow.mesh import build_mesh, dirichlet_energy
 
@@ -291,3 +292,20 @@ class TestCorotationalReduction:
                                     np.sin(hr) * np.sin(theta), np.cos(hr)])
         err = np.max(np.abs(fin.u - expected))
         assert err <= 5.0 * (h + cfg.dt_initial(h))
+
+
+class TestMarch:
+    def test_members_share_every_time_through_underflow(self, square16):
+        cfg = StepperConfig(max_move_fraction=1e-9)
+        states = [initial_state(square16, TORUS, UNIT_WARP,
+                                _bump_data(square16, amp), cfg)
+                  for amp in (0.4, 0.2)]
+        t_end = 3.0 * cfg.dt_min(square16.target_h)
+        steps = list(march(states, cfg, t_end))
+        assert steps
+        for members, dt, forced in steps:
+            assert forced
+            assert dt == cfg.dt_min(square16.target_h)
+            assert members[0].t == members[1].t
+            assert members[0].dt == members[1].dt == cfg.dt_initial(square16.target_h)
+        assert steps[-1][0][0].t >= t_end - 1e-14

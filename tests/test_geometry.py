@@ -43,20 +43,6 @@ class TestUnitSphere:
         assert np.max(np.abs(np.sum(Xt * y, axis=1))) < 1e-14
         assert np.allclose(self.sph.project_tangent(y, Xt), Xt, atol=1e-15)
 
-    def test_tangent_projector_matrix(self):
-        y = np.array([0.0, 0.0, 1.0])
-        P = self.sph.tangent_projector(y)
-        assert np.allclose(P, np.diag([1.0, 1.0, 0.0]))
-
-    def test_second_fundamental_form_is_normal(self):
-        # A(y)(X, X) = |X_t|^2 y for the unit sphere
-        rng = np.random.default_rng(3)
-        y = self.sph.random_points(10, rng)
-        X = rng.standard_normal((10, 3))
-        A = self.sph.second_fundamental_form(y, X)
-        Xt = self.sph.project_tangent(y, X)
-        assert np.allclose(A, np.sum(Xt * Xt, axis=1, keepdims=True) * y)
-
     def test_curvature_force(self):
         y = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
         g2 = np.array([2.0, 3.0])
@@ -86,7 +72,6 @@ class TestFlatTorus:
     def test_flat_curvature(self):
         y = np.array([[0.3, 0.4]])
         X = np.array([[1.0, 2.0]])
-        assert np.array_equal(self.tor.second_fundamental_form(y, X), [[0.0, 0.0]])
         assert np.array_equal(self.tor.project_tangent(y, X), X)
         assert np.array_equal(self.tor.curvature_force(y, np.array([7.0])),
                               [[0.0, 0.0]])

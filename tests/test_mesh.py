@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from warpflow.errors import InvalidShapeParameters, NonPositiveCoefficient
-from warpflow.geometry import UnitSphere
-from warpflow.mesh import (BallIndex, DiscreteField, DomainMesh,
+from warpflow.mesh import (BallIndex, DomainMesh,
                            assemble_weighted_stiffness, ball_energy,
                            ball_triangles, build_mesh, dirichlet_energy,
                            dump_mesh, local_energy_matrix,
                            tri_energy_density, unit_stiffness,
-                           weighted_energy, write_snapshot)
+                           write_snapshot)
 
 
 # -- constructors -----------------------------------------------------------
@@ -204,21 +203,6 @@ def test_laplacian_exact_on_quadratic(square16):
     assert np.array_equal(lap[square16.boundary], np.zeros(square16.boundary.sum()))
 
 
-def test_weighted_energy_constant_weight(square16):
-    f = square16.vertices[:, 0]
-    e = weighted_energy(square16, f, np.full(square16.num_triangles, 2.0))
-    assert e == pytest.approx(2.0 * dirichlet_energy(square16, f), rel=1e-14)
-
-
-def test_discrete_field_validation(square16):
-    with pytest.raises(ValueError):
-        DiscreteField(square16, np.zeros(square16.num_vertices - 1))
-    u = np.zeros((square16.num_vertices, 3))
-    u[:, 2] = 1.0
-    df = DiscreteField(square16, u)
-    assert df.max_distance_to(UnitSphere()) == 0.0
-
-
 # -- balls -------------------------------------------------------------------
 
 def test_ball_membership_nested(disk16):
@@ -242,10 +226,11 @@ def test_ball_index_agrees_with_direct_query(disk16):
     f = disk16.vertices[:, 0] ** 2 - disk16.vertices[:, 1]
     centers = [0, disk16.nearest_vertex([0.5, 0.0])]
     idx = BallIndex.build(disk16, centers, (0.1, 0.2))
+    dens = tri_energy_density(disk16, f)
     for c in centers:
         for r in (0.1, 0.2):
             direct = ball_energy(disk16, f, disk16.vertices[c], r)
-            assert idx.energy(f, c, r) == pytest.approx(direct, abs=1e-15)
+            assert dens[idx.members[(c, r)]].sum() == pytest.approx(direct, abs=1e-15)
 
 
 def test_local_energy_matrix_rows(disk16):

@@ -6,8 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import warpflow.flow
+import warpflow.scenario
 from warpflow.cli import main
 from warpflow.errors import ConfigParseError
+from warpflow.flow import StepperConfig
 from warpflow.scenario import (ScenarioConfig, builtin_scenarios,
                                check_report_file, parse_config_text,
                                resolve_config, run_scenario, twin_run)
@@ -79,6 +82,8 @@ class TestConfigParsing:
             ScenarioConfig.from_flat({"output.formats": "csv,xml"})
         with pytest.raises(ConfigParseError):
             ScenarioConfig.from_flat({"schedule.diag_stride": "1.5"})
+        with pytest.raises(ConfigParseError, match="mesh.r_out"):
+            ScenarioConfig.from_flat({"mesh.shape": "annulus", "mesh.r_in": "0.5"})
 
 
 class TestResolveConfig:
@@ -206,6 +211,56 @@ class TestTwinRun:
         half = twin_run("heat_decay", delta=5e-4, overrides=overrides)
         assert 1.6 <= res.sup_diff / half.sup_diff <= 2.4
 
+    def test_times_match_run_flow_records(self):
+        overrides = {"mesh.h": "0.0625", "schedule.t_end": "0.01",
+                     "schedule.diag_stride": "1"}
+        twin = twin_run("heat_decay", delta=0.0, overrides=overrides)
+        run = run_scenario("heat_decay", overrides=overrides, write_artifacts=False)
+        assert twin.times == [r.t for r in run.report.records]
+        assert twin.underflow_times == run.report.underflow_times == []
+
+    def test_underflow_is_recorded_and_survived(self):
+        t_end = 3.0 * StepperConfig().dt_min(0.0625)
+        overrides = {"mesh.h": "0.0625", "schedule.t_end": repr(t_end),
+                     "stepper.max_move_fraction": "1e-9"}
+        res = twin_run("heat_decay", delta=1e-3, overrides=overrides)
+        assert res.underflow_times
+        assert res.underflow_times[0] == 0.0
+        assert res.times[-1] >= t_end - 1e-14
+        assert len(res.times) == len(res.diffs)
+        zero = twin_run("heat_decay", delta=0.0, overrides=overrides)
+        assert zero.times == res.times
+        assert zero.underflow_times == res.underflow_times
+        assert zero.sup_diff == 0.0
+
+
+class TestBenchmarkHooks:
+    """perfbench patches these module attributes; they must stay in use."""
+
+    def test_steps_and_states_route_through_patchable_names(self, monkeypatch):
+        assert warpflow.scenario.step is warpflow.flow.step
+        made, stepped = [], []
+        real_initial, real_step = warpflow.scenario.initial_state, warpflow.flow.step
+
+        def counting_initial(*args, **kwargs):
+            made.append(1)
+            return real_initial(*args, **kwargs)
+
+        def counting_step(*args, **kwargs):
+            stepped.append(1)
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(warpflow.scenario, "initial_state", counting_initial)
+        monkeypatch.setattr(warpflow.flow, "step", counting_step)
+        overrides = {"mesh.h": "0.0625", "schedule.t_end": "0.01"}
+        twin_run("heat_decay", overrides=overrides)
+        assert len(made) == 2
+        assert stepped
+        stepped.clear()
+        res = run_scenario("heat_decay", overrides=overrides, write_artifacts=False)
+        stats = res.report.solver_stats
+        assert len(stepped) == stats["accepted_steps"] + stats["rejected_steps"]
+
 
 class TestCheckReportFile:
     def _fresh_report(self, tmp_path) -> Path:
@@ -270,6 +325,14 @@ class TestCli:
     def test_config_error_exit_code(self, capsys):
         assert main(["run", "no_such_scenario"]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_annulus_without_radii_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "ring.cfg"
+        cfg.write_text("target = torus\nmesh.shape = annulus\nmesh.h = 0.125\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "mesh.r_in" in err and "mesh.r_out" in err
 
     def test_check_exit_codes(self, tmp_path):
         out = tmp_path / "for_check"
