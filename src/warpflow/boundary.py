@@ -34,13 +34,15 @@ class BoundaryData:
 
     @classmethod
     def build(cls, mesh: DomainMesh, target, phi_vals: np.ndarray,
-              phi0_vals: np.ndarray, psi_vals: np.ndarray) -> "BoundaryData":
+              phi0_vals: np.ndarray, psi_vals: np.ndarray,
+              phi_ext: np.ndarray = None) -> "BoundaryData":
+        """Freeze the data; `phi_ext` is harmonic_extension(mesh, phi_vals) if known."""
         phi = np.asarray(phi_vals, dtype=float)
         phi0 = target.project_field(np.asarray(phi0_vals, dtype=float))
         phi0[mesh.boundary] = phi[mesh.boundary]
         psi = np.asarray(psi_vals, dtype=float)
         bd = cls(mesh=mesh, phi=phi, phi0=phi0, psi=psi)
-        bd.phi_ext = harmonic_extension(mesh, phi)
+        bd.phi_ext = harmonic_extension(mesh, phi) if phi_ext is None else phi_ext
         bd.psi_ext = harmonic_extension(mesh, psi)
         bd.energy_phi0 = dirichlet_energy(mesh, phi0)
         bd.energy_psi_ext = dirichlet_energy(mesh, bd.psi_ext)
@@ -53,12 +55,9 @@ class BoundaryData:
     def _c2_proxy(mesh: DomainMesh, phi_ext: np.ndarray) -> float:
         # sup |phi| + sup |grad phi| + sup |D^2 phi| with the second-derivative
         # part replaced by the lumped discrete Laplacian (documented proxy).
-        from .mesh import unit_stiffness
         sup0 = float(np.max(np.linalg.norm(phi_ext, axis=1)))
-        G = mesh.tri_gradients(phi_ext)
-        sup1 = float(np.sqrt(np.max(np.einsum("ted,ted->t", G, G))))
-        K = unit_stiffness(mesh)
-        lap = mesh.laplacian(K, phi_ext)
+        sup1 = float(np.sqrt(np.max(mesh.tri_grad_sq(phi_ext))))
+        lap = mesh.laplacian(phi_ext)
         sup2 = float(np.max(np.linalg.norm(lap, axis=1)))
         return sup0 + sup1 + sup2
 
@@ -179,6 +178,7 @@ def boundary_data_from_presets(mesh: DomainMesh, target, phi_spec: str,
     """Assemble BoundaryData from preset strings; phi0 = "harmonic" extends phi."""
     xy = mesh.vertices
     phi = evaluate_map_preset(phi_spec, target, xy)
+    ext = None
     if phi0_spec.split()[0] == "harmonic":
         ext = harmonic_extension(mesh, phi)
         if isinstance(target, UnitSphere):
@@ -190,4 +190,4 @@ def boundary_data_from_presets(mesh: DomainMesh, target, phi_spec: str,
     else:
         phi0 = evaluate_map_preset(phi0_spec, target, xy)
     psi = evaluate_scalar_preset(psi_spec, xy)
-    return BoundaryData.build(mesh, target, phi, phi0, psi)
+    return BoundaryData.build(mesh, target, phi, phi0, psi, phi_ext=ext)

@@ -167,21 +167,23 @@ def mono_tolerance(dt: float, h: float, e_g0: float) -> float:
 
 # -- record construction ----------------------------------------------------
 
-def energy_functionals(state) -> EnergyRecord:
+def energy_functionals(state, g2u: np.ndarray = None) -> EnergyRecord:
     """Energies of a flow state; the kinetic and rate fields are left zero.
 
     run_flow fills them in from its exact per-step accumulation between
-    records.
+    records.  `g2u` is mesh.tri_grad_sq(state.u) when the caller has it.
     """
     mesh, warp = state.mesh, state.warp
-    dens_u = tri_energy_density(mesh, state.u)
-    dens_v = tri_energy_density(mesh, state.v)
+    g2u = mesh.tri_grad_sq(state.u) if g2u is None else g2u
+    g2v = mesh.tri_grad_sq(state.v)
+    dens_u = tri_energy_density(mesh, state.u, g2u)
+    dens_v = tri_energy_density(mesh, state.v, g2v)
     beta_tri = warp.beta(state.u)[mesh.triangles].mean(axis=1)
     e_u = float(dens_u.sum())
     e_v = float(dens_v.sum())
     e_beta_v = float((beta_tri * dens_v).sum())
 
-    lap = mesh.laplacian(state.unit_stiffness, state.u)
+    lap = mesh.laplacian(state.u)
     proxy = float(np.dot(mesh.lumped_mass, np.sum(lap * lap, axis=1)))
 
     mean = mesh.lumped_mass @ state.u / mesh.domain_area
@@ -190,8 +192,6 @@ def energy_functionals(state) -> EnergyRecord:
     l2c = float(np.dot(mesh.lumped_mass, c2))
     l4c = float(np.dot(mesh.lumped_mass, c2 * c2))
 
-    g2u = mesh.tri_grad_sq(state.u)
-    g2v = mesh.tri_grad_sq(state.v)
     grad4_u = float(np.sum(mesh.areas * g2u * g2u))
     grad4_v = float(np.sum(mesh.areas * g2v * g2v))
 

@@ -1,8 +1,8 @@
 """Variable-coefficient elliptic solves: -div(beta grad v) = f, v = psi on the boundary.
 
-Dirichlet conditions are imposed by elimination (never by penalty): the
-interior block A_II is solved by diagonally preconditioned conjugate
-gradients to relative tolerance 1e-10 with an iteration cap of
+Dirichlet conditions are imposed by elimination in `dirichlet_split` (never
+by penalty): the interior block A_II is solved by diagonally preconditioned
+conjugate gradients to relative tolerance 1e-10 with an iteration cap of
 50 * sqrt(#unknowns), and boundary rows carry the data exactly.
 """
 
@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import cg as _scipy_cg
 
 from .errors import DegenerateBoundaryData, SolverFailure
-from .mesh import DomainMesh, assemble_weighted_stiffness, unit_stiffness
+from .mesh import DomainMesh, assemble_weighted_stiffness
 
 CG_RTOL = 1e-10
 
@@ -58,18 +58,35 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray = None,
     return x, rel, count[0]
 
 
-def solve_dirichlet(mesh: DomainMesh, K: sp.csr_matrix, boundary_values: np.ndarray,
-                    load: np.ndarray = None, x0: np.ndarray = None,
-                    rtol: float = CG_RTOL):
-    """Solve K v = load with v = boundary_values on boundary rows, by elimination."""
+def dirichlet_split(mesh: DomainMesh, K: sp.csr_matrix, boundary_values: np.ndarray):
+    """(K_II, (K g)_I, g) for g = boundary_values on boundary rows, 0 inside.
+
+    g is (nv,) or (nv, d); (K g)_I is the load the data put on interior rows.
+    """
     I = mesh.interior
-    v = np.zeros(mesh.num_vertices)
-    v[mesh.boundary] = np.asarray(boundary_values, dtype=float)[mesh.boundary]
-    rhs_full = (load if load is not None else 0.0) - K @ v
-    A_II = K[I][:, I].tocsr()
-    guess = None if x0 is None else np.asarray(x0, dtype=float)[I]
-    xi, rel, iters = cg_solve(A_II, np.asarray(rhs_full)[I], x0=guess, rtol=rtol)
-    v[I] = xi
+    bv = np.asarray(boundary_values, dtype=float)
+    g = np.zeros(bv.shape)
+    g[mesh.boundary] = bv[mesh.boundary]
+    return K[I][:, I].tocsr(), (K @ g)[I], g
+
+
+def solve_dirichlet(mesh: DomainMesh, K: sp.csr_matrix, boundary_values: np.ndarray,
+                    load: np.ndarray = None, x0: np.ndarray = None):
+    """Solve K v = load with v = boundary_values on boundary rows, by elimination.
+
+    (nv, d) data is solved per column; returns (v, max residual, total iterations).
+    """
+    I = mesh.interior
+    A_II, coupling, v = dirichlet_split(mesh, K, boundary_values)
+    cols = v.reshape(len(v), -1)                  # a view: columns write into v
+    rhs = ((0.0 if load is None else np.asarray(load, dtype=float)[I]) - coupling
+           ).reshape(len(I), -1)
+    guess = None if x0 is None else np.asarray(x0, dtype=float)[I].reshape(len(I), -1)
+    rel, iters = 0.0, 0
+    for d in range(cols.shape[1]):
+        cols[I, d], r, n = cg_solve(A_II, rhs[:, d],
+                                    x0=None if guess is None else guess[:, d])
+        rel, iters = max(rel, r), iters + n
     return v, rel, iters
 
 
@@ -93,15 +110,7 @@ def harmonic_extension(mesh: DomainMesh, trace: np.ndarray) -> np.ndarray:
     `trace` is full-length nodal data, (nv,) or (nv, d); only boundary rows
     are read.  Linear boundary data is reproduced exactly.
     """
-    K = unit_stiffness(mesh)
-    tr = np.asarray(trace, dtype=float)
-    squeeze = tr.ndim == 1
-    if squeeze:
-        tr = tr[:, None]
-    out = np.empty_like(tr)
-    for d in range(tr.shape[1]):
-        out[:, d], _, _ = solve_dirichlet(mesh, K, tr[:, d])
-    return out[:, 0] if squeeze else out
+    return solve_dirichlet(mesh, mesh.stiffness, trace)[0]
 
 
 def gradient_norm_probe(mesh: DomainMesh, v: np.ndarray, psi_ext: np.ndarray,

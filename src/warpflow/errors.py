@@ -18,7 +18,7 @@ class NonPositiveCoefficient(WarpflowError):
 
 
 class SolverFailure(WarpflowError):
-    """An iterative linear solve did not reach tolerance within its iteration cap."""
+    """A linear solve missed its tolerance, or a step produced a non-finite state."""
 
     def __init__(self, message, time=None):
         super().__init__(message)

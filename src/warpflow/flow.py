@@ -13,7 +13,8 @@ Schemes:
 
 After every trial step the nodal values are projected back onto the target
 and the boundary rows reset to phi exactly.  A trial step whose largest
-nodal displacement exceeds max_move_fraction * h raises StepRejected.
+nodal displacement exceeds max_move_fraction * h raises StepRejected; one
+whose map or potential is not finite raises SolverFailure.
 `march` owns the dt policy for every driver: it halves dt and retries, and
 once dt falls below dt_min = dt_min_factor * h^2 (timestep underflow) it
 takes one uncapped dt_min step (the discrete stand-in for restarting from
@@ -31,11 +32,10 @@ import scipy.sparse as sp
 
 from .boundary import BoundaryData
 from .diagnostics import (DiagnosticsReport, ThresholdConfig, energy_functionals)
-from .elliptic import cg_solve, solve_warped_laplace
+from .elliptic import cg_solve, dirichlet_split, solve_warped_laplace
 from .errors import DegeneratePoint, SolverFailure, StepRejected
 from .geometry import warp_force
-from .mesh import (BallIndex, DomainMesh, local_energy_matrix,
-                   tri_energy_density, unit_stiffness)
+from .mesh import BallIndex, DomainMesh, local_energy_matrix, tri_energy_density
 
 
 @dataclass
@@ -71,16 +71,11 @@ class Schedule:
 
 
 class _FlowContext:
-    """Shared per-run caches: stiffness, interior slices, step matrices."""
+    """Per-run solver stats and theta-step matrices M_II + theta dt K_II; K_phi = (K phi)_I."""
 
     def __init__(self, mesh: DomainMesh, bdata: BoundaryData):
         self.mesh = mesh
-        self.K1 = unit_stiffness(mesh)
-        self.I = mesh.interior
-        self.K1_II = self.K1[self.I][:, self.I].tocsr()
-        phi_pad = np.zeros_like(bdata.phi)
-        phi_pad[mesh.boundary] = bdata.phi[mesh.boundary]
-        self.K_phi = self.K1 @ phi_pad          # boundary coupling, fixed data
+        self.K_II, self.K_phi, _ = dirichlet_split(mesh, mesh.stiffness, bdata.phi)
         self._step_mat = {}
         self.stats = {"elliptic_solves": 0, "elliptic_iterations": 0,
                       "step_iterations": 0, "rejected_steps": 0,
@@ -90,8 +85,8 @@ class _FlowContext:
         key = (float(dt), float(theta))
         A = self._step_mat.get(key)
         if A is None:
-            m_I = self.mesh.lumped_mass[self.I]
-            A = (sp.diags(m_I) + (theta * dt) * self.K1_II).tocsr()
+            m_I = self.mesh.lumped_mass[self.mesh.interior]
+            A = (sp.diags(m_I) + (theta * dt) * self.K_II).tocsr()
             if len(self._step_mat) > 64:
                 self._step_mat.clear()
             self._step_mat[key] = A
@@ -112,10 +107,6 @@ class FlowState:
     last_rate: float = 0.0
     last_drift: float = 0.0
     ctx: _FlowContext = field(default=None, repr=False)
-
-    @property
-    def unit_stiffness(self) -> sp.csr_matrix:
-        return self.ctx.K1
 
 
 def _solve_potential(ctx, warp, bdata, u, x0=None):
@@ -157,7 +148,7 @@ def _forcing(state: FlowState) -> np.ndarray:
 def tension_residual(state: FlowState):
     """Tangential discrete tension field and its L2 norm (boundary rows zero)."""
     mesh = state.mesh
-    lap = mesh.laplacian(state.ctx.K1, state.u)
+    lap = mesh.laplacian(state.u)
     R = lap + _forcing(state)
     R = state.target.project_tangent(state.u, R)
     R[mesh.boundary] = 0.0
@@ -171,7 +162,8 @@ def step(state: FlowState, config: StepperConfig, dt: float = None,
 
     Raises StepRejected when the largest nodal move exceeds
     max_move_fraction * h (with enforce_cap) or the projection degenerates,
-    and SolverFailure with the time attached; dt control belongs to `march`.
+    and SolverFailure with the time attached when a solve fails or the new
+    map or potential is not finite; dt control belongs to `march`.
     """
     mesh, ctx = state.mesh, state.ctx
     dt = state.dt if dt is None else float(dt)
@@ -182,18 +174,20 @@ def step(state: FlowState, config: StepperConfig, dt: float = None,
 
     try:
         if config.scheme == "explicit":
-            lap = mesh.laplacian(ctx.K1, u, zero_boundary=False)
+            lap = mesh.laplacian(u, zero_boundary=False)
             u_star = u + dt * (lap + F)
         else:
-            theta = config.theta
+            theta, I = config.theta, mesh.interior
             A = ctx.step_matrix(dt, theta)
-            rhs = m[:, None] * (u + dt * F) - ((1.0 - theta) * dt) * (ctx.K1 @ u)
-            rhs_I = rhs[ctx.I] - (theta * dt) * ctx.K_phi[ctx.I]
+            rhs = m[:, None] * (u + dt * F) - ((1.0 - theta) * dt) * (mesh.stiffness @ u)
+            rhs_I = rhs[I] - (theta * dt) * ctx.K_phi
             u_star = np.array(u)
             for d in range(u.shape[1]):
-                xi, _, iters = cg_solve(A, rhs_I[:, d], x0=u[ctx.I, d])
+                xi, _, iters = cg_solve(A, rhs_I[:, d], x0=u[I, d])
                 ctx.stats["step_iterations"] += iters
-                u_star[ctx.I, d] = xi
+                u_star[I, d] = xi
+        if not np.all(np.isfinite(u_star)):
+            raise SolverFailure("non-finite map after the step solve")
     except SolverFailure as exc:
         raise SolverFailure(f"{exc} (at t = {state.t:.6g})", time=state.t) from exc
 
@@ -214,6 +208,8 @@ def step(state: FlowState, config: StepperConfig, dt: float = None,
         # constant warp decouples v: it stays the initial harmonic extension
         v_new = state.v if state.warp.kind == "constant" else \
             _solve_potential(ctx, state.warp, state.bdata, u_new, x0=state.v)
+        if not np.all(np.isfinite(v_new)):
+            raise SolverFailure("non-finite potential")
     except SolverFailure as exc:
         raise SolverFailure(f"{exc} (at t = {state.t + dt:.6g})",
                             time=state.t + dt) from exc
@@ -308,18 +304,19 @@ def run_flow(state: FlowState, config: StepperConfig, schedule: Schedule,
     L = local_energy_matrix(mesh, thresholds.r_detect)
     probe_centers = default_probe_centers(mesh)
     probes = BallIndex.build(mesh, probe_centers, thresholds.probe_radii())
-    hist_rows = []
+    history = []
     kin_since_record = 0.0
     kin_total = 0.0
     wall0 = _time.perf_counter()
 
     def record(st: FlowState):
         nonlocal kin_since_record
-        rec = energy_functionals(st)
+        g2u = mesh.tri_grad_sq(st.u)
+        rec = energy_functionals(st, g2u)
         rec.kinetic_increment = kin_since_record
         rec.kinetic_cum = kin_total
         rec.rate_l2 = st.last_rate
-        dens = tri_energy_density(mesh, st.u)
+        dens = tri_energy_density(mesh, st.u, g2u)
         local = L @ dens
         rec.max_local_energy = float(local.max())
         rec.max_local_vertex = int(np.argmax(local))
@@ -328,7 +325,7 @@ def run_flow(state: FlowState, config: StepperConfig, schedule: Schedule,
                      for r in probes.radii}
             for c in probe_centers}
         report.records.append(rec)
-        hist_rows.append(np.asarray(local))
+        history.append(np.asarray(local))
         kin_since_record = 0.0
 
     record(state)
@@ -355,7 +352,7 @@ def run_flow(state: FlowState, config: StepperConfig, schedule: Schedule,
     if schedule.snapshot_cb is not None:
         schedule.snapshot_cb(state)
 
-    report.local_history = np.vstack(hist_rows) if hist_rows else \
+    report.local_history = np.vstack(history) if history else \
         np.zeros((0, mesh.num_vertices))
     recs = report.records
     sup_grad_u = max(math.sqrt(2.0 * r.e_u) for r in recs)

@@ -1,12 +1,11 @@
 """Conforming P1 triangulations of the unit square, unit disk and annulus.
 
 A DomainMesh bundles the triangulation with everything the solvers need:
-triangle areas, hat-function gradients, the lumped mass vector and the
-precomputed local stiffness blocks
-
-    stiff_local[t, i, j] = area_t * (grad lambda_i . grad lambda_j),
-
-so a beta-weighted stiffness matrix is one scaled scatter-add away.
+triangle areas, the lumped mass vector, the P1 gradient operator grad_op
+(2 nt x nv; row 2 t + e holds d_e lambda_i of the vertices of triangle t, in
+triangle-vertex order, so grad_op @ f is d_e f on every triangle) and the
+unit stiffness grad_op^T diag(area) grad_op; a weight w per triangle gives
+the stiffness of -div(w grad .) as grad_op^T diag(area w) grad_op.
 
 Disk and annulus meshes place vertices on concentric rings with the angular
 count growing linearly with radius (quasi-uniform, no slivers) and let a
@@ -37,12 +36,10 @@ class DomainMesh:
     target_h: float
     h: float = 0.0                # realized max edge length
     areas: np.ndarray = field(default=None, repr=False)
-    grads: np.ndarray = field(default=None, repr=False)        # (nt, 3, 2)
+    grad_op: sp.csr_matrix = field(default=None, repr=False)   # (2 nt, nv)
     barycenters: np.ndarray = field(default=None, repr=False)  # (nt, 2)
     lumped_mass: np.ndarray = field(default=None, repr=False)  # (nv,)
-    stiff_local: np.ndarray = field(default=None, repr=False)  # (nt, 3, 3)
-    _rows: np.ndarray = field(default=None, repr=False)
-    _cols: np.ndarray = field(default=None, repr=False)
+    stiffness: sp.csr_matrix = field(default=None, repr=False)  # (nv, nv)
     _bary_tree: cKDTree = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -55,28 +52,23 @@ class DomainMesh:
         det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         flip = det < 0
         if np.any(flip):
+            # swapping vertices 1 and 2 negates det exactly
             t[flip, 1], t[flip, 2] = t[flip, 2].copy(), t[flip, 1].copy()
-            e1 = v[t[:, 1]] - v[t[:, 0]]
-            e2 = v[t[:, 2]] - v[t[:, 0]]
-            det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+            det[flip] = -det[flip]
         if np.any(det <= 0):
             raise InvalidShapeParameters("degenerate (zero-area) triangle in mesh")
         self.areas = 0.5 * det
         self.barycenters = v[t].mean(axis=1)
 
-        # grad lambda_i = (y_j - y_k, x_k - x_j) / (2 A), indices cyclic
-        p = v[t]                                  # (nt, 3, 2)
-        g = np.empty((t.shape[0], 3, 2))
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            g[:, i, 0] = p[:, j, 1] - p[:, k, 1]
-            g[:, i, 1] = p[:, k, 0] - p[:, j, 0]
+        # g[t, e, i] = d_e lambda_i; grad lambda_i = (y_j - y_k, x_k - x_j) / 2A, ijk cyclic
+        pj, pk = v[np.roll(t, -1, axis=1)], v[np.roll(t, -2, axis=1)]   # (nt, 3, 2)
+        g = np.stack([pj[:, :, 1] - pk[:, :, 1], pk[:, :, 0] - pj[:, :, 0]], axis=1)
         g /= (2.0 * self.areas)[:, None, None]
-        self.grads = g
-
-        self.stiff_local = np.einsum("tie,tje->tij", g, g) * self.areas[:, None, None]
-        self._rows = np.repeat(t, 3, axis=1).ravel()
-        self._cols = np.tile(t, (1, 3)).ravel()
+        nt = t.shape[0]
+        self.grad_op = sp.csr_matrix(
+            (g.ravel(), np.repeat(t, 2, axis=0).ravel(), np.arange(0, 6 * nt + 1, 3)),
+            shape=(2 * nt, self.num_vertices))
+        self.stiffness = stiffness_from_tri_weights(self, np.ones(nt))
 
         m = np.zeros(self.num_vertices)
         np.add.at(m, t.ravel(), np.repeat(self.areas / 3.0, 3))
@@ -124,12 +116,8 @@ class DomainMesh:
 
     def tri_gradients(self, values: np.ndarray) -> np.ndarray:
         """Per-triangle constant gradient of a nodal field; (nt, 2, d)."""
-        vals = np.asarray(values, dtype=float)
-        squeeze = vals.ndim == 1
-        if squeeze:
-            vals = vals[:, None]
-        G = np.einsum("tie,tid->ted", self.grads, vals[self.triangles])
-        return G[:, :, 0] if squeeze else G
+        G = self.grad_op @ np.asarray(values, dtype=float)
+        return G.reshape((self.num_triangles, 2) + G.shape[1:])
 
     def tri_grad_sq(self, values: np.ndarray) -> np.ndarray:
         """Per-triangle |grad f|^2 (all components summed); (nt,)."""
@@ -145,21 +133,14 @@ class DomainMesh:
         np.add.at(acc, self.triangles.ravel(), w)
         return acc / self.lumped_mass
 
-    def integrate_nodal(self, nodal_values: np.ndarray) -> float:
-        """Lumped-mass quadrature of a nodal scalar field."""
-        return float(np.dot(self.lumped_mass, np.asarray(nodal_values, dtype=float)))
-
-    def laplacian(self, stiffness: sp.csr_matrix, values: np.ndarray,
-                  zero_boundary: bool = True) -> np.ndarray:
+    def laplacian(self, values: np.ndarray, zero_boundary: bool = True) -> np.ndarray:
         """Lumped-mass discrete Laplacian -M^{-1} K f; boundary rows zeroed."""
         vals = np.asarray(values, dtype=float)
-        squeeze = vals.ndim == 1
-        if squeeze:
-            vals = vals[:, None]
-        lap = -(stiffness @ vals) / self.lumped_mass[:, None]
+        m = self.lumped_mass if vals.ndim == 1 else self.lumped_mass[:, None]
+        lap = -(self.stiffness @ vals) / m
         if zero_boundary:
             lap[self.boundary] = 0.0
-        return lap[:, 0] if squeeze else lap
+        return lap
 
 
 # -- constructors --------------------------------------------------------
@@ -273,9 +254,11 @@ def build_mesh(shape: str, target_h: float, r_in: float = None,
 
 # -- energies and balls ---------------------------------------------------
 
-def tri_energy_density(mesh: DomainMesh, values: np.ndarray) -> np.ndarray:
-    """Per-triangle Dirichlet energy contribution (1/2) area |grad f|^2."""
-    return 0.5 * mesh.areas * mesh.tri_grad_sq(values)
+def tri_energy_density(mesh: DomainMesh, values: np.ndarray,
+                       grad_sq: np.ndarray = None) -> np.ndarray:
+    """Per-triangle (1/2) area |grad f|^2; grad_sq = mesh.tri_grad_sq(values) if known."""
+    g2 = mesh.tri_grad_sq(values) if grad_sq is None else grad_sq
+    return 0.5 * mesh.areas * g2
 
 
 def dirichlet_energy(mesh: DomainMesh, values: np.ndarray,
@@ -338,10 +321,11 @@ def local_energy_matrix(mesh: DomainMesh, radius: float) -> sp.csr_matrix:
 # -- assembly -------------------------------------------------------------
 
 def stiffness_from_tri_weights(mesh: DomainMesh, tri_weights: np.ndarray) -> sp.csr_matrix:
-    data = (mesh.stiff_local * np.asarray(tri_weights, dtype=float)[:, None, None]).ravel()
-    K = sp.coo_matrix((data, (mesh._rows, mesh._cols)),
-                      shape=(mesh.num_vertices, mesh.num_vertices))
-    return K.tocsr()
+    """grad_op^T diag(area * w) grad_op: the P1 stiffness of -div(w grad .)."""
+    D = mesh.grad_op
+    WD = D.copy()
+    WD.data *= np.repeat(mesh.areas * np.asarray(tri_weights, dtype=float), 6)
+    return (D.T @ WD).tocsr()
 
 
 def assemble_weighted_stiffness(mesh: DomainMesh, beta_vertex: np.ndarray) -> sp.csr_matrix:
@@ -355,10 +339,6 @@ def assemble_weighted_stiffness(mesh: DomainMesh, beta_vertex: np.ndarray) -> sp
         raise NonPositiveCoefficient("beta must be strictly positive at every vertex")
     tri_beta = beta_vertex[mesh.triangles].mean(axis=1)
     return stiffness_from_tri_weights(mesh, tri_beta)
-
-
-def unit_stiffness(mesh: DomainMesh) -> sp.csr_matrix:
-    return stiffness_from_tri_weights(mesh, np.ones(mesh.num_triangles))
 
 
 # -- plain-text formats ----------------------------------------------------

@@ -30,7 +30,8 @@ from .boundary import boundary_data_from_presets
 from .diagnostics import (DiagnosticsReport, ThresholdConfig, convergence_monitor,
                           hard_checks_pass, inequality_suite, report_from_dict,
                           report_to_dict, singularity_detect)
-from .errors import ConfigParseError
+from .errors import (ConfigParseError, InvalidShapeParameters,
+                     NonPositiveCoefficient)
 # step is unused here but stays bound: perfbench/child.py patches
 # scenario.step next to flow.step to stamp the first step of a run
 from .flow import (Schedule, StepperConfig, initial_state, march, run_flow,
@@ -225,16 +226,20 @@ class ScenarioSetup:
 
 
 def build_scenario(cfg: ScenarioConfig) -> ScenarioSetup:
-    mesh = build_mesh(cfg.mesh_shape, cfg.mesh_h, r_in=cfg.r_in, r_out=cfg.r_out)
-    target = make_target(cfg.target_name)
-    warp = WarpFunction(cfg.warp_kind, cfg.warp_a, cfg.warp_b)
+    """Everything a run needs; a value the constructors reject is a ConfigParseError."""
+    try:
+        mesh = build_mesh(cfg.mesh_shape, cfg.mesh_h, r_in=cfg.r_in, r_out=cfg.r_out)
+        target = make_target(cfg.target_name)
+        warp = WarpFunction(cfg.warp_kind, cfg.warp_a, cfg.warp_b)
+        stepper = StepperConfig(scheme=cfg.scheme, sigma=cfg.sigma, theta=cfg.theta,
+                                max_move_fraction=cfg.max_move_fraction)
+        thresholds = ThresholdConfig(energy=cfg.threshold_energy,
+                                     r_detect=cfg.r_detect, r_grid=cfg.r_grid,
+                                     persist_frames=cfg.persist_frames)
+    except (ValueError, InvalidShapeParameters, NonPositiveCoefficient) as exc:
+        raise ConfigParseError(str(exc)) from exc
     bdata = boundary_data_from_presets(mesh, target, cfg.phi_spec,
                                        cfg.phi0_spec, cfg.psi_spec)
-    stepper = StepperConfig(scheme=cfg.scheme, sigma=cfg.sigma, theta=cfg.theta,
-                            max_move_fraction=cfg.max_move_fraction)
-    thresholds = ThresholdConfig(energy=cfg.threshold_energy,
-                                 r_detect=cfg.r_detect, r_grid=cfg.r_grid,
-                                 persist_frames=cfg.persist_frames)
     return ScenarioSetup(cfg, mesh, target, warp, bdata, stepper, thresholds)
 
 
@@ -423,7 +428,11 @@ def twin_run(flat_or_cfg, delta: float = None, overrides: dict = None) -> TwinRe
 # -- report re-checking --------------------------------------------------------
 
 def check_report_file(path) -> int:
-    """Re-evaluate the inequality suite of a stored report; 0 ok, 2 failure."""
+    """Re-evaluate the inequality suite of a stored report; 0 ok, 2 failure.
+
+    Fails on a failed hard check, or stored checks, verdicts or exit code that
+    differ from the recomputed ones.
+    """
     with open(path) as f:
         payload = json.load(f)
     report = report_from_dict(payload)
@@ -432,16 +441,20 @@ def check_report_file(path) -> int:
         return 2
     checks = inequality_suite(report.records, report.bounds, report.thresholds,
                               events=report.events)
-    ok = True
     for c in checks:
         status = "pass" if c.passed else "FAIL"
         kind = "hard" if c.hard else "info"
         print(f"[{status}] {c.name} ({kind}) constants={c.constants}")
-        if c.hard and not c.passed:
+    ok = hard_checks_pass(checks)
+    exit_code = 0 if ok else 2
+    stored = {c["name"]: bool(c["passed"]) for c in payload.get("checks", [])}
+    recomputed = {c.name: bool(c.passed) for c in checks}
+    for name in sorted(stored.keys() | recomputed.keys()):
+        if stored.get(name) != recomputed.get(name):
+            print(f"[FAIL] {name}: stored result {stored.get(name)} disagrees with "
+                  f"re-evaluation {recomputed.get(name)}")
             ok = False
-    stored = {c["name"]: c["passed"] for c in payload.get("checks", [])}
-    for c in checks:
-        if c.name in stored and bool(stored[c.name]) != bool(c.passed):
-            print(f"[FAIL] {c.name}: stored result disagrees with re-evaluation")
-            ok = False
+    if payload.get("exit_code") != exit_code:
+        print(f"[FAIL] stored exit_code {payload.get('exit_code')!r} != recomputed {exit_code}")
+        ok = False
     return 0 if ok else 2

@@ -6,14 +6,13 @@ from warpflow.elliptic import (cg_solve, gradient_norm_probe,
                                harmonic_extension, solve_dirichlet,
                                solve_warped_laplace)
 from warpflow.errors import DegenerateBoundaryData, SolverFailure
-from warpflow.mesh import (assemble_weighted_stiffness, build_mesh,
-                           unit_stiffness)
+from warpflow.mesh import assemble_weighted_stiffness, build_mesh
 
 
 class TestCgSolve:
     def test_matches_direct_solver(self, square16):
         ii = square16.interior
-        A = unit_stiffness(square16)[ii][:, ii].tocsr()
+        A = square16.stiffness[ii][:, ii].tocsr()
         rng = np.random.default_rng(11)
         b = rng.standard_normal(ii.size)
         x, rel, iters = cg_solve(A, b)
@@ -24,20 +23,20 @@ class TestCgSolve:
 
     def test_zero_rhs_shortcut(self, square16):
         ii = square16.interior
-        A = unit_stiffness(square16)[ii][:, ii].tocsr()
+        A = square16.stiffness[ii][:, ii].tocsr()
         x, rel, iters = cg_solve(A, np.zeros(ii.size))
         assert np.array_equal(x, np.zeros(ii.size))
         assert (rel, iters) == (0.0, 0)
 
     def test_empty_system(self, square16):
         ii = square16.interior
-        A = unit_stiffness(square16)[ii][:, ii].tocsr()
+        A = square16.stiffness[ii][:, ii].tocsr()
         x, rel, iters = cg_solve(A[:0][:, :0], np.zeros(0))
         assert x.size == 0 and iters == 0
 
     def test_iteration_cap_raises(self, square16):
         ii = square16.interior
-        A = unit_stiffness(square16)[ii][:, ii].tocsr()
+        A = square16.stiffness[ii][:, ii].tocsr()
         b = np.ones(ii.size)
         with pytest.raises(SolverFailure):
             cg_solve(A, b, maxiter=1, rtol=1e-14)
@@ -46,13 +45,13 @@ class TestCgSolve:
 class TestSolveDirichlet:
     def test_reproduces_linear_data(self, square16):
         # x is discretely harmonic on any conforming mesh
-        K = unit_stiffness(square16)
+        K = square16.stiffness
         v, rel, iters = solve_dirichlet(square16, K, square16.vertices[:, 0])
         assert np.max(np.abs(v - square16.vertices[:, 0])) < 1e-9
         assert rel <= 1e-9
 
     def test_boundary_rows_exact(self, disk16):
-        K = unit_stiffness(disk16)
+        K = disk16.stiffness
         data = np.cos(3.0 * np.arctan2(disk16.vertices[:, 1],
                                        disk16.vertices[:, 0]))
         v, _, _ = solve_dirichlet(disk16, K, data)
@@ -61,7 +60,7 @@ class TestSolveDirichlet:
 
     def test_discrete_maximum_principle(self, square16):
         # square mesh is non-obtuse: interior values stay inside the data range
-        K = unit_stiffness(square16)
+        K = square16.stiffness
         rng = np.random.default_rng(12)
         data = rng.random(square16.num_vertices)
         v, _, _ = solve_dirichlet(square16, K, data)

@@ -10,6 +10,7 @@ from warpflow.flow import (Schedule, StepperConfig, default_probe_centers,
                            tension_residual)
 from warpflow.geometry import WarpFunction, make_target
 from warpflow.mesh import build_mesh, dirichlet_energy
+from warpflow.scenario import ScenarioConfig, build_scenario, resolve_config
 
 SPHERE = make_target("sphere")
 TORUS = make_target("torus")
@@ -170,6 +171,18 @@ class TestStepMechanics:
         solves0 = st.ctx.stats["elliptic_solves"]
         step(st, cfg)
         assert st.ctx.stats["elliptic_solves"] == solves0 + 1
+
+    @pytest.mark.parametrize("scheme", ["semi_implicit", "explicit"])
+    def test_non_finite_state_is_a_solver_failure(self, scheme):
+        flat = {**resolve_config("warp_coupled"), "mesh.h": "0.125",
+                "stepper.scheme": scheme}
+        setup = build_scenario(ScenarioConfig.from_flat(flat))
+        st = initial_state(setup.mesh, setup.target, setup.warp, setup.bdata,
+                           setup.stepper)
+        st.u[setup.mesh.interior[len(setup.mesh.interior) // 2]] = np.nan
+        with pytest.raises(SolverFailure, match="non-finite") as info:
+            step(st, setup.stepper)
+        assert info.value.time == st.t
 
 
 class TestRunFlow:

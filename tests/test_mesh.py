@@ -6,8 +6,7 @@ from warpflow.mesh import (BallIndex, DomainMesh,
                            assemble_weighted_stiffness, ball_energy,
                            ball_triangles, build_mesh, dirichlet_energy,
                            dump_mesh, local_energy_matrix,
-                           tri_energy_density, unit_stiffness,
-                           write_snapshot)
+                           tri_energy_density, write_snapshot)
 
 
 # -- constructors -----------------------------------------------------------
@@ -182,7 +181,7 @@ def test_integration_by_parts_identity(square16):
 
 
 def test_stiffness_annihilates_constants(square16):
-    K = unit_stiffness(square16)
+    K = square16.stiffness
     r = K @ np.ones(square16.num_vertices)
     assert np.max(np.abs(r)) < 1e-12
 
@@ -198,7 +197,7 @@ def test_laplacian_exact_on_quadratic(square16):
     # structured diagonal split reproduces the five-point stencil, which is
     # exact on quadratics: lap(x^2 + y^2) = 4 at interior nodes
     f = square16.vertices[:, 0] ** 2 + square16.vertices[:, 1] ** 2
-    lap = square16.laplacian(unit_stiffness(square16), f)
+    lap = square16.laplacian(f)
     assert np.max(np.abs(lap[square16.interior] - 4.0)) < 1e-10
     assert np.array_equal(lap[square16.boundary], np.zeros(square16.boundary.sum()))
 

@@ -6,7 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import warpflow.boundary
+import warpflow.diagnostics
+import warpflow.elliptic
 import warpflow.flow
+import warpflow.mesh
 import warpflow.scenario
 from warpflow.cli import main
 from warpflow.errors import ConfigParseError
@@ -261,6 +265,25 @@ class TestBenchmarkHooks:
         stats = res.report.solver_stats
         assert len(stepped) == stats["accepted_steps"] + stats["rejected_steps"]
 
+    def test_traced_names_exist(self):
+        # perfbench/spans.py wraps these by name: methods through the class
+        # __dict__, functions on every module that re-binds them
+        mesh_cls = vars(warpflow.mesh.DomainMesh)
+        for name in ("tri_gradients", "tri_grad_sq", "nodal_from_tri", "laplacian"):
+            assert callable(mesh_cls[name]), name
+        for cls, name in ((warpflow.mesh.BallIndex, "build"),
+                          (warpflow.boundary.BoundaryData, "build"),
+                          (warpflow.diagnostics.RunBounds, "from_run")):
+            assert isinstance(vars(cls)[name], classmethod), (cls.__name__, name)
+        for cls in (warpflow.geometry.UnitSphere, warpflow.geometry.FlatTorus):
+            for name in ("project_field", "project_tangent", "curvature_force",
+                         "distance"):
+                assert callable(vars(cls)[name]), (cls.__name__, name)
+        assert warpflow.flow.cg_solve is warpflow.elliptic.cg_solve
+        assert warpflow.flow.solve_warped_laplace is warpflow.elliptic.solve_warped_laplace
+        assert warpflow.scenario.run_flow is warpflow.flow.run_flow
+        assert warpflow.diagnostics.tri_energy_density is warpflow.mesh.tri_energy_density
+
 
 class TestCheckReportFile:
     def _fresh_report(self, tmp_path) -> Path:
@@ -290,6 +313,33 @@ class TestCheckReportFile:
         path.write_text(json.dumps(payload))
         assert check_report_file(path) == 2
         assert "disagrees" in capsys.readouterr().out
+
+    @pytest.fixture(scope="class")
+    def bubbling_report(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("bubbling")
+        res = run_scenario("bubbling", out_dir=out, h=0.0625, t_end=0.004)
+        assert res.report.events and res.exit_code == 0
+        return json.loads((out / "report.json").read_text())
+
+    def _check(self, tmp_path, payload) -> int:
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(payload))
+        return check_report_file(path)
+
+    def test_untouched_bubbling_report_passes(self, tmp_path, bubbling_report):
+        assert self._check(tmp_path, bubbling_report) == 0
+
+    def test_emptied_events_fail(self, tmp_path, bubbling_report, capsys):
+        payload = {**bubbling_report, "events": []}
+        assert self._check(tmp_path, payload) == 2
+        assert "singularity_counts" in capsys.readouterr().out
+
+    def test_changed_exit_code_fails(self, tmp_path, bubbling_report):
+        assert self._check(tmp_path, {**bubbling_report, "exit_code": 2}) == 2
+
+    def test_deleted_check_fails(self, tmp_path, bubbling_report):
+        checks = [c for c in bubbling_report["checks"] if c["name"] != "two_ball"]
+        assert self._check(tmp_path, {**bubbling_report, "checks": checks}) == 2
 
     def test_truncated_report_fails(self, tmp_path):
         path = self._fresh_report(tmp_path)
@@ -333,6 +383,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err
         assert "mesh.r_in" in err and "mesh.r_out" in err
+
+    @pytest.mark.parametrize("line", ["stepper.sigma = 0.9", "warp.kind = cubic",
+                                      "thresholds.energy = -1",
+                                      "mesh.shape = hexagon", "mesh.h = 0"])
+    def test_bad_config_value_is_config_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"target = sphere\n{line}\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
 
     def test_check_exit_codes(self, tmp_path):
         out = tmp_path / "for_check"
