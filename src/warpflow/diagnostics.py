@@ -447,14 +447,27 @@ def singularity_detect(report: DiagnosticsReport, thresholds: ThresholdConfig,
 
 # -- convergence --------------------------------------------------------------
 
+def stationarity(records: list, h: float, residual_norm: float):
+    """(converged, rate_tolerance, residual_tolerance) of a run ending at records[-1].
+
+    Stationary means the last recorded map velocity is below
+    STATIONARITY_FACTOR * (1 + |E_g(0)|) and the tension residual below
+    RESIDUAL_FACTOR * h.
+    """
+    rate_tol = STATIONARITY_FACTOR * (1.0 + abs(records[0].e_g))
+    res_tol = RESIDUAL_FACTOR * h
+    converged = bool(records[-1].rate_l2 < rate_tol and residual_norm < res_tol)
+    return converged, rate_tol, res_tol
+
+
 def convergence_monitor(report: DiagnosticsReport, state,
                         eps_prime: float = None) -> ConvergenceReport:
     """Stationarity assessment at the end of a run.
 
-    Convergence requires the last recorded map velocity below
-    1e-5 * (1 + |E_g(0)|) and the tension residual below 10 * h.  The
-    persistent set collects vertices whose local energy exceeds eps_prime
-    (default: the detection threshold) in every late frame.
+    Convergence is `stationarity` of the records and the final tension
+    residual (map velocity below 1e-5 * (1 + |E_g(0)|), residual below
+    10 * h).  The persistent set collects vertices whose local energy
+    exceeds eps_prime (default: the detection threshold) in every late frame.
     """
     from .flow import tension_residual
 
@@ -464,11 +477,9 @@ def convergence_monitor(report: DiagnosticsReport, state,
                                  residual_norm=math.inf, residual_tolerance=0.0,
                                  halving_times=[], halving_rates=[],
                                  persistent_vertices=[])
-    e_g0 = report.records[0].e_g
-    rate_tol = STATIONARITY_FACTOR * (1.0 + abs(e_g0))
-    res_tol = RESIDUAL_FACTOR * state.mesh.h
     rate = report.records[-1].rate_l2
     _, res_norm = tension_residual(state)
+    converged, rate_tol, res_tol = stationarity(report.records, state.mesh.h, res_norm)
 
     # times where the velocity first drops below each successive halving of
     # its initial recorded value
@@ -490,7 +501,6 @@ def convergence_monitor(report: DiagnosticsReport, state,
         late = report.local_history[max(0, F - max(2, F // 4)):]
         persistent = np.flatnonzero(np.all(late > eps_p, axis=0)).tolist()
 
-    converged = bool(rate < rate_tol and res_norm < res_tol)
     return ConvergenceReport(
         status="converged" if converged else "not_stationary",
         converged=converged, rate_l2=float(rate), rate_tolerance=float(rate_tol),

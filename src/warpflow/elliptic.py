@@ -1,9 +1,13 @@
 """Variable-coefficient elliptic solves: -div(beta grad v) = f, v = psi on the boundary.
 
 Dirichlet conditions are imposed by elimination in `dirichlet_split` (never
-by penalty): the interior block A_II is solved by diagonally preconditioned
-conjugate gradients to relative tolerance 1e-10 with an iteration cap of
-50 * sqrt(#unknowns), and boundary rows carry the data exactly.
+by penalty): the interior block A_II is solved by preconditioned conjugate
+gradients to relative tolerance 1e-10 with an iteration cap of
+50 * sqrt(#unknowns), and boundary rows carry the data exactly.  The
+preconditioner is Jacobi unless the caller passes one.  A potential that is
+re-solved under a changing coefficient uses a `WarpedBlock`: the interior
+block on a fixed pattern, re-weighted in place for each beta, with a sparse
+LU factorization of its first beta as the CG preconditioner.
 """
 
 from __future__ import annotations
@@ -13,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator, splu
 from scipy.sparse.linalg import cg as _scipy_cg
 
 from .errors import DegenerateBoundaryData, SolverFailure
-from .mesh import DomainMesh, assemble_weighted_stiffness
+from .mesh import DomainMesh, assemble_weighted_stiffness, triangle_mean
 
 CG_RTOL = 1e-10
 
@@ -28,11 +33,19 @@ class EllipticSolution:
     iterations: int
 
 
-def cg_solve(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray = None,
-             rtol: float = CG_RTOL, maxiter: int = None):
-    """Jacobi-preconditioned CG; returns (x, rel_residual, iterations).
+def jacobi_preconditioner(A: sp.csr_matrix) -> sp.dia_matrix:
+    """diag(1 / A_ii), with 1 where the diagonal is not positive."""
+    diag = A.diagonal()
+    return sp.diags(np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 1.0))
 
-    SolverFailure if the cap is hit before the tolerance.
+
+def cg_solve(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray = None,
+             rtol: float = CG_RTOL, maxiter: int = None, M=None):
+    """Preconditioned CG; returns (x, rel_residual, iterations).
+
+    M approximates A^{-1} (a matrix or LinearOperator); the default is
+    jacobi_preconditioner(A).  SolverFailure if the cap is hit before the
+    tolerance.
     """
     n = b.shape[0]
     if n == 0:
@@ -42,8 +55,8 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray = None,
         return np.zeros(n), 0.0, 0
     if maxiter is None:
         maxiter = max(100, int(50 * math.sqrt(n)))
-    diag = A.diagonal()
-    M = sp.diags(np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 1.0))
+    if M is None:
+        M = jacobi_preconditioner(A)
     count = [0]
 
     def _cb(_):
@@ -76,31 +89,92 @@ def solve_dirichlet(mesh: DomainMesh, K: sp.csr_matrix, boundary_values: np.ndar
 
     (nv, d) data is solved per column; returns (v, max residual, total iterations).
     """
+    return _solve_split(mesh, *dirichlet_split(mesh, K, boundary_values), load, x0)
+
+
+def _solve_split(mesh, A_II, coupling, v, load, x0, M=None):
+    """Fill the interior rows of the padded data v from a `dirichlet_split`."""
     I = mesh.interior
-    A_II, coupling, v = dirichlet_split(mesh, K, boundary_values)
     cols = v.reshape(len(v), -1)                  # a view: columns write into v
     rhs = ((0.0 if load is None else np.asarray(load, dtype=float)[I]) - coupling
            ).reshape(len(I), -1)
     guess = None if x0 is None else np.asarray(x0, dtype=float)[I].reshape(len(I), -1)
     rel, iters = 0.0, 0
     for d in range(cols.shape[1]):
-        cols[I, d], r, n = cg_solve(A_II, rhs[:, d],
+        cols[I, d], r, n = cg_solve(A_II, rhs[:, d], M=M,
                                     x0=None if guess is None else guess[:, d])
         rel, iters = max(rel, r), iters + n
     return v, rel, iters
 
 
+class WarpedBlock:
+    """The split of -div(beta grad .) with data psi, re-weighted in place for each beta.
+
+    Built once per (mesh, psi): the interior block's pattern comes from
+    `dirichlet_split` of the element connectivity, and two sparse maps take
+    the triangle weights area * beta_tri to the block's data and to the load
+    psi puts on interior rows.  The block of the first beta is factored once
+    (sparse LU) and preconditions CG for every later beta; a stale factor
+    costs iterations, never accuracy.
+    """
+
+    def __init__(self, mesh: DomainMesh, psi: np.ndarray):
+        t, nv = mesh.triangles, mesh.num_vertices
+        nt = t.shape[0]
+        # G[t, e, a] = d_e lambda_a of triangle t's vertex a; loc = unit element stiffness
+        G = np.asarray(mesh.grad_op[np.repeat(np.arange(2 * nt), 3),
+                                    np.repeat(t, 2, axis=0).ravel()]).reshape(nt, 2, 3)
+        loc = np.einsum("tea,teb->tab", G, G).ravel()
+        # element entries that vanish (right angle opposite the edge) vanish for any beta
+        nz = loc != 0.0
+        loc = loc[nz]
+        rows = np.repeat(t, 3, axis=1).ravel()[nz]
+        cols = np.tile(t, (1, 3)).ravel()[nz]
+        tri = np.repeat(np.arange(nt), 9)[nz]
+        # the connectivity pattern, each entry's data its slot number + 1
+        keys, slot = np.unique(rows * nv + cols, return_inverse=True)
+        pattern = sp.csr_matrix((np.arange(1.0, len(keys) + 1), (keys // nv, keys % nv)),
+                                shape=(nv, nv))
+        self.block, _, self._g = dirichlet_split(mesh, pattern, psi)
+        per_slot = sp.csr_matrix((loc, (slot.ravel(), tri)), shape=(len(keys), nt))
+        self._to_block = per_slot[self.block.data.astype(np.int64) - 1]
+        load = sp.csr_matrix((loc * self._g[cols], (rows, tri)), shape=(nv, nt))
+        self._to_load = load[mesh.interior]
+        self._mesh = mesh
+        self._M = None
+
+    def split(self, beta_vertex: np.ndarray):
+        """(A_II, (K g)_I, g) for K the stiffness of -div(beta grad .); A_II is reused."""
+        aw = self._mesh.areas * triangle_mean(self._mesh, beta_vertex)
+        self.block.data[:] = self._to_block @ aw
+        return self.block, self._to_load @ aw, self._g.copy()
+
+    def preconditioner(self):
+        """The LU factor of the block as it is now, kept for every later call."""
+        if self._M is None:
+            lu = splu(self.block.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            self._M = LinearOperator(self.block.shape, matvec=lu.solve, dtype=float)
+        return self._M
+
+
 def solve_warped_laplace(mesh: DomainMesh, beta_vertex: np.ndarray,
                          psi: np.ndarray, source: np.ndarray = None,
-                         x0: np.ndarray = None) -> EllipticSolution:
+                         x0: np.ndarray = None,
+                         block: WarpedBlock = None) -> EllipticSolution:
     """Weak P1 solution of -div(beta grad v) = f with trace psi.
 
     `psi` is a full-length nodal array whose boundary entries carry the data;
     `source` (optional) is a nodal density, integrated with the lumped mass.
+    `block`, a WarpedBlock of this mesh and psi, replaces the assembly and
+    the Jacobi preconditioner by its re-weighted block and cached factor.
     """
-    K = assemble_weighted_stiffness(mesh, beta_vertex)
     load = None if source is None else mesh.lumped_mass * np.asarray(source, dtype=float)
-    v, rel, iters = solve_dirichlet(mesh, K, psi, load=load, x0=x0)
+    if block is None:
+        split = dirichlet_split(mesh, assemble_weighted_stiffness(mesh, beta_vertex), psi)
+        v, rel, iters = _solve_split(mesh, *split, load, x0)
+    else:
+        split = block.split(beta_vertex)
+        v, rel, iters = _solve_split(mesh, *split, load, x0, block.preconditioner())
     return EllipticSolution(v=v, rel_residual=rel, iterations=iters)
 
 

@@ -32,7 +32,8 @@ import scipy.sparse as sp
 
 from .boundary import BoundaryData
 from .diagnostics import (DiagnosticsReport, ThresholdConfig, energy_functionals)
-from .elliptic import cg_solve, dirichlet_split, solve_warped_laplace
+from .elliptic import (WarpedBlock, cg_solve, dirichlet_split, jacobi_preconditioner,
+                       solve_warped_laplace)
 from .errors import DegeneratePoint, SolverFailure, StepRejected
 from .geometry import warp_force
 from .mesh import BallIndex, DomainMesh, local_energy_matrix, tri_energy_density
@@ -71,26 +72,35 @@ class Schedule:
 
 
 class _FlowContext:
-    """Per-run solver stats and theta-step matrices M_II + theta dt K_II; K_phi = (K phi)_I."""
+    """Per-run solver stats, theta-step matrices and the warped potential's block.
 
-    def __init__(self, mesh: DomainMesh, bdata: BoundaryData):
+    The theta-step matrices M_II + theta dt K_II are cached per (dt, theta)
+    with their Jacobi preconditioners; K_phi = (K phi)_I.  A non-constant
+    warp re-solves the potential every step on `potential`, a WarpedBlock
+    holding the fixed-pattern block and its cached factor; a constant warp
+    solves it once and has none.
+    """
+
+    def __init__(self, mesh: DomainMesh, bdata: BoundaryData, warp):
         self.mesh = mesh
         self.K_II, self.K_phi, _ = dirichlet_split(mesh, mesh.stiffness, bdata.phi)
+        self.potential = None if warp.kind == "constant" else WarpedBlock(mesh, bdata.psi)
         self._step_mat = {}
         self.stats = {"elliptic_solves": 0, "elliptic_iterations": 0,
                       "step_iterations": 0, "rejected_steps": 0,
                       "max_elliptic_residual": 0.0}
 
-    def step_matrix(self, dt: float, theta: float) -> sp.csr_matrix:
+    def step_matrix(self, dt: float, theta: float):
+        """(A, its Jacobi preconditioner) for A = M_II + theta dt K_II."""
         key = (float(dt), float(theta))
-        A = self._step_mat.get(key)
-        if A is None:
+        entry = self._step_mat.get(key)
+        if entry is None:
             m_I = self.mesh.lumped_mass[self.mesh.interior]
             A = (sp.diags(m_I) + (theta * dt) * self.K_II).tocsr()
             if len(self._step_mat) > 64:
                 self._step_mat.clear()
-            self._step_mat[key] = A
-        return A
+            entry = self._step_mat[key] = (A, jacobi_preconditioner(A))
+        return entry
 
 
 @dataclass
@@ -110,7 +120,8 @@ class FlowState:
 
 
 def _solve_potential(ctx, warp, bdata, u, x0=None):
-    sol = solve_warped_laplace(ctx.mesh, warp.beta(u), bdata.psi, x0=x0)
+    sol = solve_warped_laplace(ctx.mesh, warp.beta(u), bdata.psi, x0=x0,
+                               block=ctx.potential)
     ctx.stats["elliptic_solves"] += 1
     ctx.stats["elliptic_iterations"] += sol.iterations
     ctx.stats["max_elliptic_residual"] = max(ctx.stats["max_elliptic_residual"],
@@ -126,7 +137,7 @@ def initial_state(mesh: DomainMesh, target, warp, bdata: BoundaryData,
         raise ValueError("initial map must lie on the target manifold")
     if np.max(np.abs(u0[mesh.boundary] - bdata.phi[mesh.boundary])) != 0.0:
         raise ValueError("initial map must equal the boundary trace on the boundary")
-    ctx = _FlowContext(mesh, bdata)
+    ctx = _FlowContext(mesh, bdata, warp)
     v0 = _solve_potential(ctx, warp, bdata, u0)
     # dt policy keys off the configured mesh size; tolerances elsewhere use
     # the realized max edge mesh.h
@@ -178,12 +189,12 @@ def step(state: FlowState, config: StepperConfig, dt: float = None,
             u_star = u + dt * (lap + F)
         else:
             theta, I = config.theta, mesh.interior
-            A = ctx.step_matrix(dt, theta)
+            A, M = ctx.step_matrix(dt, theta)
             rhs = m[:, None] * (u + dt * F) - ((1.0 - theta) * dt) * (mesh.stiffness @ u)
             rhs_I = rhs[I] - (theta * dt) * ctx.K_phi
             u_star = np.array(u)
             for d in range(u.shape[1]):
-                xi, _, iters = cg_solve(A, rhs_I[:, d], x0=u[I, d])
+                xi, _, iters = cg_solve(A, rhs_I[:, d], x0=u[I, d], M=M)
                 ctx.stats["step_iterations"] += iters
                 u_star[I, d] = xi
         if not np.all(np.isfinite(u_star)):

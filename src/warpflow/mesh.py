@@ -17,6 +17,7 @@ discrete maximum principle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -303,18 +304,31 @@ class BallIndex:
         return cls(mesh, centers, radii, members)
 
 
+# vertices per ball query in local_energy_matrix: bounds the Python index
+# lists alive at once (about 0.5M ints at h = 1/128, r = 0.1)
+LOCAL_ENERGY_BLOCK = 512
+
+
 def local_energy_matrix(mesh: DomainMesh, radius: float) -> sp.csr_matrix:
     """Sparse (nv x nt) ball membership operator: rows sum triangle energies.
 
     local_energy = L @ tri_energy_density gives, for every vertex, the
-    Dirichlet energy in the radius-ball centered at that vertex.
+    Dirichlet energy in the radius-ball centered at that vertex.  Row lengths
+    come first, then the column indices are filled in place
+    LOCAL_ENERGY_BLOCK vertices at a time, so the index lists of only one
+    block exist at once.
     """
-    lists = mesh._bary_tree.query_ball_point(mesh.vertices, radius)
+    tree, pts = mesh._bary_tree, mesh.vertices
     indptr = np.zeros(mesh.num_vertices + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum([len(l) for l in lists])
-    indices = np.concatenate([np.sort(l) for l in lists]) if indptr[-1] else np.zeros(0, dtype=np.int64)
-    data = np.ones(indptr[-1])
-    return sp.csr_matrix((data, indices, indptr),
+    np.cumsum(tree.query_ball_point(pts, radius, return_length=True), out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    for s in range(0, mesh.num_vertices, LOCAL_ENERGY_BLOCK):
+        e = min(s + LOCAL_ENERGY_BLOCK, mesh.num_vertices)
+        lists = tree.query_ball_point(pts[s:e], radius, return_sorted=True)
+        indices[indptr[s]:indptr[e]] = np.fromiter(
+            itertools.chain.from_iterable(lists), dtype=np.int32,
+            count=int(indptr[e] - indptr[s]))
+    return sp.csr_matrix((np.ones(indptr[-1]), indices, indptr),
                          shape=(mesh.num_vertices, mesh.num_triangles))
 
 
@@ -334,11 +348,18 @@ def assemble_weighted_stiffness(mesh: DomainMesh, beta_vertex: np.ndarray) -> sp
     beta_vertex holds beta at the vertices; each triangle uses the mean of
     its three vertex values.  NonPositiveCoefficient if any value <= 0.
     """
+    return stiffness_from_tri_weights(mesh, triangle_mean(mesh, beta_vertex))
+
+
+def triangle_mean(mesh: DomainMesh, beta_vertex: np.ndarray) -> np.ndarray:
+    """Mean of a vertex coefficient over each triangle's vertices; (nt,).
+
+    NonPositiveCoefficient if any vertex value is <= 0.
+    """
     beta_vertex = np.asarray(beta_vertex, dtype=float)
     if np.any(beta_vertex <= 0):
         raise NonPositiveCoefficient("beta must be strictly positive at every vertex")
-    tri_beta = beta_vertex[mesh.triangles].mean(axis=1)
-    return stiffness_from_tri_weights(mesh, tri_beta)
+    return beta_vertex[mesh.triangles].mean(axis=1)
 
 
 # -- plain-text formats ----------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 from .boundary import boundary_data_from_presets
 from .diagnostics import (DiagnosticsReport, ThresholdConfig, convergence_monitor,
                           hard_checks_pass, inequality_suite, report_from_dict,
-                          report_to_dict, singularity_detect)
+                          report_to_dict, singularity_detect, stationarity)
 from .errors import (ConfigParseError, InvalidShapeParameters,
                      NonPositiveCoefficient)
 # step is unused here but stays bound: perfbench/child.py patches
@@ -404,8 +404,10 @@ def twin_run(flat_or_cfg, delta: float = None, overrides: dict = None) -> TwinRe
             raise ValueError("degenerate twin perturbation")
         u0p = target.project_field(base.u + (delta / wmax) * w)
         u0p[mesh.boundary] = setup.bdata.phi[mesh.boundary]
-    bdata_p = type(setup.bdata).build(mesh, target, setup.bdata.phi, u0p,
-                                      setup.bdata.psi)
+    # only phi0 differs: the traces and their extensions are the base run's
+    bd = setup.bdata
+    bdata_p = type(bd).build(mesh, target, bd.phi, u0p, bd.psi,
+                             phi_ext=bd.phi_ext, psi_ext=bd.psi_ext)
     pert = initial_state(mesh, target, setup.warp, bdata_p, setup.stepper)
 
     times = [0.0]
@@ -430,8 +432,10 @@ def twin_run(flat_or_cfg, delta: float = None, overrides: dict = None) -> TwinRe
 def check_report_file(path) -> int:
     """Re-evaluate the inequality suite of a stored report; 0 ok, 2 failure.
 
-    Fails on a failed hard check, or stored checks, verdicts or exit code that
-    differ from the recomputed ones.
+    Fails on a failed hard check, or stored checks, verdicts, convergence
+    verdict or exit code that differ from the recomputed ones.  The
+    convergence verdict is re-derived from the records, the bounds and the
+    stored tension residual; events are read as stored.
     """
     with open(path) as f:
         payload = json.load(f)
@@ -453,6 +457,17 @@ def check_report_file(path) -> int:
         if stored.get(name) != recomputed.get(name):
             print(f"[FAIL] {name}: stored result {stored.get(name)} disagrees with "
                   f"re-evaluation {recomputed.get(name)}")
+            ok = False
+    conv = report.convergence
+    if conv is None:
+        print("[FAIL] stored report has no convergence verdict")
+        ok = False
+    else:
+        converged = stationarity(report.records, report.bounds.h, conv.residual_norm)[0]
+        verdict = ("converged" if converged else "not_stationary", converged)
+        if (conv.status, conv.converged) != verdict:
+            print(f"[FAIL] stored convergence {(conv.status, conv.converged)} != "
+                  f"recomputed {verdict}")
             ok = False
     if payload.get("exit_code") != exit_code:
         print(f"[FAIL] stored exit_code {payload.get('exit_code')!r} != recomputed {exit_code}")

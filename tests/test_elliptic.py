@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from warpflow.elliptic import (cg_solve, gradient_norm_probe,
-                               harmonic_extension, solve_dirichlet,
-                               solve_warped_laplace)
-from warpflow.errors import DegenerateBoundaryData, SolverFailure
+from warpflow.elliptic import (WarpedBlock, cg_solve, dirichlet_split,
+                               gradient_norm_probe, harmonic_extension,
+                               solve_dirichlet, solve_warped_laplace)
+from warpflow.errors import (DegenerateBoundaryData, NonPositiveCoefficient,
+                             SolverFailure)
 from warpflow.mesh import assemble_weighted_stiffness, build_mesh
 
 
@@ -117,6 +118,41 @@ class TestWarpedLaplace:
         a = solve_warped_laplace(square16, beta, psi)
         c = solve_warped_laplace(square16, 3.0 * beta, psi)
         assert np.max(np.abs(a.v - c.v)) < 1e-8
+
+
+class TestWarpedBlock:
+    @pytest.mark.parametrize("mesh_name", ["square16", "disk16", "annulus8"])
+    def test_reweighted_split_matches_assembly(self, mesh_name, request):
+        m = request.getfixturevalue(mesh_name)
+        rng = np.random.default_rng(21)
+        psi = rng.standard_normal(m.num_vertices)
+        block = WarpedBlock(m, psi)
+        for _ in range(2):                      # the second call re-weights in place
+            beta = 0.5 + rng.random(m.num_vertices)
+            A, load, g = block.split(beta)
+            A_ref, load_ref, g_ref = dirichlet_split(
+                m, assemble_weighted_stiffness(m, beta), psi)
+            assert spla.norm(A - A_ref) <= 1e-14 * spla.norm(A_ref)
+            assert np.linalg.norm(load - load_ref) <= 1e-14 * np.linalg.norm(load_ref)
+            assert np.array_equal(g, g_ref)
+
+    def test_factor_preconditioned_solve_matches_jacobi(self, disk16):
+        x, y = disk16.vertices[:, 0], disk16.vertices[:, 1]
+        psi = np.cos(2.0 * np.arctan2(y, x))
+        block = WarpedBlock(disk16, psi)
+        first = solve_warped_laplace(disk16, 1.0 + 0.5 * x, psi, block=block)
+        for beta in (1.0 + 0.5 * x + 0.2 * y * y, 2.0 - 0.3 * y):
+            plain = solve_warped_laplace(disk16, beta, psi)
+            pre = solve_warped_laplace(disk16, beta, psi, block=block)
+            assert pre.rel_residual <= 1e-10
+            assert np.linalg.norm(pre.v - plain.v) <= 1e-9 * np.linalg.norm(plain.v)
+            assert pre.iterations < plain.iterations
+        assert first.iterations <= 2            # the factor of its own beta
+
+    def test_rejects_nonpositive_beta(self, square16):
+        block = WarpedBlock(square16, np.zeros(square16.num_vertices))
+        with pytest.raises(NonPositiveCoefficient):
+            block.split(np.zeros(square16.num_vertices))
 
 
 class TestHarmonicExtension:

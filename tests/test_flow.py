@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import warpflow.elliptic
 from oracle_corotational import reduced_profile
 from warpflow.boundary import boundary_data_from_presets
 from warpflow.diagnostics import ThresholdConfig
@@ -171,6 +172,32 @@ class TestStepMechanics:
         solves0 = st.ctx.stats["elliptic_solves"]
         step(st, cfg)
         assert st.ctx.stats["elliptic_solves"] == solves0 + 1
+
+    def test_only_a_varying_warp_factors_the_potential(self, square16, monkeypatch):
+        factored = []
+        real_splu = warpflow.elliptic.splu
+        monkeypatch.setattr(warpflow.elliptic, "splu",
+                            lambda *a, **k: factored.append(1) or real_splu(*a, **k))
+        cfg = StepperConfig()
+        bd = boundary_data_from_presets(square16, SPHERE, "equator_circle kappa=1",
+                                        "harmonic", "linear_x")
+        st = initial_state(square16, SPHERE, UNIT_WARP, bd, cfg)
+        for _ in range(3):
+            st = step(st, cfg, dt=1e-3)
+        assert st.ctx.potential is None and factored == []
+        st = initial_state(square16, SPHERE, WarpFunction("linear_height", 2.0, 1.0),
+                           bd, cfg)
+        for _ in range(3):
+            st = step(st, cfg, dt=1e-3)
+        assert st.ctx.stats["elliptic_solves"] == 4 and factored == [1]
+
+    def test_step_matrix_carries_its_jacobi_preconditioner(self, square16):
+        st = initial_state(square16, TORUS, UNIT_WARP, _bump_data(square16),
+                           StepperConfig())
+        A, M = st.ctx.step_matrix(1e-3, 0.5)
+        assert np.array_equal(M.diagonal(), 1.0 / A.diagonal())
+        again = st.ctx.step_matrix(1e-3, 0.5)
+        assert again[0] is A and again[1] is M
 
     @pytest.mark.parametrize("scheme", ["semi_implicit", "explicit"])
     def test_non_finite_state_is_a_solver_failure(self, scheme):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import warpflow.mesh
 from warpflow.errors import InvalidShapeParameters, NonPositiveCoefficient
 from warpflow.mesh import (BallIndex, DomainMesh,
                            assemble_weighted_stiffness, ball_energy,
@@ -240,6 +243,43 @@ def test_local_energy_matrix_rows(disk16):
         direct = ball_energy(disk16, disk16.vertices[:, 0] ** 2,
                              disk16.vertices[vid], 0.15)
         assert local[vid] == pytest.approx(direct, abs=1e-15)
+
+
+@pytest.mark.parametrize("mesh_name", ["square16", "disk16", "annulus8"])
+@pytest.mark.parametrize("radius", [0.02, 0.1, 0.237])
+def test_local_energy_matrix_matches_brute_force(mesh_name, radius, request,
+                                                 monkeypatch):
+    m = request.getfixturevalue(mesh_name)
+    monkeypatch.setattr(warpflow.mesh, "LOCAL_ENERGY_BLOCK", 7)   # many blocks
+    L = local_energy_matrix(m, radius)
+    d = m.vertices[:, None, :] - m.barycenters[None, :, :]
+    ref = (d[:, :, 0] ** 2 + d[:, :, 1] ** 2) <= radius * radius
+    rows, cols = np.nonzero(ref)          # row-major, columns ascending
+    assert np.array_equal(L.indptr, np.concatenate([[0], np.cumsum(ref.sum(axis=1))]))
+    assert np.array_equal(L.indices, cols)
+    assert np.array_equal(L.data, np.ones(len(rows)))
+
+
+def test_local_energy_matrix_keeps_empty_rows(square16, monkeypatch):
+    monkeypatch.setattr(warpflow.mesh, "LOCAL_ENERGY_BLOCK", 5)
+    # below the nearest barycenter distance of the two corner vertices
+    L = local_energy_matrix(square16, 0.5 * square16.h / np.sqrt(2.0))
+    lengths = np.diff(L.indptr)
+    assert 0 < np.count_nonzero(lengths == 0) < square16.num_vertices
+    assert L.shape == (square16.num_vertices, square16.num_triangles)
+    assert L.indptr[-1] == L.nnz == len(L.indices)
+
+
+def test_local_energy_matrix_memory_stays_near_its_size():
+    # the build may not hold much more than the CSR arrays it returns
+    m = build_mesh("square", 1.0 / 64.0)
+    tracemalloc.start()
+    try:
+        L = local_energy_matrix(m, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * (L.data.nbytes + L.indices.nbytes + L.indptr.nbytes)
 
 
 # -- plain-text formats ------------------------------------------------------

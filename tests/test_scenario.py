@@ -215,6 +215,18 @@ class TestTwinRun:
         half = twin_run("heat_decay", delta=5e-4, overrides=overrides)
         assert 1.6 <= res.sup_diff / half.sup_diff <= 2.4
 
+    def test_perturbed_data_reuses_the_base_extensions(self, monkeypatch):
+        overrides = {"mesh.h": "0.0625", "schedule.t_end": "0.002"}
+        calls = []
+        real = warpflow.boundary.harmonic_extension
+        monkeypatch.setattr(warpflow.boundary, "harmonic_extension",
+                            lambda *a: calls.append(1) or real(*a))
+        warpflow.scenario.build_scenario(
+            ScenarioConfig.from_flat({**resolve_config("stability_twin"), **overrides}))
+        per_setup = len(calls)
+        twin_run("stability_twin", overrides=overrides)
+        assert len(calls) == 2 * per_setup
+
     def test_times_match_run_flow_records(self):
         overrides = {"mesh.h": "0.0625", "schedule.t_end": "0.01",
                      "schedule.diag_stride": "1"}
@@ -340,6 +352,17 @@ class TestCheckReportFile:
     def test_deleted_check_fails(self, tmp_path, bubbling_report):
         checks = [c for c in bubbling_report["checks"] if c["name"] != "two_ball"]
         assert self._check(tmp_path, {**bubbling_report, "checks": checks}) == 2
+
+    def test_claimed_convergence_fails(self, tmp_path, bubbling_report, capsys):
+        assert bubbling_report["convergence"]["status"] == "not_stationary"
+        for change in ({"status": "converged"}, {"converged": True},
+                       {"status": "converged", "converged": True}):
+            conv = {**bubbling_report["convergence"], **change}
+            assert self._check(tmp_path, {**bubbling_report, "convergence": conv}) == 2
+        assert "stored convergence" in capsys.readouterr().out
+
+    def test_missing_convergence_fails(self, tmp_path, bubbling_report):
+        assert self._check(tmp_path, {**bubbling_report, "convergence": None}) == 2
 
     def test_truncated_report_fails(self, tmp_path):
         path = self._fresh_report(tmp_path)
