@@ -17,12 +17,10 @@ from .diagnostics import (CheckResult, ConvergenceReport, DiagnosticsReport,
                           convergence_monitor, energy_functionals,
                           hard_checks_pass, inequality_suite,
                           singularity_detect)
-from .elliptic import (EllipticSolution, gradient_norm_probe,
-                       harmonic_extension, solve_warped_laplace)
-from .errors import (ConfigParseError, DegenerateBoundaryData, DegeneratePoint,
-                     InsufficientSeries, InvalidShapeParameters,
-                     NonPositiveCoefficient, SolverFailure, StepRejected,
-                     WarpflowError)
+from .elliptic import EllipticSolution, harmonic_extension, solve_warped_laplace
+from .errors import (ConfigParseError, DegeneratePoint, InsufficientSeries,
+                     InvalidShapeParameters, NonPositiveCoefficient,
+                     SolverFailure, StepRejected, WarpflowError)
 from .flow import (FlowState, Schedule, StepperConfig, default_probe_centers,
                    initial_state, run_flow, step, tension_residual)
 from .geometry import (FlatTorus, UnitSphere, WarpFunction, make_target,

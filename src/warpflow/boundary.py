@@ -83,6 +83,15 @@ def _parse_params(tokens):
     return params
 
 
+def _param(params, key, default):
+    """params[key] or the default; it must be shaped like the default."""
+    val = params.get(key, default)
+    if np.shape(val) != np.shape(default):
+        want = "one number" if np.ndim(default) == 0 else f"{len(default)} numbers"
+        raise ConfigParseError(f"preset parameter {key!r} needs {want}, got {val!r}")
+    return val
+
+
 def _bubble_profile(r: np.ndarray, rho: float) -> np.ndarray:
     # Colatitude of the degree-1 bubble, tapered to vanish at |x| = 1 so the
     # trace is exactly the north pole on the unit-disk rim.
@@ -107,12 +116,7 @@ def evaluate_map_preset(spec: str, target, xy: np.ndarray) -> np.ndarray:
     K = target.embedding_dim
 
     if name == "constant":
-        val = params.get("value", (0.0,) * K)
-        val = np.atleast_1d(np.asarray(val, dtype=float))
-        if val.shape[0] != K:
-            raise ConfigParseError(
-                f"constant preset needs {K} components, got {val.shape[0]}")
-        return np.tile(val, (n, 1))
+        return np.tile(np.asarray(_param(params, "value", (0.0,) * K), dtype=float), (n, 1))
 
     if name == "north_pole":
         if K != 3:
@@ -124,13 +128,13 @@ def evaluate_map_preset(spec: str, target, xy: np.ndarray) -> np.ndarray:
     if name == "equator_circle":
         if K != 3:
             raise ConfigParseError("equator_circle preset needs the 2-sphere target")
-        kappa = params.get("kappa", 1.0)
-        phase = params.get("phase", 0.0)
+        kappa = _param(params, "kappa", 1.0)
+        phase = _param(params, "phase", 0.0)
         ang = kappa * xy[:, 0] + phase
         return np.column_stack([np.cos(ang), np.sin(ang), np.zeros(n)])
 
     if name == "sine_bump":
-        amp = params.get("amplitude", 0.1)
+        amp = _param(params, "amplitude", 0.1)
         out = np.zeros((n, K))
         out[:, 0] = amp * np.sin(np.pi * xy[:, 0]) * np.sin(np.pi * xy[:, 1])
         return out
@@ -138,8 +142,8 @@ def evaluate_map_preset(spec: str, target, xy: np.ndarray) -> np.ndarray:
     if name == "inv_stereographic":
         if K != 3:
             raise ConfigParseError("inv_stereographic preset needs the 2-sphere target")
-        rho = params.get("rho", 0.1)
-        center = np.asarray(params.get("center", (0.0, 0.0)), dtype=float)
+        rho = _param(params, "rho", 0.1)
+        center = np.asarray(_param(params, "center", (0.0, 0.0)), dtype=float)
         rel = xy - center
         r = np.linalg.norm(rel, axis=1)
         return _corotational(rel, _bubble_profile(r, rho))
@@ -147,7 +151,7 @@ def evaluate_map_preset(spec: str, target, xy: np.ndarray) -> np.ndarray:
     if name == "corotational":
         if K != 3:
             raise ConfigParseError("corotational preset needs the 2-sphere target")
-        amp = params.get("amplitude", 0.5)
+        amp = _param(params, "amplitude", 0.5)
         r = np.linalg.norm(xy, axis=1)
         return _corotational(xy, amp * np.sin(np.pi * r))
 
@@ -162,13 +166,13 @@ def evaluate_scalar_preset(spec: str, xy: np.ndarray) -> np.ndarray:
     name, params = tokens[0], _parse_params(tokens[1:])
 
     if name == "constant":
-        return np.full(xy.shape[0], params.get("value", 0.0))
+        return np.full(xy.shape[0], _param(params, "value", 0.0))
     if name == "linear_x":
-        return params.get("scale", 1.0) * xy[:, 0]
+        return _param(params, "scale", 1.0) * xy[:, 0]
     if name == "linear_y":
-        return params.get("scale", 1.0) * xy[:, 1]
+        return _param(params, "scale", 1.0) * xy[:, 1]
     if name == "cos_theta":
-        scale = params.get("scale", 1.0)
+        scale = _param(params, "scale", 1.0)
         theta = np.arctan2(xy[:, 1], xy[:, 0])
         return scale * np.cos(theta)
     raise ConfigParseError(f"unknown scalar preset {name!r}")
@@ -176,9 +180,14 @@ def evaluate_scalar_preset(spec: str, xy: np.ndarray) -> np.ndarray:
 
 def boundary_data_from_presets(mesh: DomainMesh, target, phi_spec: str,
                                phi0_spec: str, psi_spec: str) -> BoundaryData:
-    """Assemble BoundaryData from preset strings; phi0 = "harmonic" extends phi."""
+    """Assemble BoundaryData from preset strings; phi0 = "harmonic" extends phi.
+
+    ConfigParseError when the trace of phi does not lie on the target.
+    """
     xy = mesh.vertices
     phi = evaluate_map_preset(phi_spec, target, xy)
+    if float(np.max(target.distance(phi[mesh.boundary]))) > 1e-9:
+        raise ConfigParseError(f"boundary trace {phi_spec!r} does not lie on the {target.kind}")
     ext = None
     if phi0_spec.split()[0] == "harmonic":
         ext = harmonic_extension(mesh, phi)

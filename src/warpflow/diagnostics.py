@@ -43,6 +43,10 @@ class ThresholdConfig:
             raise ValueError("energy threshold must be positive")
         if self.r_detect <= 0:
             raise ValueError("r_detect must be positive")
+        if not all(r > 0 for r in self.r_grid):
+            raise ValueError("r_grid radii must be positive")
+        if self.persist_frames < 1:
+            raise ValueError("persist_frames must be at least 1")
 
     def probe_radii(self) -> tuple:
         radii = {float(self.r_detect)}
@@ -460,14 +464,13 @@ def stationarity(records: list, h: float, residual_norm: float):
     return converged, rate_tol, res_tol
 
 
-def convergence_monitor(report: DiagnosticsReport, state,
-                        eps_prime: float = None) -> ConvergenceReport:
+def convergence_monitor(report: DiagnosticsReport, state) -> ConvergenceReport:
     """Stationarity assessment at the end of a run.
 
     Convergence is `stationarity` of the records and the final tension
     residual (map velocity below 1e-5 * (1 + |E_g(0)|), residual below
     10 * h).  The persistent set collects vertices whose local energy
-    exceeds eps_prime (default: the detection threshold) in every late frame.
+    exceeds the detection threshold in every late frame.
     """
     from .flow import tension_residual
 
@@ -496,10 +499,9 @@ def convergence_monitor(report: DiagnosticsReport, state,
 
     persistent = []
     if report.local_history is not None and report.local_history.shape[0] >= 2:
-        eps_p = report.thresholds.energy if eps_prime is None else eps_prime
         F = report.local_history.shape[0]
         late = report.local_history[max(0, F - max(2, F // 4)):]
-        persistent = np.flatnonzero(np.all(late > eps_p, axis=0)).tolist()
+        persistent = np.flatnonzero(np.all(late > report.thresholds.energy, axis=0)).tolist()
 
     return ConvergenceReport(
         status="converged" if converged else "not_stationary",

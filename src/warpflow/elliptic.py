@@ -3,11 +3,13 @@
 Dirichlet conditions are imposed by elimination in `dirichlet_split` (never
 by penalty): the interior block A_II is solved by preconditioned conjugate
 gradients to relative tolerance 1e-10 with an iteration cap of
-50 * sqrt(#unknowns), and boundary rows carry the data exactly.  The
-preconditioner is Jacobi unless the caller passes one.  A potential that is
-re-solved under a changing coefficient uses a `WarpedBlock`: the interior
-block on a fixed pattern, re-weighted in place for each beta, with a sparse
-LU factorization of its first beta as the CG preconditioner.
+50 * sqrt(#unknowns), and boundary rows carry the data exactly.  Two solves
+use it: `harmonic_extension` (the unit stiffness, Jacobi preconditioner) and
+`solve_warped_laplace`, which solves on a `WarpedBlock`: the interior block
+on a fixed pattern, re-weighted in place for each beta, with a sparse LU
+factorization of its first beta as the CG preconditioner.  The flow calls
+`solve_warped_laplace` only under a non-constant warp; under a constant one
+the potential is the harmonic extension of psi.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, splu
 from scipy.sparse.linalg import cg as _scipy_cg
 
-from .errors import DegenerateBoundaryData, SolverFailure
-from .mesh import DomainMesh, assemble_weighted_stiffness, triangle_mean
+from .errors import SolverFailure
+from .mesh import DomainMesh, triangle_mean
 
 CG_RTOL = 1e-10
 
@@ -81,15 +83,6 @@ def dirichlet_split(mesh: DomainMesh, K: sp.csr_matrix, boundary_values: np.ndar
     g = np.zeros(bv.shape)
     g[mesh.boundary] = bv[mesh.boundary]
     return K[I][:, I].tocsr(), (K @ g)[I], g
-
-
-def solve_dirichlet(mesh: DomainMesh, K: sp.csr_matrix, boundary_values: np.ndarray,
-                    load: np.ndarray = None, x0: np.ndarray = None):
-    """Solve K v = load with v = boundary_values on boundary rows, by elimination.
-
-    (nv, d) data is solved per column; returns (v, max residual, total iterations).
-    """
-    return _solve_split(mesh, *dirichlet_split(mesh, K, boundary_values), load, x0)
 
 
 def _solve_split(mesh, A_II, coupling, v, load, x0, M=None):
@@ -165,16 +158,13 @@ def solve_warped_laplace(mesh: DomainMesh, beta_vertex: np.ndarray,
 
     `psi` is a full-length nodal array whose boundary entries carry the data;
     `source` (optional) is a nodal density, integrated with the lumped mass.
-    `block`, a WarpedBlock of this mesh and psi, replaces the assembly and
-    the Jacobi preconditioner by its re-weighted block and cached factor.
+    `block` is a WarpedBlock of this mesh and psi, kept across solves; without
+    one, a block is built for this call.
     """
     load = None if source is None else mesh.lumped_mass * np.asarray(source, dtype=float)
-    if block is None:
-        split = dirichlet_split(mesh, assemble_weighted_stiffness(mesh, beta_vertex), psi)
-        v, rel, iters = _solve_split(mesh, *split, load, x0)
-    else:
-        split = block.split(beta_vertex)
-        v, rel, iters = _solve_split(mesh, *split, load, x0, block.preconditioner())
+    block = WarpedBlock(mesh, psi) if block is None else block
+    v, rel, iters = _solve_split(mesh, *block.split(beta_vertex), load, x0,
+                                 block.preconditioner())
     return EllipticSolution(v=v, rel_residual=rel, iterations=iters)
 
 
@@ -184,23 +174,4 @@ def harmonic_extension(mesh: DomainMesh, trace: np.ndarray) -> np.ndarray:
     `trace` is full-length nodal data, (nv,) or (nv, d); only boundary rows
     are read.  Linear boundary data is reproduced exactly.
     """
-    return solve_dirichlet(mesh, mesh.stiffness, trace)[0]
-
-
-def gradient_norm_probe(mesh: DomainMesh, v: np.ndarray, psi_ext: np.ndarray,
-                        p: float) -> float:
-    """Ratio integral |grad v|^p / integral |grad psi_ext|^p (p >= 2).
-
-    Piecewise-constant gradients, exact per-triangle quadrature.  Emits
-    DegenerateBoundaryData when the reference energy vanishes but the
-    numerator does not.
-    """
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    num = float(np.sum(mesh.areas * mesh.tri_grad_sq(v) ** (p / 2.0)))
-    den = float(np.sum(mesh.areas * mesh.tri_grad_sq(psi_ext) ** (p / 2.0)))
-    if den == 0.0:
-        if num < 1e-14:
-            return 0.0
-        raise DegenerateBoundaryData("reference boundary data has zero gradient")
-    return num / den
+    return _solve_split(mesh, *dirichlet_split(mesh, mesh.stiffness, trace), None, None)[0]

@@ -25,10 +25,6 @@ class SolverFailure(WarpflowError):
         self.time = time
 
 
-class DegenerateBoundaryData(WarpflowError):
-    """Boundary data with zero energy where nonzero energy is required."""
-
-
 class StepRejected(WarpflowError):
     """Internal control flow: a trial step moved a node too far and must be retried."""
 

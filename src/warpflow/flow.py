@@ -16,7 +16,7 @@ and the boundary rows reset to phi exactly.  A trial step whose largest
 nodal displacement exceeds max_move_fraction * h raises StepRejected; one
 whose map or potential is not finite raises SolverFailure.
 `march` owns the dt policy for every driver: it halves dt and retries, and
-once dt falls below dt_min = dt_min_factor * h^2 (timestep underflow) it
+once dt falls below dt_min = DT_MIN_FACTOR * h^2 (timestep underflow) it
 takes one uncapped dt_min step (the discrete stand-in for restarting from
 the weak limit) and resumes with the CFL timestep.
 """
@@ -38,6 +38,8 @@ from .errors import DegeneratePoint, SolverFailure, StepRejected
 from .geometry import warp_force
 from .mesh import BallIndex, DomainMesh, local_energy_matrix, tri_energy_density
 
+DT_MIN_FACTOR = 1e-6
+
 
 @dataclass
 class StepperConfig:
@@ -45,7 +47,6 @@ class StepperConfig:
     sigma: float = 0.2
     theta: float = 0.5
     max_move_fraction: float = 0.1
-    dt_min_factor: float = 1e-6
     max_forced_steps: int = 50
 
     def __post_init__(self):
@@ -55,12 +56,14 @@ class StepperConfig:
             raise ValueError("sigma must lie in (0, 0.5]")
         if self.scheme == "semi_implicit" and not 0.5 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0.5, 1]")
+        if self.max_move_fraction <= 0:
+            raise ValueError("max_move_fraction must be positive")
 
     def dt_initial(self, h: float) -> float:
         return self.sigma * h if self.scheme == "semi_implicit" else self.sigma * h * h
 
     def dt_min(self, h: float) -> float:
-        return self.dt_min_factor * h * h
+        return DT_MIN_FACTOR * h * h
 
 
 @dataclass
@@ -75,10 +78,11 @@ class _FlowContext:
     """Per-run solver stats, theta-step matrices and the warped potential's block.
 
     The theta-step matrices M_II + theta dt K_II are cached per (dt, theta)
-    with their Jacobi preconditioners; K_phi = (K phi)_I.  A non-constant
-    warp re-solves the potential every step on `potential`, a WarpedBlock
-    holding the fixed-pattern block and its cached factor; a constant warp
-    solves it once and has none.
+    with their Jacobi preconditioners; K_phi = (K phi)_I.  `potential` is
+    where the potential is decided: a non-constant warp re-solves it every
+    step on this WarpedBlock (the fixed-pattern block and its cached
+    factor); a constant warp has None, and its potential is the harmonic
+    extension of psi for all time, solved nowhere in the flow.
     """
 
     def __init__(self, mesh: DomainMesh, bdata: BoundaryData, warp):
@@ -138,7 +142,10 @@ def initial_state(mesh: DomainMesh, target, warp, bdata: BoundaryData,
     if np.max(np.abs(u0[mesh.boundary] - bdata.phi[mesh.boundary])) != 0.0:
         raise ValueError("initial map must equal the boundary trace on the boundary")
     ctx = _FlowContext(mesh, bdata, warp)
-    v0 = _solve_potential(ctx, warp, bdata, u0)
+    if ctx.potential is None:
+        v0 = np.array(bdata.psi_ext, dtype=float)
+    else:
+        v0 = _solve_potential(ctx, warp, bdata, u0)
     # dt policy keys off the configured mesh size; tolerances elsewhere use
     # the realized max edge mesh.h
     return FlowState(mesh=mesh, target=target, warp=warp, bdata=bdata,
@@ -150,7 +157,7 @@ def _forcing(state: FlowState) -> np.ndarray:
     mesh = state.mesh
     g2_u = mesh.nodal_from_tri(mesh.tri_grad_sq(state.u))
     F = state.target.curvature_force(state.u, g2_u)
-    if state.warp.kind != "constant":
+    if state.ctx.potential is not None:
         s = mesh.nodal_from_tri(mesh.tri_grad_sq(state.v))
         F = F - warp_force(state.target, state.warp, state.u, s)
     return F
@@ -216,8 +223,7 @@ def step(state: FlowState, config: StepperConfig, dt: float = None,
             f"nodal move {move:.3e} exceeds {config.max_move_fraction} * h")
 
     try:
-        # constant warp decouples v: it stays the initial harmonic extension
-        v_new = state.v if state.warp.kind == "constant" else \
+        v_new = state.v if ctx.potential is None else \
             _solve_potential(ctx, state.warp, state.bdata, u_new, x0=state.v)
         if not np.all(np.isfinite(v_new)):
             raise SolverFailure("non-finite potential")

@@ -12,8 +12,7 @@ classical sphere-valued heat flow and d/dt |u|^2 = Laplace |u|^2 holds for
 the unconstrained update.
 
 Torus-valued fields are stored as lifts to the covering plane R^2; every
-real pair represents a torus point, so the field projection is the identity
-and only point queries reduce to the fundamental square [0,1)^2.
+real pair represents a torus point, so the field projection is the identity.
 """
 
 from __future__ import annotations
@@ -35,18 +34,8 @@ class UnitSphere:
     """Unit sphere S^{K-1} embedded in R^K (default K = 3)."""
 
     embedding_dim: int = 3
-    projection_tol: float = 1e-12
 
     kind = "sphere"
-
-    def project(self, p: np.ndarray) -> np.ndarray:
-        """Nearest-point projection p / |p|.  DegeneratePoint near the origin."""
-        q, single = _atleast_2d(p)
-        norms = np.linalg.norm(q, axis=1)
-        if np.any(norms < 1e-8):
-            raise DegeneratePoint("cannot project a point this close to the sphere center")
-        out = q / norms[:, None]
-        return out[0] if single else out
 
     def distance(self, p: np.ndarray) -> np.ndarray:
         q, single = _atleast_2d(p)
@@ -72,23 +61,13 @@ class UnitSphere:
             raise DegeneratePoint("field value collapsed to the sphere center")
         return values / norms[:, None]
 
-    def random_points(self, n: int, rng) -> np.ndarray:
-        g = rng.standard_normal((n, self.embedding_dim))
-        return g / np.linalg.norm(g, axis=1, keepdims=True)
-
 
 @dataclass(frozen=True)
 class FlatTorus:
     """Flat torus R^2 / Z^2; fields are lifts to the covering plane."""
 
-    projection_tol: float = 1e-12
-
     kind = "torus"
     embedding_dim = 2
-
-    def project(self, p: np.ndarray) -> np.ndarray:
-        """Canonical representative in the fundamental square (point query only)."""
-        return np.asarray(p, dtype=float) % 1.0
 
     def distance(self, p: np.ndarray) -> np.ndarray:
         q, single = _atleast_2d(p)
@@ -104,9 +83,6 @@ class FlatTorus:
     def project_field(self, values: np.ndarray) -> np.ndarray:
         # Identity on lifts: reducing mod 1 would tear a continuous lift apart.
         return values
-
-    def random_points(self, n: int, rng) -> np.ndarray:
-        return rng.random((n, 2))
 
 
 def make_target(name: str, embedding_dim: int = 3):

@@ -102,10 +102,6 @@ class DomainMesh:
         return np.flatnonzero(~self.boundary)
 
     @property
-    def boundary_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.boundary)
-
-    @property
     def domain_area(self) -> float:
         return float(self.areas.sum())
 
@@ -234,7 +230,11 @@ def _annulus_mesh(r_in: float, r_out: float, target_h: float) -> DomainMesh:
 
 def build_mesh(shape: str, target_h: float, r_in: float = None,
                r_out: float = None) -> DomainMesh:
-    """Build a conforming triangulation with max edge <= 1.5 * target_h."""
+    """Build a conforming triangulation with max edge <= 1.5 * target_h.
+
+    InvalidShapeParameters for a bad shape or size, and for a mesh with no
+    interior vertex (nothing left to solve for).
+    """
     if target_h <= 0:
         raise InvalidShapeParameters("target_h must be positive")
     if shape == "square":
@@ -250,6 +250,9 @@ def build_mesh(shape: str, target_h: float, r_in: float = None,
     if mesh.h > 1.5 * target_h:
         raise InvalidShapeParameters(
             f"mesh generator exceeded edge budget: h={mesh.h} > 1.5*{target_h}")
+    if mesh.boundary.all():
+        raise InvalidShapeParameters(
+            f"target_h={target_h} leaves the {shape} mesh without an interior vertex")
     return mesh
 
 

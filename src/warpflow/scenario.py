@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -126,6 +126,16 @@ class ScenarioConfig:
     output_formats: tuple = ("csv", "json")
     twin_delta: float = 1e-3
     seed: int = 0
+
+    def __post_init__(self):
+        # every number a run reads, from a file key or an override, passes here
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if any(isinstance(x, float) and not math.isfinite(x)
+                   for x in (val if isinstance(val, tuple) else (val,))):
+                raise ConfigParseError(f"{f.name} must be finite, got {val!r}")
+        if self.t_end <= 0:
+            raise ConfigParseError(f"t_end must be positive, got {self.t_end!r}")
 
     @classmethod
     def from_flat(cls, flat: dict) -> "ScenarioConfig":
@@ -432,14 +442,19 @@ def twin_run(flat_or_cfg, delta: float = None, overrides: dict = None) -> TwinRe
 def check_report_file(path) -> int:
     """Re-evaluate the inequality suite of a stored report; 0 ok, 2 failure.
 
-    Fails on a failed hard check, or stored checks, verdicts, convergence
-    verdict or exit code that differ from the recomputed ones.  The
-    convergence verdict is re-derived from the records, the bounds and the
-    stored tension residual; events are read as stored.
+    Fails on a file that does not parse into a report, a failed hard check,
+    or stored checks, verdicts, convergence verdict or exit code that differ
+    from the recomputed ones.  The convergence verdict is re-derived from
+    the records, the bounds and the stored tension residual; events are
+    read as stored.
     """
-    with open(path) as f:
-        payload = json.load(f)
-    report = report_from_dict(payload)
+    try:
+        with open(path) as f:
+            payload = json.load(f)
+        report = report_from_dict(payload)
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        print(f"malformed report: {type(exc).__name__}: {exc}")
+        return 2
     if report.bounds is None or report.thresholds is None or len(report.records) < 2:
         print("report lacks the data needed for re-checking")
         return 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import warpflow.elliptic
+import warpflow.flow
 from oracle_corotational import reduced_profile
 from warpflow.boundary import boundary_data_from_presets
 from warpflow.diagnostics import ThresholdConfig
@@ -59,7 +60,7 @@ class TestInitialState:
     def test_rejects_boundary_mismatch(self, square16):
         bd = _bump_data(square16)
         bd.phi0 = bd.phi0.copy()
-        bd.phi0[square16.boundary_indices[0]] += 1e-12
+        bd.phi0[np.flatnonzero(square16.boundary)[0]] += 1e-12
         with pytest.raises(ValueError, match="boundary"):
             initial_state(square16, TORUS, UNIT_WARP, bd, StepperConfig())
 
@@ -190,6 +191,22 @@ class TestStepMechanics:
         for _ in range(3):
             st = step(st, cfg, dt=1e-3)
         assert st.ctx.stats["elliptic_solves"] == 4 and factored == [1]
+
+    @pytest.mark.parametrize("a", [1.0, 2.5])
+    def test_constant_warp_takes_the_psi_extension(self, disk16, monkeypatch, a):
+        solves = []
+        real = warpflow.flow.solve_warped_laplace
+        monkeypatch.setattr(warpflow.flow, "solve_warped_laplace",
+                            lambda *args, **kw: solves.append(1) or real(*args, **kw))
+        cfg = StepperConfig()
+        bd = boundary_data_from_presets(disk16, SPHERE, "north_pole", "harmonic",
+                                        "cos_theta scale=2")
+        st = initial_state(disk16, SPHERE, WarpFunction("constant", a), bd, cfg)
+        assert np.any(bd.psi_ext != 0.0)
+        assert np.array_equal(st.v, bd.psi_ext)
+        st = step(st, cfg, dt=1e-3)
+        assert np.array_equal(st.v, bd.psi_ext)
+        assert st.ctx.stats["elliptic_solves"] == 0 and solves == []
 
     def test_step_matrix_carries_its_jacobi_preconditioner(self, square16):
         st = initial_state(square16, TORUS, UNIT_WARP, _bump_data(square16),

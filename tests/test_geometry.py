@@ -11,20 +11,15 @@ class TestUnitSphere:
     def test_project_normalizes(self):
         rng = np.random.default_rng(1)
         p = 3.0 * rng.standard_normal((40, 3))
-        q = self.sph.project(p)
+        q = self.sph.project_field(p)
         assert np.allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-14)
         # projection is radial
         cross = np.cross(p, q)
         assert np.max(np.abs(cross)) < 1e-13
 
     def test_project_single_point(self):
-        q = self.sph.project(np.array([3.0, 0.0, 4.0]))
-        assert q.shape == (3,)
-        assert np.allclose(q, [0.6, 0.0, 0.8])
-
-    def test_project_degenerate(self):
-        with pytest.raises(DegeneratePoint):
-            self.sph.project(np.array([1e-9, 0.0, 0.0]))
+        q = self.sph.project_field(np.array([[3.0, 0.0, 4.0]]))
+        assert np.allclose(q, [[0.6, 0.0, 0.8]])
 
     def test_project_field_degenerate(self):
         vals = np.array([[1.0, 0.0, 0.0], [1e-9, 0.0, 0.0]])
@@ -37,7 +32,8 @@ class TestUnitSphere:
 
     def test_tangent_projection_orthogonal_and_idempotent(self):
         rng = np.random.default_rng(2)
-        y = self.sph.random_points(25, rng)
+        y = rng.standard_normal((25, 3))
+        y /= np.linalg.norm(y, axis=1, keepdims=True)
         X = rng.standard_normal((25, 3))
         Xt = self.sph.project_tangent(y, X)
         assert np.max(np.abs(np.sum(Xt * y, axis=1))) < 1e-14
@@ -49,16 +45,9 @@ class TestUnitSphere:
         F = self.sph.curvature_force(y, g2)
         assert np.allclose(F, [[0.0, 2.0, 0.0], [3.0, 0.0, 0.0]])
 
-    def test_random_points_on_sphere(self):
-        pts = self.sph.random_points(100, np.random.default_rng(4))
-        assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-14)
-
 
 class TestFlatTorus:
     tor = FlatTorus()
-
-    def test_point_projection_wraps(self):
-        assert np.allclose(self.tor.project(np.array([1.25, -0.5])), [0.25, 0.5])
 
     def test_field_projection_is_identity_on_lifts(self):
         vals = np.array([[1.7, -0.3], [0.2, 0.9]])
@@ -127,7 +116,8 @@ class TestWarpForce:
     def test_constant_warp_has_no_force(self):
         sph = UnitSphere()
         w = WarpFunction("constant", 1.0)
-        y = sph.random_points(6, np.random.default_rng(5))
+        y = np.random.default_rng(5).standard_normal((6, 3))
+        y /= np.linalg.norm(y, axis=1, keepdims=True)
         F = warp_force(sph, w, y, np.arange(6.0))
         assert np.array_equal(F, np.zeros((6, 3)))
 
@@ -144,7 +134,8 @@ class TestWarpForce:
     def test_force_scales_with_gradient_square(self):
         sph = UnitSphere()
         w = WarpFunction("linear_height", 2.0, 0.5)
-        y = sph.random_points(5, np.random.default_rng(6))
+        y = np.random.default_rng(6).standard_normal((5, 3))
+        y /= np.linalg.norm(y, axis=1, keepdims=True)
         s = np.linspace(0.5, 2.5, 5)
         F1 = warp_force(sph, w, y, s)
         F2 = warp_force(sph, w, y, 2.0 * s)

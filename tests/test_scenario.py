@@ -364,6 +364,35 @@ class TestCheckReportFile:
     def test_missing_convergence_fails(self, tmp_path, bubbling_report):
         assert self._check(tmp_path, {**bubbling_report, "convergence": None}) == 2
 
+    def _check_malformed(self, path, capsys):
+        assert main(["check", str(path)]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 and out[0].startswith("malformed report:")
+
+    def test_non_json_report_is_malformed(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text("{not json")
+        self._check_malformed(path, capsys)
+
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_record_key_mismatch_is_malformed(self, tmp_path, bubbling_report, capsys,
+                                              change):
+        rec = dict(bubbling_report["records"][0])
+        if change == "missing":
+            del rec["e_u"]
+        else:
+            rec["e_w"] = 0.0
+        payload = {**bubbling_report, "records": [rec] + bubbling_report["records"][1:]}
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(payload))
+        self._check_malformed(path, capsys)
+
+    def test_invalid_stored_threshold_is_malformed(self, tmp_path, bubbling_report, capsys):
+        thresholds = {**bubbling_report["thresholds"], "energy": -1}
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({**bubbling_report, "thresholds": thresholds}))
+        self._check_malformed(path, capsys)
+
     def test_truncated_report_fails(self, tmp_path):
         path = self._fresh_report(tmp_path)
         payload = json.loads(path.read_text())
@@ -407,9 +436,16 @@ class TestCli:
         assert "config error" in err
         assert "mesh.r_in" in err and "mesh.r_out" in err
 
-    @pytest.mark.parametrize("line", ["stepper.sigma = 0.9", "warp.kind = cubic",
-                                      "thresholds.energy = -1",
-                                      "mesh.shape = hexagon", "mesh.h = 0"])
+    @pytest.mark.parametrize("line", [
+        "stepper.sigma = 0.9", "warp.kind = cubic", "thresholds.energy = -1",
+        "mesh.shape = hexagon", "mesh.h = 0",
+        "thresholds.persist_frames = 0", "thresholds.persist_frames = -2",
+        "mesh.h = 1", "mesh.h = nan",
+        "stepper.max_move_fraction = nan", "schedule.t_end = nan",
+        "boundary.phi = equator_circle kappa=1,2", "boundary.psi = linear_x scale=1,2",
+        "boundary.phi0 = inv_stereographic rho=0.1 center=1,2,3",
+        "boundary.phi = constant value=0,0,2", "schedule.t_end = 0",
+        "stepper.max_move_fraction = 0", "thresholds.r_grid = 0.1,-0.2"])
     def test_bad_config_value_is_config_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"target = sphere\n{line}\n")
@@ -417,6 +453,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--h", "--t-end"])
+    def test_non_finite_override_is_config_error(self, tmp_path, capsys, flag):
+        assert main(["run", "heat_decay", flag, "nan", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "finite" in err
 
     def test_check_exit_codes(self, tmp_path):
         out = tmp_path / "for_check"
