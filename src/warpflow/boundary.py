@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import harmonic_extension
-from .errors import ConfigParseError
+from .errors import ConfigParseError, DegeneratePoint
 from .mesh import DomainMesh, dirichlet_energy
-from .geometry import UnitSphere
 
 
 @dataclass
@@ -67,10 +66,15 @@ class BoundaryData:
 #
 # A preset spec is "name key=value key=value ...", values are floats or
 # comma-separated float tuples.  Map presets depend on the target manifold.
+# Each preset reads its parameters with `_param`, which pops them, so a name
+# left over afterwards is a parameter the preset does not know.
 
-def _parse_params(tokens):
+def _parse_spec(spec: str, kind: str):
+    tokens = spec.split()
+    if not tokens:
+        raise ConfigParseError(f"empty {kind} preset")
     params = {}
-    for tok in tokens:
+    for tok in tokens[1:]:
         if "=" not in tok:
             raise ConfigParseError(f"malformed preset parameter {tok!r}")
         key, val = tok.split("=", 1)
@@ -80,16 +84,22 @@ def _parse_params(tokens):
         except ValueError as exc:
             raise ConfigParseError(f"non-numeric preset parameter {tok!r}") from exc
         params[key] = nums[0] if len(nums) == 1 else tuple(nums)
-    return params
+    return tokens[0], params
 
 
 def _param(params, key, default):
-    """params[key] or the default; it must be shaped like the default."""
-    val = params.get(key, default)
+    """Pop params[key], or the default; it must be shaped like the default."""
+    val = params.pop(key, default)
     if np.shape(val) != np.shape(default):
         want = "one number" if np.ndim(default) == 0 else f"{len(default)} numbers"
         raise ConfigParseError(f"preset parameter {key!r} needs {want}, got {val!r}")
     return val
+
+
+def _no_unknown_params(name, params):
+    if params:
+        raise ConfigParseError(
+            f"unknown parameter(s) {', '.join(sorted(params))} for preset {name!r}")
 
 
 def _bubble_profile(r: np.ndarray, rho: float) -> np.ndarray:
@@ -108,96 +118,76 @@ def _corotational(xy: np.ndarray, profile: np.ndarray) -> np.ndarray:
 
 def evaluate_map_preset(spec: str, target, xy: np.ndarray) -> np.ndarray:
     """Evaluate a named map-valued preset at the points xy; returns (n, K)."""
-    tokens = spec.split()
-    if not tokens:
-        raise ConfigParseError("empty map preset")
-    name, params = tokens[0], _parse_params(tokens[1:])
+    name, params = _parse_spec(spec, "map")
     n = xy.shape[0]
     K = target.embedding_dim
+    if name in ("north_pole", "equator_circle", "inv_stereographic", "corotational") \
+            and K != 3:
+        raise ConfigParseError(f"{name} preset needs the 2-sphere target")
 
     if name == "constant":
-        return np.tile(np.asarray(_param(params, "value", (0.0,) * K), dtype=float), (n, 1))
-
-    if name == "north_pole":
-        if K != 3:
-            raise ConfigParseError("north_pole preset needs the 2-sphere target")
+        out = np.tile(np.asarray(_param(params, "value", (0.0,) * K), dtype=float), (n, 1))
+    elif name == "north_pole":
         out = np.zeros((n, 3))
         out[:, 2] = 1.0
-        return out
-
-    if name == "equator_circle":
-        if K != 3:
-            raise ConfigParseError("equator_circle preset needs the 2-sphere target")
-        kappa = _param(params, "kappa", 1.0)
-        phase = _param(params, "phase", 0.0)
-        ang = kappa * xy[:, 0] + phase
-        return np.column_stack([np.cos(ang), np.sin(ang), np.zeros(n)])
-
-    if name == "sine_bump":
-        amp = _param(params, "amplitude", 0.1)
+    elif name == "equator_circle":
+        ang = _param(params, "kappa", 1.0) * xy[:, 0] + _param(params, "phase", 0.0)
+        out = np.column_stack([np.cos(ang), np.sin(ang), np.zeros(n)])
+    elif name == "sine_bump":
         out = np.zeros((n, K))
-        out[:, 0] = amp * np.sin(np.pi * xy[:, 0]) * np.sin(np.pi * xy[:, 1])
-        return out
-
-    if name == "inv_stereographic":
-        if K != 3:
-            raise ConfigParseError("inv_stereographic preset needs the 2-sphere target")
+        out[:, 0] = (_param(params, "amplitude", 0.1)
+                     * np.sin(np.pi * xy[:, 0]) * np.sin(np.pi * xy[:, 1]))
+    elif name == "inv_stereographic":
         rho = _param(params, "rho", 0.1)
-        center = np.asarray(_param(params, "center", (0.0, 0.0)), dtype=float)
-        rel = xy - center
-        r = np.linalg.norm(rel, axis=1)
-        return _corotational(rel, _bubble_profile(r, rho))
-
-    if name == "corotational":
-        if K != 3:
-            raise ConfigParseError("corotational preset needs the 2-sphere target")
+        rel = xy - np.asarray(_param(params, "center", (0.0, 0.0)), dtype=float)
+        out = _corotational(rel, _bubble_profile(np.linalg.norm(rel, axis=1), rho))
+    elif name == "corotational":
         amp = _param(params, "amplitude", 0.5)
-        r = np.linalg.norm(xy, axis=1)
-        return _corotational(xy, amp * np.sin(np.pi * r))
-
-    raise ConfigParseError(f"unknown map preset {name!r}")
+        out = _corotational(xy, amp * np.sin(np.pi * np.linalg.norm(xy, axis=1)))
+    else:
+        raise ConfigParseError(f"unknown map preset {name!r}")
+    _no_unknown_params(name, params)
+    return out
 
 
 def evaluate_scalar_preset(spec: str, xy: np.ndarray) -> np.ndarray:
     """Evaluate a named scalar preset (potential trace) at the points xy."""
-    tokens = spec.split()
-    if not tokens:
-        raise ConfigParseError("empty scalar preset")
-    name, params = tokens[0], _parse_params(tokens[1:])
-
+    name, params = _parse_spec(spec, "scalar")
     if name == "constant":
-        return np.full(xy.shape[0], _param(params, "value", 0.0))
-    if name == "linear_x":
-        return _param(params, "scale", 1.0) * xy[:, 0]
-    if name == "linear_y":
-        return _param(params, "scale", 1.0) * xy[:, 1]
-    if name == "cos_theta":
-        scale = _param(params, "scale", 1.0)
-        theta = np.arctan2(xy[:, 1], xy[:, 0])
-        return scale * np.cos(theta)
-    raise ConfigParseError(f"unknown scalar preset {name!r}")
+        out = np.full(xy.shape[0], _param(params, "value", 0.0))
+    elif name == "linear_x":
+        out = _param(params, "scale", 1.0) * xy[:, 0]
+    elif name == "linear_y":
+        out = _param(params, "scale", 1.0) * xy[:, 1]
+    elif name == "cos_theta":
+        out = _param(params, "scale", 1.0) * np.cos(np.arctan2(xy[:, 1], xy[:, 0]))
+    else:
+        raise ConfigParseError(f"unknown scalar preset {name!r}")
+    _no_unknown_params(name, params)
+    return out
 
 
 def boundary_data_from_presets(mesh: DomainMesh, target, phi_spec: str,
                                phi0_spec: str, psi_spec: str) -> BoundaryData:
     """Assemble BoundaryData from preset strings; phi0 = "harmonic" extends phi.
 
-    ConfigParseError when the trace of phi does not lie on the target.
+    ConfigParseError when the trace of phi does not lie on the target, or
+    the initial map cannot be projected onto it.
     """
     xy = mesh.vertices
     phi = evaluate_map_preset(phi_spec, target, xy)
     if float(np.max(target.distance(phi[mesh.boundary]))) > 1e-9:
         raise ConfigParseError(f"boundary trace {phi_spec!r} does not lie on the {target.kind}")
-    ext = None
-    if phi0_spec.split()[0] == "harmonic":
-        ext = harmonic_extension(mesh, phi)
-        if isinstance(target, UnitSphere):
-            norms = np.linalg.norm(ext, axis=1)
-            if np.any(norms < 1e-8):
-                raise ConfigParseError(
-                    "harmonic initial preset degenerates; boundary trace wraps the sphere")
-        phi0 = target.project_field(ext)
-    else:
-        phi0 = evaluate_map_preset(phi0_spec, target, xy)
     psi = evaluate_scalar_preset(psi_spec, xy)
-    return BoundaryData.build(mesh, target, phi, phi0, psi, phi_ext=ext)
+    ext = None
+    try:
+        if phi0_spec.split()[0] == "harmonic":
+            _no_unknown_params("harmonic", _parse_spec(phi0_spec, "map")[1])
+            ext = harmonic_extension(mesh, phi)
+            phi0 = target.project_field(ext)
+        else:
+            phi0 = evaluate_map_preset(phi0_spec, target, xy)
+        return BoundaryData.build(mesh, target, phi, phi0, psi, phi_ext=ext)
+    except DegeneratePoint as exc:
+        raise ConfigParseError(
+            f"initial map {phi0_spec!r} cannot be projected onto the {target.kind}: {exc}") from exc

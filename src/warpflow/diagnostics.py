@@ -76,6 +76,7 @@ class EnergyRecord:
     dt: float
     step_count: int
     ball_probes: dict = field(default_factory=dict)  # {vertex: {radius: energy}}
+    crossings: dict = field(default_factory=dict)    # {vertex: energy > thresholds.energy}
 
 
 @dataclass
@@ -158,7 +159,7 @@ class DiagnosticsReport:
     v_norm: float = 0.0
     solver_stats: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
-    local_history: np.ndarray = field(default=None, repr=False)  # (frames, nv)
+    crossing_points: dict = field(default_factory=dict)  # {vertex: [x, y]} of any crossing
 
     @property
     def times(self) -> np.ndarray:
@@ -392,9 +393,12 @@ def hard_checks_pass(checks) -> bool:
 
 # -- singularity detection ---------------------------------------------------
 
-def singularity_detect(report: DiagnosticsReport, thresholds: ThresholdConfig,
-                       mesh: DomainMesh) -> list:
-    """Concentration events from the recorded local-energy history.
+def _above(record: EnergyRecord, eps: float) -> set:
+    return {c for c, e in record.crossings.items() if e > eps}
+
+
+def singularity_detect(records: list, thresholds: ThresholdConfig, points: dict) -> list:
+    """Concentration events from the records' crossings; `points` maps a vertex to [x, y].
 
     A vertex "crosses" at frame f when its r_detect-ball energy exceeds the
     threshold there but not at frame f-1 (the state before the first frame
@@ -402,51 +406,53 @@ def singularity_detect(report: DiagnosticsReport, thresholds: ThresholdConfig,
     Simultaneous crossings cluster greedily by peak energy with minimum
     separation 2 r_detect; crossings adjacent to a still-above recorded point
     are absorbed into it.  Each frame with new cluster centers yields one
-    event whose multiplicity is the number of centers.
+    event whose multiplicity is the number of centers.  A vertex's peak is
+    its largest crossing value from the event's frame on: a frame below the
+    threshold cannot hold the maximum.
     """
-    hist = report.local_history
-    if hist is None or hist.shape[0] == 0:
-        return []
-    times = report.times
     eps = thresholds.energy
     persist = thresholds.persist_frames
     sep = 2.0 * thresholds.r_detect
-    F = hist.shape[0]
-    above = hist > eps
+    above = [_above(r, eps) for r in records]
+    xy = {c: np.asarray(points[c], dtype=float) for c in set().union(*above)}
 
     events = []
-    recorded = []   # (vertex, xy) of every retained point, across events
-    for f in range(F - persist + 1):
-        newly = above[f] if f == 0 else (above[f] & ~above[f - 1])
-        if not newly.any():
-            continue
-        sustained = np.all(above[f:f + persist], axis=0)
-        cand = np.flatnonzero(newly & sustained)
+    recorded = []   # every retained point, across events
+    for f in range(len(records) - persist + 1):
+        newly = above[f] if f == 0 else above[f] - above[f - 1]
+        cand = np.array(sorted(c for c in newly
+                               if all(c in a for a in above[f + 1:f + persist])), dtype=int)
         if cand.size == 0:
             continue
-        cand = cand[np.argsort(-hist[f, cand])]
+        values = np.array([records[f].crossings[c] for c in cand])
+        cand = cand[np.argsort(-values)]
         centers = []
         for i in cand:
-            xy = mesh.vertices[i]
-            absorbed = False
-            for (pv, pxy) in recorded:
-                if np.linalg.norm(xy - pxy) < sep and above[f, pv]:
-                    absorbed = True
-                    break
-            if absorbed:
+            if any(np.linalg.norm(xy[i] - xy[pv]) < sep and pv in above[f]
+                   for pv in recorded):
                 continue
-            if any(np.linalg.norm(xy - mesh.vertices[c]) < sep for c in centers):
+            if any(np.linalg.norm(xy[i] - xy[c]) < sep for c in centers):
                 continue
             centers.append(int(i))
         if centers:
-            peaks = [float(hist[f:, c].max()) for c in centers]
-            ev = SingularityEvent(
-                time=float(times[f]), vertices=centers,
-                points=[[float(x) for x in mesh.vertices[c]] for c in centers],
-                radius=thresholds.r_detect, peak_energies=peaks)
-            events.append(ev)
-            recorded.extend((c, mesh.vertices[c].copy()) for c in centers)
+            peaks = [max(r.crossings[c] for r, a in zip(records[f:], above[f:]) if c in a)
+                     for c in centers]
+            events.append(SingularityEvent(
+                time=float(records[f].t), vertices=centers,
+                points=[[float(x) for x in xy[c]] for c in centers],
+                radius=thresholds.r_detect, peak_energies=[float(p) for p in peaks]))
+            recorded.extend(centers)
     return events
+
+
+def persistent_vertices(records: list, thresholds: ThresholdConfig) -> list:
+    """Vertices above the detection threshold in every one of the late frames,
+    the last max(2, frames // 4); none with fewer than 2 frames."""
+    F = len(records)
+    if F < 2:
+        return []
+    late = [_above(r, thresholds.energy) for r in records[F - max(2, F // 4):]]
+    return sorted(set.intersection(*late))
 
 
 # -- convergence --------------------------------------------------------------
@@ -469,8 +475,7 @@ def convergence_monitor(report: DiagnosticsReport, state) -> ConvergenceReport:
 
     Convergence is `stationarity` of the records and the final tension
     residual (map velocity below 1e-5 * (1 + |E_g(0)|), residual below
-    10 * h).  The persistent set collects vertices whose local energy
-    exceeds the detection threshold in every late frame.
+    10 * h).  The persistent set is `persistent_vertices` of the records.
     """
     from .flow import tension_residual
 
@@ -497,18 +502,12 @@ def convergence_monitor(report: DiagnosticsReport, state) -> ConvergenceReport:
                 halving_rates.append(float(rr))
                 level = rr / 2.0
 
-    persistent = []
-    if report.local_history is not None and report.local_history.shape[0] >= 2:
-        F = report.local_history.shape[0]
-        late = report.local_history[max(0, F - max(2, F // 4)):]
-        persistent = np.flatnonzero(np.all(late > report.thresholds.energy, axis=0)).tolist()
-
     return ConvergenceReport(
         status="converged" if converged else "not_stationary",
         converged=converged, rate_l2=float(rate), rate_tolerance=float(rate_tol),
         residual_norm=float(res_norm), residual_tolerance=float(res_tol),
         halving_times=halving_times, halving_rates=halving_rates,
-        persistent_vertices=persistent)
+        persistent_vertices=persistent_vertices(report.records, report.thresholds))
 
 
 # -- serialization helpers ----------------------------------------------------
@@ -517,6 +516,7 @@ def record_to_dict(r: EnergyRecord) -> dict:
     d = asdict(r)
     d["ball_probes"] = {str(c): {f"{rad:.17g}": val for rad, val in probes.items()}
                         for c, probes in r.ball_probes.items()}
+    d["crossings"] = {str(c): e for c, e in r.crossings.items()}
     return d
 
 
@@ -524,6 +524,7 @@ def record_from_dict(d: dict) -> EnergyRecord:
     d = dict(d)
     d["ball_probes"] = {int(c): {float(rad): val for rad, val in probes.items()}
                         for c, probes in d["ball_probes"].items()}
+    d["crossings"] = {int(c): e for c, e in d["crossings"].items()}
     return EnergyRecord(**d)
 
 
@@ -539,6 +540,7 @@ def report_to_dict(report: DiagnosticsReport) -> dict:
         "v_norm": report.v_norm,
         "solver_stats": dict(report.solver_stats),
         "notes": list(report.notes),
+        "crossing_points": {str(c): list(xy) for c, xy in report.crossing_points.items()},
     }
 
 
@@ -557,4 +559,5 @@ def report_from_dict(d: dict) -> DiagnosticsReport:
         bounds=bounds, thresholds=thr, events=events, checks=checks,
         convergence=conv, underflow_times=list(d.get("underflow_times", [])),
         v_norm=d.get("v_norm", 0.0), solver_stats=d.get("solver_stats", {}),
-        notes=list(d.get("notes", [])))
+        notes=list(d.get("notes", [])),
+        crossing_points={int(c): xy for c, xy in d.get("crossing_points", {}).items()})

@@ -305,8 +305,10 @@ def run_flow(state: FlowState, config: StepperConfig, schedule: Schedule,
     """March to t_end with adaptive dt; returns (final state, DiagnosticsReport).
 
     The report carries one record per diag_stride accepted steps (plus the
-    initial and final states), the local-energy history at r_detect, probe
-    ball energies, underflow times, and aggregate solver statistics.
+    initial and final states), each with its probe ball energies and its
+    crossings (the vertices whose r_detect-ball energy exceeds
+    thresholds.energy), the coordinates of every crossing vertex, underflow
+    times, and aggregate solver statistics.
     """
     from .diagnostics import RunBounds
 
@@ -315,13 +317,11 @@ def run_flow(state: FlowState, config: StepperConfig, schedule: Schedule,
     bounds = RunBounds.from_run(mesh, state.warp, state.bdata)
     report = DiagnosticsReport(records=[], bounds=bounds, thresholds=thresholds)
     if schedule.t_end <= 0:
-        report.local_history = np.zeros((0, mesh.num_vertices))
         return state, report
 
     L = local_energy_matrix(mesh, thresholds.r_detect)
     probe_centers = default_probe_centers(mesh)
     probes = BallIndex.build(mesh, probe_centers, thresholds.probe_radii())
-    history = []
     kin_since_record = 0.0
     kin_total = 0.0
     wall0 = _time.perf_counter()
@@ -341,8 +341,11 @@ def run_flow(state: FlowState, config: StepperConfig, schedule: Schedule,
             int(c): {float(r): float(dens[probes.members[(int(c), float(r))]].sum())
                      for r in probes.radii}
             for c in probe_centers}
+        rec.crossings = {int(c): float(local[c])
+                         for c in np.flatnonzero(local > thresholds.energy)}
+        for c in rec.crossings:
+            report.crossing_points.setdefault(c, [float(x) for x in mesh.vertices[c]])
         report.records.append(rec)
-        history.append(np.asarray(local))
         kin_since_record = 0.0
 
     record(state)
@@ -369,8 +372,6 @@ def run_flow(state: FlowState, config: StepperConfig, schedule: Schedule,
     if schedule.snapshot_cb is not None:
         schedule.snapshot_cb(state)
 
-    report.local_history = np.vstack(history) if history else \
-        np.zeros((0, mesh.num_vertices))
     recs = report.records
     sup_grad_u = max(math.sqrt(2.0 * r.e_u) for r in recs)
     sup_grad4_v = max(r.grad4_v for r in recs) ** 0.25

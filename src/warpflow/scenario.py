@@ -10,7 +10,6 @@ Artifacts written per run (under the output directory):
   series.csv     t, E_u, E_v, E_beta_v, E_g, kinetic_cum, max_local_energy, dt
   report.json    full diagnostics report (records, checks, events, convergence)
   snapshots/     one file per snapshot stride, u components then v per vertex
-  plots/         two-column data files plus a description of each
 
 Identical config + seed reproduces series.csv byte for byte.
 """
@@ -28,8 +27,9 @@ import numpy as np
 
 from .boundary import boundary_data_from_presets
 from .diagnostics import (DiagnosticsReport, ThresholdConfig, convergence_monitor,
-                          hard_checks_pass, inequality_suite, report_from_dict,
-                          report_to_dict, singularity_detect, stationarity)
+                          hard_checks_pass, inequality_suite, persistent_vertices,
+                          report_from_dict, report_to_dict, singularity_detect,
+                          stationarity)
 from .errors import (ConfigParseError, InvalidShapeParameters,
                      NonPositiveCoefficient)
 # step is unused here but stays bound: perfbench/child.py patches
@@ -277,25 +277,6 @@ def write_series_csv(report: DiagnosticsReport, path) -> None:
                 r.max_local_energy, r.dt)) + "\n")
 
 
-def _write_plots(report: DiagnosticsReport, plot_dir: Path) -> None:
-    plot_dir.mkdir(parents=True, exist_ok=True)
-    series = {
-        "lorentzian_energy": ("t  E_g", [(r.t, r.e_g) for r in report.records]),
-        "dirichlet_energy": ("t  E_u", [(r.t, r.e_u) for r in report.records]),
-        "max_local_energy": ("t  max ball energy at r_detect",
-                             [(r.t, r.max_local_energy) for r in report.records]),
-        "map_velocity": ("t  L2 norm of du/dt",
-                         [(r.t, r.rate_l2) for r in report.records]),
-    }
-    lines = ["Two-column (x y) data files for plotting:", ""]
-    for name, (desc, rows) in series.items():
-        with open(plot_dir / f"{name}.dat", "w") as f:
-            for x, y in rows:
-                f.write(f"{_fmt(x)} {_fmt(y)}\n")
-        lines.append(f"{name}.dat: {desc}")
-    (plot_dir / "DESCRIPTION.txt").write_text("\n".join(lines) + "\n")
-
-
 def default_out_root() -> Path:
     return Path(os.environ.get("WARPFLOW_OUT", "warpflow_out"))
 
@@ -335,7 +316,8 @@ def run_scenario(flat_or_cfg, out_dir=None, h=None, t_end=None,
                         snapshot_cb=snapshot_cb)
     state, report = run_flow(state, setup.stepper, schedule, setup.thresholds)
 
-    report.events = singularity_detect(report, setup.thresholds, setup.mesh)
+    report.events = singularity_detect(report.records, setup.thresholds,
+                                       report.crossing_points)
     if len(report.records) >= 2:
         report.checks = inequality_suite(report.records, report.bounds,
                                          setup.thresholds, events=report.events)
@@ -358,7 +340,6 @@ def run_scenario(flat_or_cfg, out_dir=None, h=None, t_end=None,
             payload["exit_code"] = exit_code
             with open(out / "report.json", "w") as f:
                 json.dump(payload, f, indent=2, sort_keys=True)
-        _write_plots(report, out / "plots")
     return ScenarioResult(config=cfg, state=state, report=report,
                           out_dir=out, exit_code=exit_code)
 
@@ -396,7 +377,9 @@ def twin_run(flat_or_cfg, delta: float = None, overrides: dict = None) -> TwinRe
     underflow the same way; underflow_times lists where it struck.
     """
     cfg = _load_config(flat_or_cfg, overrides)
-    delta = cfg.twin_delta if delta is None else float(delta)
+    if delta is not None:
+        cfg = replace(cfg, twin_delta=float(delta))
+    delta = cfg.twin_delta
 
     setup = build_scenario(cfg)
     mesh, target = setup.mesh, setup.target
@@ -440,26 +423,30 @@ def twin_run(flat_or_cfg, delta: float = None, overrides: dict = None) -> TwinRe
 # -- report re-checking --------------------------------------------------------
 
 def check_report_file(path) -> int:
-    """Re-evaluate the inequality suite of a stored report; 0 ok, 2 failure.
+    """Re-derive every verdict of a stored report; 0 ok, 2 failure.
 
     Fails on a file that does not parse into a report, a failed hard check,
-    or stored checks, verdicts, convergence verdict or exit code that differ
-    from the recomputed ones.  The convergence verdict is re-derived from
-    the records, the bounds and the stored tension residual; events are
-    read as stored.
+    or stored checks, verdicts, events, persistent vertices, convergence
+    verdict or exit code that differ from the re-derived ones.  Events and
+    persistent vertices come from the records' crossings through the same
+    functions a run calls; the convergence verdict from the records, the
+    bounds and the stored tension residual.
     """
     try:
         with open(path) as f:
             payload = json.load(f)
         report = report_from_dict(payload)
+        if report.bounds is None or report.thresholds is None or len(report.records) < 2:
+            print("report lacks the data needed for re-checking")
+            return 2
+        events = singularity_detect(report.records, report.thresholds,
+                                    report.crossing_points)
+        persistent = persistent_vertices(report.records, report.thresholds)
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
         print(f"malformed report: {type(exc).__name__}: {exc}")
         return 2
-    if report.bounds is None or report.thresholds is None or len(report.records) < 2:
-        print("report lacks the data needed for re-checking")
-        return 2
     checks = inequality_suite(report.records, report.bounds, report.thresholds,
-                              events=report.events)
+                              events=events)
     for c in checks:
         status = "pass" if c.passed else "FAIL"
         kind = "hard" if c.hard else "info"
@@ -473,6 +460,10 @@ def check_report_file(path) -> int:
             print(f"[FAIL] {name}: stored result {stored.get(name)} disagrees with "
                   f"re-evaluation {recomputed.get(name)}")
             ok = False
+    if report.events != events:
+        print(f"[FAIL] stored events at t = {[e.time for e in report.events]} != "
+              f"re-derived events at t = {[e.time for e in events]}")
+        ok = False
     conv = report.convergence
     if conv is None:
         print("[FAIL] stored report has no convergence verdict")
@@ -483,6 +474,10 @@ def check_report_file(path) -> int:
         if (conv.status, conv.converged) != verdict:
             print(f"[FAIL] stored convergence {(conv.status, conv.converged)} != "
                   f"recomputed {verdict}")
+            ok = False
+        if conv.persistent_vertices != persistent:
+            print(f"[FAIL] stored persistent vertices {conv.persistent_vertices} != "
+                  f"re-derived {persistent}")
             ok = False
     if payload.get("exit_code") != exit_code:
         print(f"[FAIL] stored exit_code {payload.get('exit_code')!r} != recomputed {exit_code}")

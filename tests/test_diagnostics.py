@@ -219,10 +219,18 @@ class TestSingularityCounts:
         assert not chk.passed                  # 9 > 2 * quota^2 = 8
 
 
+def _crossing_records(hist, times, eps=1.0):
+    """Records whose crossings are the entries of a dense (frames, nv)
+    local-energy history above eps."""
+    return [_rec(t, step_count=i,
+                 crossings={int(c): float(row[c]) for c in np.flatnonzero(row > eps)})
+            for i, (t, row) in enumerate(zip(times, hist))]
+
+
 class TestSingularityDetect:
-    def _report(self, mesh, hist, times):
-        recs = [_rec(t, step_count=i) for i, t in enumerate(times)]
-        return DiagnosticsReport(records=recs, local_history=hist)
+    def _detect(self, mesh, hist, times, thr):
+        points = {c: [float(x) for x in mesh.vertices[c]] for c in range(mesh.num_vertices)}
+        return singularity_detect(_crossing_records(hist, times, thr.energy), thr, points)
 
     def test_synthetic_concentration_history(self, square16):
         thr = ThresholdConfig(energy=1.0, r_detect=0.1, persist_frames=3)
@@ -240,8 +248,7 @@ class TestSingularityDetect:
         hist[1, D] = 3.0           # one-frame spike: not sustained
         hist[0:, E] = 1.2          # above from the first frame
         times = [0.0, 0.01, 0.02, 0.03, 0.04, 0.05]
-        events = singularity_detect(self._report(square16, hist, times),
-                                    thr, square16)
+        events = self._detect(square16, hist, times, thr)
         assert [ev.time for ev in events] == [0.0, 0.01, 0.03]
         assert events[0].vertices == [E]
         assert events[1].vertices == [A]       # C absorbed into the cluster
@@ -258,15 +265,12 @@ class TestSingularityDetect:
         F_ = square16.nearest_vertex([0.3125, 0.25])
         hist[0:, A] = 2.0
         hist[2:, F_] = 1.6         # crosses while A is still above: absorbed
-        events = singularity_detect(
-            self._report(square16, hist, [0.0, 0.1, 0.2, 0.3]), thr, square16)
+        events = self._detect(square16, hist, [0.0, 0.1, 0.2, 0.3], thr)
         assert len(events) == 1
         assert events[0].vertices == [A]
 
     def test_empty_history_no_events(self, square16):
-        rep = DiagnosticsReport(records=[],
-                                local_history=np.zeros((0, square16.num_vertices)))
-        assert singularity_detect(rep, ThresholdConfig(), square16) == []
+        assert singularity_detect([], ThresholdConfig(), {}) == []
 
     def test_simultaneous_far_crossings_one_event(self, square16):
         thr = ThresholdConfig(energy=1.0, r_detect=0.1, persist_frames=2)
@@ -276,8 +280,7 @@ class TestSingularityDetect:
         B = square16.nearest_vertex([0.75, 0.75])
         hist[1:, A] = 2.0
         hist[1:, B] = 1.5
-        events = singularity_detect(
-            self._report(square16, hist, [0.0, 0.1, 0.2]), thr, square16)
+        events = self._detect(square16, hist, [0.0, 0.1, 0.2], thr)
         assert len(events) == 1
         assert events[0].multiplicity == 2
         assert set(events[0].vertices) == {A, B}
@@ -334,9 +337,10 @@ class TestConvergenceMonitor:
         st = initial_state(square16, SPHERE, WarpFunction("constant", 1.0),
                            bd, cfg)
         fin, rep = run_flow(st, cfg, Schedule(t_end=0.01))
-        rep.local_history = np.full((len(rep.records), square16.num_vertices),
-                                    0.1)
-        rep.local_history[:, 5] = 2.0
+        hist = np.full((len(rep.records), square16.num_vertices), 0.1)
+        hist[:, 5] = 2.0
+        for r, c in zip(rep.records, _crossing_records(hist, rep.times)):
+            r.crossings = c.crossings
         conv = convergence_monitor(rep, fin)
         assert conv.persistent_vertices == [5]
 
@@ -345,7 +349,7 @@ class TestDetectorInvariance:
     def test_constant_warp_rescaling_leaves_map_unchanged(self, disk16):
         # beta -> 2 beta rescales the potential equation without changing its
         # solution, and a constant warp exerts no force: the map trajectory,
-        # the local-energy history, and the events must coincide bitwise,
+        # the local energies and crossings, and the events must coincide bitwise,
         # while E_beta_v doubles exactly.
         results = []
         for a in (1.0, 2.0):
@@ -357,12 +361,13 @@ class TestDetectorInvariance:
             st = initial_state(disk16, SPHERE, warp, bd, cfg)
             thr = ThresholdConfig(energy=1.0, r_detect=0.1)
             fin, rep = run_flow(st, cfg, Schedule(t_end=0.01), thr)
-            rep.events = singularity_detect(rep, thr, disk16)
+            rep.events = singularity_detect(rep.records, thr, rep.crossing_points)
             results.append((fin, rep))
         (f1, r1), (f2, r2) = results
         assert np.array_equal(f1.u, f2.u)
         assert np.array_equal(f1.v, f2.v)
-        assert np.array_equal(r1.local_history, r2.local_history)
+        assert [(r.crossings, r.max_local_energy) for r in r1.records] == \
+            [(r.crossings, r.max_local_energy) for r in r2.records]
         assert [e.time for e in r1.events] == [e.time for e in r2.events]
         assert [e.vertices for e in r1.events] == [e.vertices for e in r2.events]
         for a, b in zip(r1.records, r2.records):

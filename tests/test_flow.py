@@ -237,7 +237,7 @@ class TestRunFlow:
         fin, rep = run_flow(st, cfg, Schedule(t_end=0.0))
         assert fin is st
         assert rep.records == []
-        assert rep.local_history.shape == (0, square16.num_vertices)
+        assert rep.crossing_points == {}
 
     def test_heat_decay_rate(self, square16):
         # torus target, no curvature or warp force: each component obeys the
@@ -256,7 +256,8 @@ class TestRunFlow:
         cfg = StepperConfig()
         bd = _bump_data(square16)
         st = initial_state(square16, TORUS, UNIT_WARP, bd, cfg)
-        fin, rep = run_flow(st, cfg, Schedule(t_end=0.02, diag_stride=2))
+        thr = ThresholdConfig(energy=1e-3)
+        fin, rep = run_flow(st, cfg, Schedule(t_end=0.02, diag_stride=2), thr)
         recs = rep.records
         assert recs[0].t == 0.0 and recs[0].step_count == 0
         assert recs[-1].step_count == fin.step_count
@@ -267,7 +268,16 @@ class TestRunFlow:
         assert recs[-1].kinetic_cum == pytest.approx(kin, rel=1e-12)
         # controller never exceeds its CFL value
         assert all(r.dt <= cfg.dt_initial(square16.target_h) + 1e-15 for r in recs)
-        assert rep.local_history.shape == (len(recs), square16.num_vertices)
+        # crossings: the vertices above the threshold, the maximum among them
+        assert recs[0].crossings and len(recs[0].crossings) < square16.num_vertices
+        for r in recs:
+            assert all(e > thr.energy for e in r.crossings.values())
+            if r.crossings:
+                assert r.crossings[r.max_local_vertex] == r.max_local_energy
+            else:
+                assert r.max_local_energy <= thr.energy
+        assert rep.crossing_points == {
+            c: list(square16.vertices[c]) for r in recs for c in r.crossings}
         assert rep.solver_stats["accepted_steps"] == fin.step_count
 
     def test_ball_probes_cover_doubled_radii(self, square16):

@@ -2,7 +2,8 @@
 
 Every config the CLI accepts or refuses must end in one of its exit codes
 (0 ok, 1 config error, 2 failed check, 3 solver error), never in an uncaught
-exception.  Examples are derandomized, so a failure reproduces.
+exception, and `warpflow check` on every report a run writes must return
+that run's exit code.  Examples are derandomized, so a failure reproduces.
 """
 
 import tempfile
@@ -91,4 +92,8 @@ def test_random_config_runs_end_in_an_exit_code(text):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "random.cfg"
         cfg.write_text(text)
-        assert main(["run", str(cfg), "--out", str(Path(tmp) / "out")]) in (0, 1, 2, 3)
+        rc = main(["run", str(cfg), "--out", str(Path(tmp) / "out")])
+        assert rc in (0, 1, 2, 3)
+        # a written report re-derives to the run's own verdict
+        for report in Path(tmp).glob("out/**/report.json"):
+            assert main(["check", str(report)]) == rc

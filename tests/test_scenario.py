@@ -126,11 +126,8 @@ class TestRunScenario:
         csv = (out / "series.csv").read_text().splitlines()
         assert csv[0] == CSV_HEADER
         assert len(csv) - 1 == len(res.report.records)
-        plots = out / "plots"
-        for stem in ("lorentzian_energy", "dirichlet_energy",
-                     "max_local_energy", "map_velocity"):
-            assert (plots / f"{stem}.dat").exists()
-        assert (plots / "DESCRIPTION.txt").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["mesh.txt", "report.json",
+                                                         "series.csv"]
 
     def test_report_json_contents(self, tmp_path):
         out = tmp_path / "run"
@@ -346,6 +343,34 @@ class TestCheckReportFile:
         assert self._check(tmp_path, payload) == 2
         assert "singularity_counts" in capsys.readouterr().out
 
+    def test_moved_event_fails(self, tmp_path, bubbling_report, capsys):
+        [event] = bubbling_report["events"]
+        moved = {**event, "time": 0.5, "points": [[0.9, 0.0]]}
+        assert self._check(tmp_path, {**bubbling_report, "events": [moved]}) == 2
+        assert "re-derived events" in capsys.readouterr().out
+
+    def test_edited_persistent_vertices_fail(self, tmp_path, bubbling_report, capsys):
+        stored = bubbling_report["convergence"]["persistent_vertices"]
+        conv = {**bubbling_report["convergence"], "persistent_vertices": stored + [0]}
+        assert self._check(tmp_path, {**bubbling_report, "convergence": conv}) == 2
+        assert "persistent vertices" in capsys.readouterr().out
+
+    def test_raised_crossing_fails(self, tmp_path, bubbling_report):
+        [event] = bubbling_report["events"]
+        key = str(event["vertices"][0])
+        records = [dict(r) for r in bubbling_report["records"]]
+        last = max(i for i, r in enumerate(records) if key in r["crossings"])
+        records[last]["crossings"] = {**records[last]["crossings"],
+                                      key: 2.0 * max(event["peak_energies"])}
+        assert self._check(tmp_path, {**bubbling_report, "records": records}) == 2
+
+    def test_crossing_without_point_is_malformed(self, tmp_path, bubbling_report, capsys):
+        points = dict(bubbling_report["crossing_points"])
+        del points[str(bubbling_report["events"][0]["vertices"][0])]
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({**bubbling_report, "crossing_points": points}))
+        self._check_malformed(path, capsys)
+
     def test_changed_exit_code_fails(self, tmp_path, bubbling_report):
         assert self._check(tmp_path, {**bubbling_report, "exit_code": 2}) == 2
 
@@ -445,7 +470,9 @@ class TestCli:
         "boundary.phi = equator_circle kappa=1,2", "boundary.psi = linear_x scale=1,2",
         "boundary.phi0 = inv_stereographic rho=0.1 center=1,2,3",
         "boundary.phi = constant value=0,0,2", "schedule.t_end = 0",
-        "stepper.max_move_fraction = 0", "thresholds.r_grid = 0.1,-0.2"])
+        "stepper.max_move_fraction = 0", "thresholds.r_grid = 0.1,-0.2",
+        "boundary.phi = equator_circle kapa=3", "boundary.phi0 = harmonic rho=0.1",
+        "boundary.psi = linear_x scael=2", "boundary.phi0 = sine_bump amplitude=0.1"])
     def test_bad_config_value_is_config_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"target = sphere\n{line}\n")
@@ -457,6 +484,12 @@ class TestCli:
     @pytest.mark.parametrize("flag", ["--h", "--t-end"])
     def test_non_finite_override_is_config_error(self, tmp_path, capsys, flag):
         assert main(["run", "heat_decay", flag, "nan", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "finite" in err
+
+    def test_non_finite_twin_delta_is_config_error(self, tmp_path, capsys):
+        assert main(["twin", "stability_twin", "--delta", "nan",
+                     "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "finite" in err
 
