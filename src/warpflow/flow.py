@@ -13,22 +13,31 @@ Schemes:
 
 After every trial step the nodal values are projected back onto the target
 and the boundary rows reset to phi exactly.  A trial step whose largest
-nodal displacement exceeds max_move_fraction * h raises StepRejected; one
-whose map or potential is not finite raises SolverFailure.
-`march` owns the dt policy for every driver: it halves dt and retries, and
-once dt falls below dt_min = DT_MIN_FACTOR * h^2 (timestep underflow) it
-takes one uncapped dt_min step (the discrete stand-in for restarting from
-the weak limit) and resumes with the CFL timestep.
+nodal displacement exceeds max_move_fraction * h, or whose projection
+degenerates, raises StepRejected; one whose map or potential is not finite
+raises SolverFailure.
+`march` owns the dt policy of every run: it halves dt and retries, grows
+it back (doubling, capped at the CFL value) only once GROW_AFTER steps in a
+row have been accepted since the last rejection, and once dt falls below
+dt_min = DT_MIN_FACTOR * h^2 (timestep underflow) it takes one uncapped
+dt_min step (the discrete stand-in for restarting from the weak limit) and
+resumes with the CFL timestep.  So dt is always dt_cfl / 2^k (or the step
+that lands on t_end), and the theta-step matrices stay few: the one at the
+CFL value, which most steps use, is factored once; every other one is
+solved by Jacobi CG.  All states marched from one `initial_state` (the two
+members of a twin pair) share one `_FlowContext`.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import time as _time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .boundary import BoundaryData
 from .diagnostics import (DiagnosticsReport, ThresholdConfig, energy_functionals)
@@ -39,6 +48,8 @@ from .geometry import warp_force
 from .mesh import BallIndex, DomainMesh, local_energy_matrix, tri_energy_density
 
 DT_MIN_FACTOR = 1e-6
+# accepted steps in a row since the last rejection before dt may grow again
+GROW_AFTER = 4
 
 
 @dataclass
@@ -75,23 +86,41 @@ class Schedule:
 
 
 class _FlowContext:
-    """Per-run solver stats, theta-step matrices and the warped potential's block.
+    """Solver stats, theta-step solves and the warped potential's block of one run.
 
-    The theta-step matrices M_II + theta dt K_II are cached per (dt, theta)
-    with their Jacobi preconditioners; K_phi = (K phi)_I.  `potential` is
+    It depends only on the mesh, the boundary traces and the warp, so all
+    states marched from one `initial_state` share it (a twin pair too), and
+    stats count every step call once.  K_phi = (K phi)_I.  The theta-step
+    matrix A = M_II + theta dt K_II is solved by Jacobi CG, cached per
+    (dt, theta) with its preconditioner, except at `cfl_key` = (dt_cfl,
+    theta): the first time that key is used at a second time level, one
+    sparse LU factor replaces its matrix and solves all columns of every
+    later step there.  So a context holds at most one factor, a run that
+    tries the CFL step once builds none, members of a twin pair always
+    solve alike, and step_iterations counts CG solves only.  `potential` is
     where the potential is decided: a non-constant warp re-solves it every
     step on this WarpedBlock (the fixed-pattern block and its cached
     factor); a constant warp has None, and its potential is the harmonic
     extension of psi for all time, solved nowhere in the flow.
     """
 
-    def __init__(self, mesh: DomainMesh, bdata: BoundaryData, warp):
+    def __init__(self, mesh: DomainMesh, bdata: BoundaryData, warp, cfl_key):
         self.mesh = mesh
         self.K_II, self.K_phi, _ = dirichlet_split(mesh, mesh.stiffness, bdata.phi)
         self.potential = None if warp.kind == "constant" else WarpedBlock(mesh, bdata.psi)
+        self.cfl_key = (float(cfl_key[0]), float(cfl_key[1]))
+        self._cfl_first_t = None
+        self._cfl_lu = None
+        # M_II + theta dt K_II has K_II's pattern (its diagonal included): a
+        # step matrix is one data array over K_II's index arrays
+        M_II = self.K_II.copy()
+        M_II.data[:] = 0.0
+        M_II.setdiag(mesh.lumped_mass[mesh.interior])
+        self._mass_data = M_II.data
         self._step_mat = {}
         self.stats = {"elliptic_solves": 0, "elliptic_iterations": 0,
-                      "step_iterations": 0, "rejected_steps": 0,
+                      "step_iterations": 0, "accepted_steps": 0, "rejected_steps": 0,
+                      "rejections": {"move_cap": 0, "projection": 0},
                       "max_elliptic_residual": 0.0}
 
     def step_matrix(self, dt: float, theta: float):
@@ -99,12 +128,32 @@ class _FlowContext:
         key = (float(dt), float(theta))
         entry = self._step_mat.get(key)
         if entry is None:
-            m_I = self.mesh.lumped_mass[self.mesh.interior]
-            A = (sp.diags(m_I) + (theta * dt) * self.K_II).tocsr()
+            K = self.K_II
+            A = sp.csr_matrix((self._mass_data + (theta * dt) * K.data, K.indices, K.indptr),
+                              shape=K.shape)
             if len(self._step_mat) > 64:
                 self._step_mat.clear()
             entry = self._step_mat[key] = (A, jacobi_preconditioner(A))
         return entry
+
+    def theta_solve(self, dt: float, theta: float, t: float, rhs_I: np.ndarray,
+                    x0_I: np.ndarray) -> np.ndarray:
+        """The columns X of (M_II + theta dt K_II) X = rhs_I for a step from time t."""
+        if (float(dt), float(theta)) == self.cfl_key:
+            if self._cfl_first_t is None:
+                self._cfl_first_t = t
+            elif self._cfl_lu is None and t != self._cfl_first_t:
+                A = self.step_matrix(dt, theta)[0]
+                self._cfl_lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+                del self._step_mat[self.cfl_key]      # the factor replaces it
+            if self._cfl_lu is not None:
+                return self._cfl_lu.solve(rhs_I)
+        A, M = self.step_matrix(dt, theta)
+        X = np.empty_like(rhs_I)
+        for d in range(rhs_I.shape[1]):
+            X[:, d], _, iters = cg_solve(A, rhs_I[:, d], x0=x0_I[:, d], M=M)
+            self.stats["step_iterations"] += iters
+        return X
 
 
 @dataclass
@@ -141,7 +190,8 @@ def initial_state(mesh: DomainMesh, target, warp, bdata: BoundaryData,
         raise ValueError("initial map must lie on the target manifold")
     if np.max(np.abs(u0[mesh.boundary] - bdata.phi[mesh.boundary])) != 0.0:
         raise ValueError("initial map must equal the boundary trace on the boundary")
-    ctx = _FlowContext(mesh, bdata, warp)
+    dt_cfl = config.dt_initial(mesh.target_h)
+    ctx = _FlowContext(mesh, bdata, warp, (dt_cfl, config.theta))
     if ctx.potential is None:
         v0 = np.array(bdata.psi_ext, dtype=float)
     else:
@@ -149,7 +199,7 @@ def initial_state(mesh: DomainMesh, target, warp, bdata: BoundaryData,
     # dt policy keys off the configured mesh size; tolerances elsewhere use
     # the realized max edge mesh.h
     return FlowState(mesh=mesh, target=target, warp=warp, bdata=bdata,
-                     u=u0, v=v0, t=0.0, dt=config.dt_initial(mesh.target_h), ctx=ctx)
+                     u=u0, v=v0, t=0.0, dt=dt_cfl, ctx=ctx)
 
 
 def _forcing(state: FlowState) -> np.ndarray:
@@ -174,6 +224,11 @@ def tension_residual(state: FlowState):
     return R, norm
 
 
+def _count_rejection(ctx: _FlowContext, reason: str):
+    ctx.stats["rejected_steps"] += 1
+    ctx.stats["rejections"][reason] += 1
+
+
 def step(state: FlowState, config: StepperConfig, dt: float = None,
          enforce_cap: bool = True) -> FlowState:
     """One projected step of size dt (default state.dt); returns the new state.
@@ -196,14 +251,10 @@ def step(state: FlowState, config: StepperConfig, dt: float = None,
             u_star = u + dt * (lap + F)
         else:
             theta, I = config.theta, mesh.interior
-            A, M = ctx.step_matrix(dt, theta)
             rhs = m[:, None] * (u + dt * F) - ((1.0 - theta) * dt) * (mesh.stiffness @ u)
             rhs_I = rhs[I] - (theta * dt) * ctx.K_phi
             u_star = np.array(u)
-            for d in range(u.shape[1]):
-                xi, _, iters = cg_solve(A, rhs_I[:, d], x0=u[I, d], M=M)
-                ctx.stats["step_iterations"] += iters
-                u_star[I, d] = xi
+            u_star[I] = ctx.theta_solve(dt, theta, state.t, rhs_I, u[I])
         if not np.all(np.isfinite(u_star)):
             raise SolverFailure("non-finite map after the step solve")
     except SolverFailure as exc:
@@ -213,12 +264,13 @@ def step(state: FlowState, config: StepperConfig, dt: float = None,
     try:
         u_new = state.target.project_field(u_star)
     except DegeneratePoint as exc:
+        _count_rejection(ctx, "projection")
         raise StepRejected(f"projection degenerated: {exc}") from exc
     u_new[mesh.boundary] = state.bdata.phi[mesh.boundary]
 
     move = float(np.max(np.linalg.norm(u_new - u, axis=1)))
     if enforce_cap and move > config.max_move_fraction * mesh.h:
-        ctx.stats["rejected_steps"] += 1
+        _count_rejection(ctx, "move_cap")
         raise StepRejected(
             f"nodal move {move:.3e} exceeds {config.max_move_fraction} * h")
 
@@ -231,6 +283,7 @@ def step(state: FlowState, config: StepperConfig, dt: float = None,
         raise SolverFailure(f"{exc} (at t = {state.t + dt:.6g})",
                             time=state.t + dt) from exc
 
+    ctx.stats["accepted_steps"] += 1
     diff2 = float(np.dot(m, np.sum((u_new - u) ** 2, axis=1)))
     return replace(state, u=u_new, v=v_new, t=state.t + dt,
                    step_count=state.step_count + 1,
@@ -240,25 +293,28 @@ def step(state: FlowState, config: StepperConfig, dt: float = None,
 def march(states: list, config: StepperConfig, t_end: float):
     """Advance `states` in lockstep to t_end under one shared adaptive dt.
 
-    A trial step that any member rejects is retried at half the dt; after an
-    accepted step dt doubles, capped at the CFL value.  When halving would
-    drop dt below dt_min (timestep underflow), every member takes one
-    uncapped dt_min step and dt restarts at the CFL value; more than
-    max_forced_steps forced steps in a row raise SolverFailure.  Yields
-    (states, dt, forced) after every step taken, each state's dt set to the
-    next planned step.
+    A trial step that any member rejects is retried at half the dt.  dt
+    grows back only after GROW_AFTER steps in a row have been accepted since
+    the last rejection (or since the march began): from then on each
+    accepted step doubles it, capped at the CFL value.  So dt stays
+    dt_cfl / 2^k and does not swing between a rejected dt and its half.
+    When halving would drop dt below dt_min (timestep underflow), every
+    member takes one uncapped dt_min step and dt restarts at the CFL value;
+    more than max_forced_steps forced steps in a row raise SolverFailure.
+    Yields (states, dt, forced) after every step taken, each state's dt set
+    to the next planned step.
     """
     h = states[0].mesh.target_h
     dt_cfl, dt_floor = config.dt_initial(h), config.dt_min(h)
     controller = states[0].dt if states[0].dt > 0 else dt_cfl
-    forced_run = 0
+    forced_run = accepted_run = 0
     while states[0].t < t_end - 1e-14:
         t = states[0].t
         dt = min(controller, t_end - t)
         try:
             new = [step(s, config, dt=dt) for s in states]
         except StepRejected:
-            controller = dt / 2.0
+            controller, accepted_run = dt / 2.0, 0
             if controller >= dt_floor:
                 continue
             forced_run += 1
@@ -270,7 +326,9 @@ def march(states: list, config: StepperConfig, t_end: float):
             controller = dt_cfl
         else:
             forced, forced_run = False, 0
-            controller = min(controller * 2.0, dt_cfl)
+            accepted_run += 1
+            if accepted_run >= GROW_AFTER:
+                controller = min(controller * 2.0, dt_cfl)
         for s in new:
             s.dt = controller
         states = new
@@ -379,7 +437,6 @@ def run_flow(state: FlowState, config: StepperConfig, schedule: Schedule,
     proxy = np.array([r.laplacian_proxy for r in recs])
     proxy_int = float(np.trapezoid(proxy, ts)) if len(recs) > 1 else 0.0
     report.v_norm = sup_grad_u + sup_grad4_v + kin_total + proxy_int
-    report.solver_stats = dict(state.ctx.stats)
-    report.solver_stats["accepted_steps"] = state.step_count
+    report.solver_stats = copy.deepcopy(state.ctx.stats)
     report.solver_stats["wall_seconds"] = _time.perf_counter() - wall0
     return state, report

@@ -7,12 +7,14 @@ triangle-vertex order, so grad_op @ f is d_e f on every triangle) and the
 unit stiffness grad_op^T diag(area) grad_op; a weight w per triangle gives
 the stiffness of -div(w grad .) as grad_op^T diag(area w) grad_op.
 
-Disk and annulus meshes place vertices on concentric rings with the angular
-count growing linearly with radius (quasi-uniform, no slivers) and let a
-Delaunay triangulation stitch the rings; annulus hole triangles (all three
-vertices on the inner ring) are dropped afterwards.  The unit square uses
-the structured diagonal split, which is non-obtuse, hence satisfies the
-discrete maximum principle.
+Disk meshes place vertices on concentric rings with the angular count
+growing linearly with radius (quasi-uniform, no slivers) and let a Delaunay
+triangulation stitch the rings.  The annulus is a structured polar lattice,
+each cell split by a diagonal; the unit square uses the structured diagonal
+split.  `build_mesh` checks that every mesh is weakly acute: no off-diagonal
+stiffness entry above WEAKLY_ACUTE_RTOL * max|K| (round-off).  That gives
+the discrete maximum principle, and the nodal projection onto the sphere
+then does not raise the Dirichlet energy.
 """
 
 from __future__ import annotations
@@ -228,12 +230,17 @@ def _annulus_mesh(r_in: float, r_out: float, target_h: float) -> DomainMesh:
                       shape="annulus", target_h=target_h)
 
 
+# largest off-diagonal stiffness entry build_mesh accepts, relative to max|K|
+WEAKLY_ACUTE_RTOL = 1e-12
+
+
 def build_mesh(shape: str, target_h: float, r_in: float = None,
                r_out: float = None) -> DomainMesh:
-    """Build a conforming triangulation with max edge <= 1.5 * target_h.
+    """Build a conforming, weakly acute triangulation with max edge <= 1.5 * target_h.
 
-    InvalidShapeParameters for a bad shape or size, and for a mesh with no
-    interior vertex (nothing left to solve for).
+    InvalidShapeParameters for a bad shape or size, for a mesh with no
+    interior vertex (nothing left to solve for), and for a mesh that is not
+    weakly acute.
     """
     if target_h <= 0:
         raise InvalidShapeParameters("target_h must be positive")
@@ -253,6 +260,12 @@ def build_mesh(shape: str, target_h: float, r_in: float = None,
     if mesh.boundary.all():
         raise InvalidShapeParameters(
             f"target_h={target_h} leaves the {shape} mesh without an interior vertex")
+    K = mesh.stiffness.tocoo()
+    off = K.data[K.row != K.col]
+    if off.size and off.max() > WEAKLY_ACUTE_RTOL * np.abs(K.data).max():
+        raise InvalidShapeParameters(
+            f"{shape} mesh at target_h={target_h} is not weakly acute: off-diagonal "
+            f"stiffness entry {off.max():.3e} > {WEAKLY_ACUTE_RTOL} * max|K|")
     return mesh
 
 

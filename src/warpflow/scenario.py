@@ -34,8 +34,8 @@ from .errors import (ConfigParseError, InvalidShapeParameters,
                      NonPositiveCoefficient)
 # step is unused here but stays bound: perfbench/child.py patches
 # scenario.step next to flow.step to stamp the first step of a run
-from .flow import (Schedule, StepperConfig, initial_state, march, run_flow,
-                   step)
+from .flow import (Schedule, StepperConfig, _solve_potential, initial_state, march,
+                   run_flow, step)
 from .geometry import WarpFunction, make_target
 from .mesh import build_mesh, dump_mesh, write_snapshot
 
@@ -373,8 +373,9 @@ def twin_run(flat_or_cfg, delta: float = None, overrides: dict = None) -> TwinRe
     zeroed on the boundary and scaled so its largest nodal norm is delta;
     delta = 0 reuses the exact same initial array, so the difference is
     identically zero.  Both runs march together under run_flow's dt
-    controller, so they take the same dt sequence and survive timestep
-    underflow the same way; underflow_times lists where it struck.
+    controller and share one solver context, so they take the same dt
+    sequence, solve each step alike and survive timestep underflow the same
+    way; underflow_times lists where it struck.
     """
     cfg = _load_config(flat_or_cfg, overrides)
     if delta is not None:
@@ -397,11 +398,14 @@ def twin_run(flat_or_cfg, delta: float = None, overrides: dict = None) -> TwinRe
             raise ValueError("degenerate twin perturbation")
         u0p = target.project_field(base.u + (delta / wmax) * w)
         u0p[mesh.boundary] = setup.bdata.phi[mesh.boundary]
-    # only phi0 differs: the traces and their extensions are the base run's
+    # only phi0 differs: the traces, their extensions and so the solver
+    # context are the base run's, shared by both members
     bd = setup.bdata
     bdata_p = type(bd).build(mesh, target, bd.phi, u0p, bd.psi,
                              phi_ext=bd.phi_ext, psi_ext=bd.psi_ext)
-    pert = initial_state(mesh, target, setup.warp, bdata_p, setup.stepper)
+    v0p = base.v if base.ctx.potential is None else \
+        _solve_potential(base.ctx, setup.warp, bdata_p, u0p)
+    pert = replace(base, u=u0p, bdata=bdata_p, v=v0p)
 
     times = [0.0]
     diffs = [_l2_diff(mesh, base.u, pert.u)]

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,9 @@ import warpflow.flow
 from oracle_corotational import reduced_profile
 from warpflow.boundary import boundary_data_from_presets
 from warpflow.diagnostics import ThresholdConfig
+from warpflow.elliptic import CG_RTOL
 from warpflow.errors import SolverFailure, StepRejected
-from warpflow.flow import (Schedule, StepperConfig, default_probe_centers,
+from warpflow.flow import (GROW_AFTER, Schedule, StepperConfig, default_probe_centers,
                            initial_state, march, run_flow, step,
                            tension_residual)
 from warpflow.geometry import WarpFunction, make_target
@@ -21,6 +24,11 @@ UNIT_WARP = WarpFunction("constant", 1.0)
 # frozen: pi * int (h'^2 + sin^2(h)/r^2) r dr for h(r) = sin(pi r), adaptive
 # quadrature on the radial form of the corotational Dirichlet energy
 COROTATIONAL_ENERGY_AMP1 = 10.799779675392465
+
+
+def _geodesic_data(mesh):
+    return boundary_data_from_presets(mesh, SPHERE, "equator_circle kappa=1",
+                                      "harmonic", "constant value=0")
 
 
 def _bump_data(mesh, amp=0.1):
@@ -153,6 +161,7 @@ class TestStepMechanics:
         with pytest.raises(StepRejected):
             step(st, cfg, dt=0.01)
         assert st.ctx.stats["rejected_steps"] == 1
+        assert st.ctx.stats["rejections"] == {"move_cap": 1, "projection": 0}
 
     def test_constant_warp_reuses_potential(self, square16):
         cfg = StepperConfig()
@@ -208,13 +217,61 @@ class TestStepMechanics:
         assert np.array_equal(st.v, bd.psi_ext)
         assert st.ctx.stats["elliptic_solves"] == 0 and solves == []
 
-    def test_step_matrix_carries_its_jacobi_preconditioner(self, square16):
-        st = initial_state(square16, TORUS, UNIT_WARP, _bump_data(square16),
-                           StepperConfig())
-        A, M = st.ctx.step_matrix(1e-3, 0.5)
+    def test_only_the_cfl_key_is_factored_from_its_second_time_level(
+            self, square16, monkeypatch):
+        factored = []
+        real_splu = warpflow.flow.splu
+        monkeypatch.setattr(warpflow.flow, "splu",
+                            lambda *a, **k: factored.append(1) or real_splu(*a, **k))
+        cfg = StepperConfig()
+        st = initial_state(square16, SPHERE, UNIT_WARP, _geodesic_data(square16), cfg)
+        ctx, dt_cfl = st.ctx, cfg.dt_initial(square16.target_h)
+        assert ctx.cfl_key == (dt_cfl, cfg.theta)
+        # every other key: Jacobi CG on a matrix cached with its preconditioner
+        A, M = ctx.step_matrix(1e-3, cfg.theta)
         assert np.array_equal(M.diagonal(), 1.0 / A.diagonal())
-        again = st.ctx.step_matrix(1e-3, 0.5)
-        assert again[0] is A and again[1] is M
+        assert all(x is y for x, y in zip(ctx.step_matrix(1e-3, cfg.theta), (A, M)))
+
+        def iterations_of(*args, **kwargs):
+            before = ctx.stats["step_iterations"]
+            new = step(*args, **kwargs)
+            return new, ctx.stats["step_iterations"] - before
+
+        st1, iters = iterations_of(st, cfg, dt=dt_cfl)
+        assert iters > 0
+        assert iterations_of(st, cfg, dt=dt_cfl)[1] > 0      # same time level: CG again
+        assert factored == []
+        st2, iters = iterations_of(st1, cfg, dt=dt_cfl)        # a second time level
+        assert factored == [1] and iters == 0
+        assert iterations_of(st2, cfg, dt=1e-3)[1] > 0
+        assert iterations_of(st2, cfg, dt=dt_cfl)[1] == 0
+        assert factored == [1]
+
+    def test_factored_cfl_step_matches_the_cg_step(self, square16):
+        cfg = StepperConfig()
+        bd = _geodesic_data(square16)
+        st = initial_state(square16, SPHERE, UNIT_WARP, bd, cfg)
+        st1 = step(st, cfg)
+        # a fresh context meets the CFL key for the first time: Jacobi CG
+        fresh = initial_state(square16, SPHERE, UNIT_WARP, bd, cfg).ctx
+        by_cg = step(replace(st1, ctx=fresh), cfg)
+        iters = st.ctx.stats["step_iterations"]
+        by_lu = step(st1, cfg)
+        assert fresh.stats["step_iterations"] > 0
+        assert st.ctx.stats["step_iterations"] == iters
+        m = square16.lumped_mass
+        diff = np.sqrt(np.dot(m, np.sum((by_lu.u - by_cg.u) ** 2, axis=1)))
+        assert diff <= CG_RTOL * np.sqrt(np.dot(m, np.sum(by_cg.u ** 2, axis=1)))
+
+    def test_projection_rejection_is_counted(self, square16):
+        cfg = StepperConfig()
+        st = initial_state(square16, SPHERE, UNIT_WARP, _geodesic_data(square16), cfg)
+        # a map at the sphere center inside: a tiny step cannot leave it
+        st.u[square16.interior] = 0.0
+        with pytest.raises(StepRejected, match="projection"):
+            step(st, cfg, dt=1e-6)
+        assert st.ctx.stats["rejected_steps"] == 1
+        assert st.ctx.stats["rejections"] == {"move_cap": 0, "projection": 1}
 
     @pytest.mark.parametrize("scheme", ["semi_implicit", "explicit"])
     def test_non_finite_state_is_a_solver_failure(self, scheme):
@@ -376,3 +433,29 @@ class TestMarch:
             assert members[0].t == members[1].t
             assert members[0].dt == members[1].dt == cfg.dt_initial(square16.target_h)
         assert steps[-1][0][0].t >= t_end - 1e-14
+
+    def test_dt_grows_only_after_a_run_of_accepted_steps(self, monkeypatch):
+        trials = []                       # (dt, accepted) of every trial step
+        real_step = warpflow.flow.step
+
+        def recording_step(state, config, dt=None, enforce_cap=True):
+            try:
+                new = real_step(state, config, dt=dt, enforce_cap=enforce_cap)
+            except StepRejected:
+                trials.append((dt, False))
+                raise
+            trials.append((dt, True))
+            return new
+
+        monkeypatch.setattr(warpflow.flow, "step", recording_step)
+        flat = {**resolve_config("bubbling"), "mesh.h": "0.0625"}
+        setup = build_scenario(ScenarioConfig.from_flat(flat))
+        st = initial_state(setup.mesh, setup.target, setup.warp, setup.bdata,
+                           setup.stepper)
+        for _ in march([st], setup.stepper, 0.004):
+            pass
+        grown = [i for i in range(1, len(trials)) if trials[i][0] > trials[i - 1][0]]
+        assert grown and any(not ok for _, ok in trials)
+        for i in grown:
+            assert i >= GROW_AFTER
+            assert all(ok for _, ok in trials[i - GROW_AFTER:i]), i

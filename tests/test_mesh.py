@@ -95,6 +95,35 @@ def test_nonconforming_mesh_rejected():
         DomainMesh(verts, tris, boundary=None, shape="square", target_h=1.0)
 
 
+def _max_off_diagonal(mesh):
+    K = mesh.stiffness.tocoo()
+    return K.data[K.row != K.col].max() / np.abs(K.data).max()
+
+
+# the meshes of the shipped scenarios, of the tests' annulus and of the
+# benchmark workloads (bubbling's disk, the square at h = 1/128)
+@pytest.mark.parametrize("shape, h, kwargs", [
+    ("square", 1 / 16, {}), ("square", 1 / 32, {}), ("square", 1 / 64, {}),
+    ("square", 1 / 128, {}), ("disk", 1 / 16, {}), ("disk", 1 / 32, {}),
+    ("annulus", 1 / 8, {"r_in": 0.5, "r_out": 1.0}),
+    ("annulus", 1 / 32, {"r_in": 0.5, "r_out": 1.0}),
+])
+def test_built_meshes_are_weakly_acute(shape, h, kwargs):
+    assert _max_off_diagonal(build_mesh(shape, h, **kwargs)) <= warpflow.mesh.WEAKLY_ACUTE_RTOL
+
+
+def test_obtuse_mesh_is_refused(monkeypatch):
+    # a fan around an interior vertex pushed close to the bottom edge: the
+    # angle opposite that boundary edge is obtuse
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.1]])
+    tris = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
+    obtuse = DomainMesh(verts, tris, boundary=None, shape="square", target_h=1.0)
+    assert _max_off_diagonal(obtuse) > 0.0
+    monkeypatch.setattr(warpflow.mesh, "_square_mesh", lambda h: obtuse)
+    with pytest.raises(InvalidShapeParameters, match="weakly acute"):
+        build_mesh("square", 1.0)
+
+
 # -- geometry of the builders ------------------------------------------------
 
 def test_square_boundary_detection(square16):

@@ -202,6 +202,14 @@ class TestTwinRun:
         assert res.final_diff == 0.0
         assert res.amplification == 0.0
 
+    def test_zero_delta_stays_identical_across_the_factored_step(self):
+        # warp_coupled accepts its CFL step at t = 0 and takes it again later:
+        # both members must move from CG to the one factor at the same step
+        res = twin_run("warp_coupled", delta=0.0,
+                       overrides={"mesh.h": "0.0625", "schedule.t_end": "0.05"})
+        assert len(res.times) > 2
+        assert res.sup_diff == 0.0
+
     def test_small_perturbation_is_stable(self):
         overrides = {"mesh.h": "0.0625", "schedule.t_end": "0.01"}
         res = twin_run("heat_decay", delta=1e-3, overrides=overrides)
@@ -247,6 +255,30 @@ class TestTwinRun:
         assert zero.sup_diff == 0.0
 
 
+    def test_members_share_one_context_and_count_every_call(self, monkeypatch):
+        made, calls = [], []
+        real_initial, real_step = warpflow.scenario.initial_state, warpflow.flow.step
+
+        def capturing_initial(*args, **kwargs):
+            state = real_initial(*args, **kwargs)
+            made.append(state.ctx)
+            return state
+
+        def counting_step(state, *args, **kwargs):
+            calls.append(state.ctx)
+            return real_step(state, *args, **kwargs)
+
+        monkeypatch.setattr(warpflow.scenario, "initial_state", capturing_initial)
+        monkeypatch.setattr(warpflow.flow, "step", counting_step)
+        twin_run("bubbling", delta=1e-3,
+                 overrides={"mesh.h": "0.0625", "schedule.t_end": "0.001"})
+        assert len(made) == 1
+        assert all(ctx is made[0] for ctx in calls)
+        stats = made[0].stats
+        assert stats["rejected_steps"] > 0
+        assert stats["accepted_steps"] + stats["rejected_steps"] == len(calls)
+
+
 class TestBenchmarkHooks:
     """perfbench patches these module attributes; they must stay in use."""
 
@@ -267,7 +299,7 @@ class TestBenchmarkHooks:
         monkeypatch.setattr(warpflow.flow, "step", counting_step)
         overrides = {"mesh.h": "0.0625", "schedule.t_end": "0.01"}
         twin_run("heat_decay", overrides=overrides)
-        assert len(made) == 2
+        assert len(made) == 1
         assert stepped
         stepped.clear()
         res = run_scenario("heat_decay", overrides=overrides, write_artifacts=False)
