@@ -2,9 +2,8 @@
 
 BoundaryData freezes everything the flow and diagnostics need about the data:
 the map trace phi, the initial map phi0 (on the target, agreeing with phi on
-the boundary exactly), the potential trace psi, the componentwise harmonic
-extensions of both traces, and the reference energies entering the a priori
-bounds.
+the boundary exactly), the potential trace psi, and the componentwise
+harmonic extensions of both traces.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 
 from .elliptic import harmonic_extension
 from .errors import ConfigParseError, DegeneratePoint
-from .mesh import DomainMesh, dirichlet_energy
+from .mesh import DomainMesh
 
 
 @dataclass
@@ -26,10 +25,6 @@ class BoundaryData:
     psi: np.ndarray        # (nv,);  boundary rows are the trace of v
     phi_ext: np.ndarray = field(default=None, repr=False)
     psi_ext: np.ndarray = field(default=None, repr=False)
-    energy_phi0: float = 0.0
-    energy_psi_ext: float = 0.0
-    grad4_psi_ext: float = 0.0
-    phi_c2_proxy: float = 0.0
 
     @classmethod
     def build(cls, mesh: DomainMesh, target, phi_vals: np.ndarray,
@@ -41,25 +36,9 @@ class BoundaryData:
         phi0 = target.project_field(np.asarray(phi0_vals, dtype=float))
         phi0[mesh.boundary] = phi[mesh.boundary]
         psi = np.asarray(psi_vals, dtype=float)
-        bd = cls(mesh=mesh, phi=phi, phi0=phi0, psi=psi)
-        bd.phi_ext = harmonic_extension(mesh, phi) if phi_ext is None else phi_ext
-        bd.psi_ext = harmonic_extension(mesh, psi) if psi_ext is None else psi_ext
-        bd.energy_phi0 = dirichlet_energy(mesh, phi0)
-        bd.energy_psi_ext = dirichlet_energy(mesh, bd.psi_ext)
-        g2 = mesh.tri_grad_sq(bd.psi_ext)
-        bd.grad4_psi_ext = float(np.sum(mesh.areas * g2 * g2))
-        bd.phi_c2_proxy = cls._c2_proxy(mesh, bd.phi_ext)
-        return bd
-
-    @staticmethod
-    def _c2_proxy(mesh: DomainMesh, phi_ext: np.ndarray) -> float:
-        # sup |phi| + sup |grad phi| + sup |D^2 phi| with the second-derivative
-        # part replaced by the lumped discrete Laplacian (documented proxy).
-        sup0 = float(np.max(np.linalg.norm(phi_ext, axis=1)))
-        sup1 = float(np.sqrt(np.max(mesh.tri_grad_sq(phi_ext))))
-        lap = mesh.laplacian(phi_ext)
-        sup2 = float(np.max(np.linalg.norm(lap, axis=1)))
-        return sup0 + sup1 + sup2
+        return cls(mesh=mesh, phi=phi, phi0=phi0, psi=psi,
+                   phi_ext=harmonic_extension(mesh, phi) if phi_ext is None else phi_ext,
+                   psi_ext=harmonic_extension(mesh, psi) if psi_ext is None else psi_ext)
 
 
 # -- analytic presets -------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import InsufficientSeries
-from .mesh import DomainMesh, tri_energy_density
+from .mesh import DomainMesh, dirichlet_energy, tri_energy_density
 
 MONO_C = 1.0
 HARD_CHECK_SLACK = 1e-3   # additive slack on the a priori bounds
@@ -139,12 +139,19 @@ class RunBounds:
 
     @classmethod
     def from_run(cls, mesh: DomainMesh, warp, bdata) -> "RunBounds":
+        g2 = mesh.tri_grad_sq(bdata.psi_ext)
+        # phi_c2_proxy = sup |phi| + sup |grad phi| + sup |D^2 phi| of the
+        # extension, the second-derivative part replaced by the lumped
+        # discrete Laplacian (documented proxy)
+        phi = bdata.phi_ext
+        c2 = (float(np.max(np.linalg.norm(phi, axis=1)))
+              + float(np.sqrt(np.max(mesh.tri_grad_sq(phi))))
+              + float(np.max(np.linalg.norm(mesh.laplacian(phi), axis=1))))
         return cls(warp_lower=warp.lower, warp_upper=warp.upper,
-                   energy_phi0=bdata.energy_phi0,
-                   energy_psi_ext=bdata.energy_psi_ext,
-                   grad4_psi_ext=bdata.grad4_psi_ext,
-                   phi_c2_proxy=bdata.phi_c2_proxy,
-                   domain_area=mesh.domain_area, h=mesh.h)
+                   energy_phi0=dirichlet_energy(mesh, bdata.phi0),
+                   energy_psi_ext=dirichlet_energy(mesh, bdata.psi_ext),
+                   grad4_psi_ext=float(np.sum(mesh.areas * g2 * g2)),
+                   phi_c2_proxy=c2, domain_area=mesh.domain_area, h=mesh.h)
 
 
 @dataclass
@@ -521,11 +528,18 @@ def record_to_dict(r: EnergyRecord) -> dict:
 
 
 def record_from_dict(d: dict) -> EnergyRecord:
+    """The record stored in d; ValueError if any of its numbers is not finite."""
     d = dict(d)
     d["ball_probes"] = {int(c): {float(rad): val for rad, val in probes.items()}
                         for c, probes in d["ball_probes"].items()}
     d["crossings"] = {int(c): e for c, e in d["crossings"].items()}
-    return EnergyRecord(**d)
+    rec = EnergyRecord(**d)
+    numbers = [v for k, v in d.items() if k not in ("ball_probes", "crossings")]
+    numbers += [e for probes in rec.ball_probes.values() for e in probes.values()]
+    numbers += list(rec.crossings.values())
+    if not np.all(np.isfinite(np.asarray(numbers, dtype=float))):
+        raise ValueError(f"non-finite number in the record at t = {rec.t!r}")
+    return rec
 
 
 def report_to_dict(report: DiagnosticsReport) -> dict:

@@ -5,11 +5,9 @@ with u = phi on the boundary, and v solves -div(beta(u) grad v) = 0 with
 v = psi on the boundary at every time (no time derivative on v; the elliptic
 solve inside a step uses the current u, lagged coupling).
 
-Schemes:
-  semi_implicit  theta-scheme on the Laplacian (theta in [1/2, 1]; 1/2 is
-                 second order in time, 1 is fully damped), nonlinear terms
-                 explicit, one SPD solve per component; default dt = sigma h.
-  explicit       forward Euler; default dt = sigma h^2.
+The scheme is a theta-scheme on the Laplacian (theta in [1/2, 1]; 1/2 is
+second order in time, 1 is fully damped) with the nonlinear terms explicit:
+one SPD solve per component, CFL timestep dt = sigma h.
 
 After every trial step the nodal values are projected back onto the target
 and the boundary rows reset to phi exactly.  A trial step whose largest
@@ -54,24 +52,21 @@ GROW_AFTER = 4
 
 @dataclass
 class StepperConfig:
-    scheme: str = "semi_implicit"     # or "explicit"
     sigma: float = 0.2
     theta: float = 0.5
     max_move_fraction: float = 0.1
     max_forced_steps: int = 50
 
     def __post_init__(self):
-        if self.scheme not in ("semi_implicit", "explicit"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if not 0.0 < self.sigma <= 0.5:
             raise ValueError("sigma must lie in (0, 0.5]")
-        if self.scheme == "semi_implicit" and not 0.5 <= self.theta <= 1.0:
+        if not 0.5 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0.5, 1]")
         if self.max_move_fraction <= 0:
             raise ValueError("max_move_fraction must be positive")
 
     def dt_initial(self, h: float) -> float:
-        return self.sigma * h if self.scheme == "semi_implicit" else self.sigma * h * h
+        return self.sigma * h
 
     def dt_min(self, h: float) -> float:
         return DT_MIN_FACTOR * h * h
@@ -168,7 +163,6 @@ class FlowState:
     dt: float = 0.0
     step_count: int = 0
     last_rate: float = 0.0
-    last_drift: float = 0.0
     ctx: _FlowContext = field(default=None, repr=False)
 
 
@@ -246,21 +240,16 @@ def step(state: FlowState, config: StepperConfig, dt: float = None,
     F = _forcing(state)
 
     try:
-        if config.scheme == "explicit":
-            lap = mesh.laplacian(u, zero_boundary=False)
-            u_star = u + dt * (lap + F)
-        else:
-            theta, I = config.theta, mesh.interior
-            rhs = m[:, None] * (u + dt * F) - ((1.0 - theta) * dt) * (mesh.stiffness @ u)
-            rhs_I = rhs[I] - (theta * dt) * ctx.K_phi
-            u_star = np.array(u)
-            u_star[I] = ctx.theta_solve(dt, theta, state.t, rhs_I, u[I])
+        theta, I = config.theta, mesh.interior
+        rhs = m[:, None] * (u + dt * F) - ((1.0 - theta) * dt) * (mesh.stiffness @ u)
+        rhs_I = rhs[I] - (theta * dt) * ctx.K_phi
+        u_star = np.array(u)
+        u_star[I] = ctx.theta_solve(dt, theta, state.t, rhs_I, u[I])
         if not np.all(np.isfinite(u_star)):
             raise SolverFailure("non-finite map after the step solve")
     except SolverFailure as exc:
         raise SolverFailure(f"{exc} (at t = {state.t:.6g})", time=state.t) from exc
 
-    drift = float(np.max(state.target.distance(u_star)))
     try:
         u_new = state.target.project_field(u_star)
     except DegeneratePoint as exc:
@@ -287,7 +276,7 @@ def step(state: FlowState, config: StepperConfig, dt: float = None,
     diff2 = float(np.dot(m, np.sum((u_new - u) ** 2, axis=1)))
     return replace(state, u=u_new, v=v_new, t=state.t + dt,
                    step_count=state.step_count + 1,
-                   last_rate=math.sqrt(diff2) / dt, last_drift=drift)
+                   last_rate=math.sqrt(diff2) / dt)
 
 
 def march(states: list, config: StepperConfig, t_end: float):

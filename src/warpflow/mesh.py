@@ -132,13 +132,12 @@ class DomainMesh:
         np.add.at(acc, self.triangles.ravel(), w)
         return acc / self.lumped_mass
 
-    def laplacian(self, values: np.ndarray, zero_boundary: bool = True) -> np.ndarray:
+    def laplacian(self, values: np.ndarray) -> np.ndarray:
         """Lumped-mass discrete Laplacian -M^{-1} K f; boundary rows zeroed."""
         vals = np.asarray(values, dtype=float)
         m = self.lumped_mass if vals.ndim == 1 else self.lumped_mass[:, None]
         lap = -(self.stiffness @ vals) / m
-        if zero_boundary:
-            lap[self.boundary] = 0.0
+        lap[self.boundary] = 0.0
         return lap
 
 

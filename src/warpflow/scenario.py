@@ -44,12 +44,12 @@ _KNOWN_KEYS = {
     "mesh.shape", "mesh.h", "mesh.r_in", "mesh.r_out",
     "warp.kind", "warp.a", "warp.b",
     "boundary.phi", "boundary.phi0", "boundary.psi",
-    "stepper.scheme", "stepper.sigma", "stepper.theta",
+    "stepper.sigma", "stepper.theta",
     "stepper.max_move_fraction",
     "thresholds.energy", "thresholds.r_detect", "thresholds.r_grid",
     "thresholds.persist_frames",
     "schedule.t_end", "schedule.diag_stride", "schedule.snapshot_stride",
-    "output.formats", "twin.delta",
+    "twin.delta",
 }
 
 
@@ -112,18 +112,16 @@ class ScenarioConfig:
     phi_spec: str = "north_pole"
     phi0_spec: str = "harmonic"
     psi_spec: str = "constant value=0"
-    scheme: str = "semi_implicit"
-    sigma: float = 0.2
-    theta: float = 0.5
-    max_move_fraction: float = 0.1
-    threshold_energy: float = 1.0
-    r_detect: float = 0.1
-    r_grid: tuple = (0.1, 0.2)
-    persist_frames: int = 3
+    sigma: float = StepperConfig.sigma
+    theta: float = StepperConfig.theta
+    max_move_fraction: float = StepperConfig.max_move_fraction
+    threshold_energy: float = ThresholdConfig.energy
+    r_detect: float = ThresholdConfig.r_detect
+    r_grid: tuple = ThresholdConfig.r_grid
+    persist_frames: int = ThresholdConfig.persist_frames
     t_end: float = 0.1
     diag_stride: int = 1
     snapshot_stride: int = 0
-    output_formats: tuple = ("csv", "json")
     twin_delta: float = 1e-3
     seed: int = 0
 
@@ -145,12 +143,6 @@ class ScenarioConfig:
                 r_grid = tuple(float(s) for s in flat["thresholds.r_grid"].split(","))
             except ValueError as exc:
                 raise ConfigParseError("thresholds.r_grid must be comma-separated numbers") from exc
-        formats = cls.output_formats
-        if "output.formats" in flat:
-            formats = tuple(s.strip() for s in flat["output.formats"].split(","))
-            for f in formats:
-                if f not in ("csv", "json"):
-                    raise ConfigParseError(f"unknown output format {f!r}")
         cfg = cls(
             name=flat.get("name", "scenario"),
             mesh_shape=flat.get("mesh.shape", cls.mesh_shape),
@@ -164,7 +156,6 @@ class ScenarioConfig:
             phi_spec=flat.get("boundary.phi", cls.phi_spec),
             phi0_spec=flat.get("boundary.phi0", cls.phi0_spec),
             psi_spec=flat.get("boundary.psi", cls.psi_spec),
-            scheme=flat.get("stepper.scheme", cls.scheme),
             sigma=_flt(flat, "stepper.sigma", cls.sigma),
             theta=_flt(flat, "stepper.theta", cls.theta),
             max_move_fraction=_flt(flat, "stepper.max_move_fraction", cls.max_move_fraction),
@@ -175,7 +166,6 @@ class ScenarioConfig:
             t_end=_flt(flat, "schedule.t_end", cls.t_end),
             diag_stride=_intval(flat, "schedule.diag_stride", cls.diag_stride),
             snapshot_stride=_intval(flat, "schedule.snapshot_stride", cls.snapshot_stride),
-            output_formats=formats,
             twin_delta=_flt(flat, "twin.delta", cls.twin_delta),
             seed=_intval(flat, "seed", cls.seed),
         )
@@ -186,12 +176,6 @@ class ScenarioConfig:
             if missing:
                 raise ConfigParseError(f"annulus config is missing {', '.join(missing)}")
         return cfg
-
-    def flat_echo(self) -> dict:
-        d = asdict(self)
-        d["r_grid"] = list(self.r_grid)
-        d["output_formats"] = list(self.output_formats)
-        return d
 
 
 def builtin_scenarios() -> list:
@@ -241,7 +225,7 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioSetup:
         mesh = build_mesh(cfg.mesh_shape, cfg.mesh_h, r_in=cfg.r_in, r_out=cfg.r_out)
         target = make_target(cfg.target_name)
         warp = WarpFunction(cfg.warp_kind, cfg.warp_a, cfg.warp_b)
-        stepper = StepperConfig(scheme=cfg.scheme, sigma=cfg.sigma, theta=cfg.theta,
+        stepper = StepperConfig(sigma=cfg.sigma, theta=cfg.theta,
                                 max_move_fraction=cfg.max_move_fraction)
         thresholds = ThresholdConfig(energy=cfg.threshold_energy,
                                      r_detect=cfg.r_detect, r_grid=cfg.r_grid,
@@ -332,14 +316,12 @@ def run_scenario(flat_or_cfg, out_dir=None, h=None, t_end=None,
 
     if write_artifacts:
         dump_mesh(setup.mesh, out / "mesh.txt")
-        if "csv" in cfg.output_formats:
-            write_series_csv(report, out / "series.csv")
-        if "json" in cfg.output_formats:
-            payload = report_to_dict(report)
-            payload["scenario"] = cfg.flat_echo()
-            payload["exit_code"] = exit_code
-            with open(out / "report.json", "w") as f:
-                json.dump(payload, f, indent=2, sort_keys=True)
+        write_series_csv(report, out / "series.csv")
+        payload = report_to_dict(report)
+        payload["scenario"] = asdict(cfg)
+        payload["exit_code"] = exit_code
+        with open(out / "report.json", "w") as f:
+            json.dump(payload, f, indent=2, sort_keys=True)
     return ScenarioResult(config=cfg, state=state, report=report,
                           out_dir=out, exit_code=exit_code)
 

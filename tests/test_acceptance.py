@@ -149,7 +149,7 @@ def test_criterion_06_equivariant_oracle(acceptance_log):
         "boundary.phi": "north_pole",
         "boundary.phi0": "corotational amplitude=1.0",
         "boundary.psi": "constant value=0",
-        "stepper.scheme": "semi_implicit", "stepper.sigma": "0.2",
+        "stepper.sigma": "0.2",
         "schedule.t_end": f"{t_end!r}", "schedule.diag_stride": "10",
     }
     res = run_scenario(flat, write_artifacts=False)

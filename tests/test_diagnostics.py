@@ -28,7 +28,7 @@ def coupled_run(square16):
     warp = WarpFunction("linear_height", 2.0, 1.0)
     bd = boundary_data_from_presets(square16, SPHERE, "equator_circle kappa=1",
                                     "harmonic", "linear_x")
-    cfg = StepperConfig(scheme="semi_implicit", sigma=0.2)
+    cfg = StepperConfig(sigma=0.2)
     st = initial_state(square16, SPHERE, warp, bd, cfg)
     fin, rep = run_flow(st, cfg, Schedule(t_end=0.05, diag_stride=1),
                         ThresholdConfig())
@@ -357,7 +357,7 @@ class TestDetectorInvariance:
             bd = boundary_data_from_presets(
                 disk16, SPHERE, "north_pole",
                 "inv_stereographic rho=0.3 center=0,0", "linear_x")
-            cfg = StepperConfig(scheme="semi_implicit", sigma=0.2)
+            cfg = StepperConfig(sigma=0.2)
             st = initial_state(disk16, SPHERE, warp, bd, cfg)
             thr = ThresholdConfig(energy=1.0, r_detect=0.1)
             fin, rep = run_flow(st, cfg, Schedule(t_end=0.01), thr)

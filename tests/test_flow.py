@@ -39,8 +39,6 @@ def _bump_data(mesh, amp=0.1):
 class TestStepperConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            StepperConfig(scheme="leapfrog")
-        with pytest.raises(ValueError):
             StepperConfig(sigma=0.0)
         with pytest.raises(ValueError):
             StepperConfig(sigma=0.6)
@@ -50,11 +48,9 @@ class TestStepperConfig:
             StepperConfig(theta=1.1)
 
     def test_dt_policy(self):
-        semi = StepperConfig(scheme="semi_implicit", sigma=0.2)
-        expl = StepperConfig(scheme="explicit", sigma=0.25)
-        assert semi.dt_initial(0.1) == pytest.approx(0.02)
-        assert expl.dt_initial(0.1) == pytest.approx(0.25 * 0.01)
-        assert semi.dt_min(0.1) == pytest.approx(1e-6 * 0.01)
+        cfg = StepperConfig(sigma=0.2)
+        assert cfg.dt_initial(0.1) == pytest.approx(0.02)
+        assert cfg.dt_min(0.1) == pytest.approx(1e-6 * 0.01)
 
 
 class TestInitialState:
@@ -93,9 +89,9 @@ class TestInitialState:
 
 
 class TestFixedPoints:
-    @pytest.mark.parametrize("scheme", ["semi_implicit", "explicit"])
-    def test_constant_map_is_exactly_stationary(self, square16, scheme):
-        cfg = StepperConfig(scheme=scheme)
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_constant_map_is_exactly_stationary(self, square16, theta):
+        cfg = StepperConfig(theta=theta)
         bd = boundary_data_from_presets(square16, SPHERE, "north_pole",
                                         "north_pole", "constant value=0")
         st = initial_state(square16, SPHERE, UNIT_WARP, bd, cfg)
@@ -122,16 +118,17 @@ class TestFixedPoints:
 
 class TestStepMechanics:
     def test_schemes_agree_to_second_order_in_dt(self, square16):
+        # one step of Crank-Nicolson (theta = 1/2) and of backward Euler
+        # (theta = 1) differ by O(dt^2)
         bd = _bump_data(square16)
         diffs = []
         for dt in (1e-4, 5e-5):
-            st_e = initial_state(square16, TORUS, UNIT_WARP, bd,
-                                 StepperConfig(scheme="explicit"))
-            st_s = initial_state(square16, TORUS, UNIT_WARP, bd,
-                                 StepperConfig(scheme="semi_implicit"))
-            ue = step(st_e, StepperConfig(scheme="explicit"), dt=dt).u
-            us = step(st_s, StepperConfig(scheme="semi_implicit"), dt=dt).u
-            diffs.append(np.max(np.abs(ue - us)))
+            us = []
+            for theta in (0.5, 1.0):
+                cfg = StepperConfig(theta=theta)
+                us.append(step(initial_state(square16, TORUS, UNIT_WARP, bd, cfg),
+                               cfg, dt=dt).u)
+            diffs.append(np.max(np.abs(us[0] - us[1])))
         assert diffs[0] < 5e-7
         assert 3.5 <= diffs[0] / diffs[1] <= 4.5
 
@@ -273,10 +270,10 @@ class TestStepMechanics:
         assert st.ctx.stats["rejected_steps"] == 1
         assert st.ctx.stats["rejections"] == {"move_cap": 0, "projection": 1}
 
-    @pytest.mark.parametrize("scheme", ["semi_implicit", "explicit"])
-    def test_non_finite_state_is_a_solver_failure(self, scheme):
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_non_finite_state_is_a_solver_failure(self, theta):
         flat = {**resolve_config("warp_coupled"), "mesh.h": "0.125",
-                "stepper.scheme": scheme}
+                "stepper.theta": repr(theta)}
         setup = build_scenario(ScenarioConfig.from_flat(flat))
         st = initial_state(setup.mesh, setup.target, setup.warp, setup.bdata,
                            setup.stepper)
@@ -299,7 +296,7 @@ class TestRunFlow:
     def test_heat_decay_rate(self, square16):
         # torus target, no curvature or warp force: each component obeys the
         # scalar heat equation; the bump mode decays like exp(-2 pi^2 t)
-        cfg = StepperConfig(scheme="semi_implicit", sigma=0.2)
+        cfg = StepperConfig(sigma=0.2)
         bd = _bump_data(square16)
         st = initial_state(square16, TORUS, UNIT_WARP, bd, cfg)
         fin, rep = run_flow(st, cfg, Schedule(t_end=0.05, diag_stride=1))
@@ -405,7 +402,7 @@ class TestCorotationalReduction:
         bd = boundary_data_from_presets(m, SPHERE, "north_pole",
                                         "corotational amplitude=1.0",
                                         "constant value=0")
-        cfg = StepperConfig(scheme="semi_implicit", sigma=0.2)
+        cfg = StepperConfig(sigma=0.2)
         st = initial_state(m, SPHERE, UNIT_WARP, bd, cfg)
         fin, _ = run_flow(st, cfg, Schedule(t_end=t_end, diag_stride=10))
         nodes, prof = reduced_profile(1.0, t_end, m=1024, dt=5e-5)

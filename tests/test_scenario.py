@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,11 +14,13 @@ import warpflow.flow
 import warpflow.mesh
 import warpflow.scenario
 from warpflow.cli import main
+from warpflow.diagnostics import ThresholdConfig
 from warpflow.errors import ConfigParseError
 from warpflow.flow import StepperConfig
-from warpflow.scenario import (ScenarioConfig, builtin_scenarios,
-                               check_report_file, parse_config_text,
-                               resolve_config, run_scenario, twin_run)
+from warpflow.scenario import (_KNOWN_KEYS, ScenarioConfig, build_scenario,
+                               builtin_scenarios, check_report_file,
+                               parse_config_text, resolve_config, run_scenario,
+                               twin_run)
 
 GOOD_TEXT = """\
 # comment line
@@ -68,7 +71,6 @@ class TestConfigParsing:
         assert cfg.name == "demo"
         assert cfg.mesh_h == 0.125
         assert cfg.t_end == 0.004
-        assert cfg.scheme == "semi_implicit"      # default
         assert cfg.r_grid == (0.1, 0.2)
 
     def test_from_flat_r_grid(self):
@@ -83,11 +85,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigParseError):
             ScenarioConfig.from_flat({"mesh.h": "tiny"})
         with pytest.raises(ConfigParseError):
-            ScenarioConfig.from_flat({"output.formats": "csv,xml"})
-        with pytest.raises(ConfigParseError):
             ScenarioConfig.from_flat({"schedule.diag_stride": "1.5"})
         with pytest.raises(ConfigParseError, match="mesh.r_out"):
             ScenarioConfig.from_flat({"mesh.shape": "annulus", "mesh.r_in": "0.5"})
+
+    def test_defaults_are_the_solver_defaults(self):
+        setup = build_scenario(ScenarioConfig())
+        assert setup.stepper == StepperConfig()
+        assert setup.thresholds == ThresholdConfig()
+
+    def test_readme_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("All keys:", 1)[1].split("\n\n", 2)[1]
+        documented = set()
+        for row in table.splitlines()[2:]:
+            documented.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
+        assert documented == _KNOWN_KEYS
 
 
 class TestResolveConfig:
@@ -431,6 +444,25 @@ class TestCheckReportFile:
         path.write_text("{not json")
         self._check_malformed(path, capsys)
 
+    @pytest.mark.parametrize("field", ["e_u", "e_v", "grad4_u", "max_local_energy",
+                                       "ball_probes", "crossings"])
+    def test_non_finite_record_number_is_malformed(self, tmp_path, bubbling_report,
+                                                   capsys, field):
+        records = [json.loads(json.dumps(r)) for r in bubbling_report["records"]]
+        if field == "crossings":
+            rec = next(r for r in records if r["crossings"])
+            rec["crossings"][next(iter(rec["crossings"]))] = float("nan")
+        else:
+            rec = records[len(records) // 2]
+            if field == "ball_probes":
+                probes = next(iter(rec["ball_probes"].values()))
+                probes[next(iter(probes))] = float("nan")
+            else:
+                rec[field] = float("nan")
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({**bubbling_report, "records": records}))
+        self._check_malformed(path, capsys)
+
     @pytest.mark.parametrize("change", ["missing", "extra"])
     def test_record_key_mismatch_is_malformed(self, tmp_path, bubbling_report, capsys,
                                               change):
@@ -504,7 +536,8 @@ class TestCli:
         "boundary.phi = constant value=0,0,2", "schedule.t_end = 0",
         "stepper.max_move_fraction = 0", "thresholds.r_grid = 0.1,-0.2",
         "boundary.phi = equator_circle kapa=3", "boundary.phi0 = harmonic rho=0.1",
-        "boundary.psi = linear_x scael=2", "boundary.phi0 = sine_bump amplitude=0.1"])
+        "boundary.psi = linear_x scael=2", "boundary.phi0 = sine_bump amplitude=0.1",
+        "stepper.scheme = semi_implicit", "output.formats = csv,json"])
     def test_bad_config_value_is_config_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"target = sphere\n{line}\n")
