@@ -39,13 +39,13 @@ class ThresholdConfig:
     persist_frames: int = 3
 
     def __post_init__(self):
-        if self.energy <= 0:
+        if not self.energy > 0:
             raise ValueError("energy threshold must be positive")
-        if self.r_detect <= 0:
+        if not self.r_detect > 0:
             raise ValueError("r_detect must be positive")
         if not all(r > 0 for r in self.r_grid):
             raise ValueError("r_grid radii must be positive")
-        if self.persist_frames < 1:
+        if not self.persist_frames >= 1:
             raise ValueError("persist_frames must be at least 1")
 
     def probe_radii(self) -> tuple:
@@ -559,6 +559,12 @@ def report_to_dict(report: DiagnosticsReport) -> dict:
 
 
 def report_from_dict(d: dict) -> DiagnosticsReport:
+    """The report in d; ValueError on a bad threshold or a non-finite record, bound or verdict."""
+    for key in ("bounds", "convergence"):
+        numbers = [x for v in (d.get(key) or {}).values()
+                   for x in (v if isinstance(v, list) else [v]) if not isinstance(x, str)]
+        if not np.all(np.isfinite(np.asarray(numbers, dtype=float))):
+            raise ValueError(f"non-finite number in {key}")
     bounds = RunBounds(**d["bounds"]) if d.get("bounds") else None
     thr = None
     if d.get("thresholds"):

@@ -119,16 +119,17 @@ class _FlowContext:
                       "max_elliptic_residual": 0.0}
 
     def step_matrix(self, dt: float, theta: float):
-        """(A, its Jacobi preconditioner) for A = M_II + theta dt K_II."""
+        """(A, its Jacobi preconditioner) for A = M_II + theta dt K_II; cached
+        only for dt = dt_cfl / 2^k, so a step clipped to land on t_end is not."""
         key = (float(dt), float(theta))
         entry = self._step_mat.get(key)
         if entry is None:
             K = self.K_II
             A = sp.csr_matrix((self._mass_data + (theta * dt) * K.data, K.indices, K.indptr),
                               shape=K.shape)
-            if len(self._step_mat) > 64:
-                self._step_mat.clear()
-            entry = self._step_mat[key] = (A, jacobi_preconditioner(A))
+            entry = (A, jacobi_preconditioner(A))
+            if math.frexp(self.cfl_key[0] / key[0])[0] == 0.5:
+                self._step_mat[key] = entry
         return entry
 
     def theta_solve(self, dt: float, theta: float, t: float, rhs_I: np.ndarray,
@@ -331,20 +332,14 @@ def default_probe_centers(mesh: DomainMesh) -> list:
     elif mesh.shape == "disk":
         anchors = [(0.0, 0.0), (0.35, 0.0), (-0.35, 0.0), (0.0, 0.35), (0.0, -0.35)]
     else:
-        rr = np.linalg.norm(mesh.vertices[~mesh.boundary], axis=1)
-        rmid = float(np.median(rr))
+        rmid = float(np.median(np.linalg.norm(mesh.vertices[mesh.interior], axis=1)))
         anchors = [(rmid * math.cos(a), rmid * math.sin(a))
                    for a in np.linspace(0.0, 2.0 * np.pi, 6)[:5]]
-    centers = []
-    for a in anchors:
-        c = mesh.nearest_vertex(a)
-        if mesh.boundary[c]:
-            interior = mesh.interior
-            c = int(interior[np.argmin(
-                np.linalg.norm(mesh.vertices[interior] - np.asarray(a), axis=1))])
-        if c not in centers:
-            centers.append(c)
-    return centers
+    # the interior vertex nearest each anchor, repeats dropped
+    I = mesh.interior
+    return list(dict.fromkeys(
+        int(I[np.argmin(np.linalg.norm(mesh.vertices[I] - np.asarray(a), axis=1))])
+        for a in anchors))
 
 
 def run_flow(state: FlowState, config: StepperConfig, schedule: Schedule,
@@ -367,10 +362,8 @@ def run_flow(state: FlowState, config: StepperConfig, schedule: Schedule,
         return state, report
 
     L = local_energy_matrix(mesh, thresholds.r_detect)
-    probe_centers = default_probe_centers(mesh)
-    probes = BallIndex.build(mesh, probe_centers, thresholds.probe_radii())
-    kin_since_record = 0.0
-    kin_total = 0.0
+    probes = BallIndex.build(mesh, default_probe_centers(mesh), thresholds.probe_radii())
+    kin_since_record = kin_total = 0.0
     wall0 = _time.perf_counter()
 
     def record(st: FlowState):
@@ -384,10 +377,7 @@ def run_flow(state: FlowState, config: StepperConfig, schedule: Schedule,
         local = L @ dens
         rec.max_local_energy = float(local.max())
         rec.max_local_vertex = int(np.argmax(local))
-        rec.ball_probes = {
-            int(c): {float(r): float(dens[probes.members[(int(c), float(r))]].sum())
-                     for r in probes.radii}
-            for c in probe_centers}
+        rec.ball_probes = probes.energies(dens)
         rec.crossings = {int(c): float(local[c])
                          for c in np.flatnonzero(local > thresholds.energy)}
         for c in rec.crossings:

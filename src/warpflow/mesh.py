@@ -19,13 +19,12 @@ then does not raise the Dirichlet energy.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import Delaunay, cKDTree
+from scipy.spatial import Delaunay
 
 from .errors import InvalidShapeParameters, NonPositiveCoefficient
 
@@ -43,7 +42,6 @@ class DomainMesh:
     barycenters: np.ndarray = field(default=None, repr=False)  # (nt, 2)
     lumped_mass: np.ndarray = field(default=None, repr=False)  # (nv,)
     stiffness: sp.csr_matrix = field(default=None, repr=False)  # (nv, nv)
-    _bary_tree: cKDTree = field(default=None, repr=False)
 
     def __post_init__(self):
         self._finalize()
@@ -87,7 +85,6 @@ class DomainMesh:
         bmask = np.zeros(self.num_vertices, dtype=bool)
         bmask[bnd_edges.ravel()] = True
         self.boundary = bmask
-        self._bary_tree = cKDTree(self.barycenters)
 
     # -- basic queries -------------------------------------------------
 
@@ -277,74 +274,125 @@ def tri_energy_density(mesh: DomainMesh, values: np.ndarray,
     return 0.5 * mesh.areas * g2
 
 
-def dirichlet_energy(mesh: DomainMesh, values: np.ndarray,
-                     tri_subset: np.ndarray = None) -> float:
-    """(1/2) integral of |grad f|^2, optionally over a triangle subset."""
-    dens = tri_energy_density(mesh, values)
-    if tri_subset is not None:
-        dens = dens[tri_subset]
-    return float(dens.sum())
+def dirichlet_energy(mesh: DomainMesh, values: np.ndarray) -> float:
+    """(1/2) integral of |grad f|^2."""
+    return float(tri_energy_density(mesh, values).sum())
 
 
 def ball_triangles(mesh: DomainMesh, center, radius: float) -> np.ndarray:
     """Indices of triangles whose barycenter lies in the ball (membership rule)."""
-    center = np.asarray(center, dtype=float)
-    idx = mesh._bary_tree.query_ball_point(center, radius)
-    return np.sort(np.asarray(idx, dtype=np.int64))
+    d = mesh.barycenters - np.asarray(center, dtype=float)
+    return np.flatnonzero(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= radius * radius)
 
 
-def ball_energy(mesh: DomainMesh, values: np.ndarray, center,
-                radius: float) -> float:
+def ball_energy(mesh: DomainMesh, values: np.ndarray, center, radius: float) -> float:
     """Dirichlet energy restricted to the barycenter-membership ball."""
-    return dirichlet_energy(mesh, values, ball_triangles(mesh, center, radius))
+    return float(tri_energy_density(mesh, values)[ball_triangles(mesh, center, radius)].sum())
+
+
+CELLS_PER_RADIUS = 16       # ball grid: cells per smallest radius, >= sqrt(mean area)
+CELL_MARGIN = 1e-9          # of (radius + largest |coordinate|): far above round-off
+LOCAL_ENERGY_BLOCK = 512    # balls per block of the build: bounds its transients
 
 
 @dataclass
 class BallIndex:
-    """Precomputed triangle membership for (center vertex, radius) pairs."""
+    """Sums of a per-triangle quantity over balls (center vertex, radius).
 
-    mesh: DomainMesh
+    One row per pair, center-major.  With barycenters binned into square cells
+    and P[j, i] the sum over the cells left of cell i in cell row j, a row of
+    `op` acts on [P.ravel(); dens]: -1 and +1 at the ends of each run of cells
+    wholly inside its ball (shrunk by CELL_MARGIN), and 1 at each triangle of a
+    cell its rim cuts that passes the exact rule of `ball_triangles`."""
+
     centers: np.ndarray           # vertex indices
     radii: tuple
-    members: dict = field(default_factory=dict, repr=False)
+    cells: np.ndarray = field(repr=False)   # (nt,) flat grid index of each barycenter
+    grid: tuple                             # (ny, nx + 1)
+    op: sp.csr_matrix = field(repr=False)   # (pairs, ny (nx + 1) + nt)
+
+    @property
+    def nnz(self) -> int:
+        return self.op.nnz
+
+    def __matmul__(self, dens: np.ndarray) -> np.ndarray:
+        P = np.bincount(self.cells, dens, math.prod(self.grid)).reshape(self.grid)
+        return self.op @ np.concatenate([P.cumsum(axis=1).ravel(), dens])
+
+    def energies(self, dens: np.ndarray) -> dict:
+        e = (self @ dens).reshape(len(self.centers), len(self.radii))
+        return {int(c): dict(zip(self.radii, map(float, row))) for c, row in zip(self.centers, e)}
 
     @classmethod
     def build(cls, mesh: DomainMesh, centers, radii) -> "BallIndex":
         centers = np.asarray(centers, dtype=np.int64)
         radii = tuple(sorted(float(r) for r in radii))
-        members = {}
-        for c in centers:
-            for r in radii:
-                members[(int(c), r)] = ball_triangles(mesh, mesh.vertices[c], r)
-        return cls(mesh, centers, radii, members)
+        xys, rs = mesh.vertices[np.repeat(centers, len(radii))], np.tile(radii, len(centers))
+        B, c = mesh.barycenters, max(radii[0] / CELLS_PER_RADIUS, math.sqrt(mesh.areas.mean()))
+        lo = B.min(axis=0)
+        ij = np.floor((B - lo) / c).astype(np.int64)
+        nx, ny = (int(n) + 1 for n in ij.max(axis=0))
+        cells = ij[:, 1] * (nx + 1) + ij[:, 0] + 1
+        order = np.argsort(cells, kind="stable")      # a run of cells is one slice
+        # before[j (nx + 1) + i]: the number of triangles sorted before cell (j, i)
+        before = np.cumsum(np.bincount(cells, minlength=ny * (nx + 1)))
+        B_sorted = np.ascontiguousarray(B[order].T)
+        blocks = []
+        for s in range(0, len(rs), LOCAL_ENERGY_BLOCK):
+            X, r = xys[s:s + LOCAL_ENERGY_BLOCK], rs[s:s + LOCAL_ENERGY_BLOCK]
+            cx, cy = (X - lo).T[:, :, None]
+            margin = CELL_MARGIN * (r + np.abs(B).max())
+            r_out, r_in = (r + margin)[:, None], np.maximum(r - margin, 0.0)[:, None]
+            # the cell rows j the ball reaches; row j spans [y0, y0 + c] about the center
+            j = np.floor((cy - r_out) / c).astype(np.int64)
+            j = j + np.arange(int((np.floor((cy + r_out) / c) - j).max()) + 1)
+            row = (j >= 0) & (j < ny) & (j * c <= cy + r_out)
+            y0 = j * c - cy
+            near, far = np.maximum(np.maximum(y0, -y0 - c), 0.0), np.maximum(-y0, y0 + c)
+            # candidate cells [i_lo, i_hi] of each row; of them, [i0, i1] wholly inside
+            w = np.sqrt(np.maximum(r_out * r_out - near * near, 0.0))
+            i_lo, i_hi = (np.clip(np.floor((cx + w * sg) / c), 0, nx - 1).astype(np.int64)
+                          for sg in (-1, 1))
+            w2 = r_in * r_in - far * far
+            w = np.sqrt(np.maximum(w2, 0.0))
+            i0 = np.maximum(np.ceil((cx - w) / c).astype(np.int64), i_lo)
+            i1 = np.minimum(np.floor((cx + w) / c).astype(np.int64) - 1, i_hi)
+            inside = row & (w2 >= 0.0) & (i0 <= i1)
+            i0, i1 = np.where(inside, i0, i_hi + 1), np.where(inside, i1, i_hi)
+            # rim cells [i_lo, i0) and (i1, i_hi]: two slices of the sorted triangles
+            base = np.where(row, j, 0)[..., None] * (nx + 1)
+            a = before[base + np.stack([i_lo, i1 + 1], axis=-1)]
+            n = np.where(row[..., None], before[base + np.stack([i0, i_hi + 1], axis=-1)] - a,
+                         0).ravel()
+            pos = np.repeat(a.ravel() - np.cumsum(n) + n, n) + np.arange(n.sum())
+            per_ball = n.reshape(len(r), -1).sum(axis=1)
+            dx, dy = (xy[pos] - np.repeat(X[:, k], per_ball) for k, xy in enumerate(B_sorted))
+            keep = dx * dx + dy * dy <= np.repeat(r * r, per_ball)
+            tri, ball = order[pos[keep]], np.repeat(np.arange(len(r)), per_ball)[keep]
+            # a row: -P[j, i0], +P[j, i1 + 1] per inside run, then its rim triangles
+            b_in = np.repeat(np.nonzero(inside)[0], 2)
+            n_in, n_rim = (np.bincount(g, minlength=len(r)) for g in (b_in, ball))
+            at = np.concatenate([np.arange(b_in.size) + (np.cumsum(n_rim) - n_rim)[b_in],
+                                 np.arange(ball.size) + np.cumsum(n_in)[ball]])
+            idx = np.empty(at.size, dtype=np.int32)
+            idx[at] = np.concatenate([(base + np.stack([i0, i1 + 1], axis=-1))[inside].ravel(),
+                                      ny * (nx + 1) + tri])
+            sgn = np.ones(at.size, dtype=np.int8)
+            sgn[at[:b_in.size:2]] = -1
+            blocks.append((n_in + n_rim, idx, sgn))
+        lengths, indices, signs = zip(*blocks)
+        del blocks                                    # each block goes once it is copied
+        indptr = np.concatenate([[0], np.cumsum(np.concatenate(lengths))])
+        indices = np.concatenate(indices)
+        op = sp.csr_matrix((np.concatenate(signs).astype(float), indices, indptr),
+                           shape=(len(rs), ny * (nx + 1) + len(B)))
+        return cls(centers, radii, cells, (ny, nx + 1), op)
 
 
-# vertices per ball query in local_energy_matrix: bounds the Python index
-# lists alive at once (about 0.5M ints at h = 1/128, r = 0.1)
-LOCAL_ENERGY_BLOCK = 512
-
-
-def local_energy_matrix(mesh: DomainMesh, radius: float) -> sp.csr_matrix:
-    """Sparse (nv x nt) ball membership operator: rows sum triangle energies.
-
-    local_energy = L @ tri_energy_density gives, for every vertex, the
-    Dirichlet energy in the radius-ball centered at that vertex.  Row lengths
-    come first, then the column indices are filled in place
-    LOCAL_ENERGY_BLOCK vertices at a time, so the index lists of only one
-    block exist at once.
-    """
-    tree, pts = mesh._bary_tree, mesh.vertices
-    indptr = np.zeros(mesh.num_vertices + 1, dtype=np.int64)
-    np.cumsum(tree.query_ball_point(pts, radius, return_length=True), out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    for s in range(0, mesh.num_vertices, LOCAL_ENERGY_BLOCK):
-        e = min(s + LOCAL_ENERGY_BLOCK, mesh.num_vertices)
-        lists = tree.query_ball_point(pts[s:e], radius, return_sorted=True)
-        indices[indptr[s]:indptr[e]] = np.fromiter(
-            itertools.chain.from_iterable(lists), dtype=np.int32,
-            count=int(indptr[e] - indptr[s]))
-    return sp.csr_matrix((np.ones(indptr[-1]), indices, indptr),
-                         shape=(mesh.num_vertices, mesh.num_triangles))
+def local_energy_matrix(mesh: DomainMesh, radius: float) -> BallIndex:
+    """Ball sums over the radius-ball of every vertex: (L @ tri_energy_density)[v]
+    is the Dirichlet energy in the ball at vertex v."""
+    return BallIndex.build(mesh, np.arange(mesh.num_vertices), (radius,))
 
 
 # -- assembly -------------------------------------------------------------

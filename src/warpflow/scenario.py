@@ -246,17 +246,13 @@ class ScenarioResult:
     exit_code: int
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def write_series_csv(report: DiagnosticsReport, path) -> None:
     cols = ["t", "E_u", "E_v", "E_beta_v", "E_g", "kinetic_cum",
             "max_local_energy", "dt"]
     with open(path, "w", newline="") as f:
         f.write(",".join(cols) + "\n")
         for r in report.records:
-            f.write(",".join(_fmt(x) for x in (
+            f.write(",".join(f"{float(x):.17g}" for x in (
                 r.t, r.e_u, r.e_v, r.e_beta_v, r.e_g, r.kinetic_cum,
                 r.max_local_energy, r.dt)) + "\n")
 

@@ -225,9 +225,13 @@ class TestStepMechanics:
         ctx, dt_cfl = st.ctx, cfg.dt_initial(square16.target_h)
         assert ctx.cfl_key == (dt_cfl, cfg.theta)
         # every other key: Jacobi CG on a matrix cached with its preconditioner
+        # when dt is dt_cfl / 2^k, built for its one use otherwise
+        A, M = ctx.step_matrix(dt_cfl / 8, cfg.theta)
+        assert np.array_equal(M.diagonal(), 1.0 / A.diagonal())
+        assert all(x is y for x, y in zip(ctx.step_matrix(dt_cfl / 8, cfg.theta), (A, M)))
         A, M = ctx.step_matrix(1e-3, cfg.theta)
         assert np.array_equal(M.diagonal(), 1.0 / A.diagonal())
-        assert all(x is y for x, y in zip(ctx.step_matrix(1e-3, cfg.theta), (A, M)))
+        assert (1e-3, cfg.theta) not in ctx._step_mat
 
         def iterations_of(*args, **kwargs):
             before = ctx.stats["step_iterations"]

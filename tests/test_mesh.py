@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import warpflow.mesh
+from warpflow.diagnostics import ThresholdConfig
 from warpflow.errors import InvalidShapeParameters, NonPositiveCoefficient
 from warpflow.mesh import (BallIndex, DomainMesh,
                            assemble_weighted_stiffness, ball_energy,
                            ball_triangles, build_mesh, dirichlet_energy,
                            dump_mesh, local_energy_matrix,
                            tri_energy_density, write_snapshot)
+from warpflow.flow import default_probe_centers
 
 
 # -- constructors -----------------------------------------------------------
@@ -256,12 +258,27 @@ def test_ball_covers_domain(disk16):
 def test_ball_index_agrees_with_direct_query(disk16):
     f = disk16.vertices[:, 0] ** 2 - disk16.vertices[:, 1]
     centers = [0, disk16.nearest_vertex([0.5, 0.0])]
-    idx = BallIndex.build(disk16, centers, (0.1, 0.2))
-    dens = tri_energy_density(disk16, f)
+    idx = BallIndex.build(disk16, centers, (0.2, 0.1))
+    assert idx.radii == (0.1, 0.2)
+    energies = idx.energies(tri_energy_density(disk16, f))
+    assert list(energies) == centers
     for c in centers:
         for r in (0.1, 0.2):
             direct = ball_energy(disk16, f, disk16.vertices[c], r)
-            assert dens[idx.members[(c, r)]].sum() == pytest.approx(direct, abs=1e-15)
+            assert energies[c][r] == pytest.approx(direct, abs=1e-15)
+
+
+@pytest.mark.parametrize("mesh_name", ["square16", "disk16", "annulus8"])
+def test_probe_rows_match_ball_energy(mesh_name, request):
+    m = request.getfixturevalue(mesh_name)
+    f = np.sin(3.0 * m.vertices[:, 0]) * m.vertices[:, 1]
+    centers = default_probe_centers(m)
+    radii = ThresholdConfig(r_detect=0.05).probe_radii()
+    energies = BallIndex.build(m, centers, radii).energies(tri_energy_density(m, f))
+    for c in centers:
+        for r in radii:
+            direct = ball_energy(m, f, m.vertices[c], r)
+            assert energies[c][r] == pytest.approx(direct, abs=1e-15)
 
 
 def test_local_energy_matrix_rows(disk16):
@@ -274,6 +291,16 @@ def test_local_energy_matrix_rows(disk16):
         assert local[vid] == pytest.approx(direct, abs=1e-15)
 
 
+def _membership(L, num_triangles):
+    """The 0/1 matrix of L: its ball sums of every unit vector e_t."""
+    return np.column_stack([L @ e for e in np.eye(num_triangles)])
+
+
+def _brute_force(m, radius):
+    d = m.vertices[:, None, :] - m.barycenters[None, :, :]
+    return (d[:, :, 0] ** 2 + d[:, :, 1] ** 2) <= radius * radius
+
+
 @pytest.mark.parametrize("mesh_name", ["square16", "disk16", "annulus8"])
 @pytest.mark.parametrize("radius", [0.02, 0.1, 0.237])
 def test_local_energy_matrix_matches_brute_force(mesh_name, radius, request,
@@ -281,26 +308,39 @@ def test_local_energy_matrix_matches_brute_force(mesh_name, radius, request,
     m = request.getfixturevalue(mesh_name)
     monkeypatch.setattr(warpflow.mesh, "LOCAL_ENERGY_BLOCK", 7)   # many blocks
     L = local_energy_matrix(m, radius)
-    d = m.vertices[:, None, :] - m.barycenters[None, :, :]
-    ref = (d[:, :, 0] ** 2 + d[:, :, 1] ** 2) <= radius * radius
-    rows, cols = np.nonzero(ref)          # row-major, columns ascending
-    assert np.array_equal(L.indptr, np.concatenate([[0], np.cumsum(ref.sum(axis=1))]))
-    assert np.array_equal(L.indices, cols)
-    assert np.array_equal(L.data, np.ones(len(rows)))
+    assert np.array_equal(_membership(L, m.num_triangles), _brute_force(m, radius))
+
+
+@pytest.mark.parametrize("mesh_name", ["square16", "disk16", "annulus8"])
+def test_ball_covering_the_domain_holds_every_triangle(mesh_name, request):
+    m = request.getfixturevalue(mesh_name)
+    L = local_energy_matrix(m, 3.0)
+    assert np.array_equal(_membership(L, m.num_triangles),
+                          np.ones((m.num_vertices, m.num_triangles)))
 
 
 def test_local_energy_matrix_keeps_empty_rows(square16, monkeypatch):
     monkeypatch.setattr(warpflow.mesh, "LOCAL_ENERGY_BLOCK", 5)
     # below the nearest barycenter distance of the two corner vertices
-    L = local_energy_matrix(square16, 0.5 * square16.h / np.sqrt(2.0))
-    lengths = np.diff(L.indptr)
-    assert 0 < np.count_nonzero(lengths == 0) < square16.num_vertices
-    assert L.shape == (square16.num_vertices, square16.num_triangles)
-    assert L.indptr[-1] == L.nnz == len(L.indices)
+    radius = 0.5 * square16.h / np.sqrt(2.0)
+    L = local_energy_matrix(square16, radius)
+    member = _membership(L, square16.num_triangles)
+    assert np.array_equal(member, _brute_force(square16, radius))
+    empty = ~member.any(axis=1)
+    assert 0 < np.count_nonzero(empty) < square16.num_vertices
+    assert L.op.shape[0] == square16.num_vertices
+    assert L.nnz == L.op.indptr[-1] == len(L.op.indices)
+
+
+def test_local_energy_matrix_is_a_fraction_of_the_membership_lists():
+    # the square at h = 1/128 with r = 0.1 (warp_coupled_fine) holds
+    # 15,683,200 (vertex, triangle-in-ball) pairs
+    m = build_mesh("square", 1.0 / 128.0)
+    assert local_energy_matrix(m, 0.1).nnz <= 15_683_200 / 4
 
 
 def test_local_energy_matrix_memory_stays_near_its_size():
-    # the build may not hold much more than the CSR arrays it returns
+    # the build may not hold much more than the arrays of the operator it returns
     m = build_mesh("square", 1.0 / 64.0)
     tracemalloc.start()
     try:
@@ -308,7 +348,8 @@ def test_local_energy_matrix_memory_stays_near_its_size():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.0 * (L.data.nbytes + L.indices.nbytes + L.indptr.nbytes)
+    assert peak <= 2.0 * (L.op.data.nbytes + L.op.indices.nbytes + L.op.indptr.nbytes
+                          + L.cells.nbytes)
 
 
 # -- plain-text formats ------------------------------------------------------

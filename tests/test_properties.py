@@ -3,7 +3,8 @@
 Every config the CLI accepts or refuses must end in one of its exit codes
 (0 ok, 1 config error, 2 failed check, 3 solver error), never in an uncaught
 exception; every report a run writes must hold only finite record numbers,
-and `warpflow check` on it must return that run's exit code.  Examples are
+`warpflow check` on it must return that run's exit code, and a run that
+exits 0 must fail no hard check.  Examples are
 derandomized, so a failure reproduces.
 """
 
@@ -107,8 +108,10 @@ def test_random_config_runs_end_in_an_exit_code(text):
         rc = main(["run", str(cfg), "--out", str(Path(tmp) / "out")])
         assert rc in (0, 1, 2, 3)
         # a written report holds finite records and re-derives to the run's
-        # own verdict
+        # own verdict; an exit-0 run fails no hard check
         for report in Path(tmp).glob("out/**/report.json"):
-            records = json.loads(report.read_text())["records"]
-            assert all(math.isfinite(x) for x in _numbers(records))
+            payload = json.loads(report.read_text())
+            assert all(math.isfinite(x) for x in _numbers(payload["records"]))
             assert main(["check", str(report)]) == rc
+            if rc == 0:
+                assert all(c["passed"] for c in payload["checks"] if c["hard"])

@@ -129,6 +129,38 @@ class TestResolveConfig:
             resolve_config("no_such_scenario")
 
 
+def _cached_step_keys(monkeypatch, run):
+    """Run `run()`; (step-matrix keys its context cached, dt_cfl, every dt stepped)."""
+    made, dts = [], []
+    real_initial, real_step = warpflow.scenario.initial_state, warpflow.flow.step
+    monkeypatch.setattr(warpflow.scenario, "initial_state",
+                        lambda *a, **k: made.append(real_initial(*a, **k)) or made[-1])
+    monkeypatch.setattr(warpflow.flow, "step",
+                        lambda s, c, dt=None, **k: dts.append(dt) or real_step(s, c, dt=dt, **k))
+    run()
+    [state] = made
+    return set(state.ctx._step_mat), state.ctx.cfl_key, dts
+
+
+# heat_decay at h = 1/16 to t_end = 2.4 dt_cfl: three rejections, then a last
+# step clipped to 0.4 dt_cfl
+CLIPPED_RUN = {"mesh.h": "0.0625", "schedule.t_end": "0.03"}
+
+
+@pytest.mark.parametrize("runner", ["run_scenario", "twin_run"])
+def test_only_halvings_of_the_cfl_step_stay_cached(monkeypatch, runner):
+    if runner == "run_scenario":
+        def run():
+            run_scenario("heat_decay", overrides=CLIPPED_RUN, write_artifacts=False)
+    else:
+        def run():
+            twin_run("heat_decay", delta=1e-3, overrides=CLIPPED_RUN)
+    keys, (dt_cfl, theta), dts = _cached_step_keys(monkeypatch, run)
+    ladder = {(dt_cfl / 2 ** k, theta) for k in range(64)}
+    assert dts[-1] == pytest.approx(0.4 * dt_cfl) and (dts[-1], theta) not in ladder
+    assert len(keys) >= 2 and keys <= ladder
+
+
 class TestRunScenario:
     def test_artifact_layout(self, tmp_path):
         out = tmp_path / "run"
@@ -480,6 +512,18 @@ class TestCheckReportFile:
         thresholds = {**bubbling_report["thresholds"], "energy": -1}
         path = tmp_path / "report.json"
         path.write_text(json.dumps({**bubbling_report, "thresholds": thresholds}))
+        self._check_malformed(path, capsys)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("thresholds", "energy", "NaN"), ("thresholds", "r_detect", "NaN"),
+        ("bounds", "energy_psi_ext", "Infinity"), ("convergence", "residual_norm", "NaN")])
+    def test_non_finite_number_outside_the_records_is_malformed(self, tmp_path, capsys,
+                                                                section, key, value):
+        path = self._fresh_report(tmp_path)
+        payload = json.loads(path.read_text())
+        payload[section][key] = float(value)
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
         self._check_malformed(path, capsys)
 
     def test_truncated_report_fails(self, tmp_path):
