@@ -179,15 +179,14 @@ def mono_tolerance(dt: float, h: float, e_g0: float) -> float:
 
 # -- record construction ----------------------------------------------------
 
-def energy_functionals(state, g2u: np.ndarray = None) -> EnergyRecord:
+def energy_functionals(state) -> EnergyRecord:
     """Energies of a flow state; the kinetic and rate fields are left zero.
 
     run_flow fills them in from its exact per-step accumulation between
-    records.  `g2u` is mesh.tri_grad_sq(state.u) when the caller has it.
+    records.  The gradients are the state's own, evaluated once per state.
     """
     mesh, warp = state.mesh, state.warp
-    g2u = mesh.tri_grad_sq(state.u) if g2u is None else g2u
-    g2v = mesh.tri_grad_sq(state.v)
+    g2u, g2v = state.grad_sq_u(), state.grad_sq_v()
     dens_u = tri_energy_density(mesh, state.u, g2u)
     dens_v = tri_energy_density(mesh, state.v, g2v)
     beta_tri = warp.beta(state.u)[mesh.triangles].mean(axis=1)

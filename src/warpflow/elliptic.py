@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, splu
-from scipy.sparse.linalg import cg as _scipy_cg
 
 from .errors import SolverFailure
 from .mesh import DomainMesh, triangle_mean
@@ -35,23 +34,27 @@ class EllipticSolution:
     iterations: int
 
 
-def jacobi_preconditioner(A: sp.csr_matrix) -> sp.dia_matrix:
-    """diag(1 / A_ii), with 1 where the diagonal is not positive."""
+def jacobi_preconditioner(A: sp.csr_matrix) -> np.ndarray:
+    """1 / A_ii, with 1 where the diagonal is not positive."""
     diag = A.diagonal()
-    return sp.diags(np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 1.0))
+    return np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 1.0)
 
 
 def cg_solve(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray = None,
              rtol: float = CG_RTOL, maxiter: int = None, M=None):
     """Preconditioned CG; returns (x, rel_residual, iterations).
 
-    M approximates A^{-1} (a matrix or LinearOperator); the default is
-    jacobi_preconditioner(A).  SolverFailure if the cap is hit before the
-    tolerance.
+    M approximates A^{-1}: a vector is an inverse diagonal, applied as one
+    multiply; anything else is applied through M.matvec (a LinearOperator).
+    The default is jacobi_preconditioner(A).  The iteration is
+    scipy.sparse.linalg.cg's, operation for operation (start residual
+    b - A x0, stop once |r| < rtol |b|), so both give the same iterates.
+    SolverFailure if the cap is hit before the tolerance.
     """
     n = b.shape[0]
     if n == 0:
         return np.zeros(0), 0.0, 0
+    b = np.ascontiguousarray(b, dtype=float)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(n), 0.0, 0
@@ -59,18 +62,33 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray = None,
         maxiter = max(100, int(50 * math.sqrt(n)))
     if M is None:
         M = jacobi_preconditioner(A)
-    count = [0]
-
-    def _cb(_):
-        count[0] += 1
-
-    x, info = _scipy_cg(A, b, x0=x0, rtol=rtol, atol=0.0, maxiter=maxiter,
-                        M=M, callback=_cb)
+    psolve = M.__mul__ if isinstance(M, np.ndarray) else M.matvec
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    r = b - A @ x if x.any() else b.copy()
+    atol = rtol * bnorm
+    iters, stalled, p, rho_prev = 0, True, None, None
+    while iters < maxiter:
+        if math.sqrt(np.dot(r, r)) < atol:
+            stalled = False
+            break
+        z = psolve(r)
+        rho = np.dot(r, z)
+        if p is None:
+            p = z.copy()
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = A @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        iters += 1
     rel = float(np.linalg.norm(b - A @ x)) / bnorm
-    if info > 0 and rel > rtol * 10:
+    if stalled and rel > rtol * 10:
         raise SolverFailure(
-            f"CG stalled at relative residual {rel:.3e} after {count[0]} iterations")
-    return x, rel, count[0]
+            f"CG stalled at relative residual {rel:.3e} after {iters} iterations")
+    return x, rel, iters
 
 
 def dirichlet_split(mesh: DomainMesh, K: sp.csr_matrix, boundary_values: np.ndarray):

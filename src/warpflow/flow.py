@@ -23,7 +23,9 @@ resumes with the CFL timestep.  So dt is always dt_cfl / 2^k (or the step
 that lands on t_end), and the theta-step matrices stay few: the one at the
 CFL value, which most steps use, is factored once; every other one is
 solved by Jacobi CG.  All states marched from one `initial_state` (the two
-members of a twin pair) share one `_FlowContext`.
+members of a twin pair) share one `_FlowContext`.  A state's triangle
+gradients and nodal forcing are evaluated once, on first use, whether a
+retried step, a record or the next step asks for them.
 """
 
 from __future__ import annotations
@@ -113,13 +115,17 @@ class _FlowContext:
         M_II.setdiag(mesh.lumped_mass[mesh.interior])
         self._mass_data = M_II.data
         self._step_mat = {}
+        # |grad v|^2 per triangle under a constant warp, whose potential is
+        # the same psi_ext in every state
+        self.grad_sq_psi_ext = None
         self.stats = {"elliptic_solves": 0, "elliptic_iterations": 0,
                       "step_iterations": 0, "accepted_steps": 0, "rejected_steps": 0,
                       "rejections": {"move_cap": 0, "projection": 0},
+                      "forced_steps": 0,
                       "max_elliptic_residual": 0.0}
 
     def step_matrix(self, dt: float, theta: float):
-        """(A, its Jacobi preconditioner) for A = M_II + theta dt K_II; cached
+        """(A, its inverse diagonal) for A = M_II + theta dt K_II; cached
         only for dt = dt_cfl / 2^k, so a step clipped to land on t_end is not."""
         key = (float(dt), float(theta))
         entry = self._step_mat.get(key)
@@ -165,6 +171,32 @@ class FlowState:
     step_count: int = 0
     last_rate: float = 0.0
     ctx: _FlowContext = field(default=None, repr=False)
+    # read-only fields derived from (u, v), each evaluated on first use;
+    # `replace` starts every new state with an empty cache, and `step` makes
+    # the u and v of the states it returns read-only
+    cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+
+    def _derived(self, key, compute):
+        val = self.cache.get(key)
+        if val is None:
+            val = self.cache[key] = compute()
+            val.flags.writeable = False
+        return val
+
+    def grad_sq_u(self) -> np.ndarray:
+        """Per-triangle |grad u|^2, evaluated once per state."""
+        return self._derived("grad_sq_u", lambda: self.mesh.tri_grad_sq(self.u))
+
+    def grad_sq_v(self) -> np.ndarray:
+        """Per-triangle |grad v|^2, evaluated once per state, or once per
+        context under a constant warp."""
+        ctx = self.ctx
+        if ctx.potential is not None:
+            return self._derived("grad_sq_v", lambda: self.mesh.tri_grad_sq(self.v))
+        if ctx.grad_sq_psi_ext is None:
+            ctx.grad_sq_psi_ext = self.mesh.tri_grad_sq(self.v)
+            ctx.grad_sq_psi_ext.flags.writeable = False
+        return ctx.grad_sq_psi_ext
 
 
 def _solve_potential(ctx, warp, bdata, u, x0=None):
@@ -198,14 +230,15 @@ def initial_state(mesh: DomainMesh, target, warp, bdata: BoundaryData,
 
 
 def _forcing(state: FlowState) -> np.ndarray:
-    """Nodal explicit forcing: curvature term minus warp drift term."""
-    mesh = state.mesh
-    g2_u = mesh.nodal_from_tri(mesh.tri_grad_sq(state.u))
-    F = state.target.curvature_force(state.u, g2_u)
-    if state.ctx.potential is not None:
-        s = mesh.nodal_from_tri(mesh.tri_grad_sq(state.v))
-        F = F - warp_force(state.target, state.warp, state.u, s)
-    return F
+    """Nodal explicit forcing: curvature term minus warp drift term, once per state."""
+    def compute():
+        mesh = state.mesh
+        F = state.target.curvature_force(state.u, mesh.nodal_from_tri(state.grad_sq_u()))
+        if state.ctx.potential is not None:
+            s = mesh.nodal_from_tri(state.grad_sq_v())
+            F = F - warp_force(state.target, state.warp, state.u, s)
+        return F
+    return state._derived("forcing", compute)
 
 
 def tension_residual(state: FlowState):
@@ -242,7 +275,9 @@ def step(state: FlowState, config: StepperConfig, dt: float = None,
 
     try:
         theta, I = config.theta, mesh.interior
-        rhs = m[:, None] * (u + dt * F) - ((1.0 - theta) * dt) * (mesh.stiffness @ u)
+        rhs = m[:, None] * (u + dt * F)
+        if theta != 1.0:
+            rhs -= ((1.0 - theta) * dt) * (mesh.stiffness @ u)
         rhs_I = rhs[I] - (theta * dt) * ctx.K_phi
         u_star = np.array(u)
         u_star[I] = ctx.theta_solve(dt, theta, state.t, rhs_I, u[I])
@@ -274,6 +309,7 @@ def step(state: FlowState, config: StepperConfig, dt: float = None,
                             time=state.t + dt) from exc
 
     ctx.stats["accepted_steps"] += 1
+    u_new.flags.writeable = v_new.flags.writeable = False
     diff2 = float(np.dot(m, np.sum((u_new - u) ** 2, axis=1)))
     return replace(state, u=u_new, v=v_new, t=state.t + dt,
                    step_count=state.step_count + 1,
@@ -312,6 +348,7 @@ def march(states: list, config: StepperConfig, t_end: float):
                 raise SolverFailure(
                     f"persistent timestep underflow at t = {t:.6g}", time=t)
             forced, dt = True, dt_floor
+            states[0].ctx.stats["forced_steps"] += 1
             new = [step(s, config, dt=dt, enforce_cap=False) for s in states]
             controller = dt_cfl
         else:
@@ -368,12 +405,11 @@ def run_flow(state: FlowState, config: StepperConfig, schedule: Schedule,
 
     def record(st: FlowState):
         nonlocal kin_since_record
-        g2u = mesh.tri_grad_sq(st.u)
-        rec = energy_functionals(st, g2u)
+        rec = energy_functionals(st)
         rec.kinetic_increment = kin_since_record
         rec.kinetic_cum = kin_total
         rec.rate_l2 = st.last_rate
-        dens = tri_energy_density(mesh, st.u, g2u)
+        dens = tri_energy_density(mesh, st.u, st.grad_sq_u())
         local = L @ dens
         rec.max_local_energy = float(local.max())
         rec.max_local_vertex = int(np.argmax(local))

@@ -378,9 +378,7 @@ def twin_run(flat_or_cfg, delta: float = None, overrides: dict = None) -> TwinRe
         u0p[mesh.boundary] = setup.bdata.phi[mesh.boundary]
     # only phi0 differs: the traces, their extensions and so the solver
     # context are the base run's, shared by both members
-    bd = setup.bdata
-    bdata_p = type(bd).build(mesh, target, bd.phi, u0p, bd.psi,
-                             phi_ext=bd.phi_ext, psi_ext=bd.psi_ext)
+    bdata_p = replace(setup.bdata, phi0=u0p)
     v0p = base.v if base.ctx.potential is None else \
         _solve_potential(base.ctx, setup.warp, bdata_p, u0p)
     pert = replace(base, u=u0p, bdata=bdata_p, v=v0p)

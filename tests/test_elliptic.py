@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from warpflow.elliptic import (WarpedBlock, cg_solve, dirichlet_split,
-                               harmonic_extension, solve_warped_laplace)
+                               harmonic_extension, jacobi_preconditioner,
+                               solve_warped_laplace)
 from warpflow.errors import NonPositiveCoefficient, SolverFailure
 from warpflow.mesh import assemble_weighted_stiffness, build_mesh
 
@@ -19,6 +21,44 @@ class TestCgSolve:
         assert iters > 0
         x_ref = spla.spsolve(A.tocsc(), b)
         assert np.allclose(x, x_ref, atol=1e-7)
+
+    @staticmethod
+    def _scipy_reference(A, b, x0, M):
+        """scipy's CG under cg_solve's stopping rule: (x, iterations)."""
+        count = [0]
+        x, info = spla.cg(A, b, x0=x0, rtol=1e-10, atol=0.0, M=M,
+                          maxiter=max(100, int(50 * np.sqrt(b.size))),
+                          callback=lambda _: count.__setitem__(0, count[0] + 1))
+        assert info == 0
+        return x, count[0]
+
+    @pytest.mark.parametrize("dt", [1e-2, 1e-4, 1e-7])
+    @pytest.mark.parametrize("with_guess", [False, True])
+    def test_jacobi_theta_step_matches_scipy(self, disk16, dt, with_guess):
+        ii = disk16.interior
+        A = (sp.diags(disk16.lumped_mass[ii]) + dt * disk16.stiffness[ii][:, ii]).tocsr()
+        rng = np.random.default_rng(31)
+        cols = rng.standard_normal((ii.size, 3))     # strided columns, as in a step
+        b = cols[:, 0]
+        x0 = cols[:, 1] + 1e-3 * cols[:, 2] if with_guess else None
+        M = jacobi_preconditioner(A)
+        x, rel, iters = cg_solve(A, b, x0=x0, M=M)
+        x_ref, iters_ref = self._scipy_reference(A, b, x0, sp.diags(M))
+        assert iters == iters_ref > 0
+        assert np.max(np.abs(x - x_ref)) <= 1e-15 * np.max(np.abs(x_ref))
+        assert rel < 1e-10
+
+    def test_warped_block_factor_matches_scipy(self, disk16):
+        x, y = disk16.vertices[:, 0], disk16.vertices[:, 1]
+        block = WarpedBlock(disk16, np.cos(2.0 * np.arctan2(y, x)))
+        block.split(1.0 + 0.5 * x)
+        M = block.preconditioner()                  # the factor of the first beta
+        A, load, _ = block.split(2.0 - 0.3 * y)
+        b = -load
+        xs, rel, iters = cg_solve(A, b, M=M)
+        x_ref, iters_ref = self._scipy_reference(A, b, None, M)
+        assert iters == iters_ref > 1
+        assert np.max(np.abs(xs - x_ref)) <= 1e-15 * np.max(np.abs(x_ref))
 
     def test_zero_rhs_shortcut(self, square16):
         ii = square16.interior

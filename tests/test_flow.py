@@ -10,11 +10,11 @@ from warpflow.boundary import boundary_data_from_presets
 from warpflow.diagnostics import ThresholdConfig
 from warpflow.elliptic import CG_RTOL
 from warpflow.errors import SolverFailure, StepRejected
-from warpflow.flow import (GROW_AFTER, Schedule, StepperConfig, default_probe_centers,
-                           initial_state, march, run_flow, step,
+from warpflow.flow import (GROW_AFTER, Schedule, StepperConfig, _forcing,
+                           default_probe_centers, initial_state, march, run_flow, step,
                            tension_residual)
 from warpflow.geometry import WarpFunction, make_target
-from warpflow.mesh import build_mesh, dirichlet_energy
+from warpflow.mesh import DomainMesh, build_mesh, dirichlet_energy
 from warpflow.scenario import ScenarioConfig, build_scenario, resolve_config
 
 SPHERE = make_target("sphere")
@@ -224,13 +224,13 @@ class TestStepMechanics:
         st = initial_state(square16, SPHERE, UNIT_WARP, _geodesic_data(square16), cfg)
         ctx, dt_cfl = st.ctx, cfg.dt_initial(square16.target_h)
         assert ctx.cfl_key == (dt_cfl, cfg.theta)
-        # every other key: Jacobi CG on a matrix cached with its preconditioner
+        # every other key: Jacobi CG on a matrix cached with its inverse diagonal
         # when dt is dt_cfl / 2^k, built for its one use otherwise
         A, M = ctx.step_matrix(dt_cfl / 8, cfg.theta)
-        assert np.array_equal(M.diagonal(), 1.0 / A.diagonal())
+        assert np.array_equal(M, 1.0 / A.diagonal())
         assert all(x is y for x, y in zip(ctx.step_matrix(dt_cfl / 8, cfg.theta), (A, M)))
         A, M = ctx.step_matrix(1e-3, cfg.theta)
-        assert np.array_equal(M.diagonal(), 1.0 / A.diagonal())
+        assert np.array_equal(M, 1.0 / A.diagonal())
         assert (1e-3, cfg.theta) not in ctx._step_mat
 
         def iterations_of(*args, **kwargs):
@@ -370,6 +370,7 @@ class TestRunFlow:
         fin, rep = run_flow(st, cfg, Schedule(t_end=t_end))
         assert rep.underflow_times
         assert rep.underflow_times[0] == 0.0
+        assert rep.solver_stats["forced_steps"] == len(rep.underflow_times)
         assert fin.t >= t_end - 1e-14
 
     def test_persistent_underflow_raises(self, square16):
@@ -460,3 +461,63 @@ class TestMarch:
         for i in grown:
             assert i >= GROW_AFTER
             assert all(ok for _, ok in trials[i - GROW_AFTER:i]), i
+
+
+class TestDerivedFields:
+    """Each state's gradients and forcing are evaluated once, and only its own."""
+
+    @staticmethod
+    def _gradient_arguments(monkeypatch):
+        seen = []                         # held, so no argument's id is reused
+        real = DomainMesh.tri_gradients
+
+        def counting(mesh, values):
+            seen.append(values)
+            return real(mesh, values)
+
+        monkeypatch.setattr(DomainMesh, "tri_gradients", counting)
+        return seen
+
+    def test_retried_step_evaluates_the_forcing_once(self, square16, monkeypatch):
+        cfg = StepperConfig(max_move_fraction=1e-3)
+        st = initial_state(square16, TORUS, UNIT_WARP, _bump_data(square16, amp=0.4), cfg)
+        seen = self._gradient_arguments(monkeypatch)
+        with pytest.raises(StepRejected):
+            step(st, cfg, dt=0.01)
+        new = step(st, cfg, dt=1e-7)
+        assert st.ctx.stats["rejections"]["move_cap"] == 1
+        assert len(seen) == 1 and seen[0] is st.u
+        with pytest.raises(ValueError):   # a stepped state's map is read-only
+            new.u[0] = 0.0
+
+    @pytest.mark.parametrize("warp", [UNIT_WARP, WarpFunction("linear_height", 2.0, 1.0)])
+    def test_records_and_steps_share_gradients(self, square16, monkeypatch, warp):
+        cfg = StepperConfig()
+        bd = boundary_data_from_presets(square16, SPHERE, "equator_circle kappa=1",
+                                        "harmonic", "linear_x")
+        st = initial_state(square16, SPHERE, warp, bd, cfg)
+        seen = self._gradient_arguments(monkeypatch)
+        states = [st]
+        schedule = Schedule(t_end=4.0 * cfg.dt_initial(square16.target_h), diag_stride=1,
+                            snapshot_stride=1, snapshot_cb=states.append)
+        fin, rep = run_flow(st, cfg, schedule)
+        assert fin.step_count >= 4 and len(rep.records) == fin.step_count + 1
+        # every state was recorded and all but the last stepped from, yet
+        # each u and each v (one for all states under a constant warp)
+        # reached the gradient operator once
+        for s in states:
+            assert sum(x is s.u for x in seen) == 1
+            assert sum(x is s.v for x in seen) == 1
+        assert (fin.v is st.v) == (warp is UNIT_WARP)
+
+    def test_replaced_state_does_not_inherit_the_cache(self, square16):
+        cfg = StepperConfig()
+        st = initial_state(square16, SPHERE, UNIT_WARP, _geodesic_data(square16), cfg)
+        F = _forcing(st)
+        rng = np.random.default_rng(5)
+        w = SPHERE.project_tangent(st.u, rng.standard_normal(st.u.shape))
+        w[square16.boundary] = 0.0
+        pert = replace(st, u=SPHERE.project_field(st.u + 1e-3 * w))
+        assert pert.cache == {}
+        assert not np.array_equal(_forcing(pert), F)
+        assert np.array_equal(_forcing(replace(st, u=np.array(st.u))), F)

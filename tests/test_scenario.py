@@ -301,8 +301,9 @@ class TestTwinRun:
 
 
     def test_members_share_one_context_and_count_every_call(self, monkeypatch):
-        made, calls = [], []
+        made, calls, built = [], [], []
         real_initial, real_step = warpflow.scenario.initial_state, warpflow.flow.step
+        real_build = warpflow.boundary.BoundaryData.build.__func__
 
         def capturing_initial(*args, **kwargs):
             state = real_initial(*args, **kwargs)
@@ -315,9 +316,12 @@ class TestTwinRun:
 
         monkeypatch.setattr(warpflow.scenario, "initial_state", capturing_initial)
         monkeypatch.setattr(warpflow.flow, "step", counting_step)
+        # the perturbed member differs only in phi0: its data are not rebuilt
+        monkeypatch.setattr(warpflow.boundary.BoundaryData, "build", classmethod(
+            lambda cls, *a, **k: built.append(1) or real_build(cls, *a, **k)))
         twin_run("bubbling", delta=1e-3,
                  overrides={"mesh.h": "0.0625", "schedule.t_end": "0.001"})
-        assert len(made) == 1
+        assert len(made) == 1 and len(built) == 1
         assert all(ctx is made[0] for ctx in calls)
         stats = made[0].stats
         assert stats["rejected_steps"] > 0
