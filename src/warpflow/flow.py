@@ -121,7 +121,6 @@ class _FlowContext:
         self.stats = {"elliptic_solves": 0, "elliptic_iterations": 0,
                       "step_iterations": 0, "accepted_steps": 0, "rejected_steps": 0,
                       "rejections": {"move_cap": 0, "projection": 0},
-                      "forced_steps": 0,
                       "max_elliptic_residual": 0.0}
 
     def step_matrix(self, dt: float, theta: float):
@@ -172,9 +171,12 @@ class FlowState:
     last_rate: float = 0.0
     ctx: _FlowContext = field(default=None, repr=False)
     # read-only fields derived from (u, v), each evaluated on first use;
-    # `replace` starts every new state with an empty cache, and `step` makes
-    # the u and v of the states it returns read-only
+    # `replace` starts every new state with an empty cache
     cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the cache relies on u and v never changing once the state is built
+        self.u.flags.writeable = self.v.flags.writeable = False
 
     def _derived(self, key, compute):
         val = self.cache.get(key)
@@ -230,10 +232,16 @@ def initial_state(mesh: DomainMesh, target, warp, bdata: BoundaryData,
 
 
 def _forcing(state: FlowState) -> np.ndarray:
-    """Nodal explicit forcing: curvature term minus warp drift term, once per state."""
+    """Nodal explicit forcing: curvature term minus warp drift term, once per
+    state.  It reuses the |grad u|^2 a record cached but keeps none of its
+    own, so a state that is only stepped holds no gradients while its step
+    solve runs."""
     def compute():
         mesh = state.mesh
-        F = state.target.curvature_force(state.u, mesh.nodal_from_tri(state.grad_sq_u()))
+        g2_u = state.cache.get("grad_sq_u")
+        if g2_u is None:
+            g2_u = mesh.tri_grad_sq(state.u)
+        F = state.target.curvature_force(state.u, mesh.nodal_from_tri(g2_u))
         if state.ctx.potential is not None:
             s = mesh.nodal_from_tri(state.grad_sq_v())
             F = F - warp_force(state.target, state.warp, state.u, s)
@@ -309,7 +317,6 @@ def step(state: FlowState, config: StepperConfig, dt: float = None,
                             time=state.t + dt) from exc
 
     ctx.stats["accepted_steps"] += 1
-    u_new.flags.writeable = v_new.flags.writeable = False
     diff2 = float(np.dot(m, np.sum((u_new - u) ** 2, axis=1)))
     return replace(state, u=u_new, v=v_new, t=state.t + dt,
                    step_count=state.step_count + 1,
@@ -348,7 +355,6 @@ def march(states: list, config: StepperConfig, t_end: float):
                 raise SolverFailure(
                     f"persistent timestep underflow at t = {t:.6g}", time=t)
             forced, dt = True, dt_floor
-            states[0].ctx.stats["forced_steps"] += 1
             new = [step(s, config, dt=dt, enforce_cap=False) for s in states]
             controller = dt_cfl
         else:

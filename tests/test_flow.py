@@ -268,7 +268,9 @@ class TestStepMechanics:
         cfg = StepperConfig()
         st = initial_state(square16, SPHERE, UNIT_WARP, _geodesic_data(square16), cfg)
         # a map at the sphere center inside: a tiny step cannot leave it
-        st.u[square16.interior] = 0.0
+        u = np.array(st.u)
+        u[square16.interior] = 0.0
+        st = replace(st, u=u)
         with pytest.raises(StepRejected, match="projection"):
             step(st, cfg, dt=1e-6)
         assert st.ctx.stats["rejected_steps"] == 1
@@ -281,7 +283,9 @@ class TestStepMechanics:
         setup = build_scenario(ScenarioConfig.from_flat(flat))
         st = initial_state(setup.mesh, setup.target, setup.warp, setup.bdata,
                            setup.stepper)
-        st.u[setup.mesh.interior[len(setup.mesh.interior) // 2]] = np.nan
+        u = np.array(st.u)
+        u[setup.mesh.interior[len(setup.mesh.interior) // 2]] = np.nan
+        st = replace(st, u=u)
         with pytest.raises(SolverFailure, match="non-finite") as info:
             step(st, setup.stepper)
         assert info.value.time == st.t
@@ -370,7 +374,6 @@ class TestRunFlow:
         fin, rep = run_flow(st, cfg, Schedule(t_end=t_end))
         assert rep.underflow_times
         assert rep.underflow_times[0] == 0.0
-        assert rep.solver_stats["forced_steps"] == len(rep.underflow_times)
         assert fin.t >= t_end - 1e-14
 
     def test_persistent_underflow_raises(self, square16):
@@ -487,8 +490,10 @@ class TestDerivedFields:
         new = step(st, cfg, dt=1e-7)
         assert st.ctx.stats["rejections"]["move_cap"] == 1
         assert len(seen) == 1 and seen[0] is st.u
-        with pytest.raises(ValueError):   # a stepped state's map is read-only
-            new.u[0] = 0.0
+        for s in (st, new):               # every state's u and v are read-only
+            for a in (s.u, s.v):
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
 
     @pytest.mark.parametrize("warp", [UNIT_WARP, WarpFunction("linear_height", 2.0, 1.0)])
     def test_records_and_steps_share_gradients(self, square16, monkeypatch, warp):
