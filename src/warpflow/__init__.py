@@ -25,9 +25,8 @@ from .flow import (FlowState, Schedule, StepperConfig, default_probe_centers,
                    initial_state, run_flow, step, tension_residual)
 from .geometry import (FlatTorus, UnitSphere, WarpFunction, make_target,
                        warp_force)
-from .mesh import (BallIndex, DomainMesh, assemble_weighted_stiffness,
-                   ball_energy, build_mesh, dirichlet_energy, dump_mesh,
-                   local_energy_matrix, write_snapshot)
+from .mesh import (BallIndex, DomainMesh, build_mesh, dirichlet_energy,
+                   dump_mesh, local_energy_matrix, write_snapshot)
 from .scenario import (ScenarioConfig, ScenarioResult, TwinResult,
                        build_scenario, builtin_scenarios, check_report_file,
                        parse_config_file, parse_config_text, resolve_config,

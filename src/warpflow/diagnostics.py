@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import InsufficientSeries
-from .mesh import DomainMesh, dirichlet_energy, tri_energy_density
+from .mesh import DomainMesh, dirichlet_energy, tri_energy_density, triangle_mean
 
 MONO_C = 1.0
 HARD_CHECK_SLACK = 1e-3   # additive slack on the a priori bounds
@@ -183,23 +183,24 @@ def energy_functionals(state) -> EnergyRecord:
     """Energies of a flow state; the kinetic and rate fields are left zero.
 
     run_flow fills them in from its exact per-step accumulation between
-    records.  The gradients are the state's own, evaluated once per state.
+    records.  The gradients and K u are the state's own, evaluated once per
+    state.
     """
     mesh, warp = state.mesh, state.warp
     g2u, g2v = state.grad_sq_u(), state.grad_sq_v()
     dens_u = tri_energy_density(mesh, state.u, g2u)
     dens_v = tri_energy_density(mesh, state.v, g2v)
-    beta_tri = warp.beta(state.u)[mesh.triangles].mean(axis=1)
+    beta_tri = triangle_mean(mesh, warp.beta(state.u))
     e_u = float(dens_u.sum())
     e_v = float(dens_v.sum())
     e_beta_v = float((beta_tri * dens_v).sum())
 
-    lap = mesh.laplacian(state.u)
-    proxy = float(np.dot(mesh.lumped_mass, np.sum(lap * lap, axis=1)))
+    lap = mesh.laplacian(state.u, state.stiffness_u())
+    proxy = float(np.dot(mesh.lumped_mass, np.einsum("ij,ij->i", lap, lap)))
 
     mean = mesh.lumped_mass @ state.u / mesh.domain_area
     centered = state.u - mean
-    c2 = np.sum(centered * centered, axis=1)
+    c2 = np.einsum("ij,ij->i", centered, centered)
     l2c = float(np.dot(mesh.lumped_mass, c2))
     l4c = float(np.dot(mesh.lumped_mass, c2 * c2))
 

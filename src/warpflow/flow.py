@@ -5,9 +5,11 @@ with u = phi on the boundary, and v solves -div(beta(u) grad v) = 0 with
 v = psi on the boundary at every time (no time derivative on v; the elliptic
 solve inside a step uses the current u, lagged coupling).
 
-The scheme is a theta-scheme on the Laplacian (theta in [1/2, 1]; 1/2 is
-second order in time, 1 is fully damped) with the nonlinear terms explicit:
-one SPD solve per component, CFL timestep dt = sigma h.
+The scheme is a theta-scheme on the Laplacian (theta in [1/2, 1]; 1 is fully
+damped) with the nonlinear terms explicit: one SPD solve per component, CFL
+timestep dt = sigma h.  theta = 1/2 is second order in time only without
+forcing (the linear torus flow); the explicit forcing, with the potential
+lagged one step, makes the coupled flow first order for either theta.
 
 After every trial step the nodal values are projected back onto the target
 and the boundary rows reset to phi exactly.  A trial step whose largest
@@ -24,7 +26,7 @@ that lands on t_end), and the theta-step matrices stay few: the one at the
 CFL value, which most steps use, is factored once; every other one is
 solved by Jacobi CG.  All states marched from one `initial_state` (the two
 members of a twin pair) share one `_FlowContext`.  A state's triangle
-gradients and nodal forcing are evaluated once, on first use, whether a
+gradients, nodal forcing and K u are evaluated once, on first use, whether a
 retried step, a record or the next step asks for them.
 """
 
@@ -45,7 +47,7 @@ from .elliptic import (WarpedBlock, cg_solve, dirichlet_split, jacobi_preconditi
                        solve_warped_laplace)
 from .errors import DegeneratePoint, SolverFailure, StepRejected
 from .geometry import warp_force
-from .mesh import BallIndex, DomainMesh, local_energy_matrix, tri_energy_density
+from .mesh import DomainMesh, ball_rows, local_energy_matrix, tri_energy_density
 
 DT_MIN_FACTOR = 1e-6
 # accepted steps in a row since the last rejection before dt may grow again
@@ -189,6 +191,10 @@ class FlowState:
         """Per-triangle |grad u|^2, evaluated once per state."""
         return self._derived("grad_sq_u", lambda: self.mesh.tri_grad_sq(self.u))
 
+    def stiffness_u(self) -> np.ndarray:
+        """K u (the unit stiffness times u), evaluated once per state."""
+        return self._derived("stiffness_u", lambda: self.mesh.stiffness @ self.u)
+
     def grad_sq_v(self) -> np.ndarray:
         """Per-triangle |grad v|^2, evaluated once per state, or once per
         context under a constant warp."""
@@ -252,11 +258,11 @@ def _forcing(state: FlowState) -> np.ndarray:
 def tension_residual(state: FlowState):
     """Tangential discrete tension field and its L2 norm (boundary rows zero)."""
     mesh = state.mesh
-    lap = mesh.laplacian(state.u)
+    lap = mesh.laplacian(state.u, state.stiffness_u())
     R = lap + _forcing(state)
     R = state.target.project_tangent(state.u, R)
     R[mesh.boundary] = 0.0
-    norm = math.sqrt(float(np.dot(mesh.lumped_mass, np.sum(R * R, axis=1))))
+    norm = math.sqrt(float(np.dot(mesh.lumped_mass, np.einsum("ij,ij->i", R, R))))
     return R, norm
 
 
@@ -285,7 +291,7 @@ def step(state: FlowState, config: StepperConfig, dt: float = None,
         theta, I = config.theta, mesh.interior
         rhs = m[:, None] * (u + dt * F)
         if theta != 1.0:
-            rhs -= ((1.0 - theta) * dt) * (mesh.stiffness @ u)
+            rhs -= ((1.0 - theta) * dt) * state.stiffness_u()
         rhs_I = rhs[I] - (theta * dt) * ctx.K_phi
         u_star = np.array(u)
         u_star[I] = ctx.theta_solve(dt, theta, state.t, rhs_I, u[I])
@@ -301,7 +307,9 @@ def step(state: FlowState, config: StepperConfig, dt: float = None,
         raise StepRejected(f"projection degenerated: {exc}") from exc
     u_new[mesh.boundary] = state.bdata.phi[mesh.boundary]
 
-    move = float(np.max(np.linalg.norm(u_new - u, axis=1)))
+    du = u_new - u
+    dd = np.einsum("ij,ij->i", du, du)              # squared nodal moves
+    move = math.sqrt(float(np.max(dd)))
     if enforce_cap and move > config.max_move_fraction * mesh.h:
         _count_rejection(ctx, "move_cap")
         raise StepRejected(
@@ -317,7 +325,7 @@ def step(state: FlowState, config: StepperConfig, dt: float = None,
                             time=state.t + dt) from exc
 
     ctx.stats["accepted_steps"] += 1
-    diff2 = float(np.dot(m, np.sum((u_new - u) ** 2, axis=1)))
+    diff2 = float(np.dot(m, dd))
     return replace(state, u=u_new, v=v_new, t=state.t + dt,
                    step_count=state.step_count + 1,
                    last_rate=math.sqrt(diff2) / dt)
@@ -405,7 +413,8 @@ def run_flow(state: FlowState, config: StepperConfig, schedule: Schedule,
         return state, report
 
     L = local_energy_matrix(mesh, thresholds.r_detect)
-    probes = BallIndex.build(mesh, default_probe_centers(mesh), thresholds.probe_radii())
+    centers, radii = default_probe_centers(mesh), thresholds.probe_radii()
+    probes = ball_rows(mesh, centers, radii)
     kin_since_record = kin_total = 0.0
     wall0 = _time.perf_counter()
 
@@ -419,7 +428,8 @@ def run_flow(state: FlowState, config: StepperConfig, schedule: Schedule,
         local = L @ dens
         rec.max_local_energy = float(local.max())
         rec.max_local_vertex = int(np.argmax(local))
-        rec.ball_probes = probes.energies(dens)
+        e = (probes @ dens).reshape(len(centers), len(radii))
+        rec.ball_probes = {c: dict(zip(radii, map(float, row))) for c, row in zip(centers, e)}
         rec.crossings = {int(c): float(local[c])
                          for c in np.flatnonzero(local > thresholds.energy)}
         for c in rec.crossings:

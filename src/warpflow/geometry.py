@@ -46,9 +46,7 @@ class UnitSphere:
         """Tangential part of X at y: X - (X . y) y.  Vectorized over rows."""
         y = np.asarray(y, dtype=float)
         X = np.asarray(X, dtype=float)
-        if y.ndim == 1:
-            return X - np.dot(X, y) * y
-        return X - np.sum(X * y, axis=1, keepdims=True) * y
+        return X - np.einsum("...i,...i", X, y)[..., None] * y
 
     def curvature_force(self, y: np.ndarray, grad_sq: np.ndarray) -> np.ndarray:
         """Nodal curvature term |grad u|^2 u for the tension field (grad_sq per node)."""
@@ -56,7 +54,7 @@ class UnitSphere:
 
     def project_field(self, values: np.ndarray) -> np.ndarray:
         """Row-wise normalization of a nodal field; the stepper projection."""
-        norms = np.linalg.norm(values, axis=1)
+        norms = np.sqrt(np.einsum("ij,ij->i", values, values))
         if np.any(norms < 1e-8):
             raise DegeneratePoint("field value collapsed to the sphere center")
         return values / norms[:, None]
@@ -153,9 +151,5 @@ def warp_force(target, warp: WarpFunction, y, s):
 
     `y` is a single point (K,) or nodal array (n, K); `s` a scalar or (n,).
     """
-    B = warp.drift(y)
-    Bt = target.project_tangent(y, B)
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        return float(s) * Bt
-    return np.asarray(s, dtype=float)[:, None] * Bt
+    Bt = target.project_tangent(y, warp.drift(y))
+    return np.asarray(s, dtype=float)[..., None] * Bt

@@ -3,7 +3,10 @@
 A DomainMesh bundles the triangulation with everything the solvers need:
 triangle areas, the lumped mass vector, the P1 gradient operator grad_op
 (2 nt x nv; row 2 t + e holds d_e lambda_i of the vertices of triangle t, in
-triangle-vertex order, so grad_op @ f is d_e f on every triangle) and the
+triangle-vertex order, so grad_op @ f is d_e f on every triangle), the two
+averaging operators tri_mean_op (nt x nv, 1/3 at each vertex of a triangle)
+and nodal_mean_op (nv x nt, area_t / (3 m_v) at each triangle t of vertex v,
+so nodal_mean_op @ q is the mass-weighted nodal average of q), and the
 unit stiffness grad_op^T diag(area) grad_op; a weight w per triangle gives
 the stiffness of -div(w grad .) as grad_op^T diag(area w) grad_op.
 
@@ -39,6 +42,8 @@ class DomainMesh:
     h: float = 0.0                # realized max edge length
     areas: np.ndarray = field(default=None, repr=False)
     grad_op: sp.csr_matrix = field(default=None, repr=False)   # (2 nt, nv)
+    tri_mean_op: sp.csr_matrix = field(default=None, repr=False)    # (nt, nv)
+    nodal_mean_op: sp.csr_matrix = field(default=None, repr=False)  # (nv, nt)
     barycenters: np.ndarray = field(default=None, repr=False)  # (nt, 2)
     lumped_mass: np.ndarray = field(default=None, repr=False)  # (nv,)
     stiffness: sp.csr_matrix = field(default=None, repr=False)  # (nv, nv)
@@ -71,9 +76,16 @@ class DomainMesh:
             shape=(2 * nt, self.num_vertices))
         self.stiffness = stiffness_from_tri_weights(self, np.ones(nt))
 
-        m = np.zeros(self.num_vertices)
-        np.add.at(m, t.ravel(), np.repeat(self.areas / 3.0, 3))
-        self.lumped_mass = m
+        nv, tv = self.num_vertices, t.ravel()
+        self.lumped_mass = m = np.bincount(tv, np.repeat(self.areas / 3.0, 3), nv)
+        # both averages built from their CSR arrays: no product temporaries
+        self.tri_mean_op = sp.csr_matrix(
+            (np.full(3 * nt, 1.0 / 3.0), tv, np.arange(0, 3 * nt + 1, 3)), shape=(nt, nv))
+        order = np.argsort(tv, kind="stable")        # incidences by vertex
+        tri, vert = order // 3, tv[order]
+        self.nodal_mean_op = sp.csr_matrix(
+            (self.areas[tri] / (3.0 * m[vert]), tri,
+             np.concatenate([[0], np.cumsum(np.bincount(tv, minlength=nv))])), shape=(nv, nt))
 
         edges = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
         uniq, counts = np.unique(edges, axis=0, return_counts=True)
@@ -104,10 +116,6 @@ class DomainMesh:
     def domain_area(self) -> float:
         return float(self.areas.sum())
 
-    def nearest_vertex(self, point) -> int:
-        d = np.linalg.norm(self.vertices - np.asarray(point, dtype=float), axis=1)
-        return int(np.argmin(d))
-
     # -- P1 field operators ---------------------------------------------
 
     def tri_gradients(self, values: np.ndarray) -> np.ndarray:
@@ -119,21 +127,19 @@ class DomainMesh:
         """Per-triangle |grad f|^2 (all components summed); (nt,)."""
         G = self.tri_gradients(values)
         if G.ndim == 2:
-            return np.sum(G * G, axis=1)
+            return np.einsum("te,te->t", G, G)
         return np.einsum("ted,ted->t", G, G)
 
     def nodal_from_tri(self, tri_values: np.ndarray) -> np.ndarray:
         """Mass-weighted nodal average of a per-triangle quantity."""
-        acc = np.zeros(self.num_vertices)
-        w = np.repeat(self.areas * tri_values / 3.0, 3)
-        np.add.at(acc, self.triangles.ravel(), w)
-        return acc / self.lumped_mass
+        return self.nodal_mean_op @ tri_values
 
-    def laplacian(self, values: np.ndarray) -> np.ndarray:
-        """Lumped-mass discrete Laplacian -M^{-1} K f; boundary rows zeroed."""
+    def laplacian(self, values: np.ndarray, K_values: np.ndarray = None) -> np.ndarray:
+        """Lumped-mass discrete Laplacian -M^{-1} K f; boundary rows zeroed.
+        K_values = stiffness @ values if known."""
         vals = np.asarray(values, dtype=float)
         m = self.lumped_mass if vals.ndim == 1 else self.lumped_mass[:, None]
-        lap = -(self.stiffness @ vals) / m
+        lap = -(self.stiffness @ vals if K_values is None else K_values) / m
         lap[self.boundary] = 0.0
         return lap
 
@@ -285,9 +291,13 @@ def ball_triangles(mesh: DomainMesh, center, radius: float) -> np.ndarray:
     return np.flatnonzero(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= radius * radius)
 
 
-def ball_energy(mesh: DomainMesh, values: np.ndarray, center, radius: float) -> float:
-    """Dirichlet energy restricted to the barycenter-membership ball."""
-    return float(tri_energy_density(mesh, values)[ball_triangles(mesh, center, radius)].sum())
+def ball_rows(mesh: DomainMesh, centers, radii) -> sp.csr_matrix:
+    """One 0/1 row per (center vertex, radius), center-major, holding the
+    triangles of `ball_triangles`: (rows @ dens) are the ball sums."""
+    rows = [ball_triangles(mesh, mesh.vertices[c], r) for c in centers for r in radii]
+    indptr = np.cumsum([0] + [len(t) for t in rows])
+    return sp.csr_matrix((np.ones(indptr[-1]), np.concatenate(rows), indptr),
+                         shape=(len(rows), mesh.num_triangles))
 
 
 CELLS_PER_RADIUS = 16       # ball grid: cells per smallest radius, >= sqrt(mean area)
@@ -318,10 +328,6 @@ class BallIndex:
     def __matmul__(self, dens: np.ndarray) -> np.ndarray:
         P = np.bincount(self.cells, dens, math.prod(self.grid)).reshape(self.grid)
         return self.op @ np.concatenate([P.cumsum(axis=1).ravel(), dens])
-
-    def energies(self, dens: np.ndarray) -> dict:
-        e = (self @ dens).reshape(len(self.centers), len(self.radii))
-        return {int(c): dict(zip(self.radii, map(float, row))) for c, row in zip(self.centers, e)}
 
     @classmethod
     def build(cls, mesh: DomainMesh, centers, radii) -> "BallIndex":
@@ -405,44 +411,33 @@ def stiffness_from_tri_weights(mesh: DomainMesh, tri_weights: np.ndarray) -> sp.
     return (D.T @ WD).tocsr()
 
 
-def assemble_weighted_stiffness(mesh: DomainMesh, beta_vertex: np.ndarray) -> sp.csr_matrix:
-    """Stiffness of -div(beta grad .) with beta averaged per triangle.
-
-    beta_vertex holds beta at the vertices; each triangle uses the mean of
-    its three vertex values.  NonPositiveCoefficient if any value <= 0.
-    """
-    return stiffness_from_tri_weights(mesh, triangle_mean(mesh, beta_vertex))
-
-
 def triangle_mean(mesh: DomainMesh, beta_vertex: np.ndarray) -> np.ndarray:
     """Mean of a vertex coefficient over each triangle's vertices; (nt,).
 
-    NonPositiveCoefficient if any vertex value is <= 0.
+    NonPositiveCoefficient if any vertex value is <= 0 or NaN.
     """
     beta_vertex = np.asarray(beta_vertex, dtype=float)
-    if np.any(beta_vertex <= 0):
+    if not np.all(beta_vertex > 0):
         raise NonPositiveCoefficient("beta must be strictly positive at every vertex")
-    return beta_vertex[mesh.triangles].mean(axis=1)
+    return mesh.tri_mean_op @ beta_vertex
 
 
 # -- plain-text formats ----------------------------------------------------
 
 def dump_mesh(mesh: DomainMesh, path) -> None:
     """Header (counts), coordinate rows, index rows, one boundary-flag row."""
+    rows = [f"{mesh.num_vertices} {mesh.num_triangles}\n"]
+    rows += [f"{x:.17g} {y:.17g}\n" for x, y in mesh.vertices.tolist()]
+    rows += [f"{i} {j} {k}\n" for i, j, k in mesh.triangles.tolist()]
+    rows.append(" ".join("1" if b else "0" for b in mesh.boundary.tolist()) + "\n")
     with open(path, "w") as f:
-        f.write(f"{mesh.num_vertices} {mesh.num_triangles}\n")
-        for x, y in mesh.vertices:
-            f.write(f"{x:.17g} {y:.17g}\n")
-        for i, j, k in mesh.triangles:
-            f.write(f"{i} {j} {k}\n")
-        f.write(" ".join("1" if b else "0" for b in mesh.boundary) + "\n")
+        f.write("".join(rows))
 
 
 def write_snapshot(mesh: DomainMesh, u: np.ndarray, v: np.ndarray, path) -> None:
     """One row per vertex, u components then v, mesh vertex ordering."""
-    cols = u.shape[1] + 1
+    rows = [f"{mesh.num_vertices} {u.shape[1] + 1}\n"]
+    rows += [" ".join(f"{x:.17g}" for x in row) + "\n"
+             for row in np.column_stack([u, v]).tolist()]
     with open(path, "w") as f:
-        f.write(f"{mesh.num_vertices} {cols}\n")
-        for i in range(mesh.num_vertices):
-            row = [f"{x:.17g}" for x in u[i]] + [f"{v[i]:.17g}"]
-            f.write(" ".join(row) + "\n")
+        f.write("".join(rows))

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from brute_force import nearest_vertex
 from warpflow.boundary import boundary_data_from_presets
 from warpflow.diagnostics import (DiagnosticsReport, EnergyRecord, RunBounds,
                                   SingularityEvent, ThresholdConfig,
@@ -237,11 +238,11 @@ class TestSingularityDetect:
         nv = square16.num_vertices
         F = 6
         hist = np.full((F, nv), 0.1)
-        A = square16.nearest_vertex([0.25, 0.25])
-        C = square16.nearest_vertex([0.3125, 0.25])    # within 2 r_detect of A
-        B = square16.nearest_vertex([0.75, 0.75])
-        D = square16.nearest_vertex([0.75, 0.25])
-        E = square16.nearest_vertex([0.5, 0.5])
+        A = nearest_vertex(square16, [0.25, 0.25])
+        C = nearest_vertex(square16, [0.3125, 0.25])    # within 2 r_detect of A
+        B = nearest_vertex(square16, [0.75, 0.75])
+        D = nearest_vertex(square16, [0.75, 0.25])
+        E = nearest_vertex(square16, [0.5, 0.5])
         hist[1:, A] = 2.0
         hist[1:, C] = 1.5          # clusters into A's event
         hist[3:, B] = 1.8          # later, separate location
@@ -261,8 +262,8 @@ class TestSingularityDetect:
         thr = ThresholdConfig(energy=1.0, r_detect=0.1, persist_frames=2)
         nv = square16.num_vertices
         hist = np.full((4, nv), 0.1)
-        A = square16.nearest_vertex([0.25, 0.25])
-        F_ = square16.nearest_vertex([0.3125, 0.25])
+        A = nearest_vertex(square16, [0.25, 0.25])
+        F_ = nearest_vertex(square16, [0.3125, 0.25])
         hist[0:, A] = 2.0
         hist[2:, F_] = 1.6         # crosses while A is still above: absorbed
         events = self._detect(square16, hist, [0.0, 0.1, 0.2, 0.3], thr)
@@ -276,8 +277,8 @@ class TestSingularityDetect:
         thr = ThresholdConfig(energy=1.0, r_detect=0.1, persist_frames=2)
         nv = square16.num_vertices
         hist = np.full((3, nv), 0.1)
-        A = square16.nearest_vertex([0.25, 0.25])
-        B = square16.nearest_vertex([0.75, 0.75])
+        A = nearest_vertex(square16, [0.25, 0.25])
+        B = nearest_vertex(square16, [0.75, 0.75])
         hist[1:, A] = 2.0
         hist[1:, B] = 1.5
         events = self._detect(square16, hist, [0.0, 0.1, 0.2], thr)

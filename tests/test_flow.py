@@ -5,9 +5,10 @@ import pytest
 
 import warpflow.elliptic
 import warpflow.flow
+from brute_force import weighted_stiffness
 from oracle_corotational import reduced_profile
 from warpflow.boundary import boundary_data_from_presets
-from warpflow.diagnostics import ThresholdConfig
+from warpflow.diagnostics import ThresholdConfig, energy_functionals
 from warpflow.elliptic import CG_RTOL
 from warpflow.errors import SolverFailure, StepRejected
 from warpflow.flow import (GROW_AFTER, Schedule, StepperConfig, _forcing,
@@ -73,8 +74,7 @@ class TestInitialState:
         bd = boundary_data_from_presets(square16, SPHERE, "equator_circle kappa=1",
                                         "harmonic", "linear_x")
         st = initial_state(square16, SPHERE, warp, bd, StepperConfig())
-        from warpflow.mesh import assemble_weighted_stiffness
-        K = assemble_weighted_stiffness(square16, warp.beta(st.u))
+        K = weighted_stiffness(square16, warp.beta(st.u))
         assert np.max(np.abs((K @ st.v)[square16.interior])) < 1e-8
         assert np.array_equal(st.v[square16.boundary],
                               bd.psi[square16.boundary])
@@ -467,7 +467,7 @@ class TestMarch:
 
 
 class TestDerivedFields:
-    """Each state's gradients and forcing are evaluated once, and only its own."""
+    """Each state's gradients, forcing and K u are evaluated once, and only its own."""
 
     @staticmethod
     def _gradient_arguments(monkeypatch):
@@ -526,3 +526,27 @@ class TestDerivedFields:
         assert pert.cache == {}
         assert not np.array_equal(_forcing(pert), F)
         assert np.array_equal(_forcing(replace(st, u=np.array(st.u))), F)
+
+    def test_stiffness_product_is_kept_read_only_and_exact(self, square16):
+        cfg = StepperConfig(theta=0.5)
+        st = initial_state(square16, SPHERE, UNIT_WARP, _geodesic_data(square16), cfg)
+        new = step(st, cfg)
+        Ku = st.cache["stiffness_u"]                # the step formed it
+        assert np.array_equal(Ku, square16.stiffness @ st.u)
+        assert st.stiffness_u() is Ku
+        with pytest.raises(ValueError):
+            Ku[0, 0] = 0.0
+        # a record and the tension residual of the next state share one product
+        rec = energy_functionals(new)
+        Ku_new = new.cache["stiffness_u"]
+        tension_residual(new)
+        assert new.stiffness_u() is Ku_new
+        lap = square16.laplacian(new.u)
+        assert rec.laplacian_proxy == float(np.dot(square16.lumped_mass,
+                                                   np.einsum("ij,ij->i", lap, lap)))
+        assert "stiffness_u" not in replace(new, u=np.array(new.u)).cache
+        # theta = 1 has no explicit Laplacian part: the step forms no product
+        full = StepperConfig(theta=1.0)
+        st1 = initial_state(square16, SPHERE, UNIT_WARP, _geodesic_data(square16), full)
+        step(st1, full)
+        assert "stiffness_u" not in st1.cache

@@ -1,16 +1,19 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import warpflow.mesh
+from brute_force import ball_energy, nearest_vertex, weighted_stiffness
+from warpflow.boundary import boundary_data_from_presets
 from warpflow.diagnostics import ThresholdConfig
 from warpflow.errors import InvalidShapeParameters, NonPositiveCoefficient
-from warpflow.mesh import (BallIndex, DomainMesh,
-                           assemble_weighted_stiffness, ball_energy,
-                           ball_triangles, build_mesh, dirichlet_energy,
-                           dump_mesh, local_energy_matrix,
-                           tri_energy_density, write_snapshot)
+from warpflow.geometry import make_target
+from warpflow.mesh import (BallIndex, DomainMesh, ball_rows, ball_triangles,
+                           build_mesh, dirichlet_energy, dump_mesh,
+                           local_energy_matrix, tri_energy_density,
+                           triangle_mean, write_snapshot)
 from warpflow.flow import default_probe_centers
 
 
@@ -163,7 +166,7 @@ def test_lumped_mass_partitions_area(square16, disk16):
 
 
 def test_nearest_vertex(square16):
-    idx = square16.nearest_vertex([0.49, 0.52])
+    idx = nearest_vertex(square16, [0.49, 0.52])
     assert np.allclose(square16.vertices[idx], [0.5, 0.5])
 
 
@@ -203,7 +206,7 @@ def test_integration_by_parts_identity(square16):
     # w^T K u equals the weighted-gradient inner product, by construction
     rng = np.random.default_rng(7)
     beta = 1.0 + 0.3 * square16.vertices[:, 0]
-    K = assemble_weighted_stiffness(square16, beta)
+    K = weighted_stiffness(square16, beta)
     u = rng.standard_normal(square16.num_vertices)
     w = rng.standard_normal(square16.num_vertices)
     lhs = float(w @ (K @ u))
@@ -221,10 +224,34 @@ def test_stiffness_annihilates_constants(square16):
 
 
 def test_weighted_stiffness_rejects_nonpositive(square16):
-    beta = np.ones(square16.num_vertices)
-    beta[3] = 0.0
-    with pytest.raises(NonPositiveCoefficient):
-        assemble_weighted_stiffness(square16, beta)
+    # every beta weighting goes through triangle_mean; NaN <= 0 is False,
+    # so NaN has to be refused explicitly
+    for bad in (0.0, -1.0, np.nan):
+        beta = np.ones(square16.num_vertices)
+        beta[3] = bad
+        with pytest.raises(NonPositiveCoefficient):
+            triangle_mean(square16, beta)
+
+
+def _ulps(new, old):
+    """Largest |new - old| in units of the last place of old."""
+    return float(np.max(np.abs(new - old) / np.spacing(np.abs(old))))
+
+
+@pytest.mark.parametrize("mesh_name", ["square16", "disk16", "annulus8"])
+def test_averaging_operators_match_the_scatter_and_the_mean(mesh_name, request):
+    m = request.getfixturevalue(mesh_name)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        q = 0.1 + rng.random(m.num_triangles)       # positive, like |grad u|^2
+        acc = np.zeros(m.num_vertices)
+        np.add.at(acc, m.triangles.ravel(), np.repeat(m.areas * q / 3.0, 3))
+        assert _ulps(m.nodal_from_tri(q), acc / m.lumped_mass) <= 4.0
+        beta = 0.5 + rng.random(m.num_vertices)
+        assert _ulps(triangle_mean(m, beta), beta[m.triangles].mean(axis=1)) <= 4.0
+    # the nodal average of a constant is that constant (rows sum to one)
+    assert np.allclose(m.nodal_from_tri(np.full(m.num_triangles, 2.5)), 2.5,
+                       rtol=4 * np.finfo(float).eps, atol=0.0)
 
 
 def test_laplacian_exact_on_quadratic(square16):
@@ -257,15 +284,13 @@ def test_ball_covers_domain(disk16):
 
 def test_ball_index_agrees_with_direct_query(disk16):
     f = disk16.vertices[:, 0] ** 2 - disk16.vertices[:, 1]
-    centers = [0, disk16.nearest_vertex([0.5, 0.0])]
+    centers = [0, nearest_vertex(disk16, [0.5, 0.0])]
     idx = BallIndex.build(disk16, centers, (0.2, 0.1))
     assert idx.radii == (0.1, 0.2)
-    energies = idx.energies(tri_energy_density(disk16, f))
-    assert list(energies) == centers
-    for c in centers:
-        for r in (0.1, 0.2):
-            direct = ball_energy(disk16, f, disk16.vertices[c], r)
-            assert energies[c][r] == pytest.approx(direct, abs=1e-15)
+    energies = (idx @ tri_energy_density(disk16, f)).reshape(2, 2)   # center-major
+    for c, row in zip(centers, energies):
+        for r, e in zip((0.1, 0.2), row):
+            assert e == pytest.approx(ball_energy(disk16, f, disk16.vertices[c], r), abs=1e-15)
 
 
 @pytest.mark.parametrize("mesh_name", ["square16", "disk16", "annulus8"])
@@ -274,11 +299,31 @@ def test_probe_rows_match_ball_energy(mesh_name, request):
     f = np.sin(3.0 * m.vertices[:, 0]) * m.vertices[:, 1]
     centers = default_probe_centers(m)
     radii = ThresholdConfig(r_detect=0.05).probe_radii()
-    energies = BallIndex.build(m, centers, radii).energies(tri_energy_density(m, f))
+    rows = ball_rows(m, centers, radii)
+    assert rows.shape == (len(centers) * len(radii), m.num_triangles)
+    energies = iter(rows @ tri_energy_density(m, f))
     for c in centers:
         for r in radii:
-            direct = ball_energy(m, f, m.vertices[c], r)
-            assert energies[c][r] == pytest.approx(direct, abs=1e-15)
+            assert next(energies) == pytest.approx(ball_energy(m, f, m.vertices[c], r),
+                                                   abs=1e-15)
+
+
+def test_probe_energies_keep_relative_accuracy_next_to_a_bubble():
+    # a small ball in the cell row of a concentrated bubble: sums taken as
+    # differences of per-row prefix sums missed by 4.9e-13 relative here
+    # (vertex 331, r = 0.05); direct membership rows sum only the ball
+    m = build_mesh("disk", 1.0 / 32.0)
+    bd = boundary_data_from_presets(m, make_target("sphere"), "north_pole",
+                                    "inv_stereographic rho=0.01 center=0,0",
+                                    "constant value=0")
+    dens = tri_energy_density(m, bd.phi0)
+    centers = default_probe_centers(m)
+    radii = ThresholdConfig(r_detect=0.05).probe_radii()
+    energies = iter(ball_rows(m, centers, radii) @ dens)
+    for c in centers:
+        for r in radii:
+            exact = math.fsum(dens[ball_triangles(m, m.vertices[c], r)].tolist())
+            assert next(energies) == pytest.approx(exact, rel=1e-14, abs=0.0), (c, r)
 
 
 def test_local_energy_matrix_rows(disk16):
@@ -381,3 +426,38 @@ def test_write_snapshot_round_trip(tmp_path):
     data = np.array([[float(t) for t in ln.split()] for ln in lines[1:]])
     assert np.array_equal(data[:, :3], u)
     assert np.array_equal(data[:, 3], v)
+
+
+def _dump_mesh_per_row(mesh, path):
+    """The row-at-a-time writer dump_mesh must match byte for byte."""
+    with open(path, "w") as f:
+        f.write(f"{mesh.num_vertices} {mesh.num_triangles}\n")
+        for x, y in mesh.vertices:
+            f.write(f"{x:.17g} {y:.17g}\n")
+        for i, j, k in mesh.triangles:
+            f.write(f"{i} {j} {k}\n")
+        f.write(" ".join("1" if b else "0" for b in mesh.boundary) + "\n")
+
+
+def _write_snapshot_per_row(mesh, u, v, path):
+    """The row-at-a-time writer write_snapshot must match byte for byte."""
+    with open(path, "w") as f:
+        f.write(f"{mesh.num_vertices} {u.shape[1] + 1}\n")
+        for i in range(mesh.num_vertices):
+            row = [f"{x:.17g}" for x in u[i]] + [f"{v[i]:.17g}"]
+            f.write(" ".join(row) + "\n")
+
+
+@pytest.mark.parametrize("mesh_name", ["square16", "disk16", "annulus8"])
+def test_writers_match_the_row_at_a_time_output(mesh_name, request, tmp_path):
+    m = request.getfixturevalue(mesh_name)
+    dump_mesh(m, tmp_path / "a.txt")
+    _dump_mesh_per_row(m, tmp_path / "b.txt")
+    assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+    rng = np.random.default_rng(9)
+    for k in (2, 3):
+        u = rng.standard_normal((m.num_vertices, k)) * 10.0 ** rng.integers(-20, 20, (1, k))
+        v = rng.standard_normal(m.num_vertices)
+        write_snapshot(m, u, v, tmp_path / "a.txt")
+        _write_snapshot_per_row(m, u, v, tmp_path / "b.txt")
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()

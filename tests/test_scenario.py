@@ -1,3 +1,4 @@
+import importlib
 import json
 import re
 import subprocess
@@ -373,6 +374,18 @@ class TestBenchmarkHooks:
         assert warpflow.flow.solve_warped_laplace is warpflow.elliptic.solve_warped_laplace
         assert warpflow.scenario.run_flow is warpflow.flow.run_flow
         assert warpflow.diagnostics.tri_energy_density is warpflow.mesh.tri_energy_density
+
+    def test_every_traced_method_resolves(self):
+        # read the benchmark's own list (executed from its source, so no
+        # bytecode is written next to it): a rename fails here, not in a
+        # traced benchmark run
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spans = {}
+        exec(compile(path.read_text(), str(path), "exec"), spans)
+        assert spans["METHODS"]
+        for module, cls_name, meth, _ in spans["METHODS"]:
+            cls = getattr(importlib.import_module(f"warpflow.{module}"), cls_name)
+            assert meth in vars(cls), (cls_name, meth)
 
 
 class TestCheckReportFile:
