@@ -14,9 +14,9 @@ from .boundary import BoundaryData, boundary_data_from_presets
 from .diagnostics import (CheckResult, ConvergenceReport, DiagnosticsReport,
                           EnergyRecord, RunBounds, SingularityEvent,
                           ThresholdConfig, check_singularity_counts,
-                          convergence_monitor, energy_functionals,
-                          hard_checks_pass, inequality_suite,
-                          singularity_detect)
+                          convergence_monitor, derive_verdicts,
+                          energy_functionals, hard_checks_pass,
+                          inequality_suite, singularity_detect)
 from .elliptic import EllipticSolution, harmonic_extension, solve_warped_laplace
 from .errors import (ConfigParseError, DegeneratePoint, InsufficientSeries,
                      InvalidShapeParameters, NonPositiveCoefficient,

@@ -464,57 +464,66 @@ def persistent_vertices(records: list, thresholds: ThresholdConfig) -> list:
 
 # -- convergence --------------------------------------------------------------
 
-def stationarity(records: list, h: float, residual_norm: float):
-    """(converged, rate_tolerance, residual_tolerance) of a run ending at records[-1].
-
-    Stationary means the last recorded map velocity is below
-    STATIONARITY_FACTOR * (1 + |E_g(0)|) and the tension residual below
-    RESIDUAL_FACTOR * h.
-    """
-    rate_tol = STATIONARITY_FACTOR * (1.0 + abs(records[0].e_g))
-    res_tol = RESIDUAL_FACTOR * h
-    converged = bool(records[-1].rate_l2 < rate_tol and residual_norm < res_tol)
-    return converged, rate_tol, res_tol
-
-
-def convergence_monitor(report: DiagnosticsReport, state) -> ConvergenceReport:
+def convergence_monitor(records: list, h: float, residual_norm: float,
+                        thresholds: ThresholdConfig) -> ConvergenceReport:
     """Stationarity assessment at the end of a run.
 
-    Convergence is `stationarity` of the records and the final tension
-    residual (map velocity below 1e-5 * (1 + |E_g(0)|), residual below
-    10 * h).  The persistent set is `persistent_vertices` of the records.
+    Stationary means the last recorded map velocity is below
+    STATIONARITY_FACTOR * (1 + |E_g(0)|) and the final tension residual below
+    RESIDUAL_FACTOR * h.  The persistent set is `persistent_vertices` of the
+    records.
     """
-    from .flow import tension_residual
-
-    if not report.records:
+    if not records:
         return ConvergenceReport(status="no_series", converged=False,
                                  rate_l2=math.inf, rate_tolerance=0.0,
                                  residual_norm=math.inf, residual_tolerance=0.0,
                                  halving_times=[], halving_rates=[],
                                  persistent_vertices=[])
-    rate = report.records[-1].rate_l2
-    _, res_norm = tension_residual(state)
-    converged, rate_tol, res_tol = stationarity(report.records, state.mesh.h, res_norm)
+    rate = records[-1].rate_l2
+    rate_tol = STATIONARITY_FACTOR * (1.0 + abs(records[0].e_g))
+    res_tol = RESIDUAL_FACTOR * h
+    converged = bool(rate < rate_tol and residual_norm < res_tol)
 
     # times where the velocity first drops below each successive halving of
     # its initial recorded value
-    rates = [r.rate_l2 for r in report.records[1:]]
-    times = [r.t for r in report.records[1:]]
     halving_times, halving_rates = [], []
-    if rates:
-        level = rates[0]
-        for t, rr in zip(times, rates):
-            if rr <= level:
-                halving_times.append(float(t))
-                halving_rates.append(float(rr))
-                level = rr / 2.0
+    if len(records) > 1:
+        level = records[1].rate_l2
+        for r in records[1:]:
+            if r.rate_l2 <= level:
+                halving_times.append(float(r.t))
+                halving_rates.append(float(r.rate_l2))
+                level = r.rate_l2 / 2.0
 
     return ConvergenceReport(
         status="converged" if converged else "not_stationary",
         converged=converged, rate_l2=float(rate), rate_tolerance=float(rate_tol),
-        residual_norm=float(res_norm), residual_tolerance=float(res_tol),
+        residual_norm=float(residual_norm), residual_tolerance=float(res_tol),
         halving_times=halving_times, halving_rates=halving_rates,
-        persistent_vertices=persistent_vertices(report.records, report.thresholds))
+        persistent_vertices=persistent_vertices(records, thresholds))
+
+
+def derive_verdicts(report: DiagnosticsReport, residual_norm: float) -> int:
+    """Fill the report's events, checks, convergence and v_norm from its
+    records (at least one), bounds, thresholds and crossing points; the exit
+    code, 2 when a hard check fails and 0 otherwise.
+
+    A run passes its final tension residual and `check` the stored one, so
+    both reach every verdict through this one function.
+    """
+    records, thresholds = report.records, report.thresholds
+    report.events = singularity_detect(records, thresholds, report.crossing_points)
+    report.checks = (inequality_suite(records, report.bounds, thresholds, events=report.events)
+                     if len(records) >= 2 else [])
+    report.convergence = convergence_monitor(records, report.bounds.h, residual_norm,
+                                             thresholds)
+    # sup |grad u| + sup ||grad v||_4 + int |du/dt|^2 + int |D^2 u|^2_proxy
+    ts = np.array([r.t for r in records])
+    proxy = np.array([r.laplacian_proxy for r in records])
+    report.v_norm = (max(math.sqrt(2.0 * r.e_u) for r in records)
+                     + max(r.grad4_v for r in records) ** 0.25 + records[-1].kinetic_cum
+                     + float(np.trapezoid(proxy, ts)))
+    return 0 if hard_checks_pass(report.checks) else 2
 
 
 # -- serialization helpers ----------------------------------------------------

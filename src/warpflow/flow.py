@@ -42,7 +42,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .boundary import BoundaryData
-from .diagnostics import (DiagnosticsReport, ThresholdConfig, energy_functionals)
+from .diagnostics import DiagnosticsReport, RunBounds, ThresholdConfig, energy_functionals
 from .elliptic import (WarpedBlock, cg_solve, dirichlet_split, jacobi_preconditioner,
                        solve_warped_laplace)
 from .errors import DegeneratePoint, SolverFailure, StepRejected
@@ -52,6 +52,8 @@ from .mesh import DomainMesh, ball_rows, local_energy_matrix, tri_energy_density
 DT_MIN_FACTOR = 1e-6
 # accepted steps in a row since the last rejection before dt may grow again
 GROW_AFTER = 4
+# forced (timestep underflow) steps in a row before the run fails
+MAX_FORCED_STEPS = 50
 
 
 @dataclass
@@ -59,7 +61,6 @@ class StepperConfig:
     sigma: float = 0.2
     theta: float = 0.5
     max_move_fraction: float = 0.1
-    max_forced_steps: int = 50
 
     def __post_init__(self):
         if not 0.0 < self.sigma <= 0.5:
@@ -341,7 +342,7 @@ def march(states: list, config: StepperConfig, t_end: float):
     dt_cfl / 2^k and does not swing between a rejected dt and its half.
     When halving would drop dt below dt_min (timestep underflow), every
     member takes one uncapped dt_min step and dt restarts at the CFL value;
-    more than max_forced_steps forced steps in a row raise SolverFailure.
+    more than MAX_FORCED_STEPS forced steps in a row raise SolverFailure.
     Yields (states, dt, forced) after every step taken, each state's dt set
     to the next planned step.
     """
@@ -359,7 +360,7 @@ def march(states: list, config: StepperConfig, t_end: float):
             if controller >= dt_floor:
                 continue
             forced_run += 1
-            if forced_run > config.max_forced_steps:
+            if forced_run > MAX_FORCED_STEPS:
                 raise SolverFailure(
                     f"persistent timestep underflow at t = {t:.6g}", time=t)
             forced, dt = True, dt_floor
@@ -403,8 +404,6 @@ def run_flow(state: FlowState, config: StepperConfig, schedule: Schedule,
     thresholds.energy), the coordinates of every crossing vertex, underflow
     times, and aggregate solver statistics.
     """
-    from .diagnostics import RunBounds
-
     thresholds = thresholds or ThresholdConfig()
     mesh = state.mesh
     bounds = RunBounds.from_run(mesh, state.warp, state.bdata)
@@ -461,13 +460,6 @@ def run_flow(state: FlowState, config: StepperConfig, schedule: Schedule,
     if schedule.snapshot_cb is not None:
         schedule.snapshot_cb(state)
 
-    recs = report.records
-    sup_grad_u = max(math.sqrt(2.0 * r.e_u) for r in recs)
-    sup_grad4_v = max(r.grad4_v for r in recs) ** 0.25
-    ts = np.array([r.t for r in recs])
-    proxy = np.array([r.laplacian_proxy for r in recs])
-    proxy_int = float(np.trapezoid(proxy, ts)) if len(recs) > 1 else 0.0
-    report.v_norm = sup_grad_u + sup_grad4_v + kin_total + proxy_int
     report.solver_stats = copy.deepcopy(state.ctx.stats)
     report.solver_stats["wall_seconds"] = _time.perf_counter() - wall0
     return state, report

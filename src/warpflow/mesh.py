@@ -307,19 +307,16 @@ LOCAL_ENERGY_BLOCK = 512    # balls per block of the build: bounds its transient
 
 @dataclass
 class BallIndex:
-    """Sums of a per-triangle quantity over balls (center vertex, radius).
-
-    One row per pair, center-major.  With barycenters binned into square cells
+    """Sums of a per-triangle quantity over the balls of one radius about
+    every vertex, one row per vertex.  With barycenters binned into square cells
     and P[j, i] the sum over the cells left of cell i in cell row j, a row of
     `op` acts on [P.ravel(); dens]: -1 and +1 at the ends of each run of cells
     wholly inside its ball (shrunk by CELL_MARGIN), and 1 at each triangle of a
     cell its rim cuts that passes the exact rule of `ball_triangles`."""
 
-    centers: np.ndarray           # vertex indices
-    radii: tuple
     cells: np.ndarray = field(repr=False)   # (nt,) flat grid index of each barycenter
     grid: tuple                             # (ny, nx + 1)
-    op: sp.csr_matrix = field(repr=False)   # (pairs, ny (nx + 1) + nt)
+    op: sp.csr_matrix = field(repr=False)   # (nv, ny (nx + 1) + nt)
 
     @property
     def nnz(self) -> int:
@@ -330,11 +327,9 @@ class BallIndex:
         return self.op @ np.concatenate([P.cumsum(axis=1).ravel(), dens])
 
     @classmethod
-    def build(cls, mesh: DomainMesh, centers, radii) -> "BallIndex":
-        centers = np.asarray(centers, dtype=np.int64)
-        radii = tuple(sorted(float(r) for r in radii))
-        xys, rs = mesh.vertices[np.repeat(centers, len(radii))], np.tile(radii, len(centers))
-        B, c = mesh.barycenters, max(radii[0] / CELLS_PER_RADIUS, math.sqrt(mesh.areas.mean()))
+    def build(cls, mesh: DomainMesh, radius: float) -> "BallIndex":
+        r, nv = float(radius), mesh.num_vertices
+        B, c = mesh.barycenters, max(r / CELLS_PER_RADIUS, math.sqrt(mesh.areas.mean()))
         lo = B.min(axis=0)
         ij = np.floor((B - lo) / c).astype(np.int64)
         nx, ny = (int(n) + 1 for n in ij.max(axis=0))
@@ -344,11 +339,11 @@ class BallIndex:
         before = np.cumsum(np.bincount(cells, minlength=ny * (nx + 1)))
         B_sorted = np.ascontiguousarray(B[order].T)
         blocks = []
-        for s in range(0, len(rs), LOCAL_ENERGY_BLOCK):
-            X, r = xys[s:s + LOCAL_ENERGY_BLOCK], rs[s:s + LOCAL_ENERGY_BLOCK]
+        margin = CELL_MARGIN * (r + np.abs(B).max())
+        r_out, r_in = r + margin, max(r - margin, 0.0)
+        for s in range(0, nv, LOCAL_ENERGY_BLOCK):
+            X = mesh.vertices[s:s + LOCAL_ENERGY_BLOCK]
             cx, cy = (X - lo).T[:, :, None]
-            margin = CELL_MARGIN * (r + np.abs(B).max())
-            r_out, r_in = (r + margin)[:, None], np.maximum(r - margin, 0.0)[:, None]
             # the cell rows j the ball reaches; row j spans [y0, y0 + c] about the center
             j = np.floor((cy - r_out) / c).astype(np.int64)
             j = j + np.arange(int((np.floor((cy + r_out) / c) - j).max()) + 1)
@@ -371,13 +366,13 @@ class BallIndex:
             n = np.where(row[..., None], before[base + np.stack([i0, i_hi + 1], axis=-1)] - a,
                          0).ravel()
             pos = np.repeat(a.ravel() - np.cumsum(n) + n, n) + np.arange(n.sum())
-            per_ball = n.reshape(len(r), -1).sum(axis=1)
+            per_ball = n.reshape(len(X), -1).sum(axis=1)
             dx, dy = (xy[pos] - np.repeat(X[:, k], per_ball) for k, xy in enumerate(B_sorted))
-            keep = dx * dx + dy * dy <= np.repeat(r * r, per_ball)
-            tri, ball = order[pos[keep]], np.repeat(np.arange(len(r)), per_ball)[keep]
+            keep = dx * dx + dy * dy <= r * r
+            tri, ball = order[pos[keep]], np.repeat(np.arange(len(X)), per_ball)[keep]
             # a row: -P[j, i0], +P[j, i1 + 1] per inside run, then its rim triangles
             b_in = np.repeat(np.nonzero(inside)[0], 2)
-            n_in, n_rim = (np.bincount(g, minlength=len(r)) for g in (b_in, ball))
+            n_in, n_rim = (np.bincount(g, minlength=len(X)) for g in (b_in, ball))
             at = np.concatenate([np.arange(b_in.size) + (np.cumsum(n_rim) - n_rim)[b_in],
                                  np.arange(ball.size) + np.cumsum(n_in)[ball]])
             idx = np.empty(at.size, dtype=np.int32)
@@ -391,14 +386,14 @@ class BallIndex:
         indptr = np.concatenate([[0], np.cumsum(np.concatenate(lengths))])
         indices = np.concatenate(indices)
         op = sp.csr_matrix((np.concatenate(signs).astype(float), indices, indptr),
-                           shape=(len(rs), ny * (nx + 1) + len(B)))
-        return cls(centers, radii, cells, (ny, nx + 1), op)
+                           shape=(nv, ny * (nx + 1) + len(B)))
+        return cls(cells, (ny, nx + 1), op)
 
 
 def local_energy_matrix(mesh: DomainMesh, radius: float) -> BallIndex:
     """Ball sums over the radius-ball of every vertex: (L @ tri_energy_density)[v]
     is the Dirichlet energy in the ball at vertex v."""
-    return BallIndex.build(mesh, np.arange(mesh.num_vertices), (radius,))
+    return BallIndex.build(mesh, radius)
 
 
 # -- assembly -------------------------------------------------------------

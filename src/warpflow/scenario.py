@@ -26,16 +26,14 @@ from pathlib import Path
 import numpy as np
 
 from .boundary import boundary_data_from_presets
-from .diagnostics import (DiagnosticsReport, ThresholdConfig, convergence_monitor,
-                          hard_checks_pass, inequality_suite, persistent_vertices,
-                          report_from_dict, report_to_dict, singularity_detect,
-                          stationarity)
+from .diagnostics import (DiagnosticsReport, ThresholdConfig, derive_verdicts,
+                          report_from_dict, report_to_dict)
 from .errors import (ConfigParseError, InvalidShapeParameters,
                      NonPositiveCoefficient)
 # step is unused here but stays bound: perfbench/child.py patches
 # scenario.step next to flow.step to stamp the first step of a run
 from .flow import (Schedule, StepperConfig, _solve_potential, initial_state, march,
-                   run_flow, step)
+                   run_flow, step, tension_residual)
 from .geometry import WarpFunction, make_target
 from .mesh import build_mesh, dump_mesh, write_snapshot
 
@@ -196,16 +194,16 @@ def resolve_config(name_or_path) -> dict:
     raise ConfigParseError(f"no config file or shipped scenario named {name_or_path!r}")
 
 
-def _load_config(flat_or_cfg, overrides: dict = None) -> ScenarioConfig:
-    """A ScenarioConfig from itself, a flat key dict, a path or a shipped name.
-
-    `overrides` patches the flat keys; it is ignored for a ScenarioConfig.
-    """
-    if isinstance(flat_or_cfg, ScenarioConfig):
-        return flat_or_cfg
-    if isinstance(flat_or_cfg, (str, Path)):
-        flat_or_cfg = resolve_config(flat_or_cfg)
-    return ScenarioConfig.from_flat({**flat_or_cfg, **(overrides or {})})
+def _load_config(flat_or_path, overrides: dict = None) -> ScenarioConfig:
+    """A ScenarioConfig from a flat key dict, a path or a shipped name, its
+    flat keys patched by `overrides`; an unknown key is a ConfigParseError."""
+    if isinstance(flat_or_path, (str, Path)):
+        flat_or_path = resolve_config(flat_or_path)
+    flat = {**flat_or_path, **(overrides or {})}
+    unknown = sorted(flat.keys() - _KNOWN_KEYS)
+    if unknown:
+        raise ConfigParseError(f"unknown key(s) {', '.join(map(repr, unknown))}")
+    return ScenarioConfig.from_flat(flat)
 
 
 @dataclass
@@ -261,14 +259,15 @@ def default_out_root() -> Path:
     return Path(os.environ.get("WARPFLOW_OUT", "warpflow_out"))
 
 
-def run_scenario(flat_or_cfg, out_dir=None, h=None, t_end=None,
+def run_scenario(flat_or_path, out_dir=None, h=None, t_end=None,
                  overrides: dict = None, write_artifacts: bool = True) -> ScenarioResult:
     """Run one scenario end to end; returns the result with its exit code.
 
-    `flat_or_cfg` is a flat key dict (from parse/resolve) or a ScenarioConfig.
-    `h` and `t_end` override the config; `overrides` patches flat keys first.
+    `flat_or_path` is a flat key dict (from parse/resolve), a config path or
+    a shipped name.  `h` and `t_end` override the config; `overrides`
+    patches flat keys first.
     """
-    cfg = _load_config(flat_or_cfg, overrides)
+    cfg = _load_config(flat_or_path, overrides)
     if h is not None:
         cfg = replace(cfg, mesh_h=float(h))
     if t_end is not None:
@@ -296,19 +295,12 @@ def run_scenario(flat_or_cfg, out_dir=None, h=None, t_end=None,
                         snapshot_cb=snapshot_cb)
     state, report = run_flow(state, setup.stepper, schedule, setup.thresholds)
 
-    report.events = singularity_detect(report.records, setup.thresholds,
-                                       report.crossing_points)
-    if len(report.records) >= 2:
-        report.checks = inequality_suite(report.records, report.bounds,
-                                         setup.thresholds, events=report.events)
-    report.convergence = convergence_monitor(report, state)
+    exit_code = derive_verdicts(report, tension_residual(state)[1])
     if setup.warp.kind == "constant":
         report.notes.append("constant warp: potential decoupled, solved once")
     if report.underflow_times:
         report.notes.append(
             "continued past timestep underflow from the last accepted state")
-
-    exit_code = 0 if hard_checks_pass(report.checks) else 2
 
     if write_artifacts:
         dump_mesh(setup.mesh, out / "mesh.txt")
@@ -344,7 +336,7 @@ def _l2_diff(mesh, u1, u2) -> float:
                                   np.sum((u1 - u2) ** 2, axis=1))))
 
 
-def twin_run(flat_or_cfg, delta: float = None, overrides: dict = None) -> TwinResult:
+def twin_run(flat_or_path, delta: float = None, overrides: dict = None) -> TwinResult:
     """Two lockstep runs differing only by a tangential O(delta) kick to phi0.
 
     The perturbation is seeded white noise projected to the tangent space,
@@ -355,7 +347,7 @@ def twin_run(flat_or_cfg, delta: float = None, overrides: dict = None) -> TwinRe
     sequence, solve each step alike and survive timestep underflow the same
     way; underflow_times lists where it struck.
     """
-    cfg = _load_config(flat_or_cfg, overrides)
+    cfg = _load_config(flat_or_path, overrides)
     if delta is not None:
         cfg = replace(cfg, twin_delta=float(delta))
     delta = cfg.twin_delta
@@ -405,61 +397,28 @@ def twin_run(flat_or_cfg, delta: float = None, overrides: dict = None) -> TwinRe
 def check_report_file(path) -> int:
     """Re-derive every verdict of a stored report; 0 ok, 2 failure.
 
-    Fails on a file that does not parse into a report, a failed hard check,
-    or stored checks, verdicts, events, persistent vertices, convergence
-    verdict or exit code that differ from the re-derived ones.  Events and
-    persistent vertices come from the records' crossings through the same
-    functions a run calls; the convergence verdict from the records, the
-    bounds and the stored tension residual.
+    The stored records, bounds, thresholds, crossing points and tension
+    residual go through `derive_verdicts`, as in a run.  Fails on a file that
+    does not parse into a report, a failed hard check, or stored events,
+    checks, convergence, v_norm or exit code that differ from the re-derived
+    ones.
     """
     try:
         with open(path) as f:
             payload = json.load(f)
         report = report_from_dict(payload)
-        if report.bounds is None or report.thresholds is None or len(report.records) < 2:
-            print("report lacks the data needed for re-checking")
-            return 2
-        events = singularity_detect(report.records, report.thresholds,
-                                    report.crossing_points)
-        persistent = persistent_vertices(report.records, report.thresholds)
+        exit_code = derive_verdicts(report, report.convergence.residual_norm)
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
         print(f"malformed report: {type(exc).__name__}: {exc}")
         return 2
-    checks = inequality_suite(report.records, report.bounds, report.thresholds,
-                              events=events)
-    for c in checks:
+    for c in report.checks:
         status = "pass" if c.passed else "FAIL"
         kind = "hard" if c.hard else "info"
         print(f"[{status}] {c.name} ({kind}) constants={c.constants}")
-    ok = hard_checks_pass(checks)
-    exit_code = 0 if ok else 2
-    stored = {c["name"]: bool(c["passed"]) for c in payload.get("checks", [])}
-    recomputed = {c.name: bool(c.passed) for c in checks}
-    for name in sorted(stored.keys() | recomputed.keys()):
-        if stored.get(name) != recomputed.get(name):
-            print(f"[FAIL] {name}: stored result {stored.get(name)} disagrees with "
-                  f"re-evaluation {recomputed.get(name)}")
-            ok = False
-    if report.events != events:
-        print(f"[FAIL] stored events at t = {[e.time for e in report.events]} != "
-              f"re-derived events at t = {[e.time for e in events]}")
-        ok = False
-    conv = report.convergence
-    if conv is None:
-        print("[FAIL] stored report has no convergence verdict")
-        ok = False
-    else:
-        converged = stationarity(report.records, report.bounds.h, conv.residual_norm)[0]
-        verdict = ("converged" if converged else "not_stationary", converged)
-        if (conv.status, conv.converged) != verdict:
-            print(f"[FAIL] stored convergence {(conv.status, conv.converged)} != "
-                  f"recomputed {verdict}")
-            ok = False
-        if conv.persistent_vertices != persistent:
-            print(f"[FAIL] stored persistent vertices {conv.persistent_vertices} != "
-                  f"re-derived {persistent}")
-            ok = False
-    if payload.get("exit_code") != exit_code:
-        print(f"[FAIL] stored exit_code {payload.get('exit_code')!r} != recomputed {exit_code}")
-        ok = False
-    return 0 if ok else 2
+    # the records are the input, not a verdict: leave them out of the serialization
+    derived = {**report_to_dict(replace(report, records=[])), "exit_code": exit_code}
+    for key in ("events", "checks", "convergence", "v_norm", "exit_code"):
+        if payload.get(key) != derived[key]:
+            print(f"[FAIL] stored {key} disagrees with the re-derived {key}")
+            exit_code = 2
+    return exit_code

@@ -1,12 +1,17 @@
+import ast
 import dataclasses
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import warpflow.diagnostics
 from brute_force import nearest_vertex
 from warpflow.boundary import boundary_data_from_presets
-from warpflow.diagnostics import (DiagnosticsReport, EnergyRecord, RunBounds,
+from warpflow.diagnostics import (EnergyRecord, RunBounds,
                                   SingularityEvent, ThresholdConfig,
                                   _fit_two_ball, check_singularity_counts,
                                   convergence_monitor, energy_functionals,
@@ -15,7 +20,8 @@ from warpflow.diagnostics import (DiagnosticsReport, EnergyRecord, RunBounds,
                                   record_to_dict, report_from_dict,
                                   report_to_dict, singularity_detect)
 from warpflow.errors import InsufficientSeries
-from warpflow.flow import Schedule, StepperConfig, initial_state, run_flow
+from warpflow.flow import (Schedule, StepperConfig, initial_state, run_flow,
+                           tension_residual)
 from warpflow.geometry import WarpFunction, make_target
 from warpflow.mesh import dirichlet_energy
 
@@ -289,10 +295,28 @@ class TestSingularityDetect:
         assert events[0].center == [0.25, 0.25]
 
 
+def test_diagnostics_loads_without_flow():
+    # a bare package (its __init__ imports every module) and warpflow.flow
+    # blocked: only diagnostics' own imports load, and none of them is flow
+    path = Path(warpflow.diagnostics.__file__)
+    code = ("import sys, types; pkg = types.ModuleType('warpflow'); "
+            f"pkg.__path__ = [{str(path.parent)!r}]; sys.modules['warpflow'] = pkg; "
+            "sys.modules['warpflow.flow'] = None; import warpflow.diagnostics")
+    proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # nor does any function of it import flow lazily
+    assert not any(isinstance(node, ast.ImportFrom) and node.module == "flow"
+                   for node in ast.walk(ast.parse(path.read_text())))
+
+
+def _monitor(rep, fin):
+    return convergence_monitor(rep.records, fin.mesh.h, tension_residual(fin)[1],
+                               rep.thresholds)
+
+
 class TestConvergenceMonitor:
     def test_no_series(self, square16):
-        rep = DiagnosticsReport(records=[])
-        conv = convergence_monitor(rep, state=None)
+        conv = convergence_monitor([], square16.h, 0.0, ThresholdConfig())
         assert conv.status == "no_series" and not conv.converged
 
     def test_constant_map_converges(self, square16):
@@ -302,7 +326,7 @@ class TestConvergenceMonitor:
         st = initial_state(square16, SPHERE, WarpFunction("constant", 1.0),
                            bd, cfg)
         fin, rep = run_flow(st, cfg, Schedule(t_end=0.01))
-        conv = convergence_monitor(rep, fin)
+        conv = _monitor(rep, fin)
         assert conv.status == "converged" and conv.converged
         assert conv.residual_norm < conv.residual_tolerance
 
@@ -314,7 +338,7 @@ class TestConvergenceMonitor:
         st = initial_state(square16, TORUS, WarpFunction("constant", 1.0),
                            bd, cfg)
         fin, rep = run_flow(st, cfg, Schedule(t_end=0.005))
-        conv = convergence_monitor(rep, fin)
+        conv = _monitor(rep, fin)
         assert conv.status == "not_stationary" and not conv.converged
 
     def test_halving_cascade_is_decreasing(self, square16):
@@ -325,7 +349,7 @@ class TestConvergenceMonitor:
         st = initial_state(square16, TORUS, WarpFunction("constant", 1.0),
                            bd, cfg)
         fin, rep = run_flow(st, cfg, Schedule(t_end=0.1, diag_stride=1))
-        conv = convergence_monitor(rep, fin)
+        conv = _monitor(rep, fin)
         assert len(conv.halving_rates) >= 3
         for a, b in zip(conv.halving_rates, conv.halving_rates[1:]):
             assert b <= a / 2.0
@@ -342,7 +366,7 @@ class TestConvergenceMonitor:
         hist[:, 5] = 2.0
         for r, c in zip(rep.records, _crossing_records(hist, rep.times)):
             r.crossings = c.crossings
-        conv = convergence_monitor(rep, fin)
+        conv = _monitor(rep, fin)
         assert conv.persistent_vertices == [5]
 
 

@@ -376,9 +376,10 @@ class TestRunFlow:
         assert rep.underflow_times[0] == 0.0
         assert fin.t >= t_end - 1e-14
 
-    def test_persistent_underflow_raises(self, square16):
+    def test_persistent_underflow_raises(self, square16, monkeypatch):
+        monkeypatch.setattr(warpflow.flow, "MAX_FORCED_STEPS", 2)
         bd = _bump_data(square16, amp=0.4)
-        cfg = StepperConfig(max_move_fraction=1e-9, max_forced_steps=2)
+        cfg = StepperConfig(max_move_fraction=1e-9)
         st = initial_state(square16, TORUS, UNIT_WARP, bd, cfg)
         with pytest.raises(SolverFailure):
             run_flow(st, cfg, Schedule(t_end=1.0))

@@ -282,17 +282,6 @@ def test_ball_covers_domain(disk16):
         pytest.approx(dirichlet_energy(disk16, f), rel=1e-14)
 
 
-def test_ball_index_agrees_with_direct_query(disk16):
-    f = disk16.vertices[:, 0] ** 2 - disk16.vertices[:, 1]
-    centers = [0, nearest_vertex(disk16, [0.5, 0.0])]
-    idx = BallIndex.build(disk16, centers, (0.2, 0.1))
-    assert idx.radii == (0.1, 0.2)
-    energies = (idx @ tri_energy_density(disk16, f)).reshape(2, 2)   # center-major
-    for c, row in zip(centers, energies):
-        for r, e in zip((0.1, 0.2), row):
-            assert e == pytest.approx(ball_energy(disk16, f, disk16.vertices[c], r), abs=1e-15)
-
-
 @pytest.mark.parametrize("mesh_name", ["square16", "disk16", "annulus8"])
 def test_probe_rows_match_ball_energy(mesh_name, request):
     m = request.getfixturevalue(mesh_name)
@@ -327,13 +316,15 @@ def test_probe_energies_keep_relative_accuracy_next_to_a_bubble():
 
 
 def test_local_energy_matrix_rows(disk16):
-    L = local_energy_matrix(disk16, 0.15)
-    dens = tri_energy_density(disk16, disk16.vertices[:, 0] ** 2)
-    local = L @ dens
-    for vid in (0, 7, disk16.num_vertices - 1):
-        direct = ball_energy(disk16, disk16.vertices[:, 0] ** 2,
-                             disk16.vertices[vid], 0.15)
-        assert local[vid] == pytest.approx(direct, abs=1e-15)
+    f = disk16.vertices[:, 0] ** 2 - disk16.vertices[:, 1]
+    dens = tri_energy_density(disk16, f)
+    vertices = (0, 7, nearest_vertex(disk16, [0.5, 0.0]), disk16.num_vertices - 1)
+    for radius in (0.1, 0.15, 0.2):
+        local = BallIndex.build(disk16, radius) @ dens
+        assert local.shape == (disk16.num_vertices,)
+        for vid in vertices:
+            direct = ball_energy(disk16, f, disk16.vertices[vid], radius)
+            assert local[vid] == pytest.approx(direct, abs=1e-15)
 
 
 def _membership(L, num_triangles):

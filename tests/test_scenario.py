@@ -211,6 +211,11 @@ class TestRunScenario:
         assert res.config.t_end == 0.002       # kwarg wins over override
         assert res.state.t == pytest.approx(0.002, abs=1e-12)
 
+    def test_misspelled_override_is_config_error(self):
+        with pytest.raises(ConfigParseError, match="'mesh.hh', 'schedule.t_endd'"):
+            run_scenario("heat_decay", write_artifacts=False,
+                         overrides={"mesh.hh": "0.125", "schedule.t_endd": "0.004"})
+
     def test_determinism_byte_identical(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -387,6 +392,21 @@ class TestBenchmarkHooks:
             cls = getattr(importlib.import_module(f"warpflow.{module}"), cls_name)
             assert meth in vars(cls), (cls_name, meth)
 
+    def test_tracer_installs_on_the_names_the_benchmark_binds(self):
+        # perfbench/child.py stamps flow.step and scenario.step and wraps
+        # scenario.initial_state; spans.py renames flow.cg_solve.  -B keeps
+        # bytecode out of perfbench/
+        root = Path(__file__).resolve().parents[1]
+        src = Path(warpflow.flow.__file__).parents[1]
+        code = (f"import sys; sys.path[:0] = [{str(root / 'perfbench')!r}, {str(src)!r}]; "
+                "import spans; spans.Tracer().install(); "
+                "import warpflow.flow as flow, warpflow.scenario as scenario; "
+                "assert callable(flow.step) and callable(scenario.step); "
+                "assert callable(scenario.initial_state); "
+                "assert flow.cg_solve.__wrapped__.__module__ == 'warpflow.elliptic'")
+        proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestCheckReportFile:
     def _fresh_report(self, tmp_path) -> Path:
@@ -447,7 +467,7 @@ class TestCheckReportFile:
         stored = bubbling_report["convergence"]["persistent_vertices"]
         conv = {**bubbling_report["convergence"], "persistent_vertices": stored + [0]}
         assert self._check(tmp_path, {**bubbling_report, "convergence": conv}) == 2
-        assert "persistent vertices" in capsys.readouterr().out
+        assert "stored convergence disagrees" in capsys.readouterr().out
 
     def test_raised_crossing_fails(self, tmp_path, bubbling_report):
         [event] = bubbling_report["events"]
@@ -467,6 +487,19 @@ class TestCheckReportFile:
 
     def test_changed_exit_code_fails(self, tmp_path, bubbling_report):
         assert self._check(tmp_path, {**bubbling_report, "exit_code": 2}) == 2
+
+    @pytest.mark.parametrize("key, edit", [
+        ("checks", lambda p: p["checks"][0]["constants"].update(max_increase=1.0)),
+        ("checks", lambda p: p["checks"][0].update(tolerance=1.0)),
+        ("convergence", lambda p: p["convergence"]["halving_times"].append(1.0)),
+        ("convergence", lambda p: p["convergence"].update(rate_tolerance=1.0)),
+        ("v_norm", lambda p: p.update(v_norm=p["v_norm"] + 1.0)),
+    ], ids=["constants", "tolerance", "halving_times", "rate_tolerance", "v_norm"])
+    def test_edited_derived_value_fails(self, tmp_path, bubbling_report, capsys, key, edit):
+        payload = json.loads(json.dumps(bubbling_report))
+        edit(payload)
+        assert self._check(tmp_path, payload) == 2
+        assert f"stored {key} disagrees with the re-derived {key}" in capsys.readouterr().out
 
     def test_deleted_check_fails(self, tmp_path, bubbling_report):
         checks = [c for c in bubbling_report["checks"] if c["name"] != "two_ball"]
