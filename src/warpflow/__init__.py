@@ -29,7 +29,6 @@ from .mesh import (BallIndex, DomainMesh, build_mesh, dirichlet_energy,
                    dump_mesh, local_energy_matrix, write_snapshot)
 from .scenario import (ScenarioConfig, ScenarioResult, TwinResult,
                        build_scenario, builtin_scenarios, check_report_file,
-                       parse_config_file, parse_config_text, resolve_config,
-                       run_scenario, twin_run)
+                       parse_config_text, resolve_config, run_scenario, twin_run)
 
 __version__ = "0.1.0"

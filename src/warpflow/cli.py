@@ -18,13 +18,12 @@ from pathlib import Path
 
 from .errors import ConfigParseError, WarpflowError
 from .scenario import (builtin_scenarios, check_report_file, default_out_root,
-                       resolve_config, run_scenario, twin_run)
+                       run_scenario, twin_run)
 
 
 def _run_one(args_tuple):
     name, out_dir, h, t_end = args_tuple
-    flat = resolve_config(name)
-    result = run_scenario(flat, out_dir=out_dir, h=h, t_end=t_end)
+    result = run_scenario(name, out_dir=out_dir, h=h, t_end=t_end)
     rec = result.report.records
     summary = (f"{result.config.name}: steps={result.state.step_count} "
                f"E_g={rec[-1].e_g:.6g} events={len(result.report.events)} "
@@ -52,8 +51,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_twin(args) -> int:
-    flat = resolve_config(args.config)
-    result = twin_run(flat, delta=args.delta)
+    result = twin_run(args.config, delta=args.delta)
     out = Path(args.out) if args.out else default_out_root() / f"{Path(args.config).stem}_twin"
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "twin_report.json", "w") as f:

@@ -109,7 +109,7 @@ class CheckResult:
 
 @dataclass
 class ConvergenceReport:
-    status: str                   # "converged" | "not_stationary" | "no_series"
+    status: str                   # "converged" | "not_stationary"
     converged: bool
     rate_l2: float
     rate_tolerance: float
@@ -473,12 +473,6 @@ def convergence_monitor(records: list, h: float, residual_norm: float,
     RESIDUAL_FACTOR * h.  The persistent set is `persistent_vertices` of the
     records.
     """
-    if not records:
-        return ConvergenceReport(status="no_series", converged=False,
-                                 rate_l2=math.inf, rate_tolerance=0.0,
-                                 residual_norm=math.inf, residual_tolerance=0.0,
-                                 halving_times=[], halving_rates=[],
-                                 persistent_vertices=[])
     rate = records[-1].rate_l2
     rate_tol = STATIONARITY_FACTOR * (1.0 + abs(records[0].e_g))
     res_tol = RESIDUAL_FACTOR * h
@@ -505,13 +499,15 @@ def convergence_monitor(records: list, h: float, residual_norm: float,
 
 def derive_verdicts(report: DiagnosticsReport, residual_norm: float) -> int:
     """Fill the report's events, checks, convergence and v_norm from its
-    records (at least one), bounds, thresholds and crossing points; the exit
-    code, 2 when a hard check fails and 0 otherwise.
+    records, bounds, thresholds and crossing points; the exit code, 2 when a
+    hard check fails and 0 otherwise.  No records is a ValueError.
 
     A run passes its final tension residual and `check` the stored one, so
     both reach every verdict through this one function.
     """
     records, thresholds = report.records, report.thresholds
+    if not records:
+        raise ValueError("report has no records")
     report.events = singularity_detect(records, thresholds, report.crossing_points)
     report.checks = (inequality_suite(records, report.bounds, thresholds, events=report.events)
                      if len(records) >= 2 else [])

@@ -37,17 +37,37 @@ from .flow import (Schedule, StepperConfig, _solve_potential, initial_state, mar
 from .geometry import WarpFunction, make_target
 from .mesh import build_mesh, dump_mesh, write_snapshot
 
-_KNOWN_KEYS = {
-    "name", "seed", "target",
-    "mesh.shape", "mesh.h", "mesh.r_in", "mesh.r_out",
-    "warp.kind", "warp.a", "warp.b",
-    "boundary.phi", "boundary.phi0", "boundary.psi",
-    "stepper.sigma", "stepper.theta",
-    "stepper.max_move_fraction",
-    "thresholds.energy", "thresholds.r_detect", "thresholds.r_grid",
-    "thresholds.persist_frames",
-    "schedule.t_end", "schedule.diag_stride", "schedule.snapshot_stride",
-    "twin.delta",
+
+def _floats(text):
+    return tuple(float(s) for s in text.split(","))
+
+
+# flat key -> (ScenarioConfig field, parser, what its parse error asks for)
+_KEYS = {
+    "name": ("name", str, "text"),
+    "seed": ("seed", int, "an integer"),
+    "target": ("target_name", str, "text"),
+    "mesh.shape": ("mesh_shape", str, "text"),
+    "mesh.h": ("mesh_h", float, "a number"),
+    "mesh.r_in": ("r_in", float, "a number"),
+    "mesh.r_out": ("r_out", float, "a number"),
+    "warp.kind": ("warp_kind", str, "text"),
+    "warp.a": ("warp_a", float, "a number"),
+    "warp.b": ("warp_b", float, "a number"),
+    "boundary.phi": ("phi_spec", str, "text"),
+    "boundary.phi0": ("phi0_spec", str, "text"),
+    "boundary.psi": ("psi_spec", str, "text"),
+    "stepper.sigma": ("sigma", float, "a number"),
+    "stepper.theta": ("theta", float, "a number"),
+    "stepper.max_move_fraction": ("max_move_fraction", float, "a number"),
+    "thresholds.energy": ("threshold_energy", float, "a number"),
+    "thresholds.r_detect": ("r_detect", float, "a number"),
+    "thresholds.r_grid": ("r_grid", _floats, "comma-separated numbers"),
+    "thresholds.persist_frames": ("persist_frames", int, "an integer"),
+    "schedule.t_end": ("t_end", float, "a number"),
+    "schedule.diag_stride": ("diag_stride", int, "an integer"),
+    "schedule.snapshot_stride": ("snapshot_stride", int, "an integer"),
+    "twin.delta": ("twin_delta", float, "a number"),
 }
 
 
@@ -65,35 +85,10 @@ def parse_config_text(text: str, path=None) -> dict:
             raise ConfigParseError(f"line {ln}: empty key or value", path=path, line=ln)
         if key in flat:
             raise ConfigParseError(f"line {ln}: duplicate key {key!r}", path=path, line=ln)
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigParseError(f"line {ln}: unknown key {key!r}", path=path, line=ln)
         flat[key] = val
     return flat
-
-
-def parse_config_file(path) -> dict:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigParseError(f"cannot read config {path}: {exc}", path=str(path))
-    flat = parse_config_text(text, path=str(path))
-    flat.setdefault("name", path.stem)
-    return flat
-
-
-def _flt(flat, key, default):
-    try:
-        return float(flat[key]) if key in flat else default
-    except ValueError as exc:
-        raise ConfigParseError(f"key {key!r}: expected a number, got {flat[key]!r}") from exc
-
-
-def _intval(flat, key, default):
-    try:
-        return int(flat[key]) if key in flat else default
-    except ValueError as exc:
-        raise ConfigParseError(f"key {key!r}: expected an integer, got {flat[key]!r}") from exc
 
 
 @dataclass
@@ -124,7 +119,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # every number a run reads, from a file key or an override, passes here
+        # every config, from a file, an override or a flag, passes this gate
         for f in fields(self):
             val = getattr(self, f.name)
             if any(isinstance(x, float) and not math.isfinite(x)
@@ -132,48 +127,32 @@ class ScenarioConfig:
                 raise ConfigParseError(f"{f.name} must be finite, got {val!r}")
         if self.t_end <= 0:
             raise ConfigParseError(f"t_end must be positive, got {self.t_end!r}")
+        for name in ("seed", "diag_stride", "snapshot_stride"):
+            if getattr(self, name) < 0:
+                raise ConfigParseError(f"{name} must be non-negative, got {getattr(self, name)!r}")
+        if self.target_name not in ("sphere", "torus"):
+            raise ConfigParseError(f"unknown target {self.target_name!r}")
+        if self.mesh_shape == "annulus":
+            missing = [key for key, (name, _, _) in _KEYS.items()
+                       if name in ("r_in", "r_out") and getattr(self, name) is None]
+            if missing:
+                raise ConfigParseError(f"annulus config is missing {', '.join(missing)}")
 
     @classmethod
     def from_flat(cls, flat: dict) -> "ScenarioConfig":
-        r_grid = cls.r_grid
-        if "thresholds.r_grid" in flat:
+        """The config of a flat key dict; an unknown key or a value its parser
+        refuses is a ConfigParseError."""
+        unknown = sorted(flat.keys() - _KEYS.keys())
+        if unknown:
+            raise ConfigParseError(f"unknown key(s) {', '.join(map(repr, unknown))}")
+        values = {}
+        for key, text in flat.items():
+            name, parse, expected = _KEYS[key]
             try:
-                r_grid = tuple(float(s) for s in flat["thresholds.r_grid"].split(","))
+                values[name] = parse(text)
             except ValueError as exc:
-                raise ConfigParseError("thresholds.r_grid must be comma-separated numbers") from exc
-        cfg = cls(
-            name=flat.get("name", "scenario"),
-            mesh_shape=flat.get("mesh.shape", cls.mesh_shape),
-            mesh_h=_flt(flat, "mesh.h", cls.mesh_h),
-            r_in=_flt(flat, "mesh.r_in", None),
-            r_out=_flt(flat, "mesh.r_out", None),
-            target_name=flat.get("target", cls.target_name),
-            warp_kind=flat.get("warp.kind", cls.warp_kind),
-            warp_a=_flt(flat, "warp.a", cls.warp_a),
-            warp_b=_flt(flat, "warp.b", cls.warp_b),
-            phi_spec=flat.get("boundary.phi", cls.phi_spec),
-            phi0_spec=flat.get("boundary.phi0", cls.phi0_spec),
-            psi_spec=flat.get("boundary.psi", cls.psi_spec),
-            sigma=_flt(flat, "stepper.sigma", cls.sigma),
-            theta=_flt(flat, "stepper.theta", cls.theta),
-            max_move_fraction=_flt(flat, "stepper.max_move_fraction", cls.max_move_fraction),
-            threshold_energy=_flt(flat, "thresholds.energy", cls.threshold_energy),
-            r_detect=_flt(flat, "thresholds.r_detect", cls.r_detect),
-            r_grid=r_grid,
-            persist_frames=_intval(flat, "thresholds.persist_frames", cls.persist_frames),
-            t_end=_flt(flat, "schedule.t_end", cls.t_end),
-            diag_stride=_intval(flat, "schedule.diag_stride", cls.diag_stride),
-            snapshot_stride=_intval(flat, "schedule.snapshot_stride", cls.snapshot_stride),
-            twin_delta=_flt(flat, "twin.delta", cls.twin_delta),
-            seed=_intval(flat, "seed", cls.seed),
-        )
-        if cfg.target_name not in ("sphere", "torus"):
-            raise ConfigParseError(f"unknown target {cfg.target_name!r}")
-        if cfg.mesh_shape == "annulus":
-            missing = [k for k in ("mesh.r_in", "mesh.r_out") if k not in flat]
-            if missing:
-                raise ConfigParseError(f"annulus config is missing {', '.join(missing)}")
-        return cfg
+                raise ConfigParseError(f"key {key!r}: expected {expected}, got {text!r}") from exc
+        return cls(**values)
 
 
 def builtin_scenarios() -> list:
@@ -182,27 +161,29 @@ def builtin_scenarios() -> list:
 
 
 def resolve_config(name_or_path) -> dict:
-    """Accepts a filesystem path or the name of a shipped scenario."""
-    p = Path(name_or_path)
-    if p.exists():
-        return parse_config_file(p)
-    base = resources.files("warpflow") / "scenarios" / f"{name_or_path}.cfg"
-    if base.is_file():
-        flat = parse_config_text(base.read_text(), path=str(base))
-        flat.setdefault("name", str(name_or_path))
-        return flat
-    raise ConfigParseError(f"no config file or shipped scenario named {name_or_path!r}")
+    """The flat keys of a config path or of a shipped scenario's name; `name`
+    defaults to the file's stem."""
+    path = Path(name_or_path)
+    if not path.exists():
+        path = resources.files("warpflow") / "scenarios" / f"{name_or_path}.cfg"
+        if not path.is_file():
+            raise ConfigParseError(f"no config file or shipped scenario named {name_or_path!r}")
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ConfigParseError(f"cannot read config {path}: {exc}", path=str(path))
+    flat = parse_config_text(text, path=str(path))
+    flat.setdefault("name", Path(path.name).stem)
+    return flat
 
 
-def _load_config(flat_or_path, overrides: dict = None) -> ScenarioConfig:
-    """A ScenarioConfig from a flat key dict, a path or a shipped name, its
-    flat keys patched by `overrides`; an unknown key is a ConfigParseError."""
-    if isinstance(flat_or_path, (str, Path)):
-        flat_or_path = resolve_config(flat_or_path)
-    flat = {**flat_or_path, **(overrides or {})}
-    unknown = sorted(flat.keys() - _KNOWN_KEYS)
-    if unknown:
-        raise ConfigParseError(f"unknown key(s) {', '.join(map(repr, unknown))}")
+def _load_config(flat_or_path, *patches) -> ScenarioConfig:
+    """The ScenarioConfig of a flat key dict, a path or a shipped name, its
+    keys patched by each of `patches` in turn (a None value patches nothing)."""
+    flat = dict(resolve_config(flat_or_path) if isinstance(flat_or_path, (str, Path))
+                else flat_or_path)
+    for patch in patches:
+        flat.update((k, v) for k, v in (patch or {}).items() if v is not None)
     return ScenarioConfig.from_flat(flat)
 
 
@@ -264,14 +245,10 @@ def run_scenario(flat_or_path, out_dir=None, h=None, t_end=None,
     """Run one scenario end to end; returns the result with its exit code.
 
     `flat_or_path` is a flat key dict (from parse/resolve), a config path or
-    a shipped name.  `h` and `t_end` override the config; `overrides`
-    patches flat keys first.
+    a shipped name.  `overrides` patches its flat keys, then `h` and `t_end`
+    patch `mesh.h` and `schedule.t_end`.
     """
-    cfg = _load_config(flat_or_path, overrides)
-    if h is not None:
-        cfg = replace(cfg, mesh_h=float(h))
-    if t_end is not None:
-        cfg = replace(cfg, t_end=float(t_end))
+    cfg = _load_config(flat_or_path, overrides, {"mesh.h": h, "schedule.t_end": t_end})
 
     setup = build_scenario(cfg)
     state = initial_state(setup.mesh, setup.target, setup.warp, setup.bdata,
@@ -347,9 +324,7 @@ def twin_run(flat_or_path, delta: float = None, overrides: dict = None) -> TwinR
     sequence, solve each step alike and survive timestep underflow the same
     way; underflow_times lists where it struck.
     """
-    cfg = _load_config(flat_or_path, overrides)
-    if delta is not None:
-        cfg = replace(cfg, twin_delta=float(delta))
+    cfg = _load_config(flat_or_path, overrides, {"twin.delta": delta})
     delta = cfg.twin_delta
 
     setup = build_scenario(cfg)

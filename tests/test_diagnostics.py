@@ -315,10 +315,6 @@ def _monitor(rep, fin):
 
 
 class TestConvergenceMonitor:
-    def test_no_series(self, square16):
-        conv = convergence_monitor([], square16.h, 0.0, ThresholdConfig())
-        assert conv.status == "no_series" and not conv.converged
-
     def test_constant_map_converges(self, square16):
         bd = boundary_data_from_presets(square16, SPHERE, "north_pole",
                                         "north_pole", "constant value=0")

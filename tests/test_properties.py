@@ -1,11 +1,12 @@
-"""Randomized robustness properties of the config parser and the `run` command.
+"""Randomized robustness properties of the config parser and the `run` and
+`twin` commands.
 
 Every config the CLI accepts or refuses must end in one of its exit codes
 (0 ok, 1 config error, 2 failed check, 3 solver error), never in an uncaught
-exception; every report a run writes must hold only finite record numbers,
-`warpflow check` on it must return that run's exit code, and a run that
-exits 0 must fail no hard check.  Examples are
-derandomized, so a failure reproduces.
+exception, and `twin` must refuse exactly the configs `run` refuses; every
+report a run writes must hold only finite record numbers, `warpflow check`
+on it must return that run's exit code, and a run that exits 0 must fail no
+hard check.  Examples are derandomized, so a failure reproduces.
 """
 
 import json
@@ -21,14 +22,14 @@ from hypothesis import strategies as st  # noqa: E402
 
 from warpflow.cli import main  # noqa: E402
 from warpflow.errors import ConfigParseError  # noqa: E402
-from warpflow.scenario import _KNOWN_KEYS, parse_config_text  # noqa: E402
+from warpflow.scenario import _KEYS, parse_config_text  # noqa: E402
 
 SETTINGS = dict(derandomize=True, max_examples=30, deadline=None, database=None)
 
 _LINE = st.one_of(
     st.text(max_size=40),
     st.builds(lambda k, sep, v: f"{k}{sep}{v}",
-              st.sampled_from(sorted(_KNOWN_KEYS) + ["bogus", ""]),
+              st.sampled_from(sorted(_KEYS) + ["bogus", ""]),
               st.sampled_from([" = ", "=", " ", "==", " = # "]),
               st.text(max_size=20)))
 
@@ -41,7 +42,7 @@ def test_any_text_parses_or_is_a_config_error(text):
     except ConfigParseError:
         return
     assert isinstance(flat, dict)
-    assert set(flat) <= _KNOWN_KEYS
+    assert set(flat) <= _KEYS.keys()
 
 
 # small value sets per key, valid ones first, then zero, negative, non-finite,
@@ -72,11 +73,12 @@ _VALUES = {
     "schedule.diag_stride": ["1", "2", "0", "-1"],
     "schedule.snapshot_stride": ["0", "1", "-1"],
     "twin.delta": ["0.001", "nan"],
-    "seed": ["0", "1", "x"],
 }
-# mesh.h and schedule.t_end are always set, so every run stays coarse and short
+# mesh.h and schedule.t_end are always set, so every run stays coarse and
+# short, and so is seed, which only twin reads
 _H = ["0.125", "0.25", "0.5", "1", "0", "nan"]
 _T_END = ["0.005", "0.01", "0", "nan"]
+_SEED = ["0", "1", "-1", "x"]
 
 
 def _numbers(value):
@@ -96,6 +98,7 @@ def _configs(draw):
     lines = [f"{k} = {draw(st.sampled_from(_VALUES[k]))}" for k in keys]
     lines.append(f"mesh.h = {draw(st.sampled_from(_H))}")
     lines.append(f"schedule.t_end = {draw(st.sampled_from(_T_END))}")
+    lines.append(f"seed = {draw(st.sampled_from(_SEED))}")
     return "\n".join(lines) + "\n"
 
 
@@ -115,3 +118,6 @@ def test_random_config_runs_end_in_an_exit_code(text):
             assert main(["check", str(report)]) == rc
             if rc == 0:
                 assert all(c["passed"] for c in payload["checks"] if c["hard"])
+        twin_rc = main(["twin", str(cfg), "--out", str(Path(tmp) / "twin")])
+        assert twin_rc in (0, 1, 3)
+        assert (twin_rc == 1) == (rc == 1)

@@ -18,7 +18,7 @@ from warpflow.cli import main
 from warpflow.diagnostics import ThresholdConfig
 from warpflow.errors import ConfigParseError
 from warpflow.flow import StepperConfig
-from warpflow.scenario import (_KNOWN_KEYS, ScenarioConfig, build_scenario,
+from warpflow.scenario import (_KEYS, ScenarioConfig, build_scenario,
                                builtin_scenarios, check_report_file,
                                parse_config_text, resolve_config, run_scenario,
                                twin_run)
@@ -90,6 +90,35 @@ class TestConfigParsing:
         with pytest.raises(ConfigParseError, match="mesh.r_out"):
             ScenarioConfig.from_flat({"mesh.shape": "annulus", "mesh.r_in": "0.5"})
 
+    # a valid value for each key, none of them its default, and the field value
+    ROUND_TRIP = {
+        "name": ("demo", "demo"), "seed": ("7", 7), "target": ("torus", "torus"),
+        "mesh.shape": ("annulus", "annulus"), "mesh.h": ("0.125", 0.125),
+        "mesh.r_in": ("0.5", 0.5), "mesh.r_out": ("1.5", 1.5),
+        "warp.kind": ("sinusoidal", "sinusoidal"), "warp.a": ("2", 2.0),
+        "warp.b": ("0.5", 0.5),
+        "boundary.phi": ("constant value=0.2,0.7", "constant value=0.2,0.7"),
+        "boundary.phi0": ("sine_bump amplitude=0.1", "sine_bump amplitude=0.1"),
+        "boundary.psi": ("cos_theta", "cos_theta"), "stepper.sigma": ("0.1", 0.1),
+        "stepper.theta": ("1", 1.0), "stepper.max_move_fraction": ("0.05", 0.05),
+        "thresholds.energy": ("0.5", 0.5), "thresholds.r_detect": ("0.05", 0.05),
+        "thresholds.r_grid": ("0.05,0.1,0.2", (0.05, 0.1, 0.2)),
+        "thresholds.persist_frames": ("2", 2), "schedule.t_end": ("0.004", 0.004),
+        "schedule.diag_stride": ("3", 3), "schedule.snapshot_stride": ("2", 2),
+        "twin.delta": ("0.0005", 0.0005),
+    }
+
+    def test_every_key_reaches_its_field(self, tmp_path):
+        assert self.ROUND_TRIP.keys() == _KEYS.keys()
+        p = tmp_path / "all.cfg"
+        p.write_text("".join(f"{k} = {text}\n" for k, (text, _) in self.ROUND_TRIP.items()))
+        cfg = ScenarioConfig.from_flat(resolve_config(p))
+        default = ScenarioConfig()
+        for key, (_, value) in self.ROUND_TRIP.items():
+            name = _KEYS[key][0]
+            assert getattr(cfg, name) == value != getattr(default, name), key
+        build_scenario(cfg)                     # the values are valid together
+
     def test_defaults_are_the_solver_defaults(self):
         setup = build_scenario(ScenarioConfig())
         assert setup.stepper == StepperConfig()
@@ -101,7 +130,7 @@ class TestConfigParsing:
         documented = set()
         for row in table.splitlines()[2:]:
             documented.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
-        assert documented == _KNOWN_KEYS
+        assert documented == set(_KEYS)
 
 
 class TestResolveConfig:
@@ -210,6 +239,10 @@ class TestRunScenario:
         assert res.config.mesh_h == 0.125
         assert res.config.t_end == 0.002       # kwarg wins over override
         assert res.state.t == pytest.approx(0.002, abs=1e-12)
+        # h and t_end are patches of their keys
+        keys = run_scenario("heat_decay", write_artifacts=False,
+                            overrides={"mesh.h": "0.125", "schedule.t_end": "0.002"})
+        assert keys.config == res.config
 
     def test_misspelled_override_is_config_error(self):
         with pytest.raises(ConfigParseError, match="'mesh.hh', 'schedule.t_endd'"):
@@ -516,6 +549,12 @@ class TestCheckReportFile:
     def test_missing_convergence_fails(self, tmp_path, bubbling_report):
         assert self._check(tmp_path, {**bubbling_report, "convergence": None}) == 2
 
+    def test_empty_records_are_malformed(self, tmp_path, bubbling_report, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({**bubbling_report, "records": []}))
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().out == "malformed report: ValueError: report has no records\n"
+
     def _check_malformed(self, path, capsys):
         assert main(["check", str(path)]) == 2
         out = capsys.readouterr().out.splitlines()
@@ -600,12 +639,13 @@ class TestCli:
         assert rows[-1, 0] == pytest.approx(0.002, abs=1e-12)
 
     def test_run_parallel_jobs(self, tmp_path):
-        out = tmp_path / "multi"
-        code = main(["run", "harmonic_fixed_point", "heat_decay",
-                     "--out", str(out), "--jobs", "2", "--t-end", "0.002"])
-        assert code == 0
-        assert (out / "harmonic_fixed_point" / "series.csv").exists()
-        assert (out / "heat_decay" / "series.csv").exists()
+        args = ["run", "harmonic_fixed_point", "heat_decay", "--h", "0.125",
+                "--t-end", "0.004"]
+        assert main(args + ["--out", str(tmp_path / "j2"), "--jobs", "2"]) == 0
+        assert main(args + ["--out", str(tmp_path / "j1"), "--jobs", "1"]) == 0
+        for name in ("harmonic_fixed_point", "heat_decay"):
+            assert ((tmp_path / "j2" / name / "series.csv").read_bytes()
+                    == (tmp_path / "j1" / name / "series.csv").read_bytes())
 
     def test_config_error_exit_code(self, capsys):
         assert main(["run", "no_such_scenario"]) == 1
@@ -631,7 +671,8 @@ class TestCli:
         "stepper.max_move_fraction = 0", "thresholds.r_grid = 0.1,-0.2",
         "boundary.phi = equator_circle kapa=3", "boundary.phi0 = harmonic rho=0.1",
         "boundary.psi = linear_x scael=2", "boundary.phi0 = sine_bump amplitude=0.1",
-        "stepper.scheme = semi_implicit", "output.formats = csv,json"])
+        "stepper.scheme = semi_implicit", "output.formats = csv,json",
+        "seed = -1", "schedule.diag_stride = -1", "schedule.snapshot_stride = -1"])
     def test_bad_config_value_is_config_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"target = sphere\n{line}\n")
@@ -645,6 +686,12 @@ class TestCli:
         assert main(["run", "heat_decay", flag, "nan", "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "finite" in err
+
+    def test_negative_seed_is_twin_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text("target = sphere\nmesh.h = 0.125\nseed = -1\n")
+        assert main(["twin", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("config error: seed must be non-negative")
 
     def test_non_finite_twin_delta_is_config_error(self, tmp_path, capsys):
         assert main(["twin", "stability_twin", "--delta", "nan",
