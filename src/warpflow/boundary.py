@@ -29,16 +29,16 @@ class BoundaryData:
     @classmethod
     def build(cls, mesh: DomainMesh, target, phi_vals: np.ndarray,
               phi0_vals: np.ndarray, psi_vals: np.ndarray,
-              phi_ext: np.ndarray = None, psi_ext: np.ndarray = None) -> "BoundaryData":
-        """Freeze the data; pass `phi_ext` / `psi_ext`, the harmonic extensions of
-        phi_vals / psi_vals, when they are known."""
+              phi_ext: np.ndarray = None) -> "BoundaryData":
+        """Freeze the data; pass `phi_ext`, the harmonic extension of phi_vals,
+        when it is known."""
         phi = np.asarray(phi_vals, dtype=float)
         phi0 = target.project_field(np.asarray(phi0_vals, dtype=float))
         phi0[mesh.boundary] = phi[mesh.boundary]
         psi = np.asarray(psi_vals, dtype=float)
         return cls(mesh=mesh, phi=phi, phi0=phi0, psi=psi,
                    phi_ext=harmonic_extension(mesh, phi) if phi_ext is None else phi_ext,
-                   psi_ext=harmonic_extension(mesh, psi) if psi_ext is None else psi_ext)
+                   psi_ext=harmonic_extension(mesh, psi))
 
 
 # -- analytic presets -------------------------------------------------------

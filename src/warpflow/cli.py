@@ -32,6 +32,8 @@ def _run_one(args_tuple):
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ConfigParseError(f"--jobs must be at least 1, got {args.jobs}")
     root = Path(args.out) if args.out else default_out_root()
     jobs = []
     for name in args.config:

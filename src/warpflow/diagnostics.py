@@ -186,7 +186,7 @@ def energy_functionals(state) -> EnergyRecord:
     records.  The gradients and K u are the state's own, evaluated once per
     state.
     """
-    mesh, warp = state.mesh, state.warp
+    mesh, warp = state.mesh, state.ctx.warp
     g2u, g2v = state.grad_sq_u(), state.grad_sq_v()
     dens_u = tri_energy_density(mesh, state.u, g2u)
     dens_v = tri_energy_density(mesh, state.v, g2v)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, splu
+from scipy.sparse.linalg import splu
 
 from .errors import SolverFailure
 from .mesh import DomainMesh, triangle_mean
@@ -45,7 +45,7 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray = None,
     """Preconditioned CG; returns (x, rel_residual, iterations).
 
     M approximates A^{-1}: a vector is an inverse diagonal, applied as one
-    multiply; anything else is applied through M.matvec (a LinearOperator).
+    multiply; a callable is applied to the residual (e.g. a factor's solve).
     The default is jacobi_preconditioner(A).  The iteration is
     scipy.sparse.linalg.cg's, operation for operation (start residual
     b - A x0, stop once |r| < rtol |b|), so both give the same iterates.
@@ -62,7 +62,7 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray = None,
         maxiter = max(100, int(50 * math.sqrt(n)))
     if M is None:
         M = jacobi_preconditioner(A)
-    psolve = M.__mul__ if isinstance(M, np.ndarray) else M.matvec
+    psolve = M.__mul__ if isinstance(M, np.ndarray) else M
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     r = b - A @ x if x.any() else b.copy()
     atol = rtol * bnorm
@@ -161,10 +161,9 @@ class WarpedBlock:
         return self.block, self._to_load @ aw, self._g.copy()
 
     def preconditioner(self):
-        """The LU factor of the block as it is now, kept for every later call."""
+        """The solve of the block's LU factor as it is now, kept for every later call."""
         if self._M is None:
-            lu = splu(self.block.tocsc(), permc_spec="MMD_AT_PLUS_A")
-            self._M = LinearOperator(self.block.shape, matvec=lu.solve, dtype=float)
+            self._M = splu(self.block.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
         return self._M
 
 
@@ -174,10 +173,11 @@ def solve_warped_laplace(mesh: DomainMesh, beta_vertex: np.ndarray,
                          block: WarpedBlock = None) -> EllipticSolution:
     """Weak P1 solution of -div(beta grad v) = f with trace psi.
 
-    `psi` is a full-length nodal array whose boundary entries carry the data;
     `source` (optional) is a nodal density, integrated with the lumped mass.
-    `block` is a WarpedBlock of this mesh and psi, kept across solves; without
-    one, a block is built for this call.
+    `block` is a WarpedBlock of this mesh, kept across solves; it carries its
+    own boundary data.  `psi`, a full-length nodal array whose boundary
+    entries carry the data, is read only to build a block for this call when
+    no `block` is given.
     """
     load = None if source is None else mesh.lumped_mass * np.asarray(source, dtype=float)
     block = WarpedBlock(mesh, psi) if block is None else block

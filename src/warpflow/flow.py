@@ -24,10 +24,14 @@ dt_min step (the discrete stand-in for restarting from the weak limit) and
 resumes with the CFL timestep.  So dt is always dt_cfl / 2^k (or the step
 that lands on t_end), and the theta-step matrices stay few: the one at the
 CFL value, which most steps use, is factored once; every other one is
-solved by Jacobi CG.  All states marched from one `initial_state` (the two
-members of a twin pair) share one `_FlowContext`.  A state's triangle
-gradients, nodal forcing and K u are evaluated once, on first use, whether a
-retried step, a record or the next step asks for them.
+solved by Jacobi CG.
+
+A run's fixed data (mesh, target, warp, boundary data and StepperConfig)
+live once, in the `_FlowContext` that `initial_state` builds; a FlowState is
+the evolving (u, v, t) on it.  Every state marched from one context (the two
+members of a twin pair too) shares it.  A state's triangle gradients, nodal
+forcing and K u are evaluated once, on first use, whether a retried step, a
+record or the next step asks for them.
 """
 
 from __future__ import annotations
@@ -70,12 +74,6 @@ class StepperConfig:
         if self.max_move_fraction <= 0:
             raise ValueError("max_move_fraction must be positive")
 
-    def dt_initial(self, h: float) -> float:
-        return self.sigma * h
-
-    def dt_min(self, h: float) -> float:
-        return DT_MIN_FACTOR * h * h
-
 
 @dataclass
 class Schedule:
@@ -86,29 +84,34 @@ class Schedule:
 
 
 class _FlowContext:
-    """Solver stats, theta-step solves and the warped potential's block of one run.
+    """The fixed data, solver stats and theta-step solves of one run.
 
-    It depends only on the mesh, the boundary traces and the warp, so all
-    states marched from one `initial_state` share it (a twin pair too), and
-    stats count every step call once.  K_phi = (K phi)_I.  The theta-step
-    matrix A = M_II + theta dt K_II is solved by Jacobi CG, cached per
-    (dt, theta) with its preconditioner, except at `cfl_key` = (dt_cfl,
-    theta): the first time that key is used at a second time level, one
-    sparse LU factor replaces its matrix and solves all columns of every
-    later step there.  So a context holds at most one factor, a run that
-    tries the CFL step once builds none, members of a twin pair always
-    solve alike, and step_iterations counts CG solves only.  `potential` is
-    where the potential is decided: a non-constant warp re-solves it every
-    step on this WarpedBlock (the fixed-pattern block and its cached
-    factor); a constant warp has None, and its potential is the harmonic
-    extension of psi for all time, solved nowhere in the flow.
+    It holds the mesh, target, warp, boundary data and StepperConfig, and the
+    dt policy they fix: dt_cfl = sigma h and dt_min = DT_MIN_FACTOR h^2 for
+    the configured mesh size h (tolerances elsewhere use the realized max
+    edge mesh.h).  Every state started from it (`start`, a twin pair's two
+    members too) shares it, so stats count every step call once.
+    K_phi = (K phi)_I.  The theta-step matrix A = M_II + theta dt K_II is
+    solved by Jacobi CG, cached per dt with its preconditioner, except at
+    dt_cfl: the first time it is used at a second time level, one sparse LU
+    factor replaces its matrix and solves all columns of every later step
+    there.  So a context holds at most one factor, a run that tries the CFL
+    step once builds none, members of a twin pair always solve alike, and
+    step_iterations counts CG solves only.  `potential` is where the
+    potential is decided: a non-constant warp re-solves it every step on
+    this WarpedBlock (the fixed-pattern block and its cached factor); a
+    constant warp has None, and its potential is the harmonic extension of
+    psi for all time, solved nowhere in the flow.
     """
 
-    def __init__(self, mesh: DomainMesh, bdata: BoundaryData, warp, cfl_key):
-        self.mesh = mesh
+    def __init__(self, mesh: DomainMesh, target, warp, bdata: BoundaryData,
+                 config: StepperConfig):
+        self.mesh, self.target, self.warp, self.bdata, self.config = (
+            mesh, target, warp, bdata, config)
+        h = mesh.target_h
+        self.dt_cfl, self.dt_min = config.sigma * h, DT_MIN_FACTOR * h * h
         self.K_II, self.K_phi, _ = dirichlet_split(mesh, mesh.stiffness, bdata.phi)
         self.potential = None if warp.kind == "constant" else WarpedBlock(mesh, bdata.psi)
-        self.cfl_key = (float(cfl_key[0]), float(cfl_key[1]))
         self._cfl_first_t = None
         self._cfl_lu = None
         # M_II + theta dt K_II has K_II's pattern (its diagonal included): a
@@ -118,54 +121,63 @@ class _FlowContext:
         M_II.setdiag(mesh.lumped_mass[mesh.interior])
         self._mass_data = M_II.data
         self._step_mat = {}
-        # |grad v|^2 per triangle under a constant warp, whose potential is
-        # the same psi_ext in every state
+        # under a constant warp every state's potential is this one copy of
+        # psi_ext, and its |grad v|^2 per triangle is kept here once
+        self.v_fixed = np.array(bdata.psi_ext, dtype=float) if self.potential is None else None
         self.grad_sq_psi_ext = None
         self.stats = {"elliptic_solves": 0, "elliptic_iterations": 0,
                       "step_iterations": 0, "accepted_steps": 0, "rejected_steps": 0,
                       "rejections": {"move_cap": 0, "projection": 0},
                       "max_elliptic_residual": 0.0}
 
-    def step_matrix(self, dt: float, theta: float):
+    def step_matrix(self, dt: float):
         """(A, its inverse diagonal) for A = M_II + theta dt K_II; cached
         only for dt = dt_cfl / 2^k, so a step clipped to land on t_end is not."""
-        key = (float(dt), float(theta))
-        entry = self._step_mat.get(key)
+        entry = self._step_mat.get(dt)
         if entry is None:
             K = self.K_II
-            A = sp.csr_matrix((self._mass_data + (theta * dt) * K.data, K.indices, K.indptr),
-                              shape=K.shape)
+            A = sp.csr_matrix((self._mass_data + (self.config.theta * dt) * K.data,
+                               K.indices, K.indptr), shape=K.shape)
             entry = (A, jacobi_preconditioner(A))
-            if math.frexp(self.cfl_key[0] / key[0])[0] == 0.5:
-                self._step_mat[key] = entry
+            if math.frexp(self.dt_cfl / dt)[0] == 0.5:
+                self._step_mat[dt] = entry
         return entry
 
-    def theta_solve(self, dt: float, theta: float, t: float, rhs_I: np.ndarray,
+    def theta_solve(self, dt: float, t: float, rhs_I: np.ndarray,
                     x0_I: np.ndarray) -> np.ndarray:
         """The columns X of (M_II + theta dt K_II) X = rhs_I for a step from time t."""
-        if (float(dt), float(theta)) == self.cfl_key:
+        if dt == self.dt_cfl:
             if self._cfl_first_t is None:
                 self._cfl_first_t = t
             elif self._cfl_lu is None and t != self._cfl_first_t:
-                A = self.step_matrix(dt, theta)[0]
+                A = self.step_matrix(dt)[0]
                 self._cfl_lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
-                del self._step_mat[self.cfl_key]      # the factor replaces it
+                del self._step_mat[self.dt_cfl]       # the factor replaces it
             if self._cfl_lu is not None:
                 return self._cfl_lu.solve(rhs_I)
-        A, M = self.step_matrix(dt, theta)
+        A, M = self.step_matrix(dt)
         X = np.empty_like(rhs_I)
         for d in range(rhs_I.shape[1]):
             X[:, d], _, iters = cg_solve(A, rhs_I[:, d], x0=x0_I[:, d], M=M)
             self.stats["step_iterations"] += iters
         return X
 
+    def start(self, u0: np.ndarray) -> "FlowState":
+        """The validated state at t = 0 of the map u0, with its potential.
+
+        The state keeps u0 itself, not a copy, and makes it read-only."""
+        mesh, phi = self.mesh, self.bdata.phi
+        if float(np.max(self.target.distance(u0))) > 1e-9:
+            raise ValueError("initial map must lie on the target manifold")
+        if np.max(np.abs(u0[mesh.boundary] - phi[mesh.boundary])) != 0.0:
+            raise ValueError("initial map must equal the boundary trace on the boundary")
+        v0 = self.v_fixed if self.potential is None else _solve_potential(self, u0)
+        return FlowState(mesh=mesh, u=u0, v=v0, dt=self.dt_cfl, ctx=self)
+
 
 @dataclass
 class FlowState:
     mesh: DomainMesh
-    target: object
-    warp: object
-    bdata: BoundaryData
     u: np.ndarray
     v: np.ndarray
     t: float = 0.0
@@ -208,8 +220,8 @@ class FlowState:
         return ctx.grad_sq_psi_ext
 
 
-def _solve_potential(ctx, warp, bdata, u, x0=None):
-    sol = solve_warped_laplace(ctx.mesh, warp.beta(u), bdata.psi, x0=x0,
+def _solve_potential(ctx: _FlowContext, u, x0=None):
+    sol = solve_warped_laplace(ctx.mesh, ctx.warp.beta(u), ctx.bdata.psi, x0=x0,
                                block=ctx.potential)
     ctx.stats["elliptic_solves"] += 1
     ctx.stats["elliptic_iterations"] += sol.iterations
@@ -220,22 +232,9 @@ def _solve_potential(ctx, warp, bdata, u, x0=None):
 
 def initial_state(mesh: DomainMesh, target, warp, bdata: BoundaryData,
                   config: StepperConfig) -> FlowState:
-    """Validated starting state with the matching elliptic potential."""
-    u0 = np.array(bdata.phi0, dtype=float)
-    if float(np.max(target.distance(u0))) > 1e-9:
-        raise ValueError("initial map must lie on the target manifold")
-    if np.max(np.abs(u0[mesh.boundary] - bdata.phi[mesh.boundary])) != 0.0:
-        raise ValueError("initial map must equal the boundary trace on the boundary")
-    dt_cfl = config.dt_initial(mesh.target_h)
-    ctx = _FlowContext(mesh, bdata, warp, (dt_cfl, config.theta))
-    if ctx.potential is None:
-        v0 = np.array(bdata.psi_ext, dtype=float)
-    else:
-        v0 = _solve_potential(ctx, warp, bdata, u0)
-    # dt policy keys off the configured mesh size; tolerances elsewhere use
-    # the realized max edge mesh.h
-    return FlowState(mesh=mesh, target=target, warp=warp, bdata=bdata,
-                     u=u0, v=v0, t=0.0, dt=dt_cfl, ctx=ctx)
+    """Validated starting state at phi0, on a new context for this run's data."""
+    return _FlowContext(mesh, target, warp, bdata, config).start(
+        np.array(bdata.phi0, dtype=float))
 
 
 def _forcing(state: FlowState) -> np.ndarray:
@@ -244,14 +243,14 @@ def _forcing(state: FlowState) -> np.ndarray:
     own, so a state that is only stepped holds no gradients while its step
     solve runs."""
     def compute():
-        mesh = state.mesh
+        mesh, ctx = state.mesh, state.ctx
         g2_u = state.cache.get("grad_sq_u")
         if g2_u is None:
             g2_u = mesh.tri_grad_sq(state.u)
-        F = state.target.curvature_force(state.u, mesh.nodal_from_tri(g2_u))
-        if state.ctx.potential is not None:
+        F = ctx.target.curvature_force(state.u, mesh.nodal_from_tri(g2_u))
+        if ctx.potential is not None:
             s = mesh.nodal_from_tri(state.grad_sq_v())
-            F = F - warp_force(state.target, state.warp, state.u, s)
+            F = F - warp_force(ctx.target, ctx.warp, state.u, s)
         return F
     return state._derived("forcing", compute)
 
@@ -261,7 +260,7 @@ def tension_residual(state: FlowState):
     mesh = state.mesh
     lap = mesh.laplacian(state.u, state.stiffness_u())
     R = lap + _forcing(state)
-    R = state.target.project_tangent(state.u, R)
+    R = state.ctx.target.project_tangent(state.u, R)
     R[mesh.boundary] = 0.0
     norm = math.sqrt(float(np.dot(mesh.lumped_mass, np.einsum("ij,ij->i", R, R))))
     return R, norm
@@ -272,8 +271,7 @@ def _count_rejection(ctx: _FlowContext, reason: str):
     ctx.stats["rejections"][reason] += 1
 
 
-def step(state: FlowState, config: StepperConfig, dt: float = None,
-         enforce_cap: bool = True) -> FlowState:
+def step(state: FlowState, dt: float = None, enforce_cap: bool = True) -> FlowState:
     """One projected step of size dt (default state.dt); returns the new state.
 
     Raises StepRejected when the largest nodal move exceeds
@@ -281,7 +279,7 @@ def step(state: FlowState, config: StepperConfig, dt: float = None,
     and SolverFailure with the time attached when a solve fails or the new
     map or potential is not finite; dt control belongs to `march`.
     """
-    mesh, ctx = state.mesh, state.ctx
+    mesh, ctx, config = state.mesh, state.ctx, state.ctx.config
     dt = state.dt if dt is None else float(dt)
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -295,18 +293,18 @@ def step(state: FlowState, config: StepperConfig, dt: float = None,
             rhs -= ((1.0 - theta) * dt) * state.stiffness_u()
         rhs_I = rhs[I] - (theta * dt) * ctx.K_phi
         u_star = np.array(u)
-        u_star[I] = ctx.theta_solve(dt, theta, state.t, rhs_I, u[I])
+        u_star[I] = ctx.theta_solve(dt, state.t, rhs_I, u[I])
         if not np.all(np.isfinite(u_star)):
             raise SolverFailure("non-finite map after the step solve")
     except SolverFailure as exc:
         raise SolverFailure(f"{exc} (at t = {state.t:.6g})", time=state.t) from exc
 
     try:
-        u_new = state.target.project_field(u_star)
+        u_new = ctx.target.project_field(u_star)
     except DegeneratePoint as exc:
         _count_rejection(ctx, "projection")
         raise StepRejected(f"projection degenerated: {exc}") from exc
-    u_new[mesh.boundary] = state.bdata.phi[mesh.boundary]
+    u_new[mesh.boundary] = ctx.bdata.phi[mesh.boundary]
 
     du = u_new - u
     dd = np.einsum("ij,ij->i", du, du)              # squared nodal moves
@@ -318,7 +316,7 @@ def step(state: FlowState, config: StepperConfig, dt: float = None,
 
     try:
         v_new = state.v if ctx.potential is None else \
-            _solve_potential(ctx, state.warp, state.bdata, u_new, x0=state.v)
+            _solve_potential(ctx, u_new, x0=state.v)
         if not np.all(np.isfinite(v_new)):
             raise SolverFailure("non-finite potential")
     except SolverFailure as exc:
@@ -332,8 +330,9 @@ def step(state: FlowState, config: StepperConfig, dt: float = None,
                    last_rate=math.sqrt(diff2) / dt)
 
 
-def march(states: list, config: StepperConfig, t_end: float):
-    """Advance `states` in lockstep to t_end under one shared adaptive dt.
+def march(states: list, t_end: float):
+    """Advance `states` in lockstep to t_end under one shared adaptive dt, on
+    the dt policy of the first state's context.
 
     A trial step that any member rejects is retried at half the dt.  dt
     grows back only after GROW_AFTER steps in a row have been accepted since
@@ -346,15 +345,14 @@ def march(states: list, config: StepperConfig, t_end: float):
     Yields (states, dt, forced) after every step taken, each state's dt set
     to the next planned step.
     """
-    h = states[0].mesh.target_h
-    dt_cfl, dt_floor = config.dt_initial(h), config.dt_min(h)
+    dt_cfl, dt_floor = states[0].ctx.dt_cfl, states[0].ctx.dt_min
     controller = states[0].dt if states[0].dt > 0 else dt_cfl
     forced_run = accepted_run = 0
     while states[0].t < t_end - 1e-14:
         t = states[0].t
         dt = min(controller, t_end - t)
         try:
-            new = [step(s, config, dt=dt) for s in states]
+            new = [step(s, dt=dt) for s in states]
         except StepRejected:
             controller, accepted_run = dt / 2.0, 0
             if controller >= dt_floor:
@@ -364,7 +362,7 @@ def march(states: list, config: StepperConfig, t_end: float):
                 raise SolverFailure(
                     f"persistent timestep underflow at t = {t:.6g}", time=t)
             forced, dt = True, dt_floor
-            new = [step(s, config, dt=dt, enforce_cap=False) for s in states]
+            new = [step(s, dt=dt, enforce_cap=False) for s in states]
             controller = dt_cfl
         else:
             forced, forced_run = False, 0
@@ -394,8 +392,7 @@ def default_probe_centers(mesh: DomainMesh) -> list:
         for a in anchors))
 
 
-def run_flow(state: FlowState, config: StepperConfig, schedule: Schedule,
-             thresholds: ThresholdConfig = None):
+def run_flow(state: FlowState, schedule: Schedule, thresholds: ThresholdConfig = None):
     """March to t_end with adaptive dt; returns (final state, DiagnosticsReport).
 
     The report carries one record per diag_stride accepted steps (plus the
@@ -406,7 +403,7 @@ def run_flow(state: FlowState, config: StepperConfig, schedule: Schedule,
     """
     thresholds = thresholds or ThresholdConfig()
     mesh = state.mesh
-    bounds = RunBounds.from_run(mesh, state.warp, state.bdata)
+    bounds = RunBounds.from_run(mesh, state.ctx.warp, state.ctx.bdata)
     report = DiagnosticsReport(records=[], bounds=bounds, thresholds=thresholds)
     if schedule.t_end <= 0:
         return state, report
@@ -437,7 +434,7 @@ def run_flow(state: FlowState, config: StepperConfig, schedule: Schedule,
         kin_since_record = 0.0
 
     record(state)
-    for (new_state,), dt, forced in march([state], config, schedule.t_end):
+    for (new_state,), dt, forced in march([state], schedule.t_end):
         if forced:
             # operational blow-up: log it and record the state the forced
             # step started from

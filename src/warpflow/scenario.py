@@ -32,8 +32,8 @@ from .errors import (ConfigParseError, InvalidShapeParameters,
                      NonPositiveCoefficient)
 # step is unused here but stays bound: perfbench/child.py patches
 # scenario.step next to flow.step to stamp the first step of a run
-from .flow import (Schedule, StepperConfig, _solve_potential, initial_state, march,
-                   run_flow, step, tension_residual)
+from .flow import (Schedule, StepperConfig, initial_state, march, run_flow, step,
+                   tension_residual)
 from .geometry import WarpFunction, make_target
 from .mesh import build_mesh, dump_mesh, write_snapshot
 
@@ -187,19 +187,9 @@ def _load_config(flat_or_path, *patches) -> ScenarioConfig:
     return ScenarioConfig.from_flat(flat)
 
 
-@dataclass
-class ScenarioSetup:
-    config: ScenarioConfig
-    mesh: object
-    target: object
-    warp: WarpFunction
-    bdata: object
-    stepper: StepperConfig
-    thresholds: ThresholdConfig
-
-
-def build_scenario(cfg: ScenarioConfig) -> ScenarioSetup:
-    """Everything a run needs; a value the constructors reject is a ConfigParseError."""
+def build_scenario(cfg: ScenarioConfig):
+    """(initial state, ThresholdConfig) of a run; a value the constructors
+    reject is a ConfigParseError."""
     try:
         mesh = build_mesh(cfg.mesh_shape, cfg.mesh_h, r_in=cfg.r_in, r_out=cfg.r_out)
         target = make_target(cfg.target_name)
@@ -213,7 +203,7 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioSetup:
         raise ConfigParseError(str(exc)) from exc
     bdata = boundary_data_from_presets(mesh, target, cfg.phi_spec,
                                        cfg.phi0_spec, cfg.psi_spec)
-    return ScenarioSetup(cfg, mesh, target, warp, bdata, stepper, thresholds)
+    return initial_state(mesh, target, warp, bdata, stepper), thresholds
 
 
 @dataclass
@@ -250,9 +240,7 @@ def run_scenario(flat_or_path, out_dir=None, h=None, t_end=None,
     """
     cfg = _load_config(flat_or_path, overrides, {"mesh.h": h, "schedule.t_end": t_end})
 
-    setup = build_scenario(cfg)
-    state = initial_state(setup.mesh, setup.target, setup.warp, setup.bdata,
-                          setup.stepper)
+    state, thresholds = build_scenario(cfg)
 
     out = None
     snapshot_cb = None
@@ -264,23 +252,23 @@ def run_scenario(flat_or_path, out_dir=None, h=None, t_end=None,
             snap_dir.mkdir(exist_ok=True)
 
             def snapshot_cb(st):
-                write_snapshot(setup.mesh, st.u, st.v,
+                write_snapshot(st.mesh, st.u, st.v,
                                snap_dir / f"step_{st.step_count:06d}.txt")
 
     schedule = Schedule(t_end=cfg.t_end, diag_stride=cfg.diag_stride,
                         snapshot_stride=cfg.snapshot_stride,
                         snapshot_cb=snapshot_cb)
-    state, report = run_flow(state, setup.stepper, schedule, setup.thresholds)
+    state, report = run_flow(state, schedule, thresholds)
 
     exit_code = derive_verdicts(report, tension_residual(state)[1])
-    if setup.warp.kind == "constant":
+    if cfg.warp_kind == "constant":
         report.notes.append("constant warp: potential decoupled, solved once")
     if report.underflow_times:
         report.notes.append(
             "continued past timestep underflow from the last accepted state")
 
     if write_artifacts:
-        dump_mesh(setup.mesh, out / "mesh.txt")
+        dump_mesh(state.mesh, out / "mesh.txt")
         write_series_csv(report, out / "series.csv")
         payload = report_to_dict(report)
         payload["scenario"] = asdict(cfg)
@@ -318,7 +306,7 @@ def twin_run(flat_or_path, delta: float = None, overrides: dict = None) -> TwinR
 
     The perturbation is seeded white noise projected to the tangent space,
     zeroed on the boundary and scaled so its largest nodal norm is delta;
-    delta = 0 reuses the exact same initial array, so the difference is
+    delta = 0 starts both from the same initial map, so the difference is
     identically zero.  Both runs march together under run_flow's dt
     controller and share one solver context, so they take the same dt
     sequence, solve each step alike and survive timestep underflow the same
@@ -327,12 +315,11 @@ def twin_run(flat_or_path, delta: float = None, overrides: dict = None) -> TwinR
     cfg = _load_config(flat_or_path, overrides, {"twin.delta": delta})
     delta = cfg.twin_delta
 
-    setup = build_scenario(cfg)
-    mesh, target = setup.mesh, setup.target
-    base = initial_state(mesh, target, setup.warp, setup.bdata, setup.stepper)
+    base, _ = build_scenario(cfg)
+    mesh, target = base.mesh, base.ctx.target
 
     if delta == 0.0:
-        u0p = np.array(base.u)
+        u0p = base.u
     else:
         rng = np.random.default_rng(cfg.seed)
         noise = rng.standard_normal(base.u.shape)
@@ -342,19 +329,16 @@ def twin_run(flat_or_path, delta: float = None, overrides: dict = None) -> TwinR
         if wmax == 0.0:
             raise ValueError("degenerate twin perturbation")
         u0p = target.project_field(base.u + (delta / wmax) * w)
-        u0p[mesh.boundary] = setup.bdata.phi[mesh.boundary]
-    # only phi0 differs: the traces, their extensions and so the solver
-    # context are the base run's, shared by both members
-    bdata_p = replace(setup.bdata, phi0=u0p)
-    v0p = base.v if base.ctx.potential is None else \
-        _solve_potential(base.ctx, setup.warp, bdata_p, u0p)
-    pert = replace(base, u=u0p, bdata=bdata_p, v=v0p)
+        u0p[mesh.boundary] = base.ctx.bdata.phi[mesh.boundary]
+    # only the initial map differs: the perturbed member starts on the base
+    # member's context, so both share its data and solver state
+    pert = base.ctx.start(u0p)
 
     times = [0.0]
     diffs = [_l2_diff(mesh, base.u, pert.u)]
     initial_diff = diffs[0]
     underflow_times = []
-    for (base, pert), _, forced in march([base, pert], setup.stepper, cfg.t_end):
+    for (base, pert), _, forced in march([base, pert], cfg.t_end):
         if forced:
             underflow_times.append(times[-1])
         times.append(float(base.t))

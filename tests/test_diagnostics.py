@@ -37,7 +37,7 @@ def coupled_run(square16):
                                     "harmonic", "linear_x")
     cfg = StepperConfig(sigma=0.2)
     st = initial_state(square16, SPHERE, warp, bd, cfg)
-    fin, rep = run_flow(st, cfg, Schedule(t_end=0.05, diag_stride=1),
+    fin, rep = run_flow(st, Schedule(t_end=0.05, diag_stride=1),
                         ThresholdConfig())
     rep.checks = inequality_suite(rep.records, rep.bounds, ThresholdConfig())
     return fin, rep
@@ -178,7 +178,7 @@ class TestInequalitySuite:
         cfg = StepperConfig()
         st = initial_state(square16, SPHERE, WarpFunction("constant", 1.0),
                            bd, cfg)
-        _, rep = run_flow(st, cfg, Schedule(t_end=0.01))
+        _, rep = run_flow(st, Schedule(t_end=0.01))
         checks = inequality_suite(rep.records, rep.bounds, ThresholdConfig())
         lady = next(c for c in checks if c.name == "ladyzhenskaya")
         assert lady.constants["C_lady"] == 0.0
@@ -321,7 +321,7 @@ class TestConvergenceMonitor:
         cfg = StepperConfig()
         st = initial_state(square16, SPHERE, WarpFunction("constant", 1.0),
                            bd, cfg)
-        fin, rep = run_flow(st, cfg, Schedule(t_end=0.01))
+        fin, rep = run_flow(st, Schedule(t_end=0.01))
         conv = _monitor(rep, fin)
         assert conv.status == "converged" and conv.converged
         assert conv.residual_norm < conv.residual_tolerance
@@ -333,7 +333,7 @@ class TestConvergenceMonitor:
         cfg = StepperConfig()
         st = initial_state(square16, TORUS, WarpFunction("constant", 1.0),
                            bd, cfg)
-        fin, rep = run_flow(st, cfg, Schedule(t_end=0.005))
+        fin, rep = run_flow(st, Schedule(t_end=0.005))
         conv = _monitor(rep, fin)
         assert conv.status == "not_stationary" and not conv.converged
 
@@ -344,7 +344,7 @@ class TestConvergenceMonitor:
         cfg = StepperConfig()
         st = initial_state(square16, TORUS, WarpFunction("constant", 1.0),
                            bd, cfg)
-        fin, rep = run_flow(st, cfg, Schedule(t_end=0.1, diag_stride=1))
+        fin, rep = run_flow(st, Schedule(t_end=0.1, diag_stride=1))
         conv = _monitor(rep, fin)
         assert len(conv.halving_rates) >= 3
         for a, b in zip(conv.halving_rates, conv.halving_rates[1:]):
@@ -357,7 +357,7 @@ class TestConvergenceMonitor:
         cfg = StepperConfig()
         st = initial_state(square16, SPHERE, WarpFunction("constant", 1.0),
                            bd, cfg)
-        fin, rep = run_flow(st, cfg, Schedule(t_end=0.01))
+        fin, rep = run_flow(st, Schedule(t_end=0.01))
         hist = np.full((len(rep.records), square16.num_vertices), 0.1)
         hist[:, 5] = 2.0
         for r, c in zip(rep.records, _crossing_records(hist, rep.times)):
@@ -381,7 +381,7 @@ class TestDetectorInvariance:
             cfg = StepperConfig(sigma=0.2)
             st = initial_state(disk16, SPHERE, warp, bd, cfg)
             thr = ThresholdConfig(energy=1.0, r_detect=0.1)
-            fin, rep = run_flow(st, cfg, Schedule(t_end=0.01), thr)
+            fin, rep = run_flow(st, Schedule(t_end=0.01), thr)
             rep.events = singularity_detect(rep.records, thr, rep.crossing_points)
             results.append((fin, rep))
         (f1, r1), (f2, r2) = results

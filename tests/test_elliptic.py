@@ -57,7 +57,8 @@ class TestCgSolve:
         A, load, _ = block.split(2.0 - 0.3 * y)
         b = -load
         xs, rel, iters = cg_solve(A, b, M=M)
-        x_ref, iters_ref = self._scipy_reference(A, b, None, M)
+        x_ref, iters_ref = self._scipy_reference(A, b, None,
+                                                 spla.LinearOperator(A.shape, matvec=M))
         assert iters == iters_ref > 1
         assert np.max(np.abs(xs - x_ref)) <= 1e-15 * np.max(np.abs(x_ref))
 

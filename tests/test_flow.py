@@ -49,9 +49,12 @@ class TestStepperConfig:
             StepperConfig(theta=1.1)
 
     def test_dt_policy(self):
-        cfg = StepperConfig(sigma=0.2)
-        assert cfg.dt_initial(0.1) == pytest.approx(0.02)
-        assert cfg.dt_min(0.1) == pytest.approx(1e-6 * 0.01)
+        m = build_mesh("square", 0.1)
+        bd = _bump_data(m)
+        ctx = initial_state(m, TORUS, UNIT_WARP, bd, StepperConfig(sigma=0.2)).ctx
+        assert m.target_h == 0.1
+        assert ctx.dt_cfl == pytest.approx(0.02)
+        assert ctx.dt_min == pytest.approx(1e-6 * 0.01)
 
 
 class TestInitialState:
@@ -85,7 +88,7 @@ class TestInitialState:
         cfg = StepperConfig()
         st = initial_state(square16, TORUS, UNIT_WARP, bd, cfg)
         with pytest.raises(ValueError):
-            step(st, cfg, dt=0.0)
+            step(st, dt=0.0)
 
 
 class TestFixedPoints:
@@ -97,7 +100,7 @@ class TestFixedPoints:
         st = initial_state(square16, SPHERE, UNIT_WARP, bd, cfg)
         u0 = st.u.copy()
         for _ in range(5):
-            st = step(st, cfg)
+            st = step(st)
         assert np.array_equal(st.u, u0)
         assert dirichlet_energy(square16, st.u) == 0.0
 
@@ -127,7 +130,7 @@ class TestStepMechanics:
             for theta in (0.5, 1.0):
                 cfg = StepperConfig(theta=theta)
                 us.append(step(initial_state(square16, TORUS, UNIT_WARP, bd, cfg),
-                               cfg, dt=dt).u)
+                               dt=dt).u)
             diffs.append(np.max(np.abs(us[0] - us[1])))
         assert diffs[0] < 5e-7
         assert 3.5 <= diffs[0] / diffs[1] <= 4.5
@@ -139,7 +142,7 @@ class TestStepMechanics:
                                         "constant value=0")
         st = initial_state(square16, SPHERE, UNIT_WARP, bd, cfg)
         for _ in range(10):
-            st = step(st, cfg)
+            st = step(st)
         assert np.max(np.abs(np.linalg.norm(st.u, axis=1) - 1.0)) < 1e-12
 
     def test_boundary_rows_pinned(self, square16):
@@ -147,7 +150,7 @@ class TestStepMechanics:
         bd = _bump_data(square16, amp=0.2)
         st = initial_state(square16, TORUS, UNIT_WARP, bd, cfg)
         for _ in range(5):
-            st = step(st, cfg, dt=2e-3)
+            st = step(st, dt=2e-3)
         b = square16.boundary
         assert np.array_equal(st.u[b], bd.phi[b])
 
@@ -156,7 +159,7 @@ class TestStepMechanics:
         cfg = StepperConfig(max_move_fraction=1e-6)
         st = initial_state(square16, TORUS, UNIT_WARP, bd, cfg)
         with pytest.raises(StepRejected):
-            step(st, cfg, dt=0.01)
+            step(st, dt=0.01)
         assert st.ctx.stats["rejected_steps"] == 1
         assert st.ctx.stats["rejections"] == {"move_cap": 1, "projection": 0}
 
@@ -165,7 +168,7 @@ class TestStepMechanics:
         bd = _bump_data(square16)
         st = initial_state(square16, TORUS, UNIT_WARP, bd, cfg)
         solves0 = st.ctx.stats["elliptic_solves"]
-        st2 = step(st, cfg, dt=2e-3)
+        st2 = step(st, dt=2e-3)
         assert st2.v is st.v
         assert st.ctx.stats["elliptic_solves"] == solves0
 
@@ -177,7 +180,7 @@ class TestStepMechanics:
                                         "linear_x")
         st = initial_state(square16, SPHERE, warp, bd, cfg)
         solves0 = st.ctx.stats["elliptic_solves"]
-        step(st, cfg)
+        step(st)
         assert st.ctx.stats["elliptic_solves"] == solves0 + 1
 
     def test_only_a_varying_warp_factors_the_potential(self, square16, monkeypatch):
@@ -190,12 +193,12 @@ class TestStepMechanics:
                                         "harmonic", "linear_x")
         st = initial_state(square16, SPHERE, UNIT_WARP, bd, cfg)
         for _ in range(3):
-            st = step(st, cfg, dt=1e-3)
+            st = step(st, dt=1e-3)
         assert st.ctx.potential is None and factored == []
         st = initial_state(square16, SPHERE, WarpFunction("linear_height", 2.0, 1.0),
                            bd, cfg)
         for _ in range(3):
-            st = step(st, cfg, dt=1e-3)
+            st = step(st, dt=1e-3)
         assert st.ctx.stats["elliptic_solves"] == 4 and factored == [1]
 
     @pytest.mark.parametrize("a", [1.0, 2.5])
@@ -210,7 +213,7 @@ class TestStepMechanics:
         st = initial_state(disk16, SPHERE, WarpFunction("constant", a), bd, cfg)
         assert np.any(bd.psi_ext != 0.0)
         assert np.array_equal(st.v, bd.psi_ext)
-        st = step(st, cfg, dt=1e-3)
+        st = step(st, dt=1e-3)
         assert np.array_equal(st.v, bd.psi_ext)
         assert st.ctx.stats["elliptic_solves"] == 0 and solves == []
 
@@ -222,42 +225,42 @@ class TestStepMechanics:
                             lambda *a, **k: factored.append(1) or real_splu(*a, **k))
         cfg = StepperConfig()
         st = initial_state(square16, SPHERE, UNIT_WARP, _geodesic_data(square16), cfg)
-        ctx, dt_cfl = st.ctx, cfg.dt_initial(square16.target_h)
-        assert ctx.cfl_key == (dt_cfl, cfg.theta)
+        ctx, dt_cfl = st.ctx, cfg.sigma * square16.target_h
+        assert ctx.dt_cfl == dt_cfl and ctx.config is cfg
         # every other key: Jacobi CG on a matrix cached with its inverse diagonal
         # when dt is dt_cfl / 2^k, built for its one use otherwise
-        A, M = ctx.step_matrix(dt_cfl / 8, cfg.theta)
+        A, M = ctx.step_matrix(dt_cfl / 8)
         assert np.array_equal(M, 1.0 / A.diagonal())
-        assert all(x is y for x, y in zip(ctx.step_matrix(dt_cfl / 8, cfg.theta), (A, M)))
-        A, M = ctx.step_matrix(1e-3, cfg.theta)
+        assert all(x is y for x, y in zip(ctx.step_matrix(dt_cfl / 8), (A, M)))
+        A, M = ctx.step_matrix(1e-3)
         assert np.array_equal(M, 1.0 / A.diagonal())
-        assert (1e-3, cfg.theta) not in ctx._step_mat
+        assert 1e-3 not in ctx._step_mat
 
         def iterations_of(*args, **kwargs):
             before = ctx.stats["step_iterations"]
             new = step(*args, **kwargs)
             return new, ctx.stats["step_iterations"] - before
 
-        st1, iters = iterations_of(st, cfg, dt=dt_cfl)
+        st1, iters = iterations_of(st, dt=dt_cfl)
         assert iters > 0
-        assert iterations_of(st, cfg, dt=dt_cfl)[1] > 0      # same time level: CG again
+        assert iterations_of(st, dt=dt_cfl)[1] > 0      # same time level: CG again
         assert factored == []
-        st2, iters = iterations_of(st1, cfg, dt=dt_cfl)        # a second time level
+        st2, iters = iterations_of(st1, dt=dt_cfl)        # a second time level
         assert factored == [1] and iters == 0
-        assert iterations_of(st2, cfg, dt=1e-3)[1] > 0
-        assert iterations_of(st2, cfg, dt=dt_cfl)[1] == 0
+        assert iterations_of(st2, dt=1e-3)[1] > 0
+        assert iterations_of(st2, dt=dt_cfl)[1] == 0
         assert factored == [1]
 
     def test_factored_cfl_step_matches_the_cg_step(self, square16):
         cfg = StepperConfig()
         bd = _geodesic_data(square16)
         st = initial_state(square16, SPHERE, UNIT_WARP, bd, cfg)
-        st1 = step(st, cfg)
+        st1 = step(st)
         # a fresh context meets the CFL key for the first time: Jacobi CG
         fresh = initial_state(square16, SPHERE, UNIT_WARP, bd, cfg).ctx
-        by_cg = step(replace(st1, ctx=fresh), cfg)
+        by_cg = step(replace(st1, ctx=fresh))
         iters = st.ctx.stats["step_iterations"]
-        by_lu = step(st1, cfg)
+        by_lu = step(st1)
         assert fresh.stats["step_iterations"] > 0
         assert st.ctx.stats["step_iterations"] == iters
         m = square16.lumped_mass
@@ -272,7 +275,7 @@ class TestStepMechanics:
         u[square16.interior] = 0.0
         st = replace(st, u=u)
         with pytest.raises(StepRejected, match="projection"):
-            step(st, cfg, dt=1e-6)
+            step(st, dt=1e-6)
         assert st.ctx.stats["rejected_steps"] == 1
         assert st.ctx.stats["rejections"] == {"move_cap": 0, "projection": 1}
 
@@ -280,14 +283,12 @@ class TestStepMechanics:
     def test_non_finite_state_is_a_solver_failure(self, theta):
         flat = {**resolve_config("warp_coupled"), "mesh.h": "0.125",
                 "stepper.theta": repr(theta)}
-        setup = build_scenario(ScenarioConfig.from_flat(flat))
-        st = initial_state(setup.mesh, setup.target, setup.warp, setup.bdata,
-                           setup.stepper)
+        st, _ = build_scenario(ScenarioConfig.from_flat(flat))
         u = np.array(st.u)
-        u[setup.mesh.interior[len(setup.mesh.interior) // 2]] = np.nan
+        u[st.mesh.interior[len(st.mesh.interior) // 2]] = np.nan
         st = replace(st, u=u)
         with pytest.raises(SolverFailure, match="non-finite") as info:
-            step(st, setup.stepper)
+            step(st)
         assert info.value.time == st.t
 
 
@@ -296,7 +297,7 @@ class TestRunFlow:
         cfg = StepperConfig()
         bd = _bump_data(square16)
         st = initial_state(square16, TORUS, UNIT_WARP, bd, cfg)
-        fin, rep = run_flow(st, cfg, Schedule(t_end=0.0))
+        fin, rep = run_flow(st, Schedule(t_end=0.0))
         assert fin is st
         assert rep.records == []
         assert rep.crossing_points == {}
@@ -307,7 +308,7 @@ class TestRunFlow:
         cfg = StepperConfig(sigma=0.2)
         bd = _bump_data(square16)
         st = initial_state(square16, TORUS, UNIT_WARP, bd, cfg)
-        fin, rep = run_flow(st, cfg, Schedule(t_end=0.05, diag_stride=1))
+        fin, rep = run_flow(st, Schedule(t_end=0.05, diag_stride=1))
         ts = np.array([r.t for r in rep.records])
         es = np.array([r.e_u for r in rep.records])
         mask = (ts > 0.01) & (es > 1e-14)
@@ -319,7 +320,7 @@ class TestRunFlow:
         bd = _bump_data(square16)
         st = initial_state(square16, TORUS, UNIT_WARP, bd, cfg)
         thr = ThresholdConfig(energy=1e-3)
-        fin, rep = run_flow(st, cfg, Schedule(t_end=0.02, diag_stride=2), thr)
+        fin, rep = run_flow(st, Schedule(t_end=0.02, diag_stride=2), thr)
         recs = rep.records
         assert recs[0].t == 0.0 and recs[0].step_count == 0
         assert recs[-1].step_count == fin.step_count
@@ -329,7 +330,7 @@ class TestRunFlow:
         kin = sum(r.kinetic_increment for r in recs)
         assert recs[-1].kinetic_cum == pytest.approx(kin, rel=1e-12)
         # controller never exceeds its CFL value
-        assert all(r.dt <= cfg.dt_initial(square16.target_h) + 1e-15 for r in recs)
+        assert all(r.dt <= st.ctx.dt_cfl + 1e-15 for r in recs)
         # crossings: the vertices above the threshold, the maximum among them
         assert recs[0].crossings and len(recs[0].crossings) < square16.num_vertices
         for r in recs:
@@ -347,7 +348,7 @@ class TestRunFlow:
         thresholds = ThresholdConfig(r_grid=(0.1, 0.2))
         bd = _bump_data(square16)
         st = initial_state(square16, TORUS, UNIT_WARP, bd, cfg)
-        _, rep = run_flow(st, cfg, Schedule(t_end=0.005), thresholds)
+        _, rep = run_flow(st, Schedule(t_end=0.005), thresholds)
         probes = rep.records[0].ball_probes
         assert len(probes) == len(default_probe_centers(square16))
         for per_center in probes.values():
@@ -361,7 +362,7 @@ class TestRunFlow:
         seen = []
         sched = Schedule(t_end=0.01, snapshot_stride=3,
                          snapshot_cb=lambda s: seen.append(s.step_count))
-        fin, _ = run_flow(st, cfg, sched)
+        fin, _ = run_flow(st, sched)
         assert seen
         assert all(c % 3 == 0 for c in seen[:-1])
         assert seen[-1] == fin.step_count        # final state always snapshotted
@@ -370,8 +371,8 @@ class TestRunFlow:
         bd = _bump_data(square16, amp=0.4)
         cfg = StepperConfig(max_move_fraction=1e-9)
         st = initial_state(square16, TORUS, UNIT_WARP, bd, cfg)
-        t_end = 3.0 * cfg.dt_min(square16.target_h)
-        fin, rep = run_flow(st, cfg, Schedule(t_end=t_end))
+        t_end = 3.0 * st.ctx.dt_min
+        fin, rep = run_flow(st, Schedule(t_end=t_end))
         assert rep.underflow_times
         assert rep.underflow_times[0] == 0.0
         assert fin.t >= t_end - 1e-14
@@ -382,7 +383,7 @@ class TestRunFlow:
         cfg = StepperConfig(max_move_fraction=1e-9)
         st = initial_state(square16, TORUS, UNIT_WARP, bd, cfg)
         with pytest.raises(SolverFailure):
-            run_flow(st, cfg, Schedule(t_end=1.0))
+            run_flow(st, Schedule(t_end=1.0))
 
 
 class TestProbeCenters:
@@ -413,7 +414,7 @@ class TestCorotationalReduction:
                                         "constant value=0")
         cfg = StepperConfig(sigma=0.2)
         st = initial_state(m, SPHERE, UNIT_WARP, bd, cfg)
-        fin, _ = run_flow(st, cfg, Schedule(t_end=t_end, diag_stride=10))
+        fin, _ = run_flow(st, Schedule(t_end=t_end, diag_stride=10))
         nodes, prof = reduced_profile(1.0, t_end, m=1024, dt=5e-5)
         r = np.linalg.norm(m.vertices, axis=1)
         theta = np.arctan2(m.vertices[:, 1], m.vertices[:, 0])
@@ -421,7 +422,7 @@ class TestCorotationalReduction:
         expected = np.column_stack([np.sin(hr) * np.cos(theta),
                                     np.sin(hr) * np.sin(theta), np.cos(hr)])
         err = np.max(np.abs(fin.u - expected))
-        assert err <= 5.0 * (h + cfg.dt_initial(h))
+        assert err <= 5.0 * (h + st.ctx.dt_cfl)
 
 
 class TestMarch:
@@ -430,23 +431,24 @@ class TestMarch:
         states = [initial_state(square16, TORUS, UNIT_WARP,
                                 _bump_data(square16, amp), cfg)
                   for amp in (0.4, 0.2)]
-        t_end = 3.0 * cfg.dt_min(square16.target_h)
-        steps = list(march(states, cfg, t_end))
+        ctx = states[0].ctx
+        t_end = 3.0 * ctx.dt_min
+        steps = list(march(states, t_end))
         assert steps
         for members, dt, forced in steps:
             assert forced
-            assert dt == cfg.dt_min(square16.target_h)
+            assert dt == ctx.dt_min
             assert members[0].t == members[1].t
-            assert members[0].dt == members[1].dt == cfg.dt_initial(square16.target_h)
+            assert members[0].dt == members[1].dt == ctx.dt_cfl
         assert steps[-1][0][0].t >= t_end - 1e-14
 
     def test_dt_grows_only_after_a_run_of_accepted_steps(self, monkeypatch):
         trials = []                       # (dt, accepted) of every trial step
         real_step = warpflow.flow.step
 
-        def recording_step(state, config, dt=None, enforce_cap=True):
+        def recording_step(state, dt=None, enforce_cap=True):
             try:
-                new = real_step(state, config, dt=dt, enforce_cap=enforce_cap)
+                new = real_step(state, dt=dt, enforce_cap=enforce_cap)
             except StepRejected:
                 trials.append((dt, False))
                 raise
@@ -455,10 +457,8 @@ class TestMarch:
 
         monkeypatch.setattr(warpflow.flow, "step", recording_step)
         flat = {**resolve_config("bubbling"), "mesh.h": "0.0625"}
-        setup = build_scenario(ScenarioConfig.from_flat(flat))
-        st = initial_state(setup.mesh, setup.target, setup.warp, setup.bdata,
-                           setup.stepper)
-        for _ in march([st], setup.stepper, 0.004):
+        st, _ = build_scenario(ScenarioConfig.from_flat(flat))
+        for _ in march([st], 0.004):
             pass
         grown = [i for i in range(1, len(trials)) if trials[i][0] > trials[i - 1][0]]
         assert grown and any(not ok for _, ok in trials)
@@ -487,8 +487,8 @@ class TestDerivedFields:
         st = initial_state(square16, TORUS, UNIT_WARP, _bump_data(square16, amp=0.4), cfg)
         seen = self._gradient_arguments(monkeypatch)
         with pytest.raises(StepRejected):
-            step(st, cfg, dt=0.01)
-        new = step(st, cfg, dt=1e-7)
+            step(st, dt=0.01)
+        new = step(st, dt=1e-7)
         assert st.ctx.stats["rejections"]["move_cap"] == 1
         assert len(seen) == 1 and seen[0] is st.u
         for s in (st, new):               # every state's u and v are read-only
@@ -504,9 +504,9 @@ class TestDerivedFields:
         st = initial_state(square16, SPHERE, warp, bd, cfg)
         seen = self._gradient_arguments(monkeypatch)
         states = [st]
-        schedule = Schedule(t_end=4.0 * cfg.dt_initial(square16.target_h), diag_stride=1,
+        schedule = Schedule(t_end=4.0 * st.ctx.dt_cfl, diag_stride=1,
                             snapshot_stride=1, snapshot_cb=states.append)
-        fin, rep = run_flow(st, cfg, schedule)
+        fin, rep = run_flow(st, schedule)
         assert fin.step_count >= 4 and len(rep.records) == fin.step_count + 1
         # every state was recorded and all but the last stepped from, yet
         # each u and each v (one for all states under a constant warp)
@@ -531,7 +531,7 @@ class TestDerivedFields:
     def test_stiffness_product_is_kept_read_only_and_exact(self, square16):
         cfg = StepperConfig(theta=0.5)
         st = initial_state(square16, SPHERE, UNIT_WARP, _geodesic_data(square16), cfg)
-        new = step(st, cfg)
+        new = step(st)
         Ku = st.cache["stiffness_u"]                # the step formed it
         assert np.array_equal(Ku, square16.stiffness @ st.u)
         assert st.stiffness_u() is Ku
@@ -549,5 +549,5 @@ class TestDerivedFields:
         # theta = 1 has no explicit Laplacian part: the step forms no product
         full = StepperConfig(theta=1.0)
         st1 = initial_state(square16, SPHERE, UNIT_WARP, _geodesic_data(square16), full)
-        step(st1, full)
+        step(st1)
         assert "stiffness_u" not in st1.cache

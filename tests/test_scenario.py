@@ -1,5 +1,6 @@
 import importlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -120,9 +121,9 @@ class TestConfigParsing:
         build_scenario(cfg)                     # the values are valid together
 
     def test_defaults_are_the_solver_defaults(self):
-        setup = build_scenario(ScenarioConfig())
-        assert setup.stepper == StepperConfig()
-        assert setup.thresholds == ThresholdConfig()
+        state, thresholds = build_scenario(ScenarioConfig())
+        assert state.ctx.config == StepperConfig()
+        assert thresholds == ThresholdConfig()
 
     def test_readme_lists_every_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -166,10 +167,10 @@ def _cached_step_keys(monkeypatch, run):
     monkeypatch.setattr(warpflow.scenario, "initial_state",
                         lambda *a, **k: made.append(real_initial(*a, **k)) or made[-1])
     monkeypatch.setattr(warpflow.flow, "step",
-                        lambda s, c, dt=None, **k: dts.append(dt) or real_step(s, c, dt=dt, **k))
+                        lambda s, dt=None, **k: dts.append(dt) or real_step(s, dt=dt, **k))
     run()
     [state] = made
-    return set(state.ctx._step_mat), state.ctx.cfl_key, dts
+    return set(state.ctx._step_mat), state.ctx.dt_cfl, dts
 
 
 # heat_decay at h = 1/16 to t_end = 2.4 dt_cfl: three rejections, then a last
@@ -185,9 +186,9 @@ def test_only_halvings_of_the_cfl_step_stay_cached(monkeypatch, runner):
     else:
         def run():
             twin_run("heat_decay", delta=1e-3, overrides=CLIPPED_RUN)
-    keys, (dt_cfl, theta), dts = _cached_step_keys(monkeypatch, run)
-    ladder = {(dt_cfl / 2 ** k, theta) for k in range(64)}
-    assert dts[-1] == pytest.approx(0.4 * dt_cfl) and (dts[-1], theta) not in ladder
+    keys, dt_cfl, dts = _cached_step_keys(monkeypatch, run)
+    ladder = {dt_cfl / 2 ** k for k in range(64)}
+    assert dts[-1] == pytest.approx(0.4 * dt_cfl) and dts[-1] not in ladder
     assert len(keys) >= 2 and keys <= ladder
 
 
@@ -325,7 +326,7 @@ class TestTwinRun:
         assert twin.underflow_times == run.report.underflow_times == []
 
     def test_underflow_is_recorded_and_survived(self):
-        t_end = 3.0 * StepperConfig().dt_min(0.0625)
+        t_end = 3.0 * warpflow.flow.DT_MIN_FACTOR * 0.0625 * 0.0625   # 3 dt_min
         overrides = {"mesh.h": "0.0625", "schedule.t_end": repr(t_end),
                      "stepper.max_move_fraction": "1e-9"}
         res = twin_run("heat_decay", delta=1e-3, overrides=overrides)
@@ -365,6 +366,18 @@ class TestTwinRun:
         stats = made[0].stats
         assert stats["rejected_steps"] > 0
         assert stats["accepted_steps"] + stats["rejected_steps"] == len(calls)
+
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _bench_module(name):
+    """The namespace of perfbench/<name>.py, executed from its source so no
+    bytecode is written next to it."""
+    path = BENCH_DIR / f"{name}.py"
+    namespace = {}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    return namespace
 
 
 class TestBenchmarkHooks:
@@ -417,19 +430,17 @@ class TestBenchmarkHooks:
         # read the benchmark's own list (executed from its source, so no
         # bytecode is written next to it): a rename fails here, not in a
         # traced benchmark run
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-        spans = {}
-        exec(compile(path.read_text(), str(path), "exec"), spans)
+        spans = _bench_module("spans")
         assert spans["METHODS"]
         for module, cls_name, meth, _ in spans["METHODS"]:
             cls = getattr(importlib.import_module(f"warpflow.{module}"), cls_name)
             assert meth in vars(cls), (cls_name, meth)
 
-    def test_tracer_installs_on_the_names_the_benchmark_binds(self):
+    def test_tracer_installs_on_the_names_the_benchmark_binds(self, tmp_path):
         # perfbench/child.py stamps flow.step and scenario.step and wraps
         # scenario.initial_state; spans.py renames flow.cg_solve.  -B keeps
         # bytecode out of perfbench/
-        root = Path(__file__).resolve().parents[1]
+        root = BENCH_DIR.parent
         src = Path(warpflow.flow.__file__).parents[1]
         code = (f"import sys; sys.path[:0] = [{str(root / 'perfbench')!r}, {str(src)!r}]; "
                 "import spans; spans.Tracer().install(); "
@@ -439,6 +450,23 @@ class TestBenchmarkHooks:
                 "assert flow.cg_solve.__wrapped__.__module__ == 'warpflow.elliptic'")
         proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+        # one traced smoke sample: the theta-step CG and the potential solve
+        # must run under the names the spans count, and agree with solver_stats
+        facts, spans_path = tmp_path / "facts.json", tmp_path / "spans.json"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-B", str(BENCH_DIR / "child.py"), "--workload",
+             "warp_coupled_fine", "--seed", "3", "--mode", "full", "--trace", "1",
+             "--smoke", "--out", str(tmp_path / "out"), "--result", str(facts),
+             "--spans", str(spans_path)],
+            cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        layers = _bench_module("spans")["layer_metrics"](json.loads(spans_path.read_text()))
+        stats = json.loads(facts.read_text())["stats"]
+        assert _bench_module("workloads")["cross_check"](layers, stats) == []
+        assert layers["elliptic.step_cg.calls"] > 0
+        assert layers["elliptic.solve_warped_laplace.calls"] > 0
 
 
 class TestCheckReportFile:
@@ -650,6 +678,13 @@ class TestCli:
     def test_config_error_exit_code(self, capsys):
         assert main(["run", "no_such_scenario"]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_config_error(self, tmp_path, capsys, jobs):
+        assert main(["run", "harmonic_fixed_point", "--out", str(tmp_path / "out"),
+                     "--jobs", jobs]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_annulus_without_radii_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "ring.cfg"
