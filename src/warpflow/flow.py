@@ -22,9 +22,9 @@ row have been accepted since the last rejection, and once dt falls below
 dt_min = DT_MIN_FACTOR * h^2 (timestep underflow) it takes one uncapped
 dt_min step (the discrete stand-in for restarting from the weak limit) and
 resumes with the CFL timestep.  So dt is always dt_cfl / 2^k (or the step
-that lands on t_end), and the theta-step matrices stay few: the one at the
-CFL value, which most steps use, is factored once; every other one is
-solved by Jacobi CG.
+that lands on t_end), and the theta-step matrices stay few.  Each is solved
+by Jacobi CG until its CG work has paid for a sparse LU factor; a run holds
+at most one factor, at the dt whose CG work earned it.
 
 A run's fixed data (mesh, target, warp, boundary data and StepperConfig)
 live once, in the `_FlowContext` that `initial_state` builds; a FlowState is
@@ -58,6 +58,9 @@ DT_MIN_FACTOR = 1e-6
 GROW_AFTER = 4
 # forced (timestep underflow) steps in a row before the run fails
 MAX_FORCED_STEPS = 50
+# CG iterations that one LU column solve, and one LU factor build, cost
+LU_COL_ITERS = 6
+FACTOR_ITERS = 200
 
 
 @dataclass
@@ -92,16 +95,19 @@ class _FlowContext:
     edge mesh.h).  Every state started from it (`start`, a twin pair's two
     members too) shares it, so stats count every step call once.
     K_phi = (K phi)_I.  The theta-step matrix A = M_II + theta dt K_II is
-    solved by Jacobi CG, cached per dt with its preconditioner, except at
-    dt_cfl: the first time it is used at a second time level, one sparse LU
-    factor replaces its matrix and solves all columns of every later step
-    there.  So a context holds at most one factor, a run that tries the CFL
-    step once builds none, members of a twin pair always solve alike, and
-    step_iterations counts CG solves only.  `potential` is where the
-    potential is decided: a non-constant warp re-solves it every step on
-    this WarpedBlock (the fixed-pattern block and its cached factor); a
-    constant warp has None, and its potential is the harmonic extension of
-    psi for all time, solved nowhere in the flow.
+    solved by Jacobi CG, cached per dt with its preconditioner, and each dt
+    keeps its CG excess: iterations beyond LU_COL_ITERS a column.  At the
+    first solve of a new time level at a key dt_cfl / 2^k whose excess is at
+    least the factored key's (frozen while factored) plus FACTOR_ITERS, the
+    old factor and the key's matrix are dropped and one sparse LU factor of
+    it solves all columns of its later steps.  So a context holds at most
+    one factor, decided from counts, members of a twin pair always solve
+    alike, step_iterations counts CG solves only and step_factors the
+    builds.  `potential` is where the potential is decided: a non-constant
+    warp re-solves it every step on this WarpedBlock (the fixed-pattern
+    block and its cached factor); a constant warp has None, and its
+    potential is the harmonic extension of psi for all time, solved nowhere
+    in the flow.
     """
 
     def __init__(self, mesh: DomainMesh, target, warp, bdata: BoundaryData,
@@ -112,8 +118,8 @@ class _FlowContext:
         self.dt_cfl, self.dt_min = config.sigma * h, DT_MIN_FACTOR * h * h
         self.K_II, self.K_phi, _ = dirichlet_split(mesh, mesh.stiffness, bdata.phi)
         self.potential = None if warp.kind == "constant" else WarpedBlock(mesh, bdata.psi)
-        self._cfl_first_t = None
-        self._cfl_lu = None
+        # CG excess and the time of the last solve per dt, and the one factor
+        self._excess, self._level, self._lu_dt, self._lu = {}, {}, None, None
         # M_II + theta dt K_II has K_II's pattern (its diagonal included): a
         # step matrix is one data array over K_II's index arrays
         M_II = self.K_II.copy()
@@ -126,8 +132,8 @@ class _FlowContext:
         self.v_fixed = np.array(bdata.psi_ext, dtype=float) if self.potential is None else None
         self.grad_sq_psi_ext = None
         self.stats = {"elliptic_solves": 0, "elliptic_iterations": 0,
-                      "step_iterations": 0, "accepted_steps": 0, "rejected_steps": 0,
-                      "rejections": {"move_cap": 0, "projection": 0},
+                      "step_iterations": 0, "step_factors": 0, "accepted_steps": 0,
+                      "rejected_steps": 0, "rejections": {"move_cap": 0, "projection": 0},
                       "max_elliptic_residual": 0.0}
 
     def step_matrix(self, dt: float):
@@ -146,20 +152,22 @@ class _FlowContext:
     def theta_solve(self, dt: float, t: float, rhs_I: np.ndarray,
                     x0_I: np.ndarray) -> np.ndarray:
         """The columns X of (M_II + theta dt K_II) X = rhs_I for a step from time t."""
-        if dt == self.dt_cfl:
-            if self._cfl_first_t is None:
-                self._cfl_first_t = t
-            elif self._cfl_lu is None and t != self._cfl_first_t:
-                A = self.step_matrix(dt)[0]
-                self._cfl_lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
-                del self._step_mat[self.dt_cfl]       # the factor replaces it
-            if self._cfl_lu is not None:
-                return self._cfl_lu.solve(rhs_I)
+        if math.frexp(self.dt_cfl / dt)[0] == 0.5 and self._level.get(dt) != t:
+            self._level[dt] = t
+            if self._excess.get(dt, 0) >= self._excess.get(self._lu_dt, 0) + FACTOR_ITERS:
+                self._lu_dt = self._lu = None     # free before factoring
+                # the CG solves that earned the factor cached the key's matrix
+                A = self._step_mat.pop(dt)[0].tocsc()
+                self._lu_dt, self._lu = dt, splu(A, permc_spec="MMD_AT_PLUS_A")
+                self.stats["step_factors"] += 1
+        if dt == self._lu_dt:
+            return self._lu.solve(rhs_I)
         A, M = self.step_matrix(dt)
         X = np.empty_like(rhs_I)
         for d in range(rhs_I.shape[1]):
             X[:, d], _, iters = cg_solve(A, rhs_I[:, d], x0=x0_I[:, d], M=M)
             self.stats["step_iterations"] += iters
+            self._excess[dt] = self._excess.get(dt, 0) + iters - LU_COL_ITERS
         return X
 
     def start(self, u0: np.ndarray) -> "FlowState":

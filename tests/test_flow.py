@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,9 +12,9 @@ from warpflow.boundary import boundary_data_from_presets
 from warpflow.diagnostics import ThresholdConfig, energy_functionals
 from warpflow.elliptic import CG_RTOL
 from warpflow.errors import SolverFailure, StepRejected
-from warpflow.flow import (GROW_AFTER, Schedule, StepperConfig, _forcing,
-                           default_probe_centers, initial_state, march, run_flow, step,
-                           tension_residual)
+from warpflow.flow import (FACTOR_ITERS, GROW_AFTER, LU_COL_ITERS, Schedule,
+                           StepperConfig, _forcing, default_probe_centers, initial_state,
+                           march, run_flow, step, tension_residual)
 from warpflow.geometry import WarpFunction, make_target
 from warpflow.mesh import DomainMesh, build_mesh, dirichlet_energy
 from warpflow.scenario import ScenarioConfig, build_scenario, resolve_config
@@ -30,6 +31,38 @@ COROTATIONAL_ENERGY_AMP1 = 10.799779675392465
 def _geodesic_data(mesh):
     return boundary_data_from_presets(mesh, SPHERE, "equator_circle kappa=1",
                                       "harmonic", "constant value=0")
+
+
+def _geodesic_start(mesh):
+    return initial_state(mesh, SPHERE, UNIT_WARP, _geodesic_data(mesh), StepperConfig())
+
+
+def _paid(ctx, dt):
+    """Whether the CG excess at dt pays for a factor at its next new time level."""
+    return ctx._excess.get(dt, 0) >= ctx._excess.get(ctx._lu_dt, 0) + FACTOR_ITERS
+
+
+def _earn_a_factor(state, dt):
+    """The state one step at dt on, once the key has paid for a factor.
+
+    `state`'s time level is solved again at dt until the excess pays (a
+    converging flow may never pay by new levels alone), so the next step at
+    dt, from a new time level, builds the factor."""
+    nxt = step(state, dt=dt)
+    for _ in range(100):
+        if _paid(state.ctx, dt):
+            return nxt
+        step(state, dt=dt)
+    raise AssertionError(f"no factor paid for at dt = {dt} after 100 solves")
+
+
+def _counted_splu(monkeypatch):
+    """A list that gains one entry per step factor built."""
+    factored = []
+    real_splu = warpflow.flow.splu
+    monkeypatch.setattr(warpflow.flow, "splu",
+                        lambda *a, **k: factored.append(1) or real_splu(*a, **k))
+    return factored
 
 
 def _bump_data(mesh, amp=0.1):
@@ -217,55 +250,117 @@ class TestStepMechanics:
         assert np.array_equal(st.v, bd.psi_ext)
         assert st.ctx.stats["elliptic_solves"] == 0 and solves == []
 
-    def test_only_the_cfl_key_is_factored_from_its_second_time_level(
-            self, square16, monkeypatch):
-        factored = []
-        real_splu = warpflow.flow.splu
-        monkeypatch.setattr(warpflow.flow, "splu",
-                            lambda *a, **k: factored.append(1) or real_splu(*a, **k))
-        cfg = StepperConfig()
-        st = initial_state(square16, SPHERE, UNIT_WARP, _geodesic_data(square16), cfg)
-        ctx, dt_cfl = st.ctx, cfg.sigma * square16.target_h
-        assert ctx.dt_cfl == dt_cfl and ctx.config is cfg
-        # every other key: Jacobi CG on a matrix cached with its inverse diagonal
+    def test_a_cheap_key_is_never_factored(self, square16, monkeypatch):
+        factored = _counted_splu(monkeypatch)
+        st = _geodesic_start(square16)
+        ctx = st.ctx
+        # every key: Jacobi CG on a matrix cached with its inverse diagonal
         # when dt is dt_cfl / 2^k, built for its one use otherwise
-        A, M = ctx.step_matrix(dt_cfl / 8)
+        dt = ctx.dt_cfl / 64
+        A, M = ctx.step_matrix(dt)
         assert np.array_equal(M, 1.0 / A.diagonal())
-        assert all(x is y for x, y in zip(ctx.step_matrix(dt_cfl / 8), (A, M)))
+        assert all(x is y for x, y in zip(ctx.step_matrix(dt), (A, M)))
         A, M = ctx.step_matrix(1e-3)
         assert np.array_equal(M, 1.0 / A.diagonal())
         assert 1e-3 not in ctx._step_mat
+        # at most LU_COL_ITERS CG iterations a column: the excess never grows,
+        # however many time levels the key serves
+        for _ in range(40):
+            st = step(st, dt=dt)
+        assert 0 < ctx.stats["step_iterations"] <= LU_COL_ITERS * 3 * 40
+        assert factored == [] and ctx.stats["step_factors"] == 0
 
-        def iterations_of(*args, **kwargs):
+    def test_a_key_is_factored_at_the_first_new_time_level_after_its_excess_pays(
+            self, square16, monkeypatch):
+        factored = _counted_splu(monkeypatch)
+        st = _geodesic_start(square16)
+        ctx, dt = st.ctx, st.ctx.dt_cfl
+
+        def iterations_of(state):
             before = ctx.stats["step_iterations"]
-            new = step(*args, **kwargs)
+            new = step(state, dt=dt)
             return new, ctx.stats["step_iterations"] - before
 
-        st1, iters = iterations_of(st, dt=dt_cfl)
-        assert iters > 0
-        assert iterations_of(st, dt=dt_cfl)[1] > 0      # same time level: CG again
+        states = [st]
+        while not _paid(ctx, dt):                  # a new time level a step
+            assert factored == [] and len(states) < 50
+            states.append(iterations_of(states[-1])[0])
+        assert len(states) > 2                     # levels before the excess paid
+        solves = len(states) - 1
+        assert ctx._excess[dt] == ctx.stats["step_iterations"] - LU_COL_ITERS * 3 * solves
+        assert iterations_of(states[-2])[1] > 0    # the same time level: CG again
         assert factored == []
-        st2, iters = iterations_of(st1, dt=dt_cfl)        # a second time level
-        assert factored == [1] and iters == 0
-        assert iterations_of(st2, dt=1e-3)[1] > 0
-        assert iterations_of(st2, dt=dt_cfl)[1] == 0
-        assert factored == [1]
+        nxt, iters = iterations_of(states[-1])     # the next new time level
+        assert factored == [1] and iters == 0 and ctx.stats["step_factors"] == 1
+        assert ctx._lu_dt == dt and dt not in ctx._step_mat
+        assert iterations_of(nxt)[1] == 0
+        before = ctx.stats["step_iterations"]
+        step(nxt, dt=dt / 2)                       # another key: CG
+        assert ctx.stats["step_iterations"] > before and factored == [1]
 
-    def test_factored_cfl_step_matches_the_cg_step(self, square16):
-        cfg = StepperConfig()
-        bd = _geodesic_data(square16)
-        st = initial_state(square16, SPHERE, UNIT_WARP, bd, cfg)
-        st1 = step(st)
-        # a fresh context meets the CFL key for the first time: Jacobi CG
-        fresh = initial_state(square16, SPHERE, UNIT_WARP, bd, cfg).ctx
-        by_cg = step(replace(st1, ctx=fresh))
+    def test_factored_step_matches_the_cg_step(self, square16):
+        st = _geodesic_start(square16)
+        dt = st.ctx.dt_cfl / 2
+        st = _earn_a_factor(st, dt)
+        # a fresh context has no CG excess at dt: Jacobi CG
+        fresh = _geodesic_start(square16).ctx
+        by_cg = step(replace(st, ctx=fresh), dt=dt)
         iters = st.ctx.stats["step_iterations"]
-        by_lu = step(st1)
+        by_lu = step(st, dt=dt)
+        assert st.ctx.stats["step_factors"] == 1 and fresh.stats["step_factors"] == 0
         assert fresh.stats["step_iterations"] > 0
         assert st.ctx.stats["step_iterations"] == iters
         m = square16.lumped_mass
         diff = np.sqrt(np.dot(m, np.sum((by_lu.u - by_cg.u) ** 2, axis=1)))
         assert diff <= CG_RTOL * np.sqrt(np.dot(m, np.sum(by_cg.u ** 2, axis=1)))
+
+    def test_a_switch_drops_the_old_factor_and_the_matrix_before_factoring(
+            self, square16, monkeypatch):
+        st = _geodesic_start(square16)
+        ctx, a, b = st.ctx, st.ctx.dt_cfl, st.ctx.dt_cfl / 2
+        held = []                  # (factor held, cached keys) at each build
+        real_splu = warpflow.flow.splu
+        monkeypatch.setattr(warpflow.flow, "splu", lambda *args, **kw: held.append(
+            (ctx._lu, set(ctx._step_mat))) or real_splu(*args, **kw))
+        st = step(_earn_a_factor(st, a), dt=a)
+        assert ctx._lu_dt == a
+        st = step(_earn_a_factor(st, b), dt=b)     # b's excess beat a's by FACTOR_ITERS
+        assert ctx._lu_dt == b and ctx.stats["step_factors"] == len(held) == 2
+        assert ctx._excess[b] >= ctx._excess[a] + FACTOR_ITERS
+        # never two factors, never a factor next to its own matrix
+        assert [lu for lu, _ in held] == [None, None]
+        assert a not in held[0][1] and b not in held[1][1] and b not in ctx._step_mat
+        # the old key is back on Jacobi CG, on a matrix cached again
+        before = ctx.stats["step_iterations"]
+        step(st, dt=a)
+        assert ctx.stats["step_iterations"] > before and a in ctx._step_mat
+
+    def test_zero_delta_pair_stays_identical_across_a_factor_switch(self, square16):
+        # the two members of a delta = 0 twin pair on one context, stepped in
+        # lockstep as march steps them: the first member's solve decides for
+        # the time level, so both solve alike through every build
+        st = _geodesic_start(square16)
+        ctx = st.ctx
+
+        def lockstep(pair, dt):
+            new = [step(s, dt=dt) for s in pair]
+            assert new[0].t == new[1].t and np.array_equal(new[0].u, new[1].u)
+            return new
+
+        pair = [st, ctx.start(st.u)]
+        for dt in (ctx.dt_cfl, ctx.dt_cfl / 2):
+            nxt = lockstep(pair, dt)
+            for _ in range(100):
+                if _paid(ctx, dt):
+                    break
+                lockstep(pair, dt)                 # the same time level again
+            pair = nxt
+            for _ in range(3):                     # the first builds the factor
+                pair = lockstep(pair, dt)
+            assert ctx._lu_dt == dt
+        assert ctx.stats["step_factors"] == 2
+        for _ in range(3):                         # the CFL key is back on CG
+            pair = lockstep(pair, ctx.dt_cfl)
 
     def test_projection_rejection_is_counted(self, square16):
         cfg = StepperConfig()
@@ -423,6 +518,45 @@ class TestCorotationalReduction:
                                     np.sin(hr) * np.sin(theta), np.cos(hr)])
         err = np.max(np.abs(fin.u - expected))
         assert err <= 5.0 * (h + st.ctx.dt_cfl)
+
+
+class TestTimeOrder:
+    """Final-map errors at a fixed dt = sigma h (h = 1/32, t = 0.05, every step
+    under the move cap), against a run at an eighth of the smallest dt.
+
+    Without forcing (heat_decay) theta = 1/2 is second order; with the
+    explicit forcing, its potential lagged one step, warp_coupled is first
+    order for either theta.  warp_coupled's fixed dt pays for a step factor
+    within a few steps, so the factored solve carries most of its steps."""
+
+    @staticmethod
+    def _errors(name, theta, sigmas):
+        t_end = 0.05
+
+        def final(sigma):
+            flat = {**resolve_config(name), "mesh.h": "0.03125",
+                    "stepper.sigma": repr(sigma), "stepper.theta": repr(theta)}
+            st, _ = build_scenario(ScenarioConfig.from_flat(flat))
+            for _ in range(round(t_end / st.ctx.dt_cfl)):
+                st = step(st)                      # a rejection raises
+            assert st.t == pytest.approx(t_end, rel=1e-12)
+            return st
+
+        ref = final(sigmas[-1] / 8)
+        m, runs = ref.mesh.lumped_mass, [final(s) for s in sigmas]
+        errs = [math.sqrt(np.dot(m, np.sum((r.u - ref.u) ** 2, axis=1))) for r in runs]
+        factors = [r.ctx.stats["step_factors"] for r in runs]
+        return [a / b for a, b in zip(errs, errs[1:])], factors
+
+    def test_crank_nicolson_is_second_order_without_forcing(self):
+        ratios, _ = self._errors("heat_decay", 0.5, (0.05, 0.025, 0.0125))
+        assert all(3.6 <= r <= 4.4 for r in ratios), ratios     # measured ~4.0
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_forced_flow_is_first_order(self, theta):
+        ratios, factors = self._errors("warp_coupled", theta, (0.2, 0.1, 0.05, 0.025))
+        assert all(1.5 <= r <= 2.5 for r in ratios), ratios     # measured 1.69-2.13
+        assert factors == [1, 1, 1, 1]
 
 
 class TestMarch:

@@ -215,6 +215,19 @@ class TestRunScenario:
         assert {c["name"] for c in payload["checks"]} >= {
             "energy_monotonicity", "dirichlet_bound_u"}
 
+    def test_report_counts_every_step_factor(self, tmp_path, monkeypatch):
+        built = []
+        real_splu = warpflow.flow.splu
+        monkeypatch.setattr(warpflow.flow, "splu",
+                            lambda *a, **k: built.append(1) or real_splu(*a, **k))
+        out = tmp_path / "run"
+        run_scenario("warp_coupled", out_dir=out,
+                     overrides={"mesh.h": "0.0625", "schedule.t_end": "0.1"})
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["solver_stats"]["step_factors"] == len(built) >= 1
+        # a count of the solver's work: report.json only, never series.csv
+        assert (out / "series.csv").read_text().splitlines()[0] == CSV_HEADER
+
     def test_series_is_parseable_and_ordered(self, tmp_path):
         out = tmp_path / "run"
         run_scenario("harmonic_fixed_point", out_dir=out)
@@ -288,8 +301,8 @@ class TestTwinRun:
         assert res.amplification == 0.0
 
     def test_zero_delta_stays_identical_across_the_factored_step(self):
-        # warp_coupled accepts its CFL step at t = 0 and takes it again later:
-        # both members must move from CG to the one factor at the same step
+        # warp_coupled's CFL key pays for a step factor within this run: both
+        # members must move from CG to the one factor at the same step
         res = twin_run("warp_coupled", delta=0.0,
                        overrides={"mesh.h": "0.0625", "schedule.t_end": "0.05"})
         assert len(res.times) > 2
@@ -436,7 +449,8 @@ class TestBenchmarkHooks:
             cls = getattr(importlib.import_module(f"warpflow.{module}"), cls_name)
             assert meth in vars(cls), (cls_name, meth)
 
-    def test_tracer_installs_on_the_names_the_benchmark_binds(self, tmp_path):
+    @pytest.mark.parametrize("workload", ["warp_coupled_fine", "twin_fine"])
+    def test_tracer_installs_on_the_names_the_benchmark_binds(self, tmp_path, workload):
         # perfbench/child.py stamps flow.step and scenario.step and wraps
         # scenario.initial_state; spans.py renames flow.cg_solve.  -B keeps
         # bytecode out of perfbench/
@@ -452,12 +466,13 @@ class TestBenchmarkHooks:
         assert proc.returncode == 0, proc.stderr
         # one traced smoke sample: the theta-step CG and the potential solve
         # must run under the names the spans count, and agree with solver_stats
+        # (on the twin too, whose factored steps count no CG iterations)
         facts, spans_path = tmp_path / "facts.json", tmp_path / "spans.json"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-B", str(BENCH_DIR / "child.py"), "--workload",
-             "warp_coupled_fine", "--seed", "3", "--mode", "full", "--trace", "1",
+             workload, "--seed", "3", "--mode", "full", "--trace", "1",
              "--smoke", "--out", str(tmp_path / "out"), "--result", str(facts),
              "--spans", str(spans_path)],
             cwd=tmp_path, env=env, capture_output=True, text=True)
@@ -466,7 +481,9 @@ class TestBenchmarkHooks:
         stats = json.loads(facts.read_text())["stats"]
         assert _bench_module("workloads")["cross_check"](layers, stats) == []
         assert layers["elliptic.step_cg.calls"] > 0
-        assert layers["elliptic.solve_warped_laplace.calls"] > 0
+        # only warp_coupled's warp is not constant
+        assert (layers["elliptic.solve_warped_laplace.calls"] > 0) == (
+            workload == "warp_coupled_fine")
 
 
 class TestCheckReportFile:
