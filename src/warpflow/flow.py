@@ -16,9 +16,9 @@ and the boundary rows reset to phi exactly.  A trial step whose largest
 nodal displacement exceeds max_move_fraction * h, or whose projection
 degenerates, raises StepRejected; one whose map or potential is not finite
 raises SolverFailure.
-`march` owns the dt policy of every run: it halves dt and retries, grows
-it back (doubling, capped at the CFL value) only once GROW_AFTER steps in a
-row have been accepted since the last rejection, and once dt falls below
+`march` owns the dt policy of every run: it halves dt and retries, doubles
+it (capped at the CFL value) after an accepted step only when the move that
+step measured, doubled, still fits the cap, and once dt falls below
 dt_min = DT_MIN_FACTOR * h^2 (timestep underflow) it takes one uncapped
 dt_min step (the discrete stand-in for restarting from the weak limit) and
 resumes with the CFL timestep.  So dt is always dt_cfl / 2^k (or the step
@@ -54,8 +54,6 @@ from .geometry import warp_force
 from .mesh import DomainMesh, ball_rows, local_energy_matrix, tri_energy_density
 
 DT_MIN_FACTOR = 1e-6
-# accepted steps in a row since the last rejection before dt may grow again
-GROW_AFTER = 4
 # forced (timestep underflow) steps in a row before the run fails
 MAX_FORCED_STEPS = 50
 # CG iterations that one LU column solve, and one LU factor build, cost
@@ -192,6 +190,8 @@ class FlowState:
     dt: float = 0.0
     step_count: int = 0
     last_rate: float = 0.0
+    # the largest nodal move of the step that made this state, over the cap
+    last_move: float = 0.0
     ctx: _FlowContext = field(default=None, repr=False)
     # read-only fields derived from (u, v), each evaluated on first use;
     # `replace` starts every new state with an empty cache
@@ -317,7 +317,8 @@ def step(state: FlowState, dt: float = None, enforce_cap: bool = True) -> FlowSt
     du = u_new - u
     dd = np.einsum("ij,ij->i", du, du)              # squared nodal moves
     move = math.sqrt(float(np.max(dd)))
-    if enforce_cap and move > config.max_move_fraction * mesh.h:
+    cap = config.max_move_fraction * mesh.h
+    if enforce_cap and move > cap:
         _count_rejection(ctx, "move_cap")
         raise StepRejected(
             f"nodal move {move:.3e} exceeds {config.max_move_fraction} * h")
@@ -335,18 +336,18 @@ def step(state: FlowState, dt: float = None, enforce_cap: bool = True) -> FlowSt
     diff2 = float(np.dot(m, dd))
     return replace(state, u=u_new, v=v_new, t=state.t + dt,
                    step_count=state.step_count + 1,
-                   last_rate=math.sqrt(diff2) / dt)
+                   last_rate=math.sqrt(diff2) / dt, last_move=move / cap)
 
 
 def march(states: list, t_end: float):
     """Advance `states` in lockstep to t_end under one shared adaptive dt, on
     the dt policy of the first state's context.
 
-    A trial step that any member rejects is retried at half the dt.  dt
-    grows back only after GROW_AFTER steps in a row have been accepted since
-    the last rejection (or since the march began): from then on each
-    accepted step doubles it, capped at the CFL value.  So dt stays
-    dt_cfl / 2^k and does not swing between a rejected dt and its half.
+    A trial step that any member rejects is retried at half the dt.  After
+    an accepted step dt doubles, capped at the CFL value, only if every
+    member's last_move is at most 1/2: the move scaled linearly to the
+    doubled dt is predicted to fit the cap.  So dt stays dt_cfl / 2^k and
+    is rarely grown into a step that the cap then rejects.
     When halving would drop dt below dt_min (timestep underflow), every
     member takes one uncapped dt_min step and dt restarts at the CFL value;
     more than MAX_FORCED_STEPS forced steps in a row raise SolverFailure.
@@ -355,14 +356,14 @@ def march(states: list, t_end: float):
     """
     dt_cfl, dt_floor = states[0].ctx.dt_cfl, states[0].ctx.dt_min
     controller = states[0].dt if states[0].dt > 0 else dt_cfl
-    forced_run = accepted_run = 0
+    forced_run = 0
     while states[0].t < t_end - 1e-14:
         t = states[0].t
         dt = min(controller, t_end - t)
         try:
             new = [step(s, dt=dt) for s in states]
         except StepRejected:
-            controller, accepted_run = dt / 2.0, 0
+            controller = dt / 2.0
             if controller >= dt_floor:
                 continue
             forced_run += 1
@@ -374,8 +375,7 @@ def march(states: list, t_end: float):
             controller = dt_cfl
         else:
             forced, forced_run = False, 0
-            accepted_run += 1
-            if accepted_run >= GROW_AFTER:
+            if all(2.0 * s.last_move <= 1.0 for s in new):
                 controller = min(controller * 2.0, dt_cfl)
         for s in new:
             s.dt = controller

@@ -2,7 +2,7 @@
 
 The flow maps a planar domain into a warped product N x R carrying the
 Lorentzian metric g_N - beta(y) dtheta^2.  N is one of two built-in embedded
-manifolds: the unit sphere S^{K-1} in R^K, or the flat unit-period torus.
+manifolds: the unit sphere S^2 in R^3, or the flat unit-period torus.
 beta is a smooth positive function on N with global bounds
 0 < lam <= beta <= Lam.
 
@@ -24,23 +24,15 @@ import numpy as np
 from .errors import DegeneratePoint, NonPositiveCoefficient
 
 
-def _atleast_2d(p):
-    p = np.asarray(p, dtype=float)
-    return (p[None, :], True) if p.ndim == 1 else (p, False)
-
-
 @dataclass(frozen=True)
 class UnitSphere:
-    """Unit sphere S^{K-1} embedded in R^K (default K = 3)."""
-
-    embedding_dim: int = 3
+    """Unit sphere S^2 embedded in R^3."""
 
     kind = "sphere"
+    embedding_dim = 3
 
     def distance(self, p: np.ndarray) -> np.ndarray:
-        q, single = _atleast_2d(p)
-        d = np.abs(np.linalg.norm(q, axis=1) - 1.0)
-        return d[0] if single else d
+        return np.abs(np.linalg.norm(p, axis=1) - 1.0)
 
     def project_tangent(self, y, X):
         """Tangential part of X at y: X - (X . y) y.  Vectorized over rows."""
@@ -68,9 +60,7 @@ class FlatTorus:
     embedding_dim = 2
 
     def distance(self, p: np.ndarray) -> np.ndarray:
-        q, single = _atleast_2d(p)
-        d = np.zeros(q.shape[0])
-        return d[0] if single else d
+        return np.zeros(len(p))
 
     def project_tangent(self, y, X):
         return np.asarray(X, dtype=float)
@@ -83,9 +73,9 @@ class FlatTorus:
         return values
 
 
-def make_target(name: str, embedding_dim: int = 3):
+def make_target(name: str):
     if name == "sphere":
-        return UnitSphere(embedding_dim=embedding_dim)
+        return UnitSphere()
     if name == "torus":
         return FlatTorus()
     raise ValueError(f"unknown target manifold {name!r}")

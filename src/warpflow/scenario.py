@@ -127,7 +127,7 @@ class ScenarioConfig:
                 raise ConfigParseError(f"{f.name} must be finite, got {val!r}")
         if self.t_end <= 0:
             raise ConfigParseError(f"t_end must be positive, got {self.t_end!r}")
-        for name in ("seed", "diag_stride", "snapshot_stride"):
+        for name in ("seed", "diag_stride", "snapshot_stride", "twin_delta"):
             if getattr(self, name) < 0:
                 raise ConfigParseError(f"{name} must be non-negative, got {getattr(self, name)!r}")
         if self.target_name not in ("sphere", "torus"):

@@ -12,7 +12,7 @@ from warpflow.boundary import boundary_data_from_presets
 from warpflow.diagnostics import ThresholdConfig, energy_functionals
 from warpflow.elliptic import CG_RTOL
 from warpflow.errors import SolverFailure, StepRejected
-from warpflow.flow import (FACTOR_ITERS, GROW_AFTER, LU_COL_ITERS, Schedule,
+from warpflow.flow import (FACTOR_ITERS, LU_COL_ITERS, Schedule,
                            StepperConfig, _forcing, default_probe_centers, initial_state,
                            march, run_flow, step, tension_residual)
 from warpflow.geometry import WarpFunction, make_target
@@ -576,29 +576,62 @@ class TestMarch:
             assert members[0].dt == members[1].dt == ctx.dt_cfl
         assert steps[-1][0][0].t >= t_end - 1e-14
 
-    def test_dt_grows_only_after_a_run_of_accepted_steps(self, monkeypatch):
-        trials = []                       # (dt, accepted) of every trial step
+    def test_dt_grows_only_when_the_doubled_move_fits(self, monkeypatch):
+        trials = []                  # (t, dt, last_move or None if rejected)
         real_step = warpflow.flow.step
 
         def recording_step(state, dt=None, enforce_cap=True):
+            assert enforce_cap                     # no underflow in this run
             try:
                 new = real_step(state, dt=dt, enforce_cap=enforce_cap)
             except StepRejected:
-                trials.append((dt, False))
+                trials.append((state.t, dt, None))
                 raise
-            trials.append((dt, True))
+            trials.append((state.t, dt, new.last_move))
             return new
 
         monkeypatch.setattr(warpflow.flow, "step", recording_step)
         flat = {**resolve_config("bubbling"), "mesh.h": "0.0625"}
         st, _ = build_scenario(ScenarioConfig.from_flat(flat))
-        for _ in march([st], 0.004):
+        t_end, dt_cfl = 0.02, st.ctx.dt_cfl
+        for _ in march([st], t_end):
             pass
-        grown = [i for i in range(1, len(trials)) if trials[i][0] > trials[i - 1][0]]
-        assert grown and any(not ok for _, ok in trials)
-        for i in grown:
-            assert i >= GROW_AFTER
-            assert all(ok for _, ok in trials[i - GROW_AFTER:i]), i
+        moves = [m for _, _, m in trials if m is not None]
+        assert any(m is None for _, _, m in trials)
+        assert any(2.0 * m <= 1.0 for m in moves) and any(2.0 * m > 1.0 for m in moves)
+        grown = 0
+        for (t0, dt0, move), (t1, dt1, _) in zip(trials, trials[1:]):
+            if move is None:                       # rejected: retried at half
+                assert (t1, dt1) == (t0, dt0 / 2.0)
+                continue
+            # accepted: dt doubles only when the doubled move is predicted to
+            # fit the cap, and otherwise stays (the next step may be clipped)
+            planned = min(2.0 * dt0, dt_cfl) if 2.0 * move <= 1.0 else dt0
+            assert dt1 == min(planned, t_end - t1), (t0, dt0, move)
+            grown += dt1 > dt0
+        assert grown
+
+    def test_growth_waits_for_the_member_that_moves_most(self, square16):
+        def steps(amps):
+            states = [initial_state(square16, TORUS, UNIT_WARP,
+                                    _bump_data(square16, amp), StepperConfig())
+                      for amp in amps]
+            return [(dt, [s.last_move for s in members], members[0].dt)
+                    for members, dt, _ in march(states, 0.03)]
+
+        pair = steps((0.4, 0.2))
+        dts = [dt for dt, _, _ in pair]
+        assert dts == [dt for dt, _, _ in steps((0.4,))]
+        assert dts != [dt for dt, _, _ in steps((0.2,))]
+        held = grown = 0
+        for dt, (big, small), planned in pair[:-1]:     # the last step is clipped
+            assert big > small
+            if planned > dt:
+                assert 2.0 * big <= 1.0
+                grown += 1
+            elif 2.0 * small <= 1.0 < 2.0 * big:
+                held += 1
+        assert held and grown
 
 
 class TestDerivedFields:

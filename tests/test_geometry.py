@@ -68,7 +68,6 @@ class TestFlatTorus:
 
 def test_make_target():
     assert make_target("sphere").embedding_dim == 3
-    assert make_target("sphere", embedding_dim=4).embedding_dim == 4
     assert make_target("torus").kind == "torus"
     with pytest.raises(ValueError):
         make_target("hyperbolic")

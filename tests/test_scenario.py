@@ -449,7 +449,7 @@ class TestBenchmarkHooks:
             cls = getattr(importlib.import_module(f"warpflow.{module}"), cls_name)
             assert meth in vars(cls), (cls_name, meth)
 
-    @pytest.mark.parametrize("workload", ["warp_coupled_fine", "twin_fine"])
+    @pytest.mark.parametrize("workload", ["bubbling", "warp_coupled_fine", "twin_fine"])
     def test_tracer_installs_on_the_names_the_benchmark_binds(self, tmp_path, workload):
         # perfbench/child.py stamps flow.step and scenario.step and wraps
         # scenario.initial_state; spans.py renames flow.cg_solve.  -B keeps
@@ -464,9 +464,10 @@ class TestBenchmarkHooks:
                 "assert flow.cg_solve.__wrapped__.__module__ == 'warpflow.elliptic'")
         proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        # one traced smoke sample: the theta-step CG and the potential solve
-        # must run under the names the spans count, and agree with solver_stats
-        # (on the twin too, whose factored steps count no CG iterations)
+        # one traced smoke sample: the theta-step CG, the potential solve and
+        # the rejected steps must run under the names the spans count, and
+        # agree with solver_stats (on the twin too, whose factored steps count
+        # no CG iterations, and on bubbling, whose sample rejects steps)
         facts, spans_path = tmp_path / "facts.json", tmp_path / "spans.json"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
@@ -481,6 +482,7 @@ class TestBenchmarkHooks:
         stats = json.loads(facts.read_text())["stats"]
         assert _bench_module("workloads")["cross_check"](layers, stats) == []
         assert layers["elliptic.step_cg.calls"] > 0
+        assert workload != "bubbling" or stats["rejected_steps"] > 0
         # only warp_coupled's warp is not constant
         assert (layers["elliptic.solve_warped_laplace.calls"] > 0) == (
             workload == "warp_coupled_fine")
@@ -724,7 +726,8 @@ class TestCli:
         "boundary.phi = equator_circle kapa=3", "boundary.phi0 = harmonic rho=0.1",
         "boundary.psi = linear_x scael=2", "boundary.phi0 = sine_bump amplitude=0.1",
         "stepper.scheme = semi_implicit", "output.formats = csv,json",
-        "seed = -1", "schedule.diag_stride = -1", "schedule.snapshot_stride = -1"])
+        "seed = -1", "schedule.diag_stride = -1", "schedule.snapshot_stride = -1",
+        "twin.delta = -0.001"])
     def test_bad_config_value_is_config_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"target = sphere\n{line}\n")
@@ -750,6 +753,13 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "finite" in err
+
+    def test_negative_twin_delta_is_config_error(self, tmp_path, capsys):
+        assert main(["twin", "stability_twin", "--delta", "-0.001",
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: twin_delta must be non-negative")
+        assert not (tmp_path / "out").exists()
 
     def test_check_exit_codes(self, tmp_path):
         out = tmp_path / "for_check"
