@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import InsufficientSeries
-from .mesh import DomainMesh, dirichlet_energy, tri_energy_density, triangle_mean
+from .mesh import DomainMesh, dirichlet_energy, tri_energy_density
 
 MONO_C = 1.0
 HARD_CHECK_SLACK = 1e-3   # additive slack on the a priori bounds
@@ -183,14 +183,14 @@ def energy_functionals(state) -> EnergyRecord:
     """Energies of a flow state; the kinetic and rate fields are left zero.
 
     run_flow fills them in from its exact per-step accumulation between
-    records.  The gradients and K u are the state's own, evaluated once per
-    state.
+    records.  The gradients, K u and beta are the state's own, evaluated once
+    per state.
     """
-    mesh, warp = state.mesh, state.ctx.warp
+    mesh = state.mesh
     g2u, g2v = state.grad_sq_u(), state.grad_sq_v()
     dens_u = tri_energy_density(mesh, state.u, g2u)
     dens_v = tri_energy_density(mesh, state.v, g2v)
-    beta_tri = triangle_mean(mesh, warp.beta(state.u))
+    beta_tri = state.beta_tri()
     e_u = float(dens_u.sum())
     e_v = float(dens_v.sum())
     e_beta_v = float((beta_tri * dens_v).sum())

@@ -154,9 +154,11 @@ class WarpedBlock:
         self._mesh = mesh
         self._M = None
 
-    def split(self, beta_vertex: np.ndarray):
-        """(A_II, (K g)_I, g) for K the stiffness of -div(beta grad .); A_II is reused."""
-        aw = self._mesh.areas * triangle_mean(self._mesh, beta_vertex)
+    def split(self, beta_vertex: np.ndarray, beta_tri: np.ndarray = None):
+        """(A_II, (K g)_I, g) for K the stiffness of -div(beta grad .); A_II is
+        reused.  beta_tri = triangle_mean(mesh, beta_vertex) if known."""
+        aw = self._mesh.areas * (triangle_mean(self._mesh, beta_vertex)
+                                 if beta_tri is None else beta_tri)
         self.block.data[:] = self._to_block @ aw
         return self.block, self._to_load @ aw, self._g.copy()
 
@@ -169,10 +171,11 @@ class WarpedBlock:
 
 def solve_warped_laplace(mesh: DomainMesh, beta_vertex: np.ndarray,
                          psi: np.ndarray, source: np.ndarray = None,
-                         x0: np.ndarray = None,
-                         block: WarpedBlock = None) -> EllipticSolution:
+                         x0: np.ndarray = None, block: WarpedBlock = None,
+                         beta_tri: np.ndarray = None) -> EllipticSolution:
     """Weak P1 solution of -div(beta grad v) = f with trace psi.
 
+    beta_tri = triangle_mean(mesh, beta_vertex) if known.
     `source` (optional) is a nodal density, integrated with the lumped mass.
     `block` is a WarpedBlock of this mesh, kept across solves; it carries its
     own boundary data.  `psi`, a full-length nodal array whose boundary
@@ -181,7 +184,7 @@ def solve_warped_laplace(mesh: DomainMesh, beta_vertex: np.ndarray,
     """
     load = None if source is None else mesh.lumped_mass * np.asarray(source, dtype=float)
     block = WarpedBlock(mesh, psi) if block is None else block
-    v, rel, iters = _solve_split(mesh, *block.split(beta_vertex), load, x0,
+    v, rel, iters = _solve_split(mesh, *block.split(beta_vertex, beta_tri), load, x0,
                                  block.preconditioner())
     return EllipticSolution(v=v, rel_residual=rel, iterations=iters)
 

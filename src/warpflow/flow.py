@@ -15,23 +15,18 @@ After every trial step the nodal values are projected back onto the target
 and the boundary rows reset to phi exactly.  A trial step whose largest
 nodal displacement exceeds max_move_fraction * h, or whose projection
 degenerates, raises StepRejected; one whose map or potential is not finite
-raises SolverFailure.
-`march` owns the dt policy of every run: it halves dt and retries, doubles
-it (capped at the CFL value) after an accepted step only when the move that
-step measured, doubled, still fits the cap, and once dt falls below
-dt_min = DT_MIN_FACTOR * h^2 (timestep underflow) it takes one uncapped
-dt_min step (the discrete stand-in for restarting from the weak limit) and
-resumes with the CFL timestep.  So dt is always dt_cfl / 2^k (or the step
-that lands on t_end), and the theta-step matrices stay few.  Each is solved
-by Jacobi CG until its CG work has paid for a sparse LU factor; a run holds
-at most one factor, at the dt whose CG work earned it.
+raises SolverFailure.  `march` owns the dt policy of every run (halving,
+growth from the measured move, and at timestep underflow one uncapped dt_min
+step, the discrete stand-in for restarting from the weak limit), so dt is
+always dt_cfl / 2^k or the step that lands on t_end, and the theta-step
+matrices stay few; `_FlowContext` decides how each is solved.
 
 A run's fixed data (mesh, target, warp, boundary data and StepperConfig)
 live once, in the `_FlowContext` that `initial_state` builds; a FlowState is
-the evolving (u, v, t) on it.  Every state marched from one context (the two
-members of a twin pair too) shares it.  A state's triangle gradients, nodal
-forcing and K u are evaluated once, on first use, whether a retried step, a
-record or the next step asks for them.
+the evolving (u, v, t) on it.  A state's triangle gradients, nodal forcing,
+K u and triangle beta are evaluated once, on first use, whether a retried
+step, a record or the next step asks for them.  Each potential solve starts
+from the potential extrapolated linearly in t from the last two states.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ from __future__ import annotations
 import copy
 import math
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,7 +46,8 @@ from .elliptic import (WarpedBlock, cg_solve, dirichlet_split, jacobi_preconditi
                        solve_warped_laplace)
 from .errors import DegeneratePoint, SolverFailure, StepRejected
 from .geometry import warp_force
-from .mesh import DomainMesh, ball_rows, local_energy_matrix, tri_energy_density
+from .mesh import (DomainMesh, ball_rows, local_energy_matrix, tri_energy_density,
+                   triangle_mean)
 
 DT_MIN_FACTOR = 1e-6
 # forced (timestep underflow) steps in a row before the run fails
@@ -177,8 +173,8 @@ class _FlowContext:
             raise ValueError("initial map must lie on the target manifold")
         if np.max(np.abs(u0[mesh.boundary] - phi[mesh.boundary])) != 0.0:
             raise ValueError("initial map must equal the boundary trace on the boundary")
-        v0 = self.v_fixed if self.potential is None else _solve_potential(self, u0)
-        return FlowState(mesh=mesh, u=u0, v=v0, dt=self.dt_cfl, ctx=self)
+        v0, beta = (self.v_fixed, None) if self.potential is None else _solve_potential(self, u0)
+        return FlowState(mesh=mesh, u=u0, v=v0, dt=self.dt_cfl, ctx=self, solved_beta=beta)
 
 
 @dataclass
@@ -192,14 +188,20 @@ class FlowState:
     last_rate: float = 0.0
     # the largest nodal move of the step that made this state, over the cap
     last_move: float = 0.0
+    # the dt of the step that made this state, and the potential it started from
+    last_dt: float = 0.0
+    v_prev: np.ndarray = field(default=None, repr=False)
     ctx: _FlowContext = field(default=None, repr=False)
-    # read-only fields derived from (u, v), each evaluated on first use;
-    # `replace` starts every new state with an empty cache
+    # read-only fields derived from (u, v), each evaluated on first use; a new
+    # state's holds at most the triangle beta its potential was solved with
     cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    solved_beta: InitVar[np.ndarray] = None
 
-    def __post_init__(self):
+    def __post_init__(self, solved_beta):
         # the cache relies on u and v never changing once the state is built
         self.u.flags.writeable = self.v.flags.writeable = False
+        if solved_beta is not None:
+            self.cache["beta_tri"] = solved_beta
 
     def _derived(self, key, compute):
         val = self.cache.get(key)
@@ -216,6 +218,11 @@ class FlowState:
         """K u (the unit stiffness times u), evaluated once per state."""
         return self._derived("stiffness_u", lambda: self.mesh.stiffness @ self.u)
 
+    def beta_tri(self) -> np.ndarray:
+        """Triangle mean of beta(u), evaluated once per state or kept from its solve."""
+        return self._derived("beta_tri",
+                             lambda: triangle_mean(self.mesh, self.ctx.warp.beta(self.u)))
+
     def grad_sq_v(self) -> np.ndarray:
         """Per-triangle |grad v|^2, evaluated once per state, or once per
         context under a constant warp."""
@@ -228,14 +235,22 @@ class FlowState:
         return ctx.grad_sq_psi_ext
 
 
-def _solve_potential(ctx: _FlowContext, u, x0=None):
-    sol = solve_warped_laplace(ctx.mesh, ctx.warp.beta(u), ctx.bdata.psi, x0=x0,
-                               block=ctx.potential)
+def _solve_potential(ctx: _FlowContext, u, state: "FlowState" = None, dt: float = 0.0):
+    """(v, beta_tri): the potential of the map u and the triangle mean of beta(u)
+    it was solved with (NonPositiveCoefficient unless positive), the solve started
+    from the potential of `state`, if any, extrapolated linearly to state.t + dt."""
+    x0 = None if state is None else state.v if state.v_prev is None else \
+        state.v + (dt / state.last_dt) * (state.v - state.v_prev)
+    beta = ctx.warp.beta(u)
+    beta_tri = triangle_mean(ctx.mesh, beta)
+    beta_tri.flags.writeable = False
+    sol = solve_warped_laplace(ctx.mesh, beta, ctx.bdata.psi, x0=x0,
+                               block=ctx.potential, beta_tri=beta_tri)
     ctx.stats["elliptic_solves"] += 1
     ctx.stats["elliptic_iterations"] += sol.iterations
     ctx.stats["max_elliptic_residual"] = max(ctx.stats["max_elliptic_residual"],
                                              sol.rel_residual)
-    return sol.v
+    return sol.v, beta_tri
 
 
 def initial_state(mesh: DomainMesh, target, warp, bdata: BoundaryData,
@@ -324,8 +339,8 @@ def step(state: FlowState, dt: float = None, enforce_cap: bool = True) -> FlowSt
             f"nodal move {move:.3e} exceeds {config.max_move_fraction} * h")
 
     try:
-        v_new = state.v if ctx.potential is None else \
-            _solve_potential(ctx, u_new, x0=state.v)
+        v_new, beta_tri = (state.v, None) if ctx.potential is None else \
+            _solve_potential(ctx, u_new, state, dt)
         if not np.all(np.isfinite(v_new)):
             raise SolverFailure("non-finite potential")
     except SolverFailure as exc:
@@ -334,9 +349,9 @@ def step(state: FlowState, dt: float = None, enforce_cap: bool = True) -> FlowSt
 
     ctx.stats["accepted_steps"] += 1
     diff2 = float(np.dot(m, dd))
-    return replace(state, u=u_new, v=v_new, t=state.t + dt,
-                   step_count=state.step_count + 1,
-                   last_rate=math.sqrt(diff2) / dt, last_move=move / cap)
+    return replace(state, u=u_new, v=v_new, t=state.t + dt, step_count=state.step_count + 1,
+                   last_rate=math.sqrt(diff2) / dt, last_move=move / cap, last_dt=dt,
+                   v_prev=state.v, solved_beta=beta_tri)
 
 
 def march(states: list, t_end: float):

@@ -128,18 +128,15 @@ class WarpFunction:
             g[..., 0] = 2.0 * np.pi * self.b * np.cos(2.0 * np.pi * y[..., 0])
         return g
 
-    def drift(self, y: np.ndarray) -> np.ndarray:
-        """The vector B(y) = -1/2 grad beta(y) before tangential projection."""
-        return -0.5 * self.grad_beta(y)
-
     def __repr__(self):
         return f"WarpFunction({self.kind!r}, a={self.a}, b={self.b})"
 
 
 def warp_force(target, warp: WarpFunction, y, s):
-    """Forcing term B_tangent(y) * s with s = |grad v|^2 evaluated pointwise.
+    """Forcing term B_tangent(y) * s with s = |grad v|^2 evaluated pointwise,
+    B(y) = -1/2 grad beta(y) before its tangential projection.
 
     `y` is a single point (K,) or nodal array (n, K); `s` a scalar or (n,).
     """
-    Bt = target.project_tangent(y, warp.drift(y))
+    Bt = target.project_tangent(y, -0.5 * warp.grad_beta(y))
     return np.asarray(s, dtype=float)[..., None] * Bt

@@ -87,16 +87,15 @@ class DomainMesh:
             (self.areas[tri] / (3.0 * m[vert]), tri,
              np.concatenate([[0], np.cumsum(np.bincount(tv, minlength=nv))])), shape=(nv, nt))
 
-        edges = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1)
-        uniq, counts = np.unique(edges, axis=0, return_counts=True)
+        # edge keys e0 nv + e1 (e0 < e1) sort as the rows (e0, e1) of a row-wise unique
+        a, b = t.ravel().astype(np.int64), np.roll(t, -1, axis=1).ravel()
+        keys, counts = np.unique(np.minimum(a, b) * nv + np.maximum(a, b), return_counts=True)
         if np.any(counts > 2):
             raise InvalidShapeParameters("non-conforming mesh: edge shared by > 2 triangles")
-        lengths = np.linalg.norm(v[uniq[:, 0]] - v[uniq[:, 1]], axis=1)
-        self.h = float(lengths.max())
-        bnd_edges = uniq[counts == 1]
-        bmask = np.zeros(self.num_vertices, dtype=bool)
-        bmask[bnd_edges.ravel()] = True
-        self.boundary = bmask
+        e0, e1 = np.divmod(keys, nv)
+        self.h = float(np.linalg.norm(v[e0] - v[e1], axis=1).max())
+        self.boundary = np.zeros(nv, dtype=bool)
+        self.boundary[np.concatenate([e0[counts == 1], e1[counts == 1]])] = True
 
     # -- basic queries -------------------------------------------------
 
@@ -167,28 +166,12 @@ def _square_mesh(target_h: float) -> DomainMesh:
     xs = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     verts = np.column_stack([X.ravel(), Y.ravel()])
-
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    tris = []
-    for i in range(n):
-        for j in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return DomainMesh(verts, np.array(tris, dtype=np.int64),
-                      boundary=None, shape="square", target_h=target_h)
-
-
-def _ring_points(radii, counts, phases=None):
-    pts = []
-    for k, (r, n) in enumerate(zip(radii, counts)):
-        offset = 0.0 if phases is None else phases[k]
-        th = offset + 2.0 * np.pi * np.arange(n) / n
-        pts.append(np.column_stack([r * np.cos(th), r * np.sin(th)]))
-    return np.concatenate(pts)
+    # vertex (i, j) is i (n + 1) + j; cells in (i, j) order, two triangles each
+    I, J = np.meshgrid(np.arange(n, dtype=np.int64), np.arange(n), indexing="ij")
+    v00 = (I * (n + 1) + J).ravel()
+    v10, v01, v11 = v00 + (n + 1), v00 + 1, v00 + (n + 2)
+    tris = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
+    return DomainMesh(verts, tris, boundary=None, shape="square", target_h=target_h)
 
 
 def _disk_mesh(target_h: float) -> DomainMesh:
@@ -196,10 +179,12 @@ def _disk_mesh(target_h: float) -> DomainMesh:
         raise InvalidShapeParameters(
             f"target_h={target_h} too coarse for the unit disk")
     nr = _doubling_count(1.0, target_h)
-    radii = np.arange(1, nr + 1) / nr
-    counts = [6 * k for k in range(1, nr + 1)]
-    phases = [0.5 * np.pi * (k % 2) / counts[k - 1] for k in range(1, nr + 1)]
-    pts = np.vstack([[[0.0, 0.0]], _ring_points(radii, counts, phases)])
+    # ring k of radius k / nr holds 6 k points, odd rings turned by a quarter spacing
+    k = np.arange(1, nr + 1)
+    r, n = np.repeat(k / nr, 6 * k), np.repeat(6 * k, 6 * k)
+    j = np.arange(n.size) - np.repeat(3 * k * (k - 1), 6 * k)      # index on its ring
+    th = np.repeat(0.5 * np.pi * (k % 2) / (6 * k), 6 * k) + 2.0 * np.pi * j / n
+    pts = np.vstack([[[0.0, 0.0]], np.column_stack([r * np.cos(th), r * np.sin(th)])])
     tris = Delaunay(pts).simplices
     return DomainMesh(pts, tris.astype(np.int64), boundary=None,
                       shape="disk", target_h=target_h)

@@ -11,13 +11,14 @@ from oracle_corotational import reduced_profile
 from warpflow.boundary import boundary_data_from_presets
 from warpflow.diagnostics import ThresholdConfig, energy_functionals
 from warpflow.elliptic import CG_RTOL
-from warpflow.errors import SolverFailure, StepRejected
+from warpflow.elliptic import solve_warped_laplace
+from warpflow.errors import NonPositiveCoefficient, SolverFailure, StepRejected
 from warpflow.flow import (FACTOR_ITERS, LU_COL_ITERS, Schedule,
                            StepperConfig, _forcing, default_probe_centers, initial_state,
                            march, run_flow, step, tension_residual)
 from warpflow.geometry import WarpFunction, make_target
-from warpflow.mesh import DomainMesh, build_mesh, dirichlet_energy
-from warpflow.scenario import ScenarioConfig, build_scenario, resolve_config
+from warpflow.mesh import DomainMesh, build_mesh, dirichlet_energy, triangle_mean
+from warpflow.scenario import ScenarioConfig, build_scenario, resolve_config, run_scenario
 
 SPHERE = make_target("sphere")
 TORUS = make_target("torus")
@@ -385,6 +386,68 @@ class TestStepMechanics:
         with pytest.raises(SolverFailure, match="non-finite") as info:
             step(st)
         assert info.value.time == st.t
+
+
+class TestPotential:
+    """A varying warp's potential: warm-started solves and one beta per state."""
+
+    WARP = WarpFunction("linear_height", 2.0, 1.0)
+
+    def _start(self, mesh):
+        bd = boundary_data_from_presets(mesh, SPHERE, "equator_circle kappa=1", "harmonic",
+                                        "linear_x")
+        return initial_state(mesh, SPHERE, self.WARP, bd, StepperConfig()), bd
+
+    def test_warm_started_potential_matches_a_cold_solve(self, square16, monkeypatch):
+        starts = []
+        real = warpflow.flow.solve_warped_laplace
+        monkeypatch.setattr(warpflow.flow, "solve_warped_laplace",
+                            lambda *a, **k: starts.append(k["x0"]) or real(*a, **k))
+        st0, bd = self._start(square16)
+        dt = st0.ctx.dt_cfl
+        st1 = step(st0, dt=dt)
+        st2 = step(st1, dt=dt / 2)
+        # the first step starts from v^n; the next from v^n + (dt / dt_prev)(v^n - v^(n-1))
+        assert starts[0] is None and starts[1] is st0.v
+        assert np.array_equal(starts[2], st1.v + 0.5 * (st1.v - st0.v))
+        for st in (st1, st2):
+            cold = solve_warped_laplace(square16, self.WARP.beta(st.u), bd.psi).v
+            assert np.linalg.norm(st.v - cold) <= 10 * CG_RTOL * np.linalg.norm(cold)
+
+    def test_each_state_forms_its_beta_once(self, square16, monkeypatch):
+        st, _ = self._start(square16)
+        seen = []
+        real = self.WARP.beta
+        monkeypatch.setattr(self.WARP, "beta", lambda y: seen.append(y) or real(y))
+        states = [st]
+        schedule = Schedule(t_end=4.0 * st.ctx.dt_cfl, diag_stride=1,
+                            snapshot_stride=1, snapshot_cb=states.append)
+        fin, rep = run_flow(st, schedule)
+        assert fin.step_count >= 4 and len(rep.records) == fin.step_count + 1
+        # the initial state's beta came from its solve, before `seen`; every
+        # later state's from the solve of the step that made it, which the
+        # record then reads from the state's cache
+        for s in states:
+            assert sum(y is s.u for y in seen) == (s is not st)
+            beta = s.cache["beta_tri"]
+            assert np.array_equal(beta, triangle_mean(square16, real(s.u)))
+            with pytest.raises(ValueError):
+                beta[0] = 0.0
+
+    def test_nonpositive_beta_is_refused(self, square16):
+        st, _ = self._start(square16)
+        far = np.array(st.u)
+        far[:, 2] = -10.0                         # beta = 2 + y_3 < 0 off the sphere
+        bad = replace(st, u=far)
+        with pytest.raises(NonPositiveCoefficient):
+            bad.beta_tri()
+        with pytest.raises(NonPositiveCoefficient):
+            energy_functionals(bad)
+
+    def test_warp_coupled_potential_iterations_are_pinned(self):
+        # 94 with each solve started from the last potential, 81 extrapolated
+        stats = run_scenario("warp_coupled", write_artifacts=False).report.solver_stats
+        assert (stats["elliptic_solves"], stats["elliptic_iterations"]) == (41, 81)
 
 
 class TestRunFlow:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import warpflow.mesh
-from brute_force import ball_energy, nearest_vertex, weighted_stiffness
+from brute_force import (ball_energy, disk_points, edge_table, nearest_vertex,
+                         square_lattice, weighted_stiffness)
 from warpflow.boundary import boundary_data_from_presets
 from warpflow.diagnostics import ThresholdConfig
 from warpflow.errors import InvalidShapeParameters, NonPositiveCoefficient
@@ -98,6 +99,26 @@ def test_nonconforming_mesh_rejected():
     tris = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
     with pytest.raises(InvalidShapeParameters):
         DomainMesh(verts, tris, boundary=None, shape="square", target_h=1.0)
+
+
+# the benchmark's square at h = 1/128; the disk and annulus at 1/64 to keep
+# the suite quick (their edge table is the same code at every size)
+@pytest.mark.parametrize("shape, h, kwargs", [
+    ("square", 1 / 128, {}), ("square", 0.3, {}), ("disk", 1 / 64, {}),
+    ("disk", 0.3, {}), ("annulus", 1 / 64, {"r_in": 0.5, "r_out": 1.0}),
+    ("annulus", 0.3, {"r_in": 0.3, "r_out": 1.2}),
+])
+def test_meshes_match_the_per_cell_lattice_and_row_wise_edge_table(shape, h, kwargs):
+    m = build_mesh(shape, h, **kwargs)
+    if shape == "square":
+        verts, tris = square_lattice(h)
+        assert np.array_equal(m.vertices, verts)
+        assert m.triangles.dtype == tris.dtype and np.array_equal(m.triangles, tris)
+    if shape == "disk":                   # Delaunay then gives the same triangles
+        assert np.array_equal(m.vertices, disk_points(h))
+    boundary, max_edge = edge_table(m)
+    assert np.array_equal(m.boundary, boundary)
+    assert m.h == max_edge
 
 
 def _max_off_diagonal(mesh):
