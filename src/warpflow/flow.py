@@ -121,6 +121,12 @@ class _FlowContext:
         M_II.setdiag(mesh.lumped_mass[mesh.interior])
         self._mass_data = M_II.data
         self._step_mat = {}
+        # a step gathers and scatters the interior rows of the (nv, d) map, and
+        # resets its boundary rows to phi, by flat index i d + k
+        d = bdata.phi.shape[1]
+        self._flat_I, self._flat_B = ((rows[:, None] * d + np.arange(d)).ravel()
+                                      for rows in (mesh.interior, mesh.boundary_index))
+        self._phi_B = np.take(bdata.phi, self._flat_B)
         # under a constant warp every state's potential is this one copy of
         # psi_ext, and its |grad v|^2 per triangle is kept here once
         self.v_fixed = np.array(bdata.psi_ext, dtype=float) if self.potential is None else None
@@ -260,17 +266,23 @@ def initial_state(mesh: DomainMesh, target, warp, bdata: BoundaryData,
         np.array(bdata.phi0, dtype=float))
 
 
-def _forcing(state: FlowState) -> np.ndarray:
+def _forcing(state: FlowState) -> np.ndarray | None:
     """Nodal explicit forcing: curvature term minus warp drift term, once per
-    state.  It reuses the |grad u|^2 a record cached but keeps none of its
-    own, so a state that is only stepped holds no gradients while its step
-    solve runs."""
+    state; None where it is identically zero (a flat target under a constant
+    warp).  A flat target takes no curvature term.  It reuses the |grad u|^2
+    a record cached but keeps none of its own, so a state that is only
+    stepped holds no gradients while its step solve runs."""
+    ctx = state.ctx
+    if ctx.target.flat and ctx.potential is None:
+        return None
+
     def compute():
-        mesh, ctx = state.mesh, state.ctx
-        g2_u = state.cache.get("grad_sq_u")
-        if g2_u is None:
-            g2_u = mesh.tri_grad_sq(state.u)
-        F = ctx.target.curvature_force(state.u, mesh.nodal_from_tri(g2_u))
+        mesh, F = state.mesh, 0.0
+        if not ctx.target.flat:
+            g2_u = state.cache.get("grad_sq_u")
+            if g2_u is None:
+                g2_u = mesh.tri_grad_sq(state.u)
+            F = ctx.target.curvature_force(state.u, mesh.nodal_from_tri(g2_u))
         if ctx.potential is not None:
             s = mesh.nodal_from_tri(state.grad_sq_v())
             F = F - warp_force(ctx.target, ctx.warp, state.u, s)
@@ -281,10 +293,9 @@ def _forcing(state: FlowState) -> np.ndarray:
 def tension_residual(state: FlowState):
     """Tangential discrete tension field and its L2 norm (boundary rows zero)."""
     mesh = state.mesh
-    lap = mesh.laplacian(state.u, state.stiffness_u())
-    R = lap + _forcing(state)
-    R = state.ctx.target.project_tangent(state.u, R)
-    R[mesh.boundary] = 0.0
+    lap, F = mesh.laplacian(state.u, state.stiffness_u()), _forcing(state)
+    R = state.ctx.target.project_tangent(state.u, lap if F is None else lap + F)
+    R[mesh.boundary_index] = 0.0
     norm = math.sqrt(float(np.dot(mesh.lumped_mass, np.einsum("ij,ij->i", R, R))))
     return R, norm
 
@@ -306,17 +317,18 @@ def step(state: FlowState, dt: float = None, enforce_cap: bool = True) -> FlowSt
     dt = state.dt if dt is None else float(dt)
     if dt <= 0:
         raise ValueError("dt must be positive")
-    u, m = state.u, mesh.lumped_mass
+    u, m, I = state.u, mesh.lumped_mass, mesh.interior
     F = _forcing(state)
 
     try:
-        theta, I = config.theta, mesh.interior
-        rhs = m[:, None] * (u + dt * F)
+        theta = config.theta
+        rhs = m[:, None] * (u if F is None else u + dt * F)
         if theta != 1.0:
             rhs -= ((1.0 - theta) * dt) * state.stiffness_u()
-        rhs_I = rhs[I] - (theta * dt) * ctx.K_phi
-        u_star = np.array(u)
-        u_star[I] = ctx.theta_solve(dt, state.t, rhs_I, u[I])
+        rhs_I = np.take(rhs, I, axis=0) - (theta * dt) * ctx.K_phi
+        X = ctx.theta_solve(dt, state.t, rhs_I, np.take(u, I, axis=0))
+        u_star = u.copy()                  # C order: reshape(-1) is a view
+        u_star.reshape(-1)[ctx._flat_I] = X.reshape(-1)
         if not np.all(np.isfinite(u_star)):
             raise SolverFailure("non-finite map after the step solve")
     except SolverFailure as exc:
@@ -327,7 +339,7 @@ def step(state: FlowState, dt: float = None, enforce_cap: bool = True) -> FlowSt
     except DegeneratePoint as exc:
         _count_rejection(ctx, "projection")
         raise StepRejected(f"projection degenerated: {exc}") from exc
-    u_new[mesh.boundary] = ctx.bdata.phi[mesh.boundary]
+    np.put(u_new, ctx._flat_B, ctx._phi_B)
 
     du = u_new - u
     dd = np.einsum("ij,ij->i", du, du)              # squared nodal moves

@@ -30,6 +30,7 @@ class UnitSphere:
 
     kind = "sphere"
     embedding_dim = 3
+    flat = False
 
     def distance(self, p: np.ndarray) -> np.ndarray:
         return np.abs(np.linalg.norm(p, axis=1) - 1.0)
@@ -58,6 +59,8 @@ class FlatTorus:
 
     kind = "torus"
     embedding_dim = 2
+    # no curvature term: the flow's forcing is the warp drift alone
+    flat = True
 
     def distance(self, p: np.ndarray) -> np.ndarray:
         return np.zeros(len(p))

@@ -47,6 +47,8 @@ class DomainMesh:
     barycenters: np.ndarray = field(default=None, repr=False)  # (nt, 2)
     lumped_mass: np.ndarray = field(default=None, repr=False)  # (nv,)
     stiffness: sp.csr_matrix = field(default=None, repr=False)  # (nv, nv)
+    interior: np.ndarray = field(default=None, repr=False)        # interior vertex ids
+    boundary_index: np.ndarray = field(default=None, repr=False)  # boundary vertex ids
 
     def __post_init__(self):
         self._finalize()
@@ -96,6 +98,9 @@ class DomainMesh:
         self.h = float(np.linalg.norm(v[e0] - v[e1], axis=1).max())
         self.boundary = np.zeros(nv, dtype=bool)
         self.boundary[np.concatenate([e0[counts == 1], e1[counts == 1]])] = True
+        self.interior = np.flatnonzero(~self.boundary)
+        self.boundary_index = np.flatnonzero(self.boundary)
+        self.interior.flags.writeable = self.boundary_index.flags.writeable = False
 
     # -- basic queries -------------------------------------------------
 
@@ -106,10 +111,6 @@ class DomainMesh:
     @property
     def num_triangles(self) -> int:
         return self.triangles.shape[0]
-
-    @property
-    def interior(self) -> np.ndarray:
-        return np.flatnonzero(~self.boundary)
 
     @property
     def domain_area(self) -> float:
@@ -139,7 +140,7 @@ class DomainMesh:
         vals = np.asarray(values, dtype=float)
         m = self.lumped_mass if vals.ndim == 1 else self.lumped_mass[:, None]
         lap = -(self.stiffness @ vals if K_values is None else K_values) / m
-        lap[self.boundary] = 0.0
+        lap[self.boundary_index] = 0.0
         return lap
 
 

@@ -297,8 +297,8 @@ class TwinResult:
 
 
 def _l2_diff(mesh, u1, u2) -> float:
-    return math.sqrt(float(np.dot(mesh.lumped_mass,
-                                  np.sum((u1 - u2) ** 2, axis=1))))
+    du = u1 - u2
+    return math.sqrt(float(np.dot(mesh.lumped_mass, np.einsum("ij,ij->i", du, du))))
 
 
 def twin_run(flat_or_path, delta: float = None, overrides: dict = None) -> TwinResult:

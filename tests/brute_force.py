@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from warpflow.flow import _solve_potential
+from warpflow.geometry import warp_force
 from warpflow.mesh import (_doubling_count, ball_triangles, stiffness_from_tri_weights,
                            tri_energy_density, triangle_mean)
 
@@ -64,3 +66,31 @@ def edge_table(mesh):
     boundary = np.zeros(mesh.num_vertices, dtype=bool)
     boundary[uniq[counts == 1].ravel()] = True
     return boundary, float(lengths.max())
+
+
+def reference_step(state, dt):
+    """(u, v, last_move, last_rate) of flow.step(state, dt), move cap aside.
+
+    Every target takes an explicit forcing (the flat torus its zeros), the
+    interior rows move by 2-D fancy indexing and the boundary rows are reset
+    through the boolean mask.  The solve and the potential go through
+    state.ctx, as the step's do."""
+    mesh, ctx, u = state.mesh, state.ctx, state.u
+    theta, I, m = ctx.config.theta, mesh.interior, mesh.lumped_mass
+    F = ctx.target.curvature_force(u, mesh.nodal_from_tri(mesh.tri_grad_sq(u)))
+    if ctx.potential is not None:
+        s = mesh.nodal_from_tri(mesh.tri_grad_sq(state.v))
+        F = F - warp_force(ctx.target, ctx.warp, u, s)
+    rhs = m[:, None] * (u + dt * F)
+    if theta != 1.0:
+        rhs -= ((1.0 - theta) * dt) * (mesh.stiffness @ u)
+    rhs_I = rhs[I] - (theta * dt) * ctx.K_phi
+    u_star = np.array(u)
+    u_star[I] = ctx.theta_solve(dt, state.t, rhs_I, u[I])
+    u_new = ctx.target.project_field(u_star)
+    u_new[mesh.boundary] = ctx.bdata.phi[mesh.boundary]
+    du = u_new - u
+    dd = np.einsum("ij,ij->i", du, du)
+    move = math.sqrt(float(np.max(dd))) / (ctx.config.max_move_fraction * mesh.h)
+    v_new = state.v if ctx.potential is None else _solve_potential(ctx, u_new, state, dt)[0]
+    return u_new, v_new, move, math.sqrt(float(np.dot(m, dd))) / dt

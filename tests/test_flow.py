@@ -6,9 +6,9 @@ import pytest
 
 import warpflow.elliptic
 import warpflow.flow
-from brute_force import weighted_stiffness
+from brute_force import reference_step, weighted_stiffness
 from oracle_corotational import reduced_profile
-from warpflow.boundary import boundary_data_from_presets
+from warpflow.boundary import BoundaryData, boundary_data_from_presets
 from warpflow.diagnostics import ThresholdConfig, energy_functionals
 from warpflow.elliptic import CG_RTOL
 from warpflow.elliptic import solve_warped_laplace
@@ -16,7 +16,7 @@ from warpflow.errors import NonPositiveCoefficient, SolverFailure, StepRejected
 from warpflow.flow import (FACTOR_ITERS, LU_COL_ITERS, Schedule,
                            StepperConfig, _forcing, default_probe_centers, initial_state,
                            march, run_flow, step, tension_residual)
-from warpflow.geometry import WarpFunction, make_target
+from warpflow.geometry import WarpFunction, make_target, warp_force
 from warpflow.mesh import DomainMesh, build_mesh, dirichlet_energy, triangle_mean
 from warpflow.scenario import ScenarioConfig, build_scenario, resolve_config, run_scenario
 
@@ -388,6 +388,46 @@ class TestStepMechanics:
         assert info.value.time == st.t
 
 
+class TestReferenceStep:
+    """flow.step is bitwise the step of tests/brute_force.py's formulation."""
+
+    @staticmethod
+    def _start(case, square16, disk16, theta):
+        cfg = StepperConfig(theta=theta)
+        if case == "sphere_disk":
+            bd = boundary_data_from_presets(disk16, SPHERE, "north_pole",
+                                            "corotational amplitude=0.1", "cos_theta scale=2")
+            return initial_state(disk16, SPHERE, WarpFunction("linear_height", 2.0, 1.0),
+                                 bd, cfg)
+        # a linear trace and a bump that is no eigenvector of K, so the step
+        # CG takes enough iterations to pay for a factor
+        x, y = square16.vertices.T
+        phi = 0.2 * square16.vertices
+        bump = (x * (1.0 - x) * y * (1.0 - y))[:, None] * np.array([1.0, -0.5])
+        bd = BoundaryData.build(square16, TORUS, phi, phi + bump, 0.25 * x)
+        warp = UNIT_WARP if case == "torus_square" else WarpFunction("sinusoidal", 2.0, 1.0)
+        return initial_state(square16, TORUS, warp, bd, cfg)
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("case", ["sphere_disk", "torus_square", "torus_square_warped"])
+    def test_step_matches_the_reference_bitwise(self, square16, disk16, case, theta):
+        st = self._start(case, square16, disk16, theta)
+        ctx, dt = st.ctx, st.ctx.dt_cfl / 4
+
+        def check(s):
+            # both at one time level on one context: they solve alike
+            new = step(s, dt=dt)
+            u, v, move, rate = reference_step(s, dt)
+            assert np.array_equal(new.u, u) and np.array_equal(new.v, v)
+            assert (new.last_move, new.last_rate) == (move, rate)
+            return new
+
+        st = check(st)                           # Jacobi CG
+        st = check(_earn_a_factor(st, dt))       # builds the factor
+        assert ctx.stats["step_factors"] >= 1 and ctx._lu_dt == dt
+        check(st)                                # on the bought factor
+
+
 class TestPotential:
     """A varying warp's potential: warm-started solves and one beta per state."""
 
@@ -714,7 +754,7 @@ class TestDerivedFields:
 
     def test_retried_step_evaluates_the_forcing_once(self, square16, monkeypatch):
         cfg = StepperConfig(max_move_fraction=1e-3)
-        st = initial_state(square16, TORUS, UNIT_WARP, _bump_data(square16, amp=0.4), cfg)
+        st = initial_state(square16, SPHERE, UNIT_WARP, _geodesic_data(square16), cfg)
         seen = self._gradient_arguments(monkeypatch)
         with pytest.raises(StepRejected):
             step(st, dt=0.01)
@@ -725,6 +765,30 @@ class TestDerivedFields:
             for a in (s.u, s.v):
                 with pytest.raises(ValueError):
                     a[0] = 0.0
+
+    def test_flat_target_under_a_constant_warp_takes_no_forcing(self, square16,
+                                                                monkeypatch):
+        cfg = StepperConfig(max_move_fraction=1e-3)
+        st = initial_state(square16, TORUS, UNIT_WARP, _bump_data(square16, amp=0.4), cfg)
+        u0 = np.array(st.u)
+        seen = self._gradient_arguments(monkeypatch)
+        with pytest.raises(StepRejected):
+            step(st, dt=0.01)
+        new = step(st, dt=1e-7)
+        assert st.ctx.stats["rejections"]["move_cap"] == 1 and new.step_count == 1
+        assert seen == [] and _forcing(st) is None and "forcing" not in st.cache
+        assert np.array_equal(st.u, u0) and not st.u.flags.writeable
+
+    def test_flat_target_under_a_warp_takes_the_drift_alone(self, square16, monkeypatch):
+        warp = WarpFunction("sinusoidal", 2.0, 1.0)
+        spec = "sine_bump amplitude=0.4"
+        bd = boundary_data_from_presets(square16, TORUS, spec, spec, "linear_x")
+        st = initial_state(square16, TORUS, warp, bd, StepperConfig())
+        seen = self._gradient_arguments(monkeypatch)
+        F = _forcing(st)
+        assert len(seen) == 1 and seen[0] is st.v          # |grad v|^2 only
+        drift = warp_force(TORUS, warp, st.u, square16.nodal_from_tri(st.grad_sq_v()))
+        assert np.array_equal(F, -drift) and np.any(F != 0.0)
 
     @pytest.mark.parametrize("warp", [UNIT_WARP, WarpFunction("linear_height", 2.0, 1.0)])
     def test_records_and_steps_share_gradients(self, square16, monkeypatch, warp):
