@@ -25,8 +25,9 @@ A run's fixed data (mesh, target, warp, boundary data and StepperConfig)
 live once, in the `_FlowContext` that `initial_state` builds; a FlowState is
 the evolving (u, v, t) on it.  A state's triangle gradients, nodal forcing,
 K u and triangle beta are evaluated once, on first use, whether a retried
-step, a record or the next step asks for them.  Each potential solve starts
-from the potential extrapolated linearly in t from the last two states.
+step, a record or the next step asks for them, or carried from the state
+before where its step leaves them valid.  Each potential solve starts from
+the potential extrapolated linearly in t from the last two states.
 """
 
 from __future__ import annotations
@@ -89,19 +90,20 @@ class _FlowContext:
     edge mesh.h).  Every state started from it (`start`, a twin pair's two
     members too) shares it, so stats count every step call once.
     K_phi = (K phi)_I.  The theta-step matrix A = M_II + theta dt K_II is
-    solved by Jacobi CG, cached per dt with its preconditioner, and each dt
-    keeps its CG excess: iterations beyond LU_COL_ITERS a column.  At the
-    first solve of a new time level at a key dt_cfl / 2^k whose excess is at
-    least the factored key's (frozen while factored) plus FACTOR_ITERS, the
-    old factor and the key's matrix are dropped and one sparse LU factor of
-    it solves all columns of its later steps.  So a context holds at most
-    one factor, decided from counts, members of a twin pair always solve
-    alike, step_iterations counts CG solves only and step_factors the
-    builds.  `potential` is where the potential is decided: a non-constant
-    warp re-solves it every step on this WarpedBlock (the fixed-pattern
-    block and its cached factor); a constant warp has None, and its
-    potential is the harmonic extension of psi for all time, solved nowhere
-    in the flow.
+    solved by Jacobi CG on one kept matrix and preconditioner, those of the
+    last dt solved by CG, and each dt keeps its CG excess: iterations beyond
+    LU_COL_ITERS a column.  At a solve whose (t, dt) is not the last solve's
+    (`march` never revisits a (t, dt): only a twin pair's second member
+    repeats it), at a key dt_cfl / 2^k whose excess is at least the factored
+    key's (frozen while factored) plus FACTOR_ITERS, the kept matrix and the
+    old factor are dropped and one sparse LU factor of the key's matrix
+    solves all columns of its later steps.  So a context holds at most one
+    matrix and one factor, decided from counts, step_iterations counts CG
+    solves only and step_factors the builds.  `potential` is where the
+    potential is decided: a non-constant warp re-solves it every step on
+    this WarpedBlock (the fixed-pattern block and its cached factor); a
+    constant warp has None, and its potential is the harmonic extension of
+    psi for all time, solved nowhere in the flow.
     """
 
     def __init__(self, mesh: DomainMesh, target, warp, bdata: BoundaryData,
@@ -112,57 +114,50 @@ class _FlowContext:
         self.dt_cfl, self.dt_min = config.sigma * h, DT_MIN_FACTOR * h * h
         self.K_II, self.K_phi, _ = dirichlet_split(mesh, mesh.stiffness, bdata.phi)
         self.potential = None if warp.kind == "constant" else WarpedBlock(mesh, bdata.psi)
-        # CG excess and the time of the last solve per dt, and the one factor
-        self._excess, self._level, self._lu_dt, self._lu = {}, {}, None, None
+        # CG excess per dt, the (t, dt) of the last solve, the one CG matrix
+        # (A, inverse diagonal) and the one factor, each with its dt
+        self._excess, self._last = {}, None
+        self._cg_dt = self._cg = self._lu_dt = self._lu = None
         # M_II + theta dt K_II has K_II's pattern (its diagonal included): a
         # step matrix is one data array over K_II's index arrays
         M_II = self.K_II.copy()
         M_II.data[:] = 0.0
         M_II.setdiag(mesh.lumped_mass[mesh.interior])
         self._mass_data = M_II.data
-        self._step_mat = {}
         # a step gathers and scatters the interior rows of the (nv, d) map, and
         # resets its boundary rows to phi, by flat index i d + k
         d = bdata.phi.shape[1]
         self._flat_I, self._flat_B = ((rows[:, None] * d + np.arange(d)).ravel()
                                       for rows in (mesh.interior, mesh.boundary_index))
         self._phi_B = np.take(bdata.phi, self._flat_B)
-        # under a constant warp every state's potential is this one copy of
-        # psi_ext, and its |grad v|^2 per triangle is kept here once
-        self.v_fixed = np.array(bdata.psi_ext, dtype=float) if self.potential is None else None
-        self.grad_sq_psi_ext = None
         self.stats = {"elliptic_solves": 0, "elliptic_iterations": 0,
                       "step_iterations": 0, "step_factors": 0, "accepted_steps": 0,
                       "rejected_steps": 0, "rejections": {"move_cap": 0, "projection": 0},
                       "max_elliptic_residual": 0.0}
 
     def step_matrix(self, dt: float):
-        """(A, its inverse diagonal) for A = M_II + theta dt K_II; cached
-        only for dt = dt_cfl / 2^k, so a step clipped to land on t_end is not."""
-        entry = self._step_mat.get(dt)
-        if entry is None:
-            K = self.K_II
-            A = sp.csr_matrix((self._mass_data + (self.config.theta * dt) * K.data,
-                               K.indices, K.indptr), shape=K.shape)
-            entry = (A, jacobi_preconditioner(A))
-            if math.frexp(self.dt_cfl / dt)[0] == 0.5:
-                self._step_mat[dt] = entry
-        return entry
+        """(A, its inverse diagonal) for A = M_II + theta dt K_II."""
+        K = self.K_II
+        A = sp.csr_matrix((self._mass_data + (self.config.theta * dt) * K.data,
+                           K.indices, K.indptr), shape=K.shape)
+        return A, jacobi_preconditioner(A)
 
     def theta_solve(self, dt: float, t: float, rhs_I: np.ndarray,
                     x0_I: np.ndarray) -> np.ndarray:
         """The columns X of (M_II + theta dt K_II) X = rhs_I for a step from time t."""
-        if math.frexp(self.dt_cfl / dt)[0] == 0.5 and self._level.get(dt) != t:
-            self._level[dt] = t
-            if self._excess.get(dt, 0) >= self._excess.get(self._lu_dt, 0) + FACTOR_ITERS:
-                self._lu_dt = self._lu = None     # free before factoring
-                # the CG solves that earned the factor cached the key's matrix
-                A = self._step_mat.pop(dt)[0].tocsc()
+        if self._last != (t, dt):
+            self._last = (t, dt)
+            if (math.frexp(self.dt_cfl / dt)[0] == 0.5 and self._excess.get(dt, 0)
+                    >= self._excess.get(self._lu_dt, 0) + FACTOR_ITERS):
+                self._cg_dt = self._cg = self._lu_dt = self._lu = None  # free before factoring
+                A = self.step_matrix(dt)[0].tocsc()
                 self._lu_dt, self._lu = dt, splu(A, permc_spec="MMD_AT_PLUS_A")
                 self.stats["step_factors"] += 1
         if dt == self._lu_dt:
             return self._lu.solve(rhs_I)
-        A, M = self.step_matrix(dt)
+        if dt != self._cg_dt:
+            self._cg_dt, self._cg = dt, self.step_matrix(dt)
+        A, M = self._cg
         X = np.empty_like(rhs_I)
         for d in range(rhs_I.shape[1]):
             X[:, d], _, iters = cg_solve(A, rhs_I[:, d], x0=x0_I[:, d], M=M)
@@ -179,8 +174,9 @@ class _FlowContext:
             raise ValueError("initial map must lie on the target manifold")
         if np.max(np.abs(u0[mesh.boundary] - phi[mesh.boundary])) != 0.0:
             raise ValueError("initial map must equal the boundary trace on the boundary")
-        v0, beta = (self.v_fixed, None) if self.potential is None else _solve_potential(self, u0)
-        return FlowState(mesh=mesh, u=u0, v=v0, dt=self.dt_cfl, ctx=self, solved_beta=beta)
+        v0, carry = ((np.array(self.bdata.psi_ext, dtype=float), None) if self.potential is None
+                     else _solve_potential(self, u0))
+        return FlowState(mesh=mesh, u=u0, v=v0, dt=self.dt_cfl, ctx=self, carry=carry)
 
 
 @dataclass
@@ -199,15 +195,14 @@ class FlowState:
     v_prev: np.ndarray = field(default=None, repr=False)
     ctx: _FlowContext = field(default=None, repr=False)
     # read-only fields derived from (u, v), each evaluated on first use; a new
-    # state's holds at most the triangle beta its potential was solved with
+    # state's starts from `carry`, the fields its step left valid
     cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
-    solved_beta: InitVar[np.ndarray] = None
+    carry: InitVar[dict] = None
 
-    def __post_init__(self, solved_beta):
+    def __post_init__(self, carry):
         # the cache relies on u and v never changing once the state is built
         self.u.flags.writeable = self.v.flags.writeable = False
-        if solved_beta is not None:
-            self.cache["beta_tri"] = solved_beta
+        self.cache.update(carry or {})
 
     def _derived(self, key, compute):
         val = self.cache.get(key)
@@ -230,21 +225,15 @@ class FlowState:
                              lambda: triangle_mean(self.mesh, self.ctx.warp.beta(self.u)))
 
     def grad_sq_v(self) -> np.ndarray:
-        """Per-triangle |grad v|^2, evaluated once per state, or once per
-        context under a constant warp."""
-        ctx = self.ctx
-        if ctx.potential is not None:
-            return self._derived("grad_sq_v", lambda: self.mesh.tri_grad_sq(self.v))
-        if ctx.grad_sq_psi_ext is None:
-            ctx.grad_sq_psi_ext = self.mesh.tri_grad_sq(self.v)
-            ctx.grad_sq_psi_ext.flags.writeable = False
-        return ctx.grad_sq_psi_ext
+        """Per-triangle |grad v|^2, evaluated once per state or carried forward."""
+        return self._derived("grad_sq_v", lambda: self.mesh.tri_grad_sq(self.v))
 
 
 def _solve_potential(ctx: _FlowContext, u, state: "FlowState" = None, dt: float = 0.0):
-    """(v, beta_tri): the potential of the map u and the triangle mean of beta(u)
-    it was solved with (NonPositiveCoefficient unless positive), the solve started
-    from the potential of `state`, if any, extrapolated linearly to state.t + dt."""
+    """(v, carry): the potential of the map u, and the triangle mean of beta(u) it
+    was solved with (NonPositiveCoefficient unless positive) for the new state's
+    cache; the solve starts from the potential of `state`, if any, extrapolated
+    linearly to state.t + dt."""
     x0 = None if state is None else state.v if state.v_prev is None else \
         state.v + (dt / state.last_dt) * (state.v - state.v_prev)
     beta = ctx.warp.beta(u)
@@ -256,7 +245,7 @@ def _solve_potential(ctx: _FlowContext, u, state: "FlowState" = None, dt: float 
     ctx.stats["elliptic_iterations"] += sol.iterations
     ctx.stats["max_elliptic_residual"] = max(ctx.stats["max_elliptic_residual"],
                                              sol.rel_residual)
-    return sol.v, beta_tri
+    return sol.v, {"beta_tri": beta_tri}
 
 
 def initial_state(mesh: DomainMesh, target, warp, bdata: BoundaryData,
@@ -351,8 +340,11 @@ def step(state: FlowState, dt: float = None, enforce_cap: bool = True) -> FlowSt
             f"nodal move {move:.3e} exceeds {config.max_move_fraction} * h")
 
     try:
-        v_new, beta_tri = (state.v, None) if ctx.potential is None else \
-            _solve_potential(ctx, u_new, state, dt)
+        if ctx.potential is None:      # v and beta do not depend on u: keep the parent's
+            v_new, carry = state.v, {k: state.cache[k] for k in ("grad_sq_v", "beta_tri")
+                                     if k in state.cache}
+        else:
+            v_new, carry = _solve_potential(ctx, u_new, state, dt)
         if not np.all(np.isfinite(v_new)):
             raise SolverFailure("non-finite potential")
     except SolverFailure as exc:
@@ -363,7 +355,7 @@ def step(state: FlowState, dt: float = None, enforce_cap: bool = True) -> FlowSt
     diff2 = float(np.dot(m, dd))
     return replace(state, u=u_new, v=v_new, t=state.t + dt, step_count=state.step_count + 1,
                    last_rate=math.sqrt(diff2) / dt, last_move=move / cap, last_dt=dt,
-                   v_prev=state.v, solved_beta=beta_tri)
+                   v_prev=state.v, carry=carry)
 
 
 def march(states: list, t_end: float):
@@ -472,9 +464,10 @@ def run_flow(state: FlowState, schedule: Schedule, thresholds: ThresholdConfig =
     for (new_state,), dt, forced in march([state], schedule.t_end):
         if forced:
             # operational blow-up: log it and record the state the forced
-            # step started from
+            # step started from, unless it is the last record
             report.underflow_times.append(float(state.t))
-            record(state)
+            if report.records[-1].step_count != state.step_count:
+                record(state)
         kin = new_state.last_rate ** 2 * dt
         kin_since_record += kin
         kin_total += kin

@@ -255,21 +255,33 @@ class TestStepMechanics:
         factored = _counted_splu(monkeypatch)
         st = _geodesic_start(square16)
         ctx = st.ctx
-        # every key: Jacobi CG on a matrix cached with its inverse diagonal
-        # when dt is dt_cfl / 2^k, built for its one use otherwise
+        # every dt: Jacobi CG on its matrix and inverse diagonal, kept while
+        # the solves stay at that dt
         dt = ctx.dt_cfl / 64
         A, M = ctx.step_matrix(dt)
         assert np.array_equal(M, 1.0 / A.diagonal())
-        assert all(x is y for x, y in zip(ctx.step_matrix(dt), (A, M)))
-        A, M = ctx.step_matrix(1e-3)
-        assert np.array_equal(M, 1.0 / A.diagonal())
-        assert 1e-3 not in ctx._step_mat
+        st = step(st, dt=dt)
+        kept = ctx._cg
+        assert ctx._cg_dt == dt and (kept[0] != A).nnz == 0
+        assert np.array_equal(kept[1], M)
         # at most LU_COL_ITERS CG iterations a column: the excess never grows,
         # however many time levels the key serves
-        for _ in range(40):
+        for _ in range(39):
             st = step(st, dt=dt)
+            assert ctx._cg is kept
         assert 0 < ctx.stats["step_iterations"] <= LU_COL_ITERS * 3 * 40
         assert factored == [] and ctx.stats["step_factors"] == 0
+
+    def test_an_off_ladder_step_is_never_factored(self, square16, monkeypatch):
+        factored = _counted_splu(monkeypatch)
+        st = _geodesic_start(square16)
+        ctx = st.ctx
+        dt = 0.4 * ctx.dt_cfl                      # a last step clipped to land on t_end
+        nxt = _earn_a_factor(st, dt)
+        before = ctx.stats["step_iterations"]
+        step(nxt, dt=dt)                           # a new time level: CG all the same
+        assert ctx.stats["step_iterations"] > before and ctx._cg_dt == dt
+        assert factored == [] and ctx._lu is None
 
     def test_a_key_is_factored_at_the_first_new_time_level_after_its_excess_pays(
             self, square16, monkeypatch):
@@ -293,11 +305,12 @@ class TestStepMechanics:
         assert factored == []
         nxt, iters = iterations_of(states[-1])     # the next new time level
         assert factored == [1] and iters == 0 and ctx.stats["step_factors"] == 1
-        assert ctx._lu_dt == dt and dt not in ctx._step_mat
+        assert ctx._lu_dt == dt and ctx._cg is None
         assert iterations_of(nxt)[1] == 0
         before = ctx.stats["step_iterations"]
         step(nxt, dt=dt / 2)                       # another key: CG
         assert ctx.stats["step_iterations"] > before and factored == [1]
+        assert ctx._cg_dt == dt / 2 and ctx._lu_dt == dt
 
     def test_factored_step_matches_the_cg_step(self, square16):
         st = _geodesic_start(square16)
@@ -319,22 +332,21 @@ class TestStepMechanics:
             self, square16, monkeypatch):
         st = _geodesic_start(square16)
         ctx, a, b = st.ctx, st.ctx.dt_cfl, st.ctx.dt_cfl / 2
-        held = []                  # (factor held, cached keys) at each build
+        held = []                  # (factor held, CG matrix held) at each build
         real_splu = warpflow.flow.splu
         monkeypatch.setattr(warpflow.flow, "splu", lambda *args, **kw: held.append(
-            (ctx._lu, set(ctx._step_mat))) or real_splu(*args, **kw))
+            (ctx._lu, ctx._cg)) or real_splu(*args, **kw))
         st = step(_earn_a_factor(st, a), dt=a)
         assert ctx._lu_dt == a
         st = step(_earn_a_factor(st, b), dt=b)     # b's excess beat a's by FACTOR_ITERS
         assert ctx._lu_dt == b and ctx.stats["step_factors"] == len(held) == 2
         assert ctx._excess[b] >= ctx._excess[a] + FACTOR_ITERS
-        # never two factors, never a factor next to its own matrix
-        assert [lu for lu, _ in held] == [None, None]
-        assert a not in held[0][1] and b not in held[1][1] and b not in ctx._step_mat
-        # the old key is back on Jacobi CG, on a matrix cached again
+        # neither a factor nor a CG matrix is held while a factor is built
+        assert held == [(None, None), (None, None)] and ctx._cg is None
+        # the old key is back on Jacobi CG, on its matrix built again
         before = ctx.stats["step_iterations"]
         step(st, dt=a)
-        assert ctx.stats["step_iterations"] > before and a in ctx._step_mat
+        assert ctx.stats["step_iterations"] > before and ctx._cg_dt == a
 
     def test_zero_delta_pair_stays_identical_across_a_factor_switch(self, square16):
         # the two members of a delta = 0 twin pair on one context, stepped in
@@ -455,6 +467,10 @@ class TestPotential:
             assert np.linalg.norm(st.v - cold) <= 10 * CG_RTOL * np.linalg.norm(cold)
 
     def test_each_state_forms_its_beta_once(self, square16, monkeypatch):
+        used = []                                 # the beta of every potential solve
+        real_solve = warpflow.flow.solve_warped_laplace
+        monkeypatch.setattr(warpflow.flow, "solve_warped_laplace",
+                            lambda *a, **k: used.append(k["beta_tri"]) or real_solve(*a, **k))
         st, _ = self._start(square16)
         seen = []
         real = self.WARP.beta
@@ -467,9 +483,11 @@ class TestPotential:
         # the initial state's beta came from its solve, before `seen`; every
         # later state's from the solve of the step that made it, which the
         # record then reads from the state's cache
+        assert len(used) == fin.step_count + 1
         for s in states:
             assert sum(y is s.u for y in seen) == (s is not st)
             beta = s.cache["beta_tri"]
+            assert beta is used[s.step_count]
             assert np.array_equal(beta, triangle_mean(square16, real(s.u)))
             with pytest.raises(ValueError):
                 beta[0] = 0.0
@@ -568,12 +586,17 @@ class TestRunFlow:
     def test_underflow_is_recorded_and_survived(self, square16):
         bd = _bump_data(square16, amp=0.4)
         cfg = StepperConfig(max_move_fraction=1e-9)
-        st = initial_state(square16, TORUS, UNIT_WARP, bd, cfg)
-        t_end = 3.0 * st.ctx.dt_min
-        fin, rep = run_flow(st, Schedule(t_end=t_end))
-        assert rep.underflow_times
-        assert rep.underflow_times[0] == 0.0
-        assert fin.t >= t_end - 1e-14
+        for stride in (1, 2):
+            st = initial_state(square16, TORUS, UNIT_WARP, bd, cfg)
+            t_end = 3.0 * st.ctx.dt_min
+            fin, rep = run_flow(st, Schedule(t_end=t_end, diag_stride=stride))
+            assert rep.underflow_times
+            assert rep.underflow_times[0] == 0.0
+            assert fin.t >= t_end - 1e-14
+            # the state a forced step started from is recorded once
+            counts = [r.step_count for r in rep.records]
+            assert counts[0] == 0 and counts[-1] == fin.step_count
+            assert all(b > a for a, b in zip(counts, counts[1:])), counts
 
     def test_persistent_underflow_raises(self, square16, monkeypatch):
         monkeypatch.setattr(warpflow.flow, "MAX_FORCED_STEPS", 2)
@@ -809,6 +832,31 @@ class TestDerivedFields:
             assert sum(x is s.u for x in seen) == 1
             assert sum(x is s.v for x in seen) == 1
         assert (fin.v is st.v) == (warp is UNIT_WARP)
+
+    def test_a_constant_warp_carries_the_potential_fields_down_each_chain(
+            self, square16, monkeypatch):
+        bd = boundary_data_from_presets(square16, SPHERE, "equator_circle kappa=1",
+                                        "harmonic", "linear_x")
+        st = initial_state(square16, SPHERE, UNIT_WARP, bd, StepperConfig())
+        seen = self._gradient_arguments(monkeypatch)
+        chains = [[st], [st.ctx.start(st.u)]]     # two members on one context
+        for chain in chains:
+            energy_functionals(chain[0])
+        for members, _, _ in march([c[0] for c in chains], 4.0 * st.ctx.dt_cfl):
+            for chain, s in zip(chains, members):
+                energy_functionals(s)
+                chain.append(s)
+        # v and beta do not depend on u: each chain forms |grad v|^2 and its
+        # beta once, and every later state keeps the same read-only arrays
+        assert chains[0][0].v is not chains[1][0].v
+        assert sum(x is c[0].v for c in chains for x in seen) == 2
+        for first, *rest in chains:
+            g2v, beta = first.grad_sq_v(), first.beta_tri()
+            assert not g2v.flags.writeable and not beta.flags.writeable
+            assert len(rest) >= 4 and all(
+                s.v is first.v and s.grad_sq_v() is g2v and s.beta_tri() is beta
+                for s in rest)
+            assert replace(rest[-1], u=np.array(rest[-1].u)).cache == {}
 
     def test_replaced_state_does_not_inherit_the_cache(self, square16):
         cfg = StepperConfig()

@@ -160,36 +160,70 @@ class TestResolveConfig:
             resolve_config("no_such_scenario")
 
 
-def _cached_step_keys(monkeypatch, run):
-    """Run `run()`; (step-matrix keys its context cached, dt_cfl, every dt stepped)."""
-    made, dts = [], []
-    real_initial, real_step = warpflow.scenario.initial_state, warpflow.flow.step
-    monkeypatch.setattr(warpflow.scenario, "initial_state",
-                        lambda *a, **k: made.append(real_initial(*a, **k)) or made[-1])
-    monkeypatch.setattr(warpflow.flow, "step",
-                        lambda s, dt=None, **k: dts.append(dt) or real_step(s, dt=dt, **k))
-    run()
-    [state] = made
-    return set(state.ctx._step_mat), state.ctx.dt_cfl, dts
+def _recorded_solves(run):
+    """Run `run()`; (its context, every theta-step solve as (dt, whether a
+    factor solved it)).
+
+    After each solve it checks the one CG matrix a context keeps: the matrix
+    and dt of the last solve by CG, or none since a factor build, and never
+    at the factored dt."""
+    solves, used, ctxs = [], [], []
+    real_cg, real_solve = warpflow.flow.cg_solve, warpflow.flow._FlowContext.theta_solve
+    last_cg = [None, None]
+
+    def solve(ctx, dt, *args):
+        n = len(used)
+        X = real_solve(ctx, dt, *args)
+        by_lu = len(used) == n
+        if not by_lu:
+            last_cg[:] = dt, used[-1]
+            assert ctx._cg is not None
+        if ctx._cg is not None:
+            assert ctx._cg_dt == last_cg[0] and ctx._cg[0] is last_cg[1]
+            assert ctx._cg_dt != ctx._lu_dt
+        solves.append((dt, by_lu))
+        ctxs.append(ctx)
+        return X
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(warpflow.flow, "cg_solve",
+                   lambda A, *a, **k: used.append(A) or real_cg(A, *a, **k))
+        mp.setattr(warpflow.flow._FlowContext, "theta_solve", solve)
+        run()
+    assert all(c is ctxs[0] for c in ctxs)
+    return ctxs[0], solves
 
 
 # heat_decay at h = 1/16 to t_end = 2.4 dt_cfl: three rejections, then a last
 # step clipped to 0.4 dt_cfl
 CLIPPED_RUN = {"mesh.h": "0.0625", "schedule.t_end": "0.03"}
+# the same to t_end = 3 dt_min under a move cap no step fits: forced dt_min steps
+UNDERFLOW_RUN = {"mesh.h": "0.0625", "stepper.max_move_fraction": "1e-9",
+                 "schedule.t_end": repr(3.0 * warpflow.flow.DT_MIN_FACTOR * 0.0625 * 0.0625)}
 
 
 @pytest.mark.parametrize("runner", ["run_scenario", "twin_run"])
-def test_only_halvings_of_the_cfl_step_stay_cached(monkeypatch, runner):
-    if runner == "run_scenario":
-        def run():
-            run_scenario("heat_decay", overrides=CLIPPED_RUN, write_artifacts=False)
-    else:
-        def run():
-            twin_run("heat_decay", delta=1e-3, overrides=CLIPPED_RUN)
-    keys, dt_cfl, dts = _cached_step_keys(monkeypatch, run)
-    ladder = {dt_cfl / 2 ** k for k in range(64)}
-    assert dts[-1] == pytest.approx(0.4 * dt_cfl) and dts[-1] not in ladder
-    assert len(keys) >= 2 and keys <= ladder
+def test_one_step_matrix_and_clipped_or_forced_steps_on_cg(runner):
+    def run(name, overrides):
+        if runner == "run_scenario":
+            return lambda: run_scenario(name, overrides=overrides, write_artifacts=False)
+        return lambda: twin_run(name, delta=1e-3, overrides=overrides)
+
+    ctx, solves = _recorded_solves(run("heat_decay", CLIPPED_RUN))
+    ladder = {ctx.dt_cfl / 2 ** k for k in range(64)}
+    assert len({dt for dt, _ in solves}) >= 3
+    assert solves[-1] == (pytest.approx(0.4 * ctx.dt_cfl), False)
+    assert solves[-1][0] not in ladder
+    ctx, solves = _recorded_solves(run("heat_decay", UNDERFLOW_RUN))
+    forced = [by_lu for dt, by_lu in solves if dt == ctx.dt_min]
+    assert len(forced) == 3 * (1 if runner == "run_scenario" else 2) and not any(forced)
+    # a run that buys a factor and changes dt around it: bubbling at h = 1/16,
+    # the shipped stability twin pair
+    ctx, solves = _recorded_solves(run("bubbling", {"mesh.h": "0.0625", "schedule.t_end": "0.1"})
+                                   if runner == "run_scenario" else run("stability_twin", {}))
+    first = [by_lu for _, by_lu in solves].index(True)
+    assert ctx.stats["step_factors"] >= 1
+    assert len({dt for dt, _ in solves[first:]}) >= 2
 
 
 class TestRunScenario:
