@@ -28,16 +28,16 @@ class BoundaryData:
 
     @classmethod
     def build(cls, mesh: DomainMesh, target, phi_vals: np.ndarray,
-              phi0_vals: np.ndarray, psi_vals: np.ndarray,
-              phi_ext: np.ndarray = None) -> "BoundaryData":
-        """Freeze the data; pass `phi_ext`, the harmonic extension of phi_vals,
-        when it is known."""
+              phi0_vals: np.ndarray, psi_vals: np.ndarray) -> "BoundaryData":
+        """Freeze the data; phi0 is phi0_vals projected onto the target, or
+        with phi0_vals None the harmonic extension of phi_vals projected once."""
         phi = np.asarray(phi_vals, dtype=float)
-        phi0 = target.project_field(np.asarray(phi0_vals, dtype=float))
+        phi_ext = harmonic_extension(mesh, phi)
+        phi0 = target.project_field(
+            phi_ext if phi0_vals is None else np.asarray(phi0_vals, dtype=float))
         phi0[mesh.boundary] = phi[mesh.boundary]
         psi = np.asarray(psi_vals, dtype=float)
-        return cls(mesh=mesh, phi=phi, phi0=phi0, psi=psi,
-                   phi_ext=harmonic_extension(mesh, phi) if phi_ext is None else phi_ext,
+        return cls(mesh=mesh, phi=phi, phi0=phi0, psi=psi, phi_ext=phi_ext,
                    psi_ext=harmonic_extension(mesh, psi))
 
 
@@ -158,15 +158,13 @@ def boundary_data_from_presets(mesh: DomainMesh, target, phi_spec: str,
     if float(np.max(target.distance(phi[mesh.boundary]))) > 1e-9:
         raise ConfigParseError(f"boundary trace {phi_spec!r} does not lie on the {target.kind}")
     psi = evaluate_scalar_preset(psi_spec, xy)
-    ext = None
     try:
         if phi0_spec.split()[0] == "harmonic":
             _no_unknown_params("harmonic", _parse_spec(phi0_spec, "map")[1])
-            ext = harmonic_extension(mesh, phi)
-            phi0 = target.project_field(ext)
+            phi0 = None
         else:
             phi0 = evaluate_map_preset(phi0_spec, target, xy)
-        return BoundaryData.build(mesh, target, phi, phi0, psi, phi_ext=ext)
+        return BoundaryData.build(mesh, target, phi, phi0, psi)
     except DegeneratePoint as exc:
         raise ConfigParseError(
             f"initial map {phi0_spec!r} cannot be projected onto the {target.kind}: {exc}") from exc

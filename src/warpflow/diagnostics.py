@@ -6,7 +6,7 @@ runs inside a live flow and on a deserialized report.  Conventions:
 * E_u, E_v are plain Dirichlet energies (factor 1/2 included); E_beta_v is
   the beta-weighted potential energy and E_g = E_u - E_beta_v the Lorentzian
   energy driving the flow.
-* kinetic increments are per-step sums of (lumped) ||u_{j+1} - u_j||^2 / dt,
+* kinetic_cum is the running sum over steps of (lumped) ||u_{j+1} - u_j||^2 / dt,
   the discrete integral of |du/dt|^2 in time.
 * |D^2 u|^2 is everywhere replaced by the lumped discrete-Laplacian square
   ("laplacian_proxy"); every check that uses it says so in its detail string.
@@ -63,7 +63,6 @@ class EnergyRecord:
     e_v: float
     e_beta_v: float
     e_g: float
-    kinetic_increment: float
     kinetic_cum: float
     laplacian_proxy: float
     rate_l2: float
@@ -73,7 +72,7 @@ class EnergyRecord:
     grad4_v: float
     max_local_energy: float
     max_local_vertex: int
-    dt: float
+    dt: float                     # the step that made the state, 0 at t = 0
     step_count: int
     ball_probes: dict = field(default_factory=dict)  # {vertex: {radius: energy}}
     crossings: dict = field(default_factory=dict)    # {vertex: energy > thresholds.energy}
@@ -180,11 +179,10 @@ def mono_tolerance(dt: float, h: float, e_g0: float) -> float:
 # -- record construction ----------------------------------------------------
 
 def energy_functionals(state) -> EnergyRecord:
-    """Energies of a flow state; the kinetic and rate fields are left zero.
-
-    run_flow fills them in from its exact per-step accumulation between
-    records.  The gradients, K u and beta are the state's own, evaluated once
-    per state.
+    """The record of a flow state: its energies, and the dt and rate of the
+    step that made it (0 at t = 0).  The run-level fields (kinetic_cum, local
+    energy, probes and crossings) are left empty for run_flow to fill.  The
+    gradients, K u and beta are the state's own, evaluated once per state.
     """
     mesh = state.mesh
     g2u, g2v = state.grad_sq_u(), state.grad_sq_v()
@@ -209,11 +207,11 @@ def energy_functionals(state) -> EnergyRecord:
 
     return EnergyRecord(
         t=state.t, e_u=e_u, e_v=e_v, e_beta_v=e_beta_v, e_g=e_u - e_beta_v,
-        kinetic_increment=0.0, kinetic_cum=0.0, laplacian_proxy=proxy,
-        rate_l2=0.0, l2_centered=l2c, l4_centered=l4c,
+        kinetic_cum=0.0, laplacian_proxy=proxy,
+        rate_l2=state.last_rate, l2_centered=l2c, l4_centered=l4c,
         grad4_u=grad4_u, grad4_v=grad4_v,
         max_local_energy=0.0, max_local_vertex=-1,
-        dt=state.dt, step_count=state.step_count)
+        dt=state.last_dt, step_count=state.step_count)
 
 
 # -- inequality suite --------------------------------------------------------
@@ -264,8 +262,8 @@ def inequality_suite(records, bounds: RunBounds, thresholds: ThresholdConfig,
 
     # (a) integrated dissipation: F_j = E_g + kinetic_cum minus the running
     # per-step allowance must be non-increasing; covers pairwise monotonicity
-    # for all record pairs.  The allowance accumulates with the dt in force
-    # when each step was taken, so it never shrinks when dt is halved.
+    # for all record pairs.  Each record adds the tolerance at the dt of the
+    # step that made it, once per step since the record before.
     tols = np.array([mono_tolerance(r.dt, h, e_g0) for r in records])
     F = np.array([r.e_g + r.kinetic_cum for r in records])
     steps = np.array([r.step_count for r in records], dtype=float)

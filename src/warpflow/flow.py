@@ -176,24 +176,26 @@ class _FlowContext:
             raise ValueError("initial map must equal the boundary trace on the boundary")
         v0, carry = ((np.array(self.bdata.psi_ext, dtype=float), None) if self.potential is None
                      else _solve_potential(self, u0))
-        return FlowState(mesh=mesh, u=u0, v=v0, dt=self.dt_cfl, ctx=self, carry=carry)
+        return FlowState(u=u0, v=v0, ctx=self, carry=carry)
 
 
 @dataclass
 class FlowState:
-    mesh: DomainMesh
+    """The map u and potential v at time t on a run's context, and what the
+    step that made it measured (all zero at t = 0).  `step` builds states and
+    nothing changes one afterwards, bar its cache of derived fields."""
+
     u: np.ndarray
     v: np.ndarray
+    ctx: _FlowContext = field(repr=False)
     t: float = 0.0
-    dt: float = 0.0
     step_count: int = 0
+    # the step that made this state: its L2 rate ||u - u_prev|| / dt, its
+    # largest nodal move over the cap, its dt and the potential it started from
     last_rate: float = 0.0
-    # the largest nodal move of the step that made this state, over the cap
     last_move: float = 0.0
-    # the dt of the step that made this state, and the potential it started from
     last_dt: float = 0.0
     v_prev: np.ndarray = field(default=None, repr=False)
-    ctx: _FlowContext = field(default=None, repr=False)
     # read-only fields derived from (u, v), each evaluated on first use; a new
     # state's starts from `carry`, the fields its step left valid
     cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
@@ -203,6 +205,10 @@ class FlowState:
         # the cache relies on u and v never changing once the state is built
         self.u.flags.writeable = self.v.flags.writeable = False
         self.cache.update(carry or {})
+
+    @property
+    def mesh(self) -> DomainMesh:
+        return self.ctx.mesh
 
     def _derived(self, key, compute):
         val = self.cache.get(key)
@@ -295,7 +301,8 @@ def _count_rejection(ctx: _FlowContext, reason: str):
 
 
 def step(state: FlowState, dt: float = None, enforce_cap: bool = True) -> FlowState:
-    """One projected step of size dt (default state.dt); returns the new state.
+    """One projected step of size dt (default the CFL step); returns the new
+    state, whose last_dt is dt.
 
     Raises StepRejected when the largest nodal move exceeds
     max_move_fraction * h (with enforce_cap) or the projection degenerates,
@@ -303,7 +310,7 @@ def step(state: FlowState, dt: float = None, enforce_cap: bool = True) -> FlowSt
     map or potential is not finite; dt control belongs to `march`.
     """
     mesh, ctx, config = state.mesh, state.ctx, state.ctx.config
-    dt = state.dt if dt is None else float(dt)
+    dt = ctx.dt_cfl if dt is None else float(dt)
     if dt <= 0:
         raise ValueError("dt must be positive")
     u, m, I = state.u, mesh.lumped_mass, mesh.interior
@@ -362,7 +369,8 @@ def march(states: list, t_end: float):
     """Advance `states` in lockstep to t_end under one shared adaptive dt, on
     the dt policy of the first state's context.
 
-    A trial step that any member rejects is retried at half the dt.  After
+    Every march starts at the CFL step, and the plan lives here alone: a
+    trial step that any member rejects is retried at half the dt.  After
     an accepted step dt doubles, capped at the CFL value, only if every
     member's last_move is at most 1/2: the move scaled linearly to the
     doubled dt is predicted to fit the cap.  So dt stays dt_cfl / 2^k and
@@ -370,12 +378,11 @@ def march(states: list, t_end: float):
     When halving would drop dt below dt_min (timestep underflow), every
     member takes one uncapped dt_min step and dt restarts at the CFL value;
     more than MAX_FORCED_STEPS forced steps in a row raise SolverFailure.
-    Yields (states, dt, forced) after every step taken, each state's dt set
-    to the next planned step.
+    Yields (states, forced) after every step taken; each state's last_dt is
+    the step that made it.
     """
     dt_cfl, dt_floor = states[0].ctx.dt_cfl, states[0].ctx.dt_min
-    controller = states[0].dt if states[0].dt > 0 else dt_cfl
-    forced_run = 0
+    controller, forced_run = dt_cfl, 0
     while states[0].t < t_end - 1e-14:
         t = states[0].t
         dt = min(controller, t_end - t)
@@ -389,17 +396,15 @@ def march(states: list, t_end: float):
             if forced_run > MAX_FORCED_STEPS:
                 raise SolverFailure(
                     f"persistent timestep underflow at t = {t:.6g}", time=t)
-            forced, dt = True, dt_floor
-            new = [step(s, dt=dt, enforce_cap=False) for s in states]
+            forced = True
+            new = [step(s, dt=dt_floor, enforce_cap=False) for s in states]
             controller = dt_cfl
         else:
             forced, forced_run = False, 0
             if all(2.0 * s.last_move <= 1.0 for s in new):
                 controller = min(controller * 2.0, dt_cfl)
-        for s in new:
-            s.dt = controller
         states = new
-        yield states, dt, forced
+        yield states, forced
 
 
 def default_probe_centers(mesh: DomainMesh) -> list:
@@ -438,15 +443,12 @@ def run_flow(state: FlowState, schedule: Schedule, thresholds: ThresholdConfig =
     L = local_energy_matrix(mesh, thresholds.r_detect)
     centers, radii = default_probe_centers(mesh), thresholds.probe_radii()
     probes = ball_rows(mesh, centers, radii)
-    kin_since_record = kin_total = 0.0
+    kin_total = 0.0
     wall0 = _time.perf_counter()
 
     def record(st: FlowState):
-        nonlocal kin_since_record
         rec = energy_functionals(st)
-        rec.kinetic_increment = kin_since_record
         rec.kinetic_cum = kin_total
-        rec.rate_l2 = st.last_rate
         dens = tri_energy_density(mesh, st.u, st.grad_sq_u())
         local = L @ dens
         rec.max_local_energy = float(local.max())
@@ -458,19 +460,17 @@ def run_flow(state: FlowState, schedule: Schedule, thresholds: ThresholdConfig =
         for c in rec.crossings:
             report.crossing_points.setdefault(c, [float(x) for x in mesh.vertices[c]])
         report.records.append(rec)
-        kin_since_record = 0.0
 
+    snapped = -1                     # the step count of the last snapshot
     record(state)
-    for (new_state,), dt, forced in march([state], schedule.t_end):
+    for (new_state,), forced in march([state], schedule.t_end):
         if forced:
             # operational blow-up: log it and record the state the forced
             # step started from, unless it is the last record
             report.underflow_times.append(float(state.t))
             if report.records[-1].step_count != state.step_count:
                 record(state)
-        kin = new_state.last_rate ** 2 * dt
-        kin_since_record += kin
-        kin_total += kin
+        kin_total += new_state.last_rate ** 2 * new_state.last_dt
         state = new_state
         if forced or (schedule.diag_stride > 0
                       and state.step_count % schedule.diag_stride == 0):
@@ -479,10 +479,11 @@ def run_flow(state: FlowState, schedule: Schedule, thresholds: ThresholdConfig =
                 and schedule.snapshot_stride > 0
                 and state.step_count % schedule.snapshot_stride == 0):
             schedule.snapshot_cb(state)
+            snapped = state.step_count
 
     if report.records[-1].step_count != state.step_count:
         record(state)
-    if schedule.snapshot_cb is not None:
+    if schedule.snapshot_cb is not None and snapped != state.step_count:
         schedule.snapshot_cb(state)
 
     report.solver_stats = copy.deepcopy(state.ctx.stats)

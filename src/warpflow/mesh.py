@@ -36,19 +36,20 @@ from .errors import InvalidShapeParameters, NonPositiveCoefficient
 class DomainMesh:
     vertices: np.ndarray          # (nv, 2)
     triangles: np.ndarray         # (nt, 3), positively oriented
-    boundary: np.ndarray          # (nv,) bool
     shape: str
     target_h: float
-    h: float = 0.0                # realized max edge length
-    areas: np.ndarray = field(default=None, repr=False)
-    grad_op: sp.csr_matrix = field(default=None, repr=False)   # (2 nt, nv)
-    tri_mean_op: sp.csr_matrix = field(default=None, repr=False)    # (nt, nv)
-    nodal_mean_op: sp.csr_matrix = field(default=None, repr=False)  # (nv, nt)
-    barycenters: np.ndarray = field(default=None, repr=False)  # (nt, 2)
-    lumped_mass: np.ndarray = field(default=None, repr=False)  # (nv,)
-    stiffness: sp.csr_matrix = field(default=None, repr=False)  # (nv, nv)
-    interior: np.ndarray = field(default=None, repr=False)        # interior vertex ids
-    boundary_index: np.ndarray = field(default=None, repr=False)  # boundary vertex ids
+    # derived from the vertices and triangles by _finalize
+    boundary: np.ndarray = field(init=False)                      # (nv,) bool
+    h: float = field(init=False)                                  # realized max edge length
+    areas: np.ndarray = field(init=False, repr=False)
+    grad_op: sp.csr_matrix = field(init=False, repr=False)        # (2 nt, nv)
+    tri_mean_op: sp.csr_matrix = field(init=False, repr=False)    # (nt, nv)
+    nodal_mean_op: sp.csr_matrix = field(init=False, repr=False)  # (nv, nt)
+    barycenters: np.ndarray = field(init=False, repr=False)       # (nt, 2)
+    lumped_mass: np.ndarray = field(init=False, repr=False)       # (nv,)
+    stiffness: sp.csr_matrix = field(init=False, repr=False)      # (nv, nv)
+    interior: np.ndarray = field(init=False, repr=False)          # interior vertex ids
+    boundary_index: np.ndarray = field(init=False, repr=False)    # boundary vertex ids
 
     def __post_init__(self):
         self._finalize()
@@ -172,7 +173,7 @@ def _square_mesh(target_h: float) -> DomainMesh:
     v00 = (I * (n + 1) + J).ravel()
     v10, v01, v11 = v00 + (n + 1), v00 + 1, v00 + (n + 2)
     tris = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
-    return DomainMesh(verts, tris, boundary=None, shape="square", target_h=target_h)
+    return DomainMesh(verts, tris, shape="square", target_h=target_h)
 
 
 def _disk_mesh(target_h: float) -> DomainMesh:
@@ -187,8 +188,7 @@ def _disk_mesh(target_h: float) -> DomainMesh:
     th = np.repeat(0.5 * np.pi * (k % 2) / (6 * k), 6 * k) + 2.0 * np.pi * j / n
     pts = np.vstack([[[0.0, 0.0]], np.column_stack([r * np.cos(th), r * np.sin(th)])])
     tris = Delaunay(pts).simplices
-    return DomainMesh(pts, tris.astype(np.int64), boundary=None,
-                      shape="disk", target_h=target_h)
+    return DomainMesh(pts, tris.astype(np.int64), shape="disk", target_h=target_h)
 
 
 def _annulus_mesh(r_in: float, r_out: float, target_h: float) -> DomainMesh:
@@ -214,8 +214,7 @@ def _annulus_mesh(r_in: float, r_out: float, target_h: float) -> DomainMesh:
     d = (k + 1) * nth + (j + 1) % nth
     tris = np.concatenate([np.column_stack([a, c, d]),
                            np.column_stack([a, d, b])])
-    return DomainMesh(pts, tris.astype(np.int64), boundary=None,
-                      shape="annulus", target_h=target_h)
+    return DomainMesh(pts, tris.astype(np.int64), shape="annulus", target_h=target_h)
 
 
 # largest off-diagonal stiffness entry build_mesh accepts, relative to max|K|

@@ -8,6 +8,7 @@ rejected so typos fail loudly.
 Artifacts written per run (under the output directory):
   mesh.txt       plain-text mesh dump
   series.csv     t, E_u, E_v, E_beta_v, E_g, kinetic_cum, max_local_energy, dt
+                 (dt: the step that made the record, 0 at t = 0)
   report.json    full diagnostics report (records, checks, events, convergence)
   snapshots/     one file per snapshot stride, u components then v per vertex
 
@@ -262,7 +263,7 @@ def run_scenario(flat_or_path, out_dir=None, h=None, t_end=None,
 
     exit_code = derive_verdicts(report, tension_residual(state)[1])
     if cfg.warp_kind == "constant":
-        report.notes.append("constant warp: potential decoupled, solved once")
+        report.notes.append("constant warp: potential decoupled, the harmonic extension of psi")
     if report.underflow_times:
         report.notes.append(
             "continued past timestep underflow from the last accepted state")
@@ -338,7 +339,7 @@ def twin_run(flat_or_path, delta: float = None, overrides: dict = None) -> TwinR
     diffs = [_l2_diff(mesh, base.u, pert.u)]
     initial_diff = diffs[0]
     underflow_times = []
-    for (base, pert), _, forced in march([base, pert], cfg.t_end):
+    for (base, pert), forced in march([base, pert], cfg.t_end):
         if forced:
             underflow_times.append(times[-1])
         times.append(float(base.t))

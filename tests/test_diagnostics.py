@@ -20,7 +20,7 @@ from warpflow.diagnostics import (EnergyRecord, RunBounds,
                                   record_to_dict, report_from_dict,
                                   report_to_dict, singularity_detect)
 from warpflow.errors import InsufficientSeries
-from warpflow.flow import (Schedule, StepperConfig, initial_state, run_flow,
+from warpflow.flow import (Schedule, StepperConfig, initial_state, run_flow, step,
                            tension_residual)
 from warpflow.geometry import WarpFunction, make_target
 from warpflow.mesh import dirichlet_energy
@@ -45,7 +45,7 @@ def coupled_run(square16):
 
 def _rec(t, dt=0.01, step_count=0, **kw):
     base = dict(t=t, e_u=0.0, e_v=0.0, e_beta_v=0.0, e_g=0.0,
-                kinetic_increment=0.0, kinetic_cum=0.0, laplacian_proxy=0.0,
+                kinetic_cum=0.0, laplacian_proxy=0.0,
                 rate_l2=0.0, l2_centered=0.0, l4_centered=0.0, grad4_u=0.0,
                 grad4_v=0.0, max_local_energy=0.0, max_local_vertex=-1,
                 dt=dt, step_count=step_count)
@@ -92,7 +92,12 @@ class TestEnergyFunctionals:
         assert rec.e_v == pytest.approx(dirichlet_energy(square16, st.v), rel=1e-14)
         assert rec.e_beta_v == pytest.approx(2.0 * rec.e_v, rel=1e-14)
         assert rec.e_g == pytest.approx(rec.e_u - rec.e_beta_v, rel=1e-14)
-        assert rec.kinetic_increment == 0.0 and rec.rate_l2 == 0.0
+        # no step made the initial state; run_flow fills kinetic_cum
+        assert (rec.kinetic_cum, rec.rate_l2, rec.dt) == (0.0, 0.0, 0.0)
+        nxt = step(st, dt=1e-3)
+        rec = energy_functionals(nxt)
+        assert (rec.rate_l2, rec.dt, rec.kinetic_cum) == (nxt.last_rate, 1e-3, 0.0)
+        assert rec.rate_l2 > 0.0
 
     def test_centered_moments_vanish_for_constant_map(self, square16):
         bd = boundary_data_from_presets(square16, SPHERE, "north_pole",
@@ -121,13 +126,15 @@ class TestInequalitySuite:
 
     def test_lorentzian_energy_decreases(self, coupled_run):
         _, rep = coupled_run
-        e_g = [r.e_g for r in rep.records]
-        tol = mono_tolerance(rep.records[0].dt, rep.bounds.h, e_g[0])
-        assert all(b <= a + tol for a, b in zip(e_g, e_g[1:]))
+        recs, e_g0 = rep.records, rep.records[0].e_g
+        # one record per step: each step's decrease, up to its own dt's tolerance
+        assert all(b.step_count == a.step_count + 1 for a, b in zip(recs, recs[1:]))
+        assert all(b.e_g <= a.e_g + mono_tolerance(b.dt, rep.bounds.h, e_g0)
+                   for a, b in zip(recs, recs[1:]))
 
     def test_energy_increase_detected(self, coupled_run):
         _, rep = coupled_run
-        tol = mono_tolerance(rep.records[0].dt, rep.bounds.h,
+        tol = mono_tolerance(max(r.dt for r in rep.records), rep.bounds.h,
                              rep.records[0].e_g)
         bad = [dataclasses.replace(r, e_g=r.e_g + i * 10.0 * (tol + 1.0))
                for i, r in enumerate(rep.records)]

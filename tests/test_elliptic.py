@@ -4,10 +4,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from brute_force import weighted_stiffness
+from warpflow.boundary import boundary_data_from_presets
 from warpflow.elliptic import (WarpedBlock, cg_solve, dirichlet_split,
                                harmonic_extension, jacobi_preconditioner,
                                solve_warped_laplace)
 from warpflow.errors import NonPositiveCoefficient, SolverFailure
+from warpflow.geometry import make_target
 from warpflow.mesh import build_mesh
 
 
@@ -225,6 +227,19 @@ class TestHarmonicExtension:
             f = 1.0 + 2.0 * m.vertices[:, 0] - m.vertices[:, 1]
             ext = harmonic_extension(m, f)
             assert np.max(np.abs(ext - f)) < 1e-8
+
+    @pytest.mark.parametrize("shape", ["square", "disk"])
+    def test_harmonic_initial_map_is_the_extension_projected_once(self, shape):
+        # the sphere projection is not idempotent bit for bit: a second pass
+        # moves rows by an ulp
+        m, sphere = build_mesh(shape, 1.0 / 32.0), make_target("sphere")
+        bd = boundary_data_from_presets(m, sphere, "equator_circle kappa=1", "harmonic",
+                                        "constant value=0")
+        ext = harmonic_extension(m, bd.phi)
+        assert np.array_equal(bd.phi_ext, ext)
+        I, B = m.interior, m.boundary_index       # the boundary rows are phi's own
+        assert np.array_equal(bd.phi0[I], sphere.project_field(ext)[I])
+        assert np.array_equal(bd.phi0[B], bd.phi[B])
 
     def test_componentwise(self, square16):
         tr = np.column_stack([square16.vertices[:, 0],

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,8 @@ import warpflow.flow
 from brute_force import reference_step, weighted_stiffness
 from oracle_corotational import reduced_profile
 from warpflow.boundary import BoundaryData, boundary_data_from_presets
-from warpflow.diagnostics import ThresholdConfig, energy_functionals
+from warpflow.diagnostics import (ThresholdConfig, energy_functionals, inequality_suite,
+                                  mono_tolerance)
 from warpflow.elliptic import CG_RTOL
 from warpflow.elliptic import solve_warped_laplace
 from warpflow.errors import NonPositiveCoefficient, SolverFailure, StepRejected
@@ -115,7 +116,9 @@ class TestInitialState:
         assert np.max(np.abs((K @ st.v)[square16.interior])) < 1e-8
         assert np.array_equal(st.v[square16.boundary],
                               bd.psi[square16.boundary])
-        assert st.dt == pytest.approx(0.2 * square16.target_h)
+        # no step made the initial state; a step takes the CFL dt by default
+        assert (st.t, st.last_dt, st.last_rate) == (0.0, 0.0, 0.0)
+        assert step(st).last_dt == st.ctx.dt_cfl == pytest.approx(0.2 * square16.target_h)
 
     def test_step_rejects_nonpositive_dt(self, square16):
         bd = _bump_data(square16)
@@ -480,6 +483,7 @@ class TestPotential:
                             snapshot_stride=1, snapshot_cb=states.append)
         fin, rep = run_flow(st, schedule)
         assert fin.step_count >= 4 and len(rep.records) == fin.step_count + 1
+        assert [s.step_count for s in states] == list(range(fin.step_count + 1))
         # the initial state's beta came from its solve, before `seen`; every
         # later state's from the solve of the step that made it, which the
         # record then reads from the state's cache
@@ -536,17 +540,21 @@ class TestRunFlow:
         bd = _bump_data(square16)
         st = initial_state(square16, TORUS, UNIT_WARP, bd, cfg)
         thr = ThresholdConfig(energy=1e-3)
-        fin, rep = run_flow(st, Schedule(t_end=0.02, diag_stride=2), thr)
+        states = []
+        fin, rep = run_flow(st, Schedule(t_end=0.02, diag_stride=2, snapshot_stride=1,
+                                         snapshot_cb=states.append), thr)
         recs = rep.records
         assert recs[0].t == 0.0 and recs[0].step_count == 0
         assert recs[-1].step_count == fin.step_count
         assert fin.t == pytest.approx(0.02, abs=1e-12)
         ts = [r.t for r in recs]
         assert all(b > a for a, b in zip(ts, ts[1:]))
-        kin = sum(r.kinetic_increment for r in recs)
+        # the kinetic integral sums every step, recorded or not
+        kin = sum(s.last_rate ** 2 * s.last_dt for s in states)
         assert recs[-1].kinetic_cum == pytest.approx(kin, rel=1e-12)
-        # controller never exceeds its CFL value
-        assert all(r.dt <= st.ctx.dt_cfl + 1e-15 for r in recs)
+        # no step exceeds the CFL value
+        assert recs[0].dt == 0.0
+        assert all(0.0 < r.dt <= st.ctx.dt_cfl + 1e-15 for r in recs[1:])
         # crossings: the vertices above the threshold, the maximum among them
         assert recs[0].crossings and len(recs[0].crossings) < square16.num_vertices
         for r in recs:
@@ -575,13 +583,60 @@ class TestRunFlow:
         cfg = StepperConfig()
         bd = _bump_data(square16)
         st = initial_state(square16, TORUS, UNIT_WARP, bd, cfg)
-        seen = []
-        sched = Schedule(t_end=0.01, snapshot_stride=3,
-                         snapshot_cb=lambda s: seen.append(s.step_count))
-        fin, _ = run_flow(st, sched)
-        assert seen
-        assert all(c % 3 == 0 for c in seen[:-1])
-        assert seen[-1] == fin.step_count        # final state always snapshotted
+        for stride in (3, 1):
+            seen = []
+            sched = Schedule(t_end=0.01, snapshot_stride=stride,
+                             snapshot_cb=lambda s: seen.append(s.step_count))
+            fin, _ = run_flow(st, sched)
+            assert seen
+            assert all(c % stride == 0 for c in seen[:-1])
+            assert seen[-1] == fin.step_count    # final state always snapshotted
+            assert len(set(seen)) == len(seen)   # and only once
+        # stride 1 divides the final count: every state once, in order
+        assert seen == list(range(1, fin.step_count + 1))
+
+    @staticmethod
+    def _scripted_run(square16, monkeypatch):
+        """(report, {step count: dt of the step that made it}) of a run with a
+        grown step, a forced dt_min step and a last step clipped to t_end.
+
+        The CFL step is never taken, the first step is at most dt_cfl / 4,
+        and every capped trial from the state after three steps is refused."""
+        st = initial_state(square16, TORUS, UNIT_WARP, _bump_data(square16), StepperConfig())
+        dt_cfl, taken = st.ctx.dt_cfl, {}
+        real_step = warpflow.flow.step
+
+        def scripted_step(state, dt=None, enforce_cap=True):
+            if enforce_cap and (dt == dt_cfl or state.step_count == 3
+                                or (state.step_count == 0 and dt > dt_cfl / 4)):
+                raise StepRejected("scripted")
+            new = real_step(state, dt=dt, enforce_cap=enforce_cap)
+            taken[new.step_count] = dt
+            return new
+
+        monkeypatch.setattr(warpflow.flow, "step", scripted_step)
+        _, rep = run_flow(st, Schedule(t_end=3.3 * dt_cfl, diag_stride=1))
+        dts = list(taken.values())
+        assert rep.underflow_times and st.ctx.dt_min in dts
+        assert any(b == 2.0 * a for a, b in zip(dts, dts[1:]))          # grown
+        assert math.frexp(dt_cfl / dts[-1])[0] != 0.5                   # clipped
+        assert dt_cfl not in dts
+        return rep, taken
+
+    def test_each_record_holds_the_dt_of_the_step_that_made_it(self, square16, monkeypatch):
+        rep, taken = self._scripted_run(square16, monkeypatch)
+        recs = rep.records
+        assert [r.step_count for r in recs] == list(range(len(taken) + 1))
+        assert recs[0].dt == 0.0 and recs[0].rate_l2 == 0.0
+        assert all(r.dt == taken[r.step_count] for r in recs[1:])
+
+    def test_monotonicity_tolerance_is_that_of_the_steps_taken(self, square16, monkeypatch):
+        rep, taken = self._scripted_run(square16, monkeypatch)
+        checks = inequality_suite(rep.records, rep.bounds, rep.thresholds)
+        mono = next(c for c in checks if c.name == "energy_monotonicity")
+        e_g0 = rep.records[0].e_g
+        assert mono.passed and mono.tolerance == max(
+            mono_tolerance(dt, rep.bounds.h, e_g0) for dt in taken.values())
 
     def test_underflow_is_recorded_and_survived(self, square16):
         bd = _bump_data(square16, amp=0.4)
@@ -686,7 +741,15 @@ class TestTimeOrder:
 
 
 class TestMarch:
-    def test_members_share_every_time_through_underflow(self, square16):
+    def test_members_share_every_time_through_underflow(self, square16, monkeypatch):
+        trials = []                     # (t, dt, enforce_cap) of every trial step
+        real_step = warpflow.flow.step
+
+        def recording_step(state, dt=None, enforce_cap=True):
+            trials.append((state.t, dt, enforce_cap))
+            return real_step(state, dt=dt, enforce_cap=enforce_cap)
+
+        monkeypatch.setattr(warpflow.flow, "step", recording_step)
         cfg = StepperConfig(max_move_fraction=1e-9)
         states = [initial_state(square16, TORUS, UNIT_WARP,
                                 _bump_data(square16, amp), cfg)
@@ -695,12 +758,17 @@ class TestMarch:
         t_end = 3.0 * ctx.dt_min
         steps = list(march(states, t_end))
         assert steps
-        for members, dt, forced in steps:
+        for members, forced in steps:
             assert forced
-            assert dt == ctx.dt_min
             assert members[0].t == members[1].t
-            assert members[0].dt == members[1].dt == ctx.dt_cfl
+            assert members[0].last_dt == members[1].last_dt == ctx.dt_min
         assert steps[-1][0][0].t >= t_end - 1e-14
+        # the march starts at the CFL step and restarts there after each
+        # forced step, clipped to land on t_end
+        restarts = [b for a, b in zip(trials, trials[1:]) if not a[2] and b[2]]
+        assert len(restarts) == len(steps) - 1
+        for t, dt, _ in [trials[0]] + restarts:
+            assert dt == min(ctx.dt_cfl, t_end - t)
 
     def test_dt_grows_only_when_the_doubled_move_fits(self, monkeypatch):
         trials = []                  # (t, dt, last_move or None if rejected)
@@ -742,22 +810,48 @@ class TestMarch:
             states = [initial_state(square16, TORUS, UNIT_WARP,
                                     _bump_data(square16, amp), StepperConfig())
                       for amp in amps]
-            return [(dt, [s.last_move for s in members], members[0].dt)
-                    for members, dt, _ in march(states, 0.03)]
+            return [(members[0].last_dt, [s.last_move for s in members])
+                    for members, _ in march(states, 0.03)]
 
         pair = steps((0.4, 0.2))
-        dts = [dt for dt, _, _ in pair]
-        assert dts == [dt for dt, _, _ in steps((0.4,))]
-        assert dts != [dt for dt, _, _ in steps((0.2,))]
+        dts = [dt for dt, _ in pair]
+        assert dts == [dt for dt, _ in steps((0.4,))]
+        assert dts != [dt for dt, _ in steps((0.2,))]
         held = grown = 0
-        for dt, (big, small), planned in pair[:-1]:     # the last step is clipped
+        # a step longer than the one before was grown into; a clipped last
+        # step is never longer
+        for (dt, (big, small)), (nxt, _) in zip(pair, pair[1:]):
             assert big > small
-            if planned > dt:
+            if nxt > dt:
                 assert 2.0 * big <= 1.0
                 grown += 1
             elif 2.0 * small <= 1.0 < 2.0 * big:
                 held += 1
         assert held and grown
+
+    def test_march_changes_no_state(self, square16, monkeypatch):
+        def snapshot(s):               # arrays by identity: they are read-only
+            vals = {f.name: getattr(s, f.name) for f in fields(s) if f.name != "cache"}
+            return {k: id(v) if isinstance(v, np.ndarray) else v for k, v in vals.items()}
+
+        made = {}                      # id of each state step built -> its fields then
+        real_step = warpflow.flow.step
+
+        def recording_step(state, dt=None, enforce_cap=True):
+            new = real_step(state, dt=dt, enforce_cap=enforce_cap)
+            made[id(new)] = snapshot(new)
+            return new
+
+        monkeypatch.setattr(warpflow.flow, "step", recording_step)
+        st = initial_state(square16, TORUS, UNIT_WARP, _bump_data(square16, 0.4),
+                           StepperConfig())
+        start, yielded = snapshot(st), []
+        for members, _ in march([st], 0.03):
+            assert snapshot(members[0]) == made[id(members[0])]
+            yielded += members
+        assert st.ctx.stats["rejected_steps"] and len({s.last_dt for s in yielded}) > 2
+        assert snapshot(st) == start
+        assert all(snapshot(s) == made[id(s)] for s in yielded)
 
 
 class TestDerivedFields:
@@ -825,6 +919,7 @@ class TestDerivedFields:
                             snapshot_stride=1, snapshot_cb=states.append)
         fin, rep = run_flow(st, schedule)
         assert fin.step_count >= 4 and len(rep.records) == fin.step_count + 1
+        assert [s.step_count for s in states] == list(range(fin.step_count + 1))
         # every state was recorded and all but the last stepped from, yet
         # each u and each v (one for all states under a constant warp)
         # reached the gradient operator once
@@ -842,7 +937,7 @@ class TestDerivedFields:
         chains = [[st], [st.ctx.start(st.u)]]     # two members on one context
         for chain in chains:
             energy_functionals(chain[0])
-        for members, _, _ in march([c[0] for c in chains], 4.0 * st.ctx.dt_cfl):
+        for members, _ in march([c[0] for c in chains], 4.0 * st.ctx.dt_cfl):
             for chain, s in zip(chains, members):
                 energy_functionals(s)
                 chain.append(s)

@@ -89,7 +89,7 @@ def test_degenerate_triangle_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
     tris = np.array([[0, 1, 2]])
     with pytest.raises(InvalidShapeParameters):
-        DomainMesh(verts, tris, boundary=None, shape="square", target_h=1.0)
+        DomainMesh(verts, tris, shape="square", target_h=1.0)
 
 
 def test_nonconforming_mesh_rejected():
@@ -98,7 +98,7 @@ def test_nonconforming_mesh_rejected():
                       [0.0, -1.0], [0.5, 1.0]])
     tris = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
     with pytest.raises(InvalidShapeParameters):
-        DomainMesh(verts, tris, boundary=None, shape="square", target_h=1.0)
+        DomainMesh(verts, tris, shape="square", target_h=1.0)
 
 
 # the benchmark's square at h = 1/128; the disk and annulus at 1/64 to keep
@@ -143,7 +143,7 @@ def test_obtuse_mesh_is_refused(monkeypatch):
     # angle opposite that boundary edge is obtuse
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.1]])
     tris = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
-    obtuse = DomainMesh(verts, tris, boundary=None, shape="square", target_h=1.0)
+    obtuse = DomainMesh(verts, tris, shape="square", target_h=1.0)
     assert _max_off_diagonal(obtuse) > 0.0
     monkeypatch.setattr(warpflow.mesh, "_square_mesh", lambda h: obtuse)
     with pytest.raises(InvalidShapeParameters, match="weakly acute"):
