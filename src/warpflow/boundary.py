@@ -19,7 +19,6 @@ from .mesh import DomainMesh
 
 @dataclass
 class BoundaryData:
-    mesh: DomainMesh
     phi: np.ndarray        # (nv, K); boundary rows are the trace of u
     phi0: np.ndarray       # (nv, K); initial map, on target, phi0|bnd == phi|bnd
     psi: np.ndarray        # (nv,);  boundary rows are the trace of v
@@ -30,14 +29,15 @@ class BoundaryData:
     def build(cls, mesh: DomainMesh, target, phi_vals: np.ndarray,
               phi0_vals: np.ndarray, psi_vals: np.ndarray) -> "BoundaryData":
         """Freeze the data; phi0 is phi0_vals projected onto the target, or
-        with phi0_vals None the harmonic extension of phi_vals projected once."""
+        with phi0_vals None the harmonic extension of phi_vals projected once,
+        as an array of its own (a flat target's projection returns its input)."""
         phi = np.asarray(phi_vals, dtype=float)
         phi_ext = harmonic_extension(mesh, phi)
-        phi0 = target.project_field(
-            phi_ext if phi0_vals is None else np.asarray(phi0_vals, dtype=float))
+        phi0 = np.array(target.project_field(
+            phi_ext if phi0_vals is None else np.asarray(phi0_vals, dtype=float)))
         phi0[mesh.boundary] = phi[mesh.boundary]
         psi = np.asarray(psi_vals, dtype=float)
-        return cls(mesh=mesh, phi=phi, phi0=phi0, psi=psi, phi_ext=phi_ext,
+        return cls(phi=phi, phi0=phi0, psi=psi, phi_ext=phi_ext,
                    psi_ext=harmonic_extension(mesh, psi))
 
 

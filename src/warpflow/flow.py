@@ -428,10 +428,11 @@ def run_flow(state: FlowState, schedule: Schedule, thresholds: ThresholdConfig =
     """March to t_end with adaptive dt; returns (final state, DiagnosticsReport).
 
     The report carries one record per diag_stride accepted steps (plus the
-    initial and final states), each with its probe ball energies and its
-    crossings (the vertices whose r_detect-ball energy exceeds
-    thresholds.energy), the coordinates of every crossing vertex, underflow
-    times, and aggregate solver statistics.
+    initial and final states and each forced step's start; each state once),
+    with its probe_centers ball energies and crossings (the vertices whose
+    r_detect-ball energy exceeds thresholds.energy), the coordinates of every
+    crossing vertex, underflow times, and aggregate solver statistics.  The
+    loop appends records and never reads them back.
     """
     thresholds = thresholds or ThresholdConfig()
     mesh = state.mesh
@@ -442,34 +443,35 @@ def run_flow(state: FlowState, schedule: Schedule, thresholds: ThresholdConfig =
 
     L = local_energy_matrix(mesh, thresholds.r_detect)
     centers, radii = default_probe_centers(mesh), thresholds.probe_radii()
+    report.probe_centers = centers
     probes = ball_rows(mesh, centers, radii)
     kin_total = 0.0
+    recorded = snapped = -1          # the step counts of the last record and snapshot
     wall0 = _time.perf_counter()
 
     def record(st: FlowState):
+        nonlocal recorded
+        if st.step_count == recorded:
+            return
+        recorded = st.step_count
         rec = energy_functionals(st)
         rec.kinetic_cum = kin_total
         dens = tri_energy_density(mesh, st.u, st.grad_sq_u())
         local = L @ dens
         rec.max_local_energy = float(local.max())
-        rec.max_local_vertex = int(np.argmax(local))
-        e = (probes @ dens).reshape(len(centers), len(radii))
-        rec.ball_probes = {c: dict(zip(radii, map(float, row))) for c, row in zip(centers, e)}
+        rec.ball_probes = (probes @ dens).reshape(len(centers), len(radii)).tolist()
         rec.crossings = {int(c): float(local[c])
                          for c in np.flatnonzero(local > thresholds.energy)}
         for c in rec.crossings:
             report.crossing_points.setdefault(c, [float(x) for x in mesh.vertices[c]])
         report.records.append(rec)
 
-    snapped = -1                     # the step count of the last snapshot
     record(state)
     for (new_state,), forced in march([state], schedule.t_end):
         if forced:
-            # operational blow-up: log it and record the state the forced
-            # step started from, unless it is the last record
+            # operational blow-up: log it and record the state it started from
             report.underflow_times.append(float(state.t))
-            if report.records[-1].step_count != state.step_count:
-                record(state)
+            record(state)
         kin_total += new_state.last_rate ** 2 * new_state.last_dt
         state = new_state
         if forced or (schedule.diag_stride > 0
@@ -481,8 +483,7 @@ def run_flow(state: FlowState, schedule: Schedule, thresholds: ThresholdConfig =
             schedule.snapshot_cb(state)
             snapped = state.step_count
 
-    if report.records[-1].step_count != state.step_count:
-        record(state)
+    record(state)
     if schedule.snapshot_cb is not None and snapped != state.step_count:
         schedule.snapshot_cb(state)
 

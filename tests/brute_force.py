@@ -21,6 +21,35 @@ def ball_energy(mesh, values, center, radius) -> float:
     return math.fsum(dens[ball_triangles(mesh, center, radius)].tolist())
 
 
+def two_ball_reference(records, r_grid):
+    """C1, C2 and the sample count of the two-ball fit, one centre and one
+    radius at a time, over records whose ball_probes map each centre to
+    {radius: energy}."""
+    c1 = c2 = 0.0
+    samples = 0
+    n = len(records)
+    for gap in (1, 5, 10):
+        if gap >= n:
+            continue
+        stride = max(1, (n - gap) // 30)
+        for j in range(0, n - gap, stride):
+            a, b = records[j], records[j + gap]
+            span = b.t - a.t
+            if span <= 0:
+                continue
+            for center, probes in b.ball_probes.items():
+                for r in r_grid:
+                    r = float(r)
+                    if r not in probes or (2.0 * r) not in a.ball_probes.get(center, {}):
+                        continue
+                    deficit = probes[r] - a.ball_probes[center][2.0 * r]
+                    samples += 1
+                    if deficit > 0:
+                        c1 = max(c1, deficit * r * r / span)
+                        c2 = max(c2, deficit / span)
+    return c1, c2, samples
+
+
 def weighted_stiffness(mesh, beta_vertex):
     """Stiffness of -div(beta grad .) with beta averaged over each triangle."""
     return stiffness_from_tri_weights(mesh, triangle_mean(mesh, beta_vertex))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import warpflow.diagnostics
-from brute_force import nearest_vertex
+from brute_force import nearest_vertex, two_ball_reference
 from warpflow.boundary import boundary_data_from_presets
 from warpflow.diagnostics import (EnergyRecord, RunBounds,
                                   SingularityEvent, ThresholdConfig,
@@ -47,7 +47,7 @@ def _rec(t, dt=0.01, step_count=0, **kw):
     base = dict(t=t, e_u=0.0, e_v=0.0, e_beta_v=0.0, e_g=0.0,
                 kinetic_cum=0.0, laplacian_proxy=0.0,
                 rate_l2=0.0, l2_centered=0.0, l4_centered=0.0, grad4_u=0.0,
-                grad4_v=0.0, max_local_energy=0.0, max_local_vertex=-1,
+                grad4_v=0.0, max_local_energy=0.0,
                 dt=dt, step_count=step_count)
     base.update(kw)
     return EnergyRecord(**base)
@@ -192,21 +192,43 @@ class TestInequalitySuite:
 
 
 class TestTwoBall:
+    RADII = (0.1, 0.2, 0.4)
+
     def test_envelope_constants_on_synthetic_profile(self):
-        r0 = _rec(0.0, ball_probes={0: {0.1: 0.0, 0.2: 0.0, 0.4: 0.0}})
-        r1 = _rec(1.0, ball_probes={0: {0.1: 0.5, 0.2: 0.6, 0.4: 0.7}})
-        c1, c2, samples = _fit_two_ball([r0, r1], (0.1, 0.2))
+        r0 = _rec(0.0, ball_probes=[[0.0, 0.0, 0.0]])
+        r1 = _rec(1.0, ball_probes=[[0.5, 0.6, 0.7]])
+        c1, c2, samples = _fit_two_ball([r0, r1], self.RADII, (0.1, 0.2))
         assert samples == 2
         # r=0.1: deficit 0.5 against the 0.2-ball; r=0.2: deficit 0.6 against 0.4
         assert c2 == pytest.approx(0.6)
         assert c1 == pytest.approx(max(0.5 * 0.01, 0.6 * 0.04))
 
     def test_no_growth_means_zero_constants(self):
-        r0 = _rec(0.0, ball_probes={0: {0.1: 0.5, 0.2: 0.5, 0.4: 0.5}})
-        r1 = _rec(1.0, ball_probes={0: {0.1: 0.2, 0.2: 0.3, 0.4: 0.4}})
-        c1, c2, samples = _fit_two_ball([r0, r1], (0.1, 0.2))
+        r0 = _rec(0.0, ball_probes=[[0.5, 0.5, 0.5]])
+        r1 = _rec(1.0, ball_probes=[[0.2, 0.3, 0.4]])
+        c1, c2, samples = _fit_two_ball([r0, r1], self.RADII, (0.1, 0.2))
         assert (c1, c2) == (0.0, 0.0)
         assert samples == 2
+
+    @pytest.mark.parametrize("n", [3, 7, 40, 75])
+    def test_array_fit_equals_the_loop_reference_bitwise(self, n):
+        # growing probe energies give positive deficits at every gap; a
+        # repeated time gives a zero span that both must skip
+        rng = np.random.default_rng(n)
+        thr = ThresholdConfig(r_detect=0.05, r_grid=(0.1, 0.2))
+        radii, centers = thr.probe_radii(), [3, 11, 4, 20, 7]
+        ts = np.cumsum(rng.uniform(0.0, 0.01, n))
+        ts[n // 2] = ts[n // 2 - 1]
+        recs = [_rec(float(t), ball_probes=(rng.uniform(0.0, 1.0, (5, len(radii)))
+                                            * (1.0 + 3.0 * k / n)).tolist())
+                for k, t in enumerate(ts)]
+        as_dicts = [dataclasses.replace(r, ball_probes={
+            c: dict(zip(radii, row)) for c, row in zip(centers, r.ball_probes)}) for r in recs]
+        got = _fit_two_ball(recs, radii, thr.r_grid)
+        want = two_ball_reference(as_dicts, thr.r_grid)
+        assert got[0] > 0.0 and got[1] > 0.0
+        assert got == want
+        assert all(type(x) is type(y) for x, y in zip(got, want))
 
 
 class TestSingularityCounts:

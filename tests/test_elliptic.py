@@ -241,6 +241,18 @@ class TestHarmonicExtension:
         assert np.array_equal(bd.phi0[I], sphere.project_field(ext)[I])
         assert np.array_equal(bd.phi0[B], bd.phi[B])
 
+    @pytest.mark.parametrize("target", ["sphere", "torus"])
+    def test_initial_map_shares_no_memory_with_the_extension(self, square16, target):
+        # on the flat torus the projection returns its argument, so a harmonic
+        # phi0 could alias phi_ext, and an edit of phi0 would move phi_ext
+        tgt = make_target(target)
+        trace = "equator_circle kappa=1" if target == "sphere" else "sine_bump amplitude=0.1"
+        bd = boundary_data_from_presets(square16, tgt, trace, "harmonic", "constant value=0")
+        assert not np.shares_memory(bd.phi0, bd.phi_ext)
+        ext = bd.phi_ext.copy()
+        bd.phi0[square16.interior] += 1.0
+        assert np.array_equal(bd.phi_ext, ext)
+
     def test_componentwise(self, square16):
         tr = np.column_stack([square16.vertices[:, 0],
                               np.ones(square16.num_vertices)])

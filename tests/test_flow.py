@@ -9,8 +9,8 @@ import warpflow.flow
 from brute_force import reference_step, weighted_stiffness
 from oracle_corotational import reduced_profile
 from warpflow.boundary import BoundaryData, boundary_data_from_presets
-from warpflow.diagnostics import (ThresholdConfig, energy_functionals, inequality_suite,
-                                  mono_tolerance)
+from warpflow.diagnostics import (HARD_CHECK_SLACK, ThresholdConfig, energy_functionals,
+                                  inequality_suite, mono_tolerance)
 from warpflow.elliptic import CG_RTOL
 from warpflow.elliptic import solve_warped_laplace
 from warpflow.errors import NonPositiveCoefficient, SolverFailure, StepRejected
@@ -560,7 +560,7 @@ class TestRunFlow:
         for r in recs:
             assert all(e > thr.energy for e in r.crossings.values())
             if r.crossings:
-                assert r.crossings[r.max_local_vertex] == r.max_local_energy
+                assert max(r.crossings.values()) == r.max_local_energy
             else:
                 assert r.max_local_energy <= thr.energy
         assert rep.crossing_points == {
@@ -573,11 +573,14 @@ class TestRunFlow:
         bd = _bump_data(square16)
         st = initial_state(square16, TORUS, UNIT_WARP, bd, cfg)
         _, rep = run_flow(st, Schedule(t_end=0.005), thresholds)
-        probes = rep.records[0].ball_probes
-        assert len(probes) == len(default_probe_centers(square16))
-        for per_center in probes.values():
-            assert {0.1, 0.2, 0.4} <= set(per_center)
-            assert per_center[0.1] <= per_center[0.2] + 1e-15
+        radii = thresholds.probe_radii()
+        assert {0.1, 0.2, 0.4} <= set(radii)
+        assert rep.probe_centers == default_probe_centers(square16)
+        for r in rep.records:
+            # one row per centre, one column per radius, in order
+            assert np.shape(r.ball_probes) == (len(rep.probe_centers), len(radii))
+            for row in r.ball_probes:
+                assert row[radii.index(0.1)] <= row[radii.index(0.2)] + 1e-15
 
     def test_snapshot_callback_stride(self, square16):
         cfg = StepperConfig()
@@ -596,7 +599,7 @@ class TestRunFlow:
         assert seen == list(range(1, fin.step_count + 1))
 
     @staticmethod
-    def _scripted_run(square16, monkeypatch):
+    def _scripted_run(square16, monkeypatch, diag_stride=1):
         """(report, {step count: dt of the step that made it}) of a run with a
         grown step, a forced dt_min step and a last step clipped to t_end.
 
@@ -615,7 +618,7 @@ class TestRunFlow:
             return new
 
         monkeypatch.setattr(warpflow.flow, "step", scripted_step)
-        _, rep = run_flow(st, Schedule(t_end=3.3 * dt_cfl, diag_stride=1))
+        _, rep = run_flow(st, Schedule(t_end=3.3 * dt_cfl, diag_stride=diag_stride))
         dts = list(taken.values())
         assert rep.underflow_times and st.ctx.dt_min in dts
         assert any(b == 2.0 * a for a, b in zip(dts, dts[1:]))          # grown
@@ -637,6 +640,22 @@ class TestRunFlow:
         e_g0 = rep.records[0].e_g
         assert mono.passed and mono.tolerance == max(
             mono_tolerance(dt, rep.bounds.h, e_g0) for dt in taken.values())
+
+    def test_allowance_is_the_sum_of_the_step_tolerances(self, square16, monkeypatch):
+        # stride 2: a record gap spans steps of different dt
+        rep, taken = self._scripted_run(square16, monkeypatch, diag_stride=2)
+        counts = [r.step_count for r in rep.records]
+        assert any(len({taken[n] for n in range(a + 1, b + 1)}) > 1
+                   for a, b in zip(counts, counts[1:]))
+        checks = {c.name: c for c in inequality_suite(rep.records, rep.bounds, rep.thresholds)}
+        e_g0 = rep.records[0].e_g
+        step_tol = {n: mono_tolerance(dt, rep.bounds.h, e_g0) for n, dt in taken.items()}
+        allowance = np.array([math.fsum(step_tol[n] for n in range(1, c + 1)) for c in counts])
+        F = np.array([r.e_g + r.kinetic_cum for r in rep.records]) - allowance
+        assert checks["energy_monotonicity"].constants["max_increase"] == pytest.approx(
+            np.diff(F).max(), rel=1e-12, abs=1e-15)
+        assert checks["kinetic_budget"].tolerance - HARD_CHECK_SLACK == pytest.approx(
+            allowance[-1], rel=1e-12)
 
     def test_underflow_is_recorded_and_survived(self, square16):
         bd = _bump_data(square16, amp=0.4)

@@ -657,12 +657,28 @@ class TestCheckReportFile:
         else:
             rec = records[len(records) // 2]
             if field == "ball_probes":
-                probes = next(iter(rec["ball_probes"].values()))
-                probes[next(iter(probes))] = float("nan")
+                rec["ball_probes"][0][0] = float("nan")
             else:
                 rec[field] = float("nan")
         path = tmp_path / "report.json"
         path.write_text(json.dumps({**bubbling_report, "records": records}))
+        self._check_malformed(path, capsys)
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p["records"][1]["ball_probes"].pop(),
+        lambda p: p["records"][1]["ball_probes"].append(p["records"][1]["ball_probes"][0]),
+        lambda p: p["records"][1]["ball_probes"][2].pop(),
+        lambda p: p["records"][-1]["ball_probes"][0].append(0.0),
+        lambda p: p["probe_centers"].pop(),
+        lambda p: p.pop("probe_centers"),
+    ], ids=["row_missing", "row_extra", "column_missing", "column_extra",
+            "center_missing", "no_probe_centers"])
+    def test_probe_layout_mismatch_is_malformed(self, tmp_path, bubbling_report, capsys,
+                                                edit):
+        payload = json.loads(json.dumps(bubbling_report))
+        edit(payload)
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(payload))
         self._check_malformed(path, capsys)
 
     @pytest.mark.parametrize("change", ["missing", "extra"])
