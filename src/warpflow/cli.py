@@ -11,14 +11,13 @@ CONFIG is a config file path or the name of a shipped scenario.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .errors import ConfigParseError, WarpflowError
 from .scenario import (builtin_scenarios, check_report_file, default_out_root,
-                       run_scenario, twin_run)
+                       run_scenario, twin_run, write_json)
 
 
 def _run_one(args_tuple):
@@ -56,8 +55,7 @@ def _cmd_twin(args) -> int:
     result = twin_run(args.config, delta=args.delta)
     out = Path(args.out) if args.out else default_out_root() / f"{Path(args.config).stem}_twin"
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "twin_report.json", "w") as f:
-        json.dump(result.to_dict(), f, indent=2, sort_keys=True)
+    write_json(result.to_dict(), out / "twin_report.json")
     print(f"delta={result.delta:.6g} initial={result.initial_diff:.6g} "
           f"sup={result.sup_diff:.6g} amplification={result.amplification:.6g}")
     return 0

@@ -170,10 +170,6 @@ class DiagnosticsReport:
     crossing_points: dict = field(default_factory=dict)  # {vertex: [x, y]} of any crossing
     probe_centers: list = field(default_factory=list)    # the vertex of each ball_probes row
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([r.t for r in self.records])
-
 
 def mono_tolerance(dt: float, h: float, e_g0: float) -> float:
     return 1e-6 + MONO_C * (dt + h * h) * abs(e_g0)
@@ -197,13 +193,14 @@ def energy_functionals(state) -> EnergyRecord:
     e_beta_v = float((beta_tri * dens_v).sum())
 
     lap = mesh.laplacian(state.u, state.stiffness_u())
-    proxy = float(np.dot(mesh.lumped_mass, np.einsum("ij,ij->i", lap, lap)))
+    m = mesh.lumped_mass
+    proxy = float(np.einsum("i,i->", m, np.einsum("ij,ij->i", lap, lap)))
 
-    mean = mesh.lumped_mass @ state.u / mesh.domain_area
+    mean = np.einsum("i,ij->j", m, state.u) / mesh.domain_area
     centered = state.u - mean
     c2 = np.einsum("ij,ij->i", centered, centered)
-    l2c = float(np.dot(mesh.lumped_mass, c2))
-    l4c = float(np.dot(mesh.lumped_mass, c2 * c2))
+    l2c = float(np.einsum("i,i->", m, c2))
+    l4c = float(np.einsum("i,i->", m, c2 * c2))
 
     grad4_u = float(np.sum(mesh.areas * g2u * g2u))
     grad4_v = float(np.sum(mesh.areas * g2v * g2v))
@@ -518,7 +515,9 @@ def derive_verdicts(report: DiagnosticsReport, residual_norm: float) -> int:
 # -- serialization helpers ----------------------------------------------------
 
 def record_to_dict(r: EnergyRecord) -> dict:
-    d = asdict(r)
+    # one level of copies: asdict would recurse into every float of ball_probes
+    d = dict(vars(r))
+    d["ball_probes"] = [list(row) for row in r.ball_probes]
     d["crossings"] = {str(c): e for c, e in r.crossings.items()}
     return d
 

@@ -40,6 +40,13 @@ def jacobi_preconditioner(A: sp.csr_matrix) -> np.ndarray:
     return np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 1.0)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of two vectors, summed by einsum: no BLAS, so in one order whatever
+    the BLAS thread count (np.dot, np.linalg.norm and np.vecdot may split a long
+    sum across BLAS threads and change its last bits)."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def cg_solve(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray = None,
              rtol: float = CG_RTOL, maxiter: int = None, M=None):
     """Preconditioned CG; returns (x, rel_residual, iterations).
@@ -48,43 +55,56 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray = None,
     multiply; a callable is applied to the residual (e.g. a factor's solve).
     The default is jacobi_preconditioner(A).  The iteration is
     scipy.sparse.linalg.cg's, operation for operation (start residual
-    b - A x0, stop once |r| < rtol |b|), so both give the same iterates.
+    b - A x0, stop once |r| < rtol |b|, the same true-residual check), so
+    both take the same steps; their iterates agree to round-off, since every
+    reduction here is a BLAS-free einsum.  Under an inverse diagonal, r.r
+    and r.z are one einsum over the rows of one (2, n) buffer.
     SolverFailure if the cap is hit before the tolerance.
     """
     n = b.shape[0]
     if n == 0:
         return np.zeros(0), 0.0, 0
     b = np.ascontiguousarray(b, dtype=float)
-    bnorm = float(np.linalg.norm(b))
+    bnorm = math.sqrt(_dot(b, b))
     if bnorm == 0.0:
         return np.zeros(n), 0.0, 0
     if maxiter is None:
         maxiter = max(100, int(50 * math.sqrt(n)))
     if M is None:
         M = jacobi_preconditioner(A)
-    psolve = M.__mul__ if isinstance(M, np.ndarray) else M
+    jacobi = isinstance(M, np.ndarray)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    r = b - A @ x if x.any() else b.copy()
+    rz = np.empty((2, n))
+    r, z = rz
+    r[:] = b - A @ x if x.any() else b
     atol = rtol * bnorm
     iters, stalled, p, rho_prev = 0, True, None, None
     while iters < maxiter:
-        if math.sqrt(np.dot(r, r)) < atol:
+        if jacobi:
+            np.multiply(M, r, out=z)
+            rr, rho = np.einsum("ij,j->i", rz, r)
+        else:
+            rr = _dot(r, r)
+        if math.sqrt(rr) < atol:
             stalled = False
             break
-        z = psolve(r)
-        rho = np.dot(r, z)
+        if not jacobi:
+            # after the test: a z formed before it would cost a factor solve per call
+            z[:] = M(r)
+            rho = _dot(r, z)
         if p is None:
             p = z.copy()
         else:
             p *= rho / rho_prev
             p += z
         q = A @ p
-        alpha = rho / np.dot(p, q)
+        alpha = rho / _dot(p, q)
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
         iters += 1
-    rel = float(np.linalg.norm(b - A @ x)) / bnorm
+    res = b - A @ x
+    rel = math.sqrt(_dot(res, res)) / bnorm
     if stalled and rel > rtol * 10:
         raise SolverFailure(
             f"CG stalled at relative residual {rel:.3e} after {iters} iterations")

@@ -35,6 +35,7 @@ from __future__ import annotations
 import copy
 import math
 import time as _time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
@@ -42,7 +43,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .boundary import BoundaryData
-from .diagnostics import DiagnosticsReport, RunBounds, ThresholdConfig, energy_functionals
+from .diagnostics import (DiagnosticsReport, EnergyRecord, RunBounds, ThresholdConfig,
+                          energy_functionals)
 from .elliptic import (WarpedBlock, cg_solve, dirichlet_split, jacobi_preconditioner,
                        solve_warped_laplace)
 from .errors import DegeneratePoint, SolverFailure, StepRejected
@@ -56,6 +58,9 @@ MAX_FORCED_STEPS = 50
 # CG iterations that one LU column solve, and one LU factor build, cost
 LU_COL_ITERS = 6
 FACTOR_ITERS = 200
+# a run on a mesh of at least this many triangles measures each record on a
+# worker thread, overlapped with the next step (see run_flow)
+RECORD_THREAD_MIN_TRIANGLES = 32768
 
 
 @dataclass
@@ -291,7 +296,7 @@ def tension_residual(state: FlowState):
     lap, F = mesh.laplacian(state.u, state.stiffness_u()), _forcing(state)
     R = state.ctx.target.project_tangent(state.u, lap if F is None else lap + F)
     R[mesh.boundary_index] = 0.0
-    norm = math.sqrt(float(np.dot(mesh.lumped_mass, np.einsum("ij,ij->i", R, R))))
+    norm = math.sqrt(float(np.einsum("i,i->", mesh.lumped_mass, np.einsum("ij,ij->i", R, R))))
     return R, norm
 
 
@@ -359,7 +364,7 @@ def step(state: FlowState, dt: float = None, enforce_cap: bool = True) -> FlowSt
                             time=state.t + dt) from exc
 
     ctx.stats["accepted_steps"] += 1
-    diff2 = float(np.dot(m, dd))
+    diff2 = float(np.einsum("i,i->", m, dd))
     return replace(state, u=u_new, v=v_new, t=state.t + dt, step_count=state.step_count + 1,
                    last_rate=math.sqrt(diff2) / dt, last_move=move / cap, last_dt=dt,
                    v_prev=state.v, carry=carry)
@@ -433,6 +438,17 @@ def run_flow(state: FlowState, schedule: Schedule, thresholds: ThresholdConfig =
     r_detect-ball energy exceeds thresholds.energy), the coordinates of every
     crossing vertex, underflow times, and aggregate solver statistics.  The
     loop appends records and never reads them back.
+
+    A record is `measure`, which only reads a finished state, then `commit`,
+    which appends it in order.  On a mesh of at least
+    RECORD_THREAD_MIN_TRIANGLES triangles each measure runs on one worker
+    thread while the main thread takes the next step, with at most one record
+    in flight.  Before it submits one, the main thread drains the last and
+    forms every cached field that the record or the next step reads, so the
+    worker only reads and the work done never depends on thread timing.  A
+    record's error is re-raised on the main thread, ahead of any error of the
+    step it overlapped, as the sequential order would raise it; no worker
+    outlives the run.  Both paths give the same records bit for bit.
     """
     thresholds = thresholds or ThresholdConfig()
     mesh = state.mesh
@@ -447,43 +463,71 @@ def run_flow(state: FlowState, schedule: Schedule, thresholds: ThresholdConfig =
     probes = ball_rows(mesh, centers, radii)
     kin_total = 0.0
     recorded = snapped = -1          # the step counts of the last record and snapshot
+    worker = (ThreadPoolExecutor(max_workers=1)
+              if mesh.num_triangles >= RECORD_THREAD_MIN_TRIANGLES else None)
+    pending = None                   # the record in flight on the worker
     wall0 = _time.perf_counter()
 
-    def record(st: FlowState):
-        nonlocal recorded
-        if st.step_count == recorded:
-            return
-        recorded = st.step_count
+    def measure(st: FlowState, kinetic_cum: float) -> EnergyRecord:
         rec = energy_functionals(st)
-        rec.kinetic_cum = kin_total
+        rec.kinetic_cum = kinetic_cum
         dens = tri_energy_density(mesh, st.u, st.grad_sq_u())
         local = L @ dens
         rec.max_local_energy = float(local.max())
         rec.ball_probes = (probes @ dens).reshape(len(centers), len(radii)).tolist()
         rec.crossings = {int(c): float(local[c])
                          for c in np.flatnonzero(local > thresholds.energy)}
+        return rec
+
+    def commit(rec: EnergyRecord):
         for c in rec.crossings:
             report.crossing_points.setdefault(c, [float(x) for x in mesh.vertices[c]])
         report.records.append(rec)
 
-    record(state)
-    for (new_state,), forced in march([state], schedule.t_end):
-        if forced:
-            # operational blow-up: log it and record the state it started from
-            report.underflow_times.append(float(state.t))
-            record(state)
-        kin_total += new_state.last_rate ** 2 * new_state.last_dt
-        state = new_state
-        if forced or (schedule.diag_stride > 0
-                      and state.step_count % schedule.diag_stride == 0):
-            record(state)
-        if (not forced and schedule.snapshot_cb is not None
-                and schedule.snapshot_stride > 0
-                and state.step_count % schedule.snapshot_stride == 0):
-            schedule.snapshot_cb(state)
-            snapped = state.step_count
+    def drain():
+        nonlocal pending
+        if pending is not None:
+            done, pending = pending, None
+            commit(done.result())
 
-    record(state)
+    def record(st: FlowState):
+        nonlocal recorded, pending
+        if st.step_count == recorded:
+            return
+        recorded = st.step_count
+        if worker is None:
+            commit(measure(st, kin_total))
+            return
+        drain()
+        for form in (st.grad_sq_u, st.grad_sq_v, st.beta_tri, st.stiffness_u):
+            form()
+        _forcing(st)
+        pending = worker.submit(measure, st, kin_total)
+
+    try:
+        record(state)
+        for (new_state,), forced in march([state], schedule.t_end):
+            if forced:
+                # operational blow-up: log it and record the state it started from
+                report.underflow_times.append(float(state.t))
+                record(state)
+            kin_total += new_state.last_rate ** 2 * new_state.last_dt
+            state = new_state
+            if forced or (schedule.diag_stride > 0
+                          and state.step_count % schedule.diag_stride == 0):
+                record(state)
+            if (not forced and schedule.snapshot_cb is not None
+                    and schedule.snapshot_stride > 0
+                    and state.step_count % schedule.snapshot_stride == 0):
+                schedule.snapshot_cb(state)
+                snapped = state.step_count
+        record(state)
+    finally:
+        if worker is not None:
+            try:
+                drain()
+            finally:
+                worker.shutdown()
     if schedule.snapshot_cb is not None and snapped != state.step_count:
         schedule.snapshot_cb(state)
 

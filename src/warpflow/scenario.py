@@ -216,6 +216,29 @@ class ScenarioResult:
     exit_code: int
 
 
+def write_json(payload: dict, path) -> None:
+    """Write json.dumps(payload, sort_keys=True, separators=(",", ":")) to path,
+    byte for byte, for a payload with string keys.  Each top-level value, and
+    each item of a top-level list, goes through json's C encoder and is
+    written on its own, so the whole text is never held at once: on
+    bubbling's report that transient is 4.4 MiB, above the run's own peak
+    RSS.  (json.dump, which streams, runs the pure-Python encoder.)"""
+    enc = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+    with open(path, "w") as f:
+        f.write("{")
+        for i, key in enumerate(sorted(payload)):
+            f.write(("," if i else "") + enc.encode(key) + ":")
+            value = payload[key]
+            if isinstance(value, list):
+                f.write("[")
+                for j, item in enumerate(value):
+                    f.write(("," if j else "") + enc.encode(item))
+                f.write("]")
+            else:
+                f.write(enc.encode(value))
+        f.write("}")
+
+
 def write_series_csv(report: DiagnosticsReport, path) -> None:
     cols = ["t", "E_u", "E_v", "E_beta_v", "E_g", "kinetic_cum",
             "max_local_energy", "dt"]
@@ -274,8 +297,7 @@ def run_scenario(flat_or_path, out_dir=None, h=None, t_end=None,
         payload = report_to_dict(report)
         payload["scenario"] = asdict(cfg)
         payload["exit_code"] = exit_code
-        with open(out / "report.json", "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
+        write_json(payload, out / "report.json")
     return ScenarioResult(config=cfg, state=state, report=report,
                           out_dir=out, exit_code=exit_code)
 
@@ -299,7 +321,7 @@ class TwinResult:
 
 def _l2_diff(mesh, u1, u2) -> float:
     du = u1 - u2
-    return math.sqrt(float(np.dot(mesh.lumped_mass, np.einsum("ij,ij->i", du, du))))
+    return math.sqrt(float(np.einsum("i,i->", mesh.lumped_mass, np.einsum("ij,ij->i", du, du))))
 
 
 def twin_run(flat_or_path, delta: float = None, overrides: dict = None) -> TwinResult:

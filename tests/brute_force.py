@@ -1,13 +1,15 @@
 """Brute-force references the tests compare the package's operators against."""
 
+import copy
 import math
 
 import numpy as np
 
-from warpflow.flow import _solve_potential
+from warpflow.diagnostics import energy_functionals
+from warpflow.flow import _solve_potential, default_probe_centers, march
 from warpflow.geometry import warp_force
-from warpflow.mesh import (_doubling_count, ball_triangles, stiffness_from_tri_weights,
-                           tri_energy_density, triangle_mean)
+from warpflow.mesh import (_doubling_count, ball_rows, ball_triangles, local_energy_matrix,
+                           stiffness_from_tri_weights, tri_energy_density, triangle_mean)
 
 
 def nearest_vertex(mesh, point) -> int:
@@ -122,4 +124,46 @@ def reference_step(state, dt):
     dd = np.einsum("ij,ij->i", du, du)
     move = math.sqrt(float(np.max(dd))) / (ctx.config.max_move_fraction * mesh.h)
     v_new = state.v if ctx.potential is None else _solve_potential(ctx, u_new, state, dt)[0]
-    return u_new, v_new, move, math.sqrt(float(np.dot(m, dd))) / dt
+    # the rate's mass-weighted sum is the step's BLAS-free einsum, in its order
+    return u_new, v_new, move, math.sqrt(float(np.einsum("i,i->", m, dd))) / dt
+
+
+def sequential_run(state, schedule, thresholds):
+    """(records, crossing_points, underflow_times, solver stats) of
+    run_flow(state, schedule, thresholds), every record measured on the
+    calling thread as soon as its state exists, with the states it records
+    picked by run_flow's rules written out: the start, every diag_stride-th
+    step, each forced step's start and the forced step itself, and the end,
+    each state once."""
+    mesh = state.mesh
+    L = local_energy_matrix(mesh, thresholds.r_detect)
+    centers, radii = default_probe_centers(mesh), thresholds.probe_radii()
+    probes = ball_rows(mesh, centers, radii)
+    records, points, underflow, kin = [], {}, [], 0.0
+
+    def record(st):
+        if records and records[-1].step_count == st.step_count:
+            return
+        rec = energy_functionals(st)
+        rec.kinetic_cum = kin
+        dens = tri_energy_density(mesh, st.u, st.grad_sq_u())
+        local = L @ dens
+        rec.max_local_energy = float(local.max())
+        rec.ball_probes = (probes @ dens).reshape(len(centers), len(radii)).tolist()
+        rec.crossings = {int(c): float(local[c])
+                         for c in np.flatnonzero(local > thresholds.energy)}
+        for c in rec.crossings:
+            points.setdefault(c, [float(x) for x in mesh.vertices[c]])
+        records.append(rec)
+
+    record(state)
+    for (new,), forced in march([state], schedule.t_end):
+        if forced:
+            underflow.append(float(state.t))
+            record(state)
+        kin += new.last_rate ** 2 * new.last_dt
+        state = new
+        if forced or state.step_count % schedule.diag_stride == 0:
+            record(state)
+    record(state)
+    return records, points, underflow, copy.deepcopy(state.ctx.stats)

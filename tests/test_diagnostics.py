@@ -389,7 +389,7 @@ class TestConvergenceMonitor:
         fin, rep = run_flow(st, Schedule(t_end=0.01))
         hist = np.full((len(rep.records), square16.num_vertices), 0.1)
         hist[:, 5] = 2.0
-        for r, c in zip(rep.records, _crossing_records(hist, rep.times)):
+        for r, c in zip(rep.records, _crossing_records(hist, [r.t for r in rep.records])):
             r.crossings = c.crossings
         conv = _monitor(rep, fin)
         assert conv.persistent_vertices == [5]

@@ -22,7 +22,7 @@ from warpflow.flow import StepperConfig
 from warpflow.scenario import (_KEYS, ScenarioConfig, build_scenario,
                                builtin_scenarios, check_report_file,
                                parse_config_text, resolve_config, run_scenario,
-                               twin_run)
+                               twin_run, write_json)
 
 GOOD_TEXT = """\
 # comment line
@@ -242,12 +242,22 @@ class TestRunScenario:
     def test_report_json_contents(self, tmp_path):
         out = tmp_path / "run"
         res = run_scenario("harmonic_fixed_point", out_dir=out)
-        payload = json.loads((out / "report.json").read_text())
+        text = (out / "report.json").read_text()
+        payload = json.loads(text)
+        # compact, keys sorted: one line, no spaces between tokens
+        assert text == json.dumps(payload, sort_keys=True, separators=(",", ":"))
         assert payload["exit_code"] == 0
         assert payload["scenario"]["name"] == "harmonic_fixed_point"
         assert len(payload["records"]) == len(res.report.records)
         assert {c["name"] for c in payload["checks"]} >= {
             "energy_monotonicity", "dirichlet_bound_u"}
+
+    def test_write_json_writes_the_compact_dump(self, tmp_path):
+        for payload in ({}, {"b": [], "a": [1.5, {"y": [2, None], "x": "s"}], "c": {"k": [0.1]},
+                             "d": float("nan")}):
+            write_json(payload, tmp_path / "p.json")
+            assert (tmp_path / "p.json").read_text() == json.dumps(
+                payload, sort_keys=True, separators=(",", ":"))
 
     def test_report_counts_every_step_factor(self, tmp_path, monkeypatch):
         built = []
@@ -825,8 +835,10 @@ class TestCli:
         out = tmp_path / "twin_out"
         code = main(["twin", "stability_twin", "--delta", "0", "--out", str(out)])
         assert code == 0
-        payload = json.loads((out / "twin_report.json").read_text())
+        text = (out / "twin_report.json").read_text()
+        payload = json.loads(text)
         assert payload["sup_diff"] == 0.0
+        assert text == json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def test_module_runs_in_subprocess(self, tmp_path):
         out = tmp_path / "sub"
@@ -836,3 +848,31 @@ class TestCli:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert (out / "report.json").exists()
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """warp_coupled at h = 1/128 (the smallest run whose series.csv moved with
+    the BLAS thread count when its reductions went to BLAS) and a twin at the
+    same h, each under 1 and 2 BLAS threads in a fresh interpreter."""
+    code = (
+        "import hashlib, sys\n"
+        "from warpflow.scenario import run_scenario, twin_run\n"
+        "h = {'mesh.h': '0.0078125', 'schedule.t_end': '0.005'}\n"
+        "run_scenario('warp_coupled', out_dir=sys.argv[1], overrides=h)\n"
+        "with open(sys.argv[1] + '/series.csv', 'rb') as f:\n"
+        "    print(hashlib.sha256(f.read()).hexdigest())\n"
+        "print(repr(twin_run('stability_twin', overrides={**h, 'seed': '3'}).final_diff))\n")
+    procs = []
+    for n in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n, MKL_NUM_THREADS=n)
+        procs.append(subprocess.Popen([sys.executable, "-c", code, str(tmp_path / n)],
+                                      env=env, stdout=subprocess.PIPE,
+                                      stderr=subprocess.PIPE, text=True))
+    outs = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        outs.append(out.split())
+    (series_1, diff_1), (series_2, diff_2) = outs
+    assert series_1 == series_2
+    assert diff_1 == diff_2
