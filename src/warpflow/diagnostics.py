@@ -1,7 +1,9 @@
 """Energy records, inequality checks, concentration detection, convergence.
 
-Every analysis here consumes the recorded time series only, so the same code
-runs inside a live flow and on a deserialized report.  Conventions:
+`energy_functionals` measures a live flow state into a record and
+`RunBounds.from_run` reads a run's mesh, warp and boundary data; every
+analysis after them consumes the records only, so the same code runs inside
+a live flow and on a deserialized report.  Conventions:
 
 * E_u, E_v are plain Dirichlet energies (factor 1/2 included); E_beta_v is
   the beta-weighted potential energy and E_g = E_u - E_beta_v the Lorentzian
@@ -158,8 +160,8 @@ class RunBounds:
 @dataclass
 class DiagnosticsReport:
     records: list
-    bounds: RunBounds = None
-    thresholds: ThresholdConfig = None
+    bounds: RunBounds
+    thresholds: ThresholdConfig
     events: list = field(default_factory=list)
     checks: list = field(default_factory=list)
     convergence: ConvergenceReport = None
@@ -185,22 +187,21 @@ def energy_functionals(state) -> EnergyRecord:
     """
     mesh = state.mesh
     g2u, g2v = state.grad_sq_u(), state.grad_sq_v()
-    dens_u = tri_energy_density(mesh, state.u, g2u)
-    dens_v = tri_energy_density(mesh, state.v, g2v)
+    dens_u = tri_energy_density(mesh, g2u)
+    dens_v = tri_energy_density(mesh, g2v)
     beta_tri = state.beta_tri()
     e_u = float(dens_u.sum())
     e_v = float(dens_v.sum())
     e_beta_v = float((beta_tri * dens_v).sum())
 
     lap = mesh.laplacian(state.u, state.stiffness_u())
-    m = mesh.lumped_mass
-    proxy = float(np.einsum("i,i->", m, np.einsum("ij,ij->i", lap, lap)))
+    proxy = mesh.mass_sum(np.einsum("ij,ij->i", lap, lap))
 
-    mean = np.einsum("i,ij->j", m, state.u) / mesh.domain_area
+    mean = np.einsum("i,ij->j", mesh.lumped_mass, state.u) / mesh.domain_area
     centered = state.u - mean
     c2 = np.einsum("ij,ij->i", centered, centered)
-    l2c = float(np.einsum("i,i->", m, c2))
-    l4c = float(np.einsum("i,i->", m, c2 * c2))
+    l2c = mesh.mass_sum(c2)
+    l4c = mesh.mass_sum(c2 * c2)
 
     grad4_u = float(np.sum(mesh.areas * g2u * g2u))
     grad4_v = float(np.sum(mesh.areas * g2v * g2v))
@@ -522,6 +523,11 @@ def record_to_dict(r: EnergyRecord) -> dict:
     return d
 
 
+def _refuse_non_finite(numbers: list, where: str):
+    if not np.all(np.isfinite(np.asarray(numbers, dtype=float))):
+        raise ValueError(f"non-finite number in {where}")
+
+
 def record_from_dict(d: dict) -> EnergyRecord:
     """The record stored in d; ValueError if any of its numbers is not finite."""
     d = dict(d)
@@ -529,16 +535,15 @@ def record_from_dict(d: dict) -> EnergyRecord:
     rec = EnergyRecord(**d)
     numbers = [v for k, v in d.items() if k not in ("ball_probes", "crossings")]
     numbers += [e for row in rec.ball_probes for e in row] + list(rec.crossings.values())
-    if not np.all(np.isfinite(np.asarray(numbers, dtype=float))):
-        raise ValueError(f"non-finite number in the record at t = {rec.t!r}")
+    _refuse_non_finite(numbers, f"the record at t = {rec.t!r}")
     return rec
 
 
 def report_to_dict(report: DiagnosticsReport) -> dict:
     return {
         "records": [record_to_dict(r) for r in report.records],
-        "bounds": asdict(report.bounds) if report.bounds else None,
-        "thresholds": asdict(report.thresholds) if report.thresholds else None,
+        "bounds": asdict(report.bounds),
+        "thresholds": asdict(report.thresholds),
         "events": [asdict(e) for e in report.events],
         "checks": [asdict(c) for c in report.checks],
         "convergence": asdict(report.convergence) if report.convergence else None,
@@ -555,27 +560,20 @@ def report_from_dict(d: dict) -> DiagnosticsReport:
     """The report in d; ValueError on a bad threshold, a non-finite record,
     bound or verdict, or a ball_probes not of probe_centers by probe radii."""
     for key in ("bounds", "convergence"):
-        numbers = [x for v in (d.get(key) or {}).values()
-                   for x in (v if isinstance(v, list) else [v]) if not isinstance(x, str)]
-        if not np.all(np.isfinite(np.asarray(numbers, dtype=float))):
-            raise ValueError(f"non-finite number in {key}")
-    bounds = RunBounds(**d["bounds"]) if d.get("bounds") else None
-    thr = None
-    if d.get("thresholds"):
-        td = dict(d["thresholds"])
-        td["r_grid"] = tuple(td.get("r_grid", ()))
-        thr = ThresholdConfig(**td)
-    events = [SingularityEvent(**e) for e in d.get("events", [])]
-    checks = [CheckResult(**c) for c in d.get("checks", [])]
-    conv = ConvergenceReport(**d["convergence"]) if d.get("convergence") else None
+        _refuse_non_finite([x for v in (d[key] or {}).values()
+                            for x in (v if isinstance(v, list) else [v])
+                            if not isinstance(x, str)], key)
+    thr = ThresholdConfig(**{**d["thresholds"], "r_grid": tuple(d["thresholds"]["r_grid"])})
     records = [record_from_dict(r) for r in d["records"]]
     if any(np.shape(r.ball_probes) != (len(d["probe_centers"]), len(thr.probe_radii()))
            for r in records):
         raise ValueError("ball_probes is not one row per probe centre by one column per radius")
     return DiagnosticsReport(
         records=records, probe_centers=list(d["probe_centers"]),
-        bounds=bounds, thresholds=thr, events=events, checks=checks,
-        convergence=conv, underflow_times=list(d.get("underflow_times", [])),
-        v_norm=d.get("v_norm", 0.0), solver_stats=d.get("solver_stats", {}),
-        notes=list(d.get("notes", [])),
-        crossing_points={int(c): xy for c, xy in d.get("crossing_points", {}).items()})
+        bounds=RunBounds(**d["bounds"]), thresholds=thr,
+        events=[SingularityEvent(**e) for e in d["events"]],
+        checks=[CheckResult(**c) for c in d["checks"]],
+        convergence=ConvergenceReport(**d["convergence"]) if d["convergence"] else None,
+        underflow_times=list(d["underflow_times"]), v_norm=d["v_norm"],
+        solver_stats=d["solver_stats"], notes=list(d["notes"]),
+        crossing_points={int(c): xy for c, xy in d["crossing_points"].items()})

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import SolverFailure
-from .mesh import DomainMesh, triangle_mean
+from .mesh import DomainMesh, dot, triangle_mean
 
 CG_RTOL = 1e-10
 
@@ -32,19 +32,13 @@ class EllipticSolution:
     v: np.ndarray
     rel_residual: float
     iterations: int
+    beta_tri: np.ndarray          # the triangle mean of beta it was solved with, read-only
 
 
 def jacobi_preconditioner(A: sp.csr_matrix) -> np.ndarray:
     """1 / A_ii, with 1 where the diagonal is not positive."""
     diag = A.diagonal()
     return np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 1.0)
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """a . b of two vectors, summed by einsum: no BLAS, so in one order whatever
-    the BLAS thread count (np.dot, np.linalg.norm and np.vecdot may split a long
-    sum across BLAS threads and change its last bits)."""
-    return float(np.einsum("i,i->", a, b))
 
 
 def cg_solve(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray = None,
@@ -65,7 +59,7 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray = None,
     if n == 0:
         return np.zeros(0), 0.0, 0
     b = np.ascontiguousarray(b, dtype=float)
-    bnorm = math.sqrt(_dot(b, b))
+    bnorm = math.sqrt(dot(b, b))
     if bnorm == 0.0:
         return np.zeros(n), 0.0, 0
     if maxiter is None:
@@ -84,27 +78,27 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray = None,
             np.multiply(M, r, out=z)
             rr, rho = np.einsum("ij,j->i", rz, r)
         else:
-            rr = _dot(r, r)
+            rr = dot(r, r)
         if math.sqrt(rr) < atol:
             stalled = False
             break
         if not jacobi:
             # after the test: a z formed before it would cost a factor solve per call
             z[:] = M(r)
-            rho = _dot(r, z)
+            rho = dot(r, z)
         if p is None:
             p = z.copy()
         else:
             p *= rho / rho_prev
             p += z
         q = A @ p
-        alpha = rho / _dot(p, q)
+        alpha = rho / dot(p, q)
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
         iters += 1
     res = b - A @ x
-    rel = math.sqrt(_dot(res, res)) / bnorm
+    rel = math.sqrt(dot(res, res)) / bnorm
     if stalled and rel > rtol * 10:
         raise SolverFailure(
             f"CG stalled at relative residual {rel:.3e} after {iters} iterations")
@@ -174,28 +168,28 @@ class WarpedBlock:
         self._mesh = mesh
         self._M = None
 
-    def split(self, beta_vertex: np.ndarray, beta_tri: np.ndarray = None):
-        """(A_II, (K g)_I, g) for K the stiffness of -div(beta grad .); A_II is
-        reused.  beta_tri = triangle_mean(mesh, beta_vertex) if known."""
-        aw = self._mesh.areas * (triangle_mean(self._mesh, beta_vertex)
-                                 if beta_tri is None else beta_tri)
+    def solve(self, beta_vertex: np.ndarray, load: np.ndarray = None,
+              x0: np.ndarray = None) -> EllipticSolution:
+        """The solve for the vertex coefficient beta_vertex: forms its triangle
+        mean (NonPositiveCoefficient unless positive), re-weights the block and
+        the data's load, factors the first block and solves by CG from x0."""
+        mesh = self._mesh
+        beta_tri = triangle_mean(mesh, beta_vertex)
+        beta_tri.flags.writeable = False
+        aw = mesh.areas * beta_tri
         self.block.data[:] = self._to_block @ aw
-        return self.block, self._to_load @ aw, self._g.copy()
-
-    def preconditioner(self):
-        """The solve of the block's LU factor as it is now, kept for every later call."""
         if self._M is None:
             self._M = splu(self.block.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
-        return self._M
+        v, rel, iters = _solve_split(mesh, self.block, self._to_load @ aw, self._g.copy(),
+                                     load, x0, self._M)
+        return EllipticSolution(v=v, rel_residual=rel, iterations=iters, beta_tri=beta_tri)
 
 
 def solve_warped_laplace(mesh: DomainMesh, beta_vertex: np.ndarray,
                          psi: np.ndarray, source: np.ndarray = None,
-                         x0: np.ndarray = None, block: WarpedBlock = None,
-                         beta_tri: np.ndarray = None) -> EllipticSolution:
+                         x0: np.ndarray = None, block: WarpedBlock = None) -> EllipticSolution:
     """Weak P1 solution of -div(beta grad v) = f with trace psi.
 
-    beta_tri = triangle_mean(mesh, beta_vertex) if known.
     `source` (optional) is a nodal density, integrated with the lumped mass.
     `block` is a WarpedBlock of this mesh, kept across solves; it carries its
     own boundary data.  `psi`, a full-length nodal array whose boundary
@@ -203,10 +197,7 @@ def solve_warped_laplace(mesh: DomainMesh, beta_vertex: np.ndarray,
     no `block` is given.
     """
     load = None if source is None else mesh.lumped_mass * np.asarray(source, dtype=float)
-    block = WarpedBlock(mesh, psi) if block is None else block
-    v, rel, iters = _solve_split(mesh, *block.split(beta_vertex, beta_tri), load, x0,
-                                 block.preconditioner())
-    return EllipticSolution(v=v, rel_residual=rel, iterations=iters)
+    return (WarpedBlock(mesh, psi) if block is None else block).solve(beta_vertex, load, x0)
 
 
 def harmonic_extension(mesh: DomainMesh, trace: np.ndarray) -> np.ndarray:

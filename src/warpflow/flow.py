@@ -188,7 +188,9 @@ class _FlowContext:
 class FlowState:
     """The map u and potential v at time t on a run's context, and what the
     step that made it measured (all zero at t = 0).  `step` builds states and
-    nothing changes one afterwards, bar its cache of derived fields."""
+    nothing changes one afterwards, bar its cache of derived fields: its
+    |grad u|^2 and |grad v|^2, forcing, K u and triangle beta, each formed
+    once, by whichever of a step, a retry or a record asks first, and kept."""
 
     u: np.ndarray
     v: np.ndarray
@@ -241,22 +243,18 @@ class FlowState:
 
 
 def _solve_potential(ctx: _FlowContext, u, state: "FlowState" = None, dt: float = 0.0):
-    """(v, carry): the potential of the map u, and the triangle mean of beta(u) it
-    was solved with (NonPositiveCoefficient unless positive) for the new state's
-    cache; the solve starts from the potential of `state`, if any, extrapolated
-    linearly to state.t + dt."""
+    """(v, carry): the potential of the map u, and the triangle mean of beta(u)
+    its solve formed, for the new state's cache; the solve starts from the
+    potential of `state`, if any, extrapolated linearly to state.t + dt."""
     x0 = None if state is None else state.v if state.v_prev is None else \
         state.v + (dt / state.last_dt) * (state.v - state.v_prev)
-    beta = ctx.warp.beta(u)
-    beta_tri = triangle_mean(ctx.mesh, beta)
-    beta_tri.flags.writeable = False
-    sol = solve_warped_laplace(ctx.mesh, beta, ctx.bdata.psi, x0=x0,
-                               block=ctx.potential, beta_tri=beta_tri)
+    sol = solve_warped_laplace(ctx.mesh, ctx.warp.beta(u), ctx.bdata.psi, x0=x0,
+                               block=ctx.potential)
     ctx.stats["elliptic_solves"] += 1
     ctx.stats["elliptic_iterations"] += sol.iterations
     ctx.stats["max_elliptic_residual"] = max(ctx.stats["max_elliptic_residual"],
                                              sol.rel_residual)
-    return sol.v, {"beta_tri": beta_tri}
+    return sol.v, {"beta_tri": sol.beta_tri}
 
 
 def initial_state(mesh: DomainMesh, target, warp, bdata: BoundaryData,
@@ -269,9 +267,8 @@ def initial_state(mesh: DomainMesh, target, warp, bdata: BoundaryData,
 def _forcing(state: FlowState) -> np.ndarray | None:
     """Nodal explicit forcing: curvature term minus warp drift term, once per
     state; None where it is identically zero (a flat target under a constant
-    warp).  A flat target takes no curvature term.  It reuses the |grad u|^2
-    a record cached but keeps none of its own, so a state that is only
-    stepped holds no gradients while its step solve runs."""
+    warp).  A flat target takes no curvature term.  It reads the state's own
+    |grad u|^2 and |grad v|^2, which stay in its cache for its record."""
     ctx = state.ctx
     if ctx.target.flat and ctx.potential is None:
         return None
@@ -279,10 +276,7 @@ def _forcing(state: FlowState) -> np.ndarray | None:
     def compute():
         mesh, F = state.mesh, 0.0
         if not ctx.target.flat:
-            g2_u = state.cache.get("grad_sq_u")
-            if g2_u is None:
-                g2_u = mesh.tri_grad_sq(state.u)
-            F = ctx.target.curvature_force(state.u, mesh.nodal_from_tri(g2_u))
+            F = ctx.target.curvature_force(state.u, mesh.nodal_from_tri(state.grad_sq_u()))
         if ctx.potential is not None:
             s = mesh.nodal_from_tri(state.grad_sq_v())
             F = F - warp_force(ctx.target, ctx.warp, state.u, s)
@@ -296,7 +290,7 @@ def tension_residual(state: FlowState):
     lap, F = mesh.laplacian(state.u, state.stiffness_u()), _forcing(state)
     R = state.ctx.target.project_tangent(state.u, lap if F is None else lap + F)
     R[mesh.boundary_index] = 0.0
-    norm = math.sqrt(float(np.einsum("i,i->", mesh.lumped_mass, np.einsum("ij,ij->i", R, R))))
+    norm = math.sqrt(mesh.mass_sum(np.einsum("ij,ij->i", R, R)))
     return R, norm
 
 
@@ -364,9 +358,8 @@ def step(state: FlowState, dt: float = None, enforce_cap: bool = True) -> FlowSt
                             time=state.t + dt) from exc
 
     ctx.stats["accepted_steps"] += 1
-    diff2 = float(np.einsum("i,i->", m, dd))
     return replace(state, u=u_new, v=v_new, t=state.t + dt, step_count=state.step_count + 1,
-                   last_rate=math.sqrt(diff2) / dt, last_move=move / cap, last_dt=dt,
+                   last_rate=math.sqrt(mesh.mass_sum(dd)) / dt, last_move=move / cap, last_dt=dt,
                    v_prev=state.v, carry=carry)
 
 
@@ -471,7 +464,7 @@ def run_flow(state: FlowState, schedule: Schedule, thresholds: ThresholdConfig =
     def measure(st: FlowState, kinetic_cum: float) -> EnergyRecord:
         rec = energy_functionals(st)
         rec.kinetic_cum = kinetic_cum
-        dens = tri_energy_density(mesh, st.u, st.grad_sq_u())
+        dens = tri_energy_density(mesh, st.grad_sq_u())
         local = L @ dens
         rec.max_local_energy = float(local.max())
         rec.ball_probes = (probes @ dens).reshape(len(centers), len(radii)).tolist()

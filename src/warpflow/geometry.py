@@ -46,10 +46,11 @@ class UnitSphere:
         return grad_sq[:, None] * y
 
     def project_field(self, values: np.ndarray) -> np.ndarray:
-        """Row-wise normalization of a nodal field; the stepper projection."""
+        """Row-wise normalization of a nodal field; the stepper projection.
+        DegeneratePoint at the center, or where |y|^2 overflows (y / inf is 0)."""
         norms = np.sqrt(np.einsum("ij,ij->i", values, values))
-        if np.any(norms < 1e-8):
-            raise DegeneratePoint("field value collapsed to the sphere center")
+        if not np.all((norms >= 1e-8) & (norms < np.inf)):
+            raise DegeneratePoint("field value collapsed to the sphere center or overflowed")
         return values / norms[:, None]
 
 
@@ -89,7 +90,7 @@ class WarpFunction:
 
     Built-in families:
       constant:      beta = a                    (any target)
-      linear_height: beta(y) = a + b * y_K       (sphere; last coordinate)
+      linear_height: beta(y) = a + b * y_K       (sphere only: y_K of a torus lift is unbounded)
       sinusoidal:    beta(y) = a + b * sin(2 pi y_1)  (torus; unit period)
 
     lower/upper are the certified bounds lam, Lam used by the diagnostics.

@@ -32,6 +32,13 @@ from scipy.spatial import Delaunay
 from .errors import InvalidShapeParameters, NonPositiveCoefficient
 
 
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b of two vectors, summed by einsum: no BLAS, so in one order whatever
+    the BLAS thread count (np.dot, np.linalg.norm and np.vecdot may split a long
+    sum across BLAS threads and change its last bits)."""
+    return float(np.einsum("i,i->", a, b))
+
+
 @dataclass
 class DomainMesh:
     vertices: np.ndarray          # (nv, 2)
@@ -126,10 +133,12 @@ class DomainMesh:
 
     def tri_grad_sq(self, values: np.ndarray) -> np.ndarray:
         """Per-triangle |grad f|^2 (all components summed); (nt,)."""
-        G = self.tri_gradients(values)
-        if G.ndim == 2:
-            return np.einsum("te,te->t", G, G)
-        return np.einsum("ted,ted->t", G, G)
+        G = self.tri_gradients(values).reshape(self.num_triangles, -1)
+        return np.einsum("tk,tk->t", G, G)
+
+    def mass_sum(self, nodal: np.ndarray) -> float:
+        """sum_i m_i q_i of a nodal density q, the lumped integral; BLAS-free (`dot`)."""
+        return dot(self.lumped_mass, nodal)
 
     def nodal_from_tri(self, tri_values: np.ndarray) -> np.ndarray:
         """Mass-weighted nodal average of a per-triangle quantity."""
@@ -258,16 +267,14 @@ def build_mesh(shape: str, target_h: float, r_in: float = None,
 
 # -- energies and balls ---------------------------------------------------
 
-def tri_energy_density(mesh: DomainMesh, values: np.ndarray,
-                       grad_sq: np.ndarray = None) -> np.ndarray:
-    """Per-triangle (1/2) area |grad f|^2; grad_sq = mesh.tri_grad_sq(values) if known."""
-    g2 = mesh.tri_grad_sq(values) if grad_sq is None else grad_sq
-    return 0.5 * mesh.areas * g2
+def tri_energy_density(mesh: DomainMesh, grad_sq: np.ndarray) -> np.ndarray:
+    """Per-triangle (1/2) area |grad f|^2 of grad_sq = mesh.tri_grad_sq(f)."""
+    return 0.5 * mesh.areas * grad_sq
 
 
 def dirichlet_energy(mesh: DomainMesh, values: np.ndarray) -> float:
     """(1/2) integral of |grad f|^2."""
-    return float(tri_energy_density(mesh, values).sum())
+    return float(tri_energy_density(mesh, mesh.tri_grad_sq(values)).sum())
 
 
 def ball_triangles(mesh: DomainMesh, center, radius: float) -> np.ndarray:
@@ -313,7 +320,9 @@ class BallIndex:
 
     @classmethod
     def build(cls, mesh: DomainMesh, radius: float) -> "BallIndex":
-        r, nv = float(radius), mesh.num_vertices
+        # a ball as wide as the bounding box's diagonal already holds every triangle
+        V, nv = mesh.vertices, mesh.num_vertices
+        r = min(float(radius), math.dist(V.min(axis=0), V.max(axis=0)))
         B, c = mesh.barycenters, max(r / CELLS_PER_RADIUS, math.sqrt(mesh.areas.mean()))
         lo = B.min(axis=0)
         ij = np.floor((B - lo) / c).astype(np.int64)

@@ -133,6 +133,9 @@ class ScenarioConfig:
                 raise ConfigParseError(f"{name} must be non-negative, got {getattr(self, name)!r}")
         if self.target_name not in ("sphere", "torus"):
             raise ConfigParseError(f"unknown target {self.target_name!r}")
+        if self.warp_kind == "linear_height" and self.target_name == "torus":
+            raise ConfigParseError("warp.kind = linear_height needs target = sphere: on the "
+                                   "torus a + b * (last component) is unbounded")
         if self.mesh_shape == "annulus":
             missing = [key for key, (name, _, _) in _KEYS.items()
                        if name in ("r_in", "r_out") and getattr(self, name) is None]
@@ -204,7 +207,10 @@ def build_scenario(cfg: ScenarioConfig):
         raise ConfigParseError(str(exc)) from exc
     bdata = boundary_data_from_presets(mesh, target, cfg.phi_spec,
                                        cfg.phi0_spec, cfg.psi_spec)
-    return initial_state(mesh, target, warp, bdata, stepper), thresholds
+    try:
+        return initial_state(mesh, target, warp, bdata, stepper), thresholds
+    except ValueError as exc:           # the start refuses the initial map
+        raise ConfigParseError(str(exc)) from exc
 
 
 @dataclass
@@ -321,7 +327,7 @@ class TwinResult:
 
 def _l2_diff(mesh, u1, u2) -> float:
     du = u1 - u2
-    return math.sqrt(float(np.einsum("i,i->", mesh.lumped_mass, np.einsum("ij,ij->i", du, du))))
+    return math.sqrt(mesh.mass_sum(np.einsum("ij,ij->i", du, du)))
 
 
 def twin_run(flat_or_path, delta: float = None, overrides: dict = None) -> TwinResult:

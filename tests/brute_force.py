@@ -19,7 +19,7 @@ def nearest_vertex(mesh, point) -> int:
 
 def ball_energy(mesh, values, center, radius) -> float:
     """Dirichlet energy of the barycenter-membership ball, summed exactly (fsum)."""
-    dens = tri_energy_density(mesh, values)
+    dens = tri_energy_density(mesh, mesh.tri_grad_sq(values))
     return math.fsum(dens[ball_triangles(mesh, center, radius)].tolist())
 
 
@@ -146,7 +146,7 @@ def sequential_run(state, schedule, thresholds):
             return
         rec = energy_functionals(st)
         rec.kinetic_cum = kin
-        dens = tri_energy_density(mesh, st.u, st.grad_sq_u())
+        dens = tri_energy_density(mesh, st.grad_sq_u())
         local = L @ dens
         rec.max_local_energy = float(local.max())
         rec.ball_probes = (probes @ dens).reshape(len(centers), len(radii)).tolist()

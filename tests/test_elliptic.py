@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import warpflow.elliptic
 from brute_force import weighted_stiffness
 from warpflow.boundary import boundary_data_from_presets
 from warpflow.elliptic import (WarpedBlock, cg_solve, dirichlet_split,
@@ -10,7 +11,21 @@ from warpflow.elliptic import (WarpedBlock, cg_solve, dirichlet_split,
                                solve_warped_laplace)
 from warpflow.errors import NonPositiveCoefficient, SolverFailure
 from warpflow.geometry import make_target
-from warpflow.mesh import build_mesh
+from warpflow.mesh import build_mesh, triangle_mean
+
+
+def _capture_splits(monkeypatch):
+    """(A_II, load, padded data, preconditioner) of every WarpedBlock solve from
+    now on, copied as the solve hands them to its CG."""
+    seen = []
+    real = warpflow.elliptic._solve_split
+
+    def capture(mesh, A_II, coupling, v, load, x0, M=None):
+        seen.append((A_II.copy(), coupling.copy(), v.copy(), M))
+        return real(mesh, A_II, coupling, v, load, x0, M)
+
+    monkeypatch.setattr(warpflow.elliptic, "_solve_split", capture)
+    return seen
 
 
 class TestCgSolve:
@@ -51,12 +66,13 @@ class TestCgSolve:
         assert np.max(np.abs(x - x_ref)) <= 1e-15 * np.max(np.abs(x_ref))
         assert rel < 1e-10
 
-    def test_warped_block_factor_matches_scipy(self, disk16):
+    def test_warped_block_factor_matches_scipy(self, disk16, monkeypatch):
         x, y = disk16.vertices[:, 0], disk16.vertices[:, 1]
         block = WarpedBlock(disk16, np.cos(2.0 * np.arctan2(y, x)))
-        block.split(1.0 + 0.5 * x)
-        M = block.preconditioner()                  # the factor of the first beta
-        A, load, _ = block.split(2.0 - 0.3 * y)
+        block.solve(1.0 + 0.5 * x)
+        splits = _capture_splits(monkeypatch)
+        block.solve(2.0 - 0.3 * y)
+        A, load, _, M = splits[0]                   # M: the factor of the first beta
         b = -load
         xs, rel, iters = cg_solve(A, b, M=M)
         x_ref, iters_ref = self._scipy_reference(A, b, None,
@@ -165,14 +181,16 @@ class TestWarpedLaplace:
 
 class TestWarpedBlock:
     @pytest.mark.parametrize("mesh_name", ["square16", "disk16", "annulus8"])
-    def test_reweighted_split_matches_assembly(self, mesh_name, request):
+    def test_reweighted_split_matches_assembly(self, mesh_name, request, monkeypatch):
         m = request.getfixturevalue(mesh_name)
         rng = np.random.default_rng(21)
         psi = rng.standard_normal(m.num_vertices)
         block = WarpedBlock(m, psi)
+        splits = _capture_splits(monkeypatch)
         for _ in range(2):                      # the second call re-weights in place
             beta = 0.5 + rng.random(m.num_vertices)
-            A, load, g = block.split(beta)
+            block.solve(beta)
+            A, load, g, _ = splits[-1]
             A_ref, load_ref, g_ref = dirichlet_split(
                 m, weighted_stiffness(m, beta), psi)
             assert spla.norm(A - A_ref) <= 1e-14 * spla.norm(A_ref)
@@ -203,11 +221,15 @@ class TestWarpedBlock:
         blocked = solve_warped_laplace(square16, beta, psi, block=WarpedBlock(square16, psi))
         assert np.array_equal(own.v, blocked.v)
         assert own.iterations == blocked.iterations
+        # the solve returns the triangle beta it formed, read-only
+        assert np.array_equal(own.beta_tri, triangle_mean(square16, beta))
+        with pytest.raises(ValueError):
+            own.beta_tri[0] = 1.0
 
     def test_rejects_nonpositive_beta(self, square16):
         block = WarpedBlock(square16, np.zeros(square16.num_vertices))
         with pytest.raises(NonPositiveCoefficient):
-            block.split(np.zeros(square16.num_vertices))
+            block.solve(np.zeros(square16.num_vertices))
 
     def test_nan_beta_is_refused_not_solved(self, square16):
         # NaN <= 0 is False: a check written that way let one NaN vertex
@@ -218,7 +240,7 @@ class TestWarpedBlock:
         with pytest.raises(NonPositiveCoefficient):
             solve_warped_laplace(square16, beta, psi)
         with pytest.raises(NonPositiveCoefficient):
-            WarpedBlock(square16, psi).split(beta)
+            WarpedBlock(square16, psi).solve(beta)
 
 
 class TestHarmonicExtension:

@@ -470,10 +470,10 @@ class TestPotential:
             assert np.linalg.norm(st.v - cold) <= 10 * CG_RTOL * np.linalg.norm(cold)
 
     def test_each_state_forms_its_beta_once(self, square16, monkeypatch):
-        used = []                                 # the beta of every potential solve
+        used = []                                 # every potential solve's solution
         real_solve = warpflow.flow.solve_warped_laplace
         monkeypatch.setattr(warpflow.flow, "solve_warped_laplace",
-                            lambda *a, **k: used.append(k["beta_tri"]) or real_solve(*a, **k))
+                            lambda *a, **k: used.append(real_solve(*a, **k)) or used[-1])
         st, _ = self._start(square16)
         seen = []
         real = self.WARP.beta
@@ -491,7 +491,7 @@ class TestPotential:
         for s in states:
             assert sum(y is s.u for y in seen) == (s is not st)
             beta = s.cache["beta_tri"]
-            assert beta is used[s.step_count]
+            assert beta is used[s.step_count].beta_tri
             assert np.array_equal(beta, triangle_mean(square16, real(s.u)))
             with pytest.raises(ValueError):
                 beta[0] = 0.0
@@ -901,6 +901,17 @@ class TestDerivedFields:
             for a in (s.u, s.v):
                 with pytest.raises(ValueError):
                     a[0] = 0.0
+
+    def test_a_stepped_state_keeps_its_gradients_for_its_record(self, square16,
+                                                                  monkeypatch):
+        st = initial_state(square16, SPHERE, UNIT_WARP, _geodesic_data(square16),
+                           StepperConfig())
+        seen = self._gradient_arguments(monkeypatch)
+        step(st)
+        energy_functionals(st)
+        assert sum(x is st.u for x in seen) == 1
+        g2u = st.grad_sq_u()
+        assert st.cache["grad_sq_u"] is g2u and not g2u.flags.writeable
 
     def test_flat_target_under_a_constant_warp_takes_no_forcing(self, square16,
                                                                 monkeypatch):

@@ -26,6 +26,12 @@ class TestUnitSphere:
         with pytest.raises(DegeneratePoint):
             self.sph.project_field(vals)
 
+    def test_project_field_refuses_an_overflowing_norm(self):
+        # |y|^2 overflows to inf, and y / inf would put the row at 0, off the sphere
+        vals = np.array([[1.0, 0.0, 0.0], [1e200, 0.0, 0.0]])
+        with pytest.raises(DegeneratePoint):
+            self.sph.project_field(vals)
+
     def test_distance(self):
         p = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         assert np.allclose(self.sph.distance(p), [1.0, 0.0])

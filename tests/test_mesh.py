@@ -311,7 +311,7 @@ def test_probe_rows_match_ball_energy(mesh_name, request):
     radii = ThresholdConfig(r_detect=0.05).probe_radii()
     rows = ball_rows(m, centers, radii)
     assert rows.shape == (len(centers) * len(radii), m.num_triangles)
-    energies = iter(rows @ tri_energy_density(m, f))
+    energies = iter(rows @ tri_energy_density(m, m.tri_grad_sq(f)))
     for c in centers:
         for r in radii:
             assert next(energies) == pytest.approx(ball_energy(m, f, m.vertices[c], r),
@@ -326,7 +326,7 @@ def test_probe_energies_keep_relative_accuracy_next_to_a_bubble():
     bd = boundary_data_from_presets(m, make_target("sphere"), "north_pole",
                                     "inv_stereographic rho=0.01 center=0,0",
                                     "constant value=0")
-    dens = tri_energy_density(m, bd.phi0)
+    dens = tri_energy_density(m, m.tri_grad_sq(bd.phi0))
     centers = default_probe_centers(m)
     radii = ThresholdConfig(r_detect=0.05).probe_radii()
     energies = iter(ball_rows(m, centers, radii) @ dens)
@@ -338,7 +338,7 @@ def test_probe_energies_keep_relative_accuracy_next_to_a_bubble():
 
 def test_local_energy_matrix_rows(disk16):
     f = disk16.vertices[:, 0] ** 2 - disk16.vertices[:, 1]
-    dens = tri_energy_density(disk16, f)
+    dens = tri_energy_density(disk16, disk16.tri_grad_sq(f))
     vertices = (0, 7, nearest_vertex(disk16, [0.5, 0.0]), disk16.num_vertices - 1)
     for radius in (0.1, 0.15, 0.2):
         local = BallIndex.build(disk16, radius) @ dens
@@ -372,6 +372,16 @@ def test_local_energy_matrix_matches_brute_force(mesh_name, radius, request,
 def test_ball_covering_the_domain_holds_every_triangle(mesh_name, request):
     m = request.getfixturevalue(mesh_name)
     L = local_energy_matrix(m, 3.0)
+    assert np.array_equal(_membership(L, m.num_triangles),
+                          np.ones((m.num_vertices, m.num_triangles)))
+
+
+@pytest.mark.parametrize("mesh_name", ["square16", "disk16", "annulus8"])
+def test_ball_of_any_width_holds_every_triangle(mesh_name, request):
+    # the radius is clamped to the bounding-box diagonal: at 1e200 the cell
+    # half-widths were inf and cast to int64
+    m = request.getfixturevalue(mesh_name)
+    L = local_energy_matrix(m, 1e200)
     assert np.array_equal(_membership(L, m.num_triangles),
                           np.ones((m.num_vertices, m.num_triangles)))
 

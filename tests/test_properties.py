@@ -60,7 +60,8 @@ _VALUES = {
                      "bogus"],
     "boundary.phi0": ["harmonic", "north_pole", "sine_bump amplitude=0.1",
                       "inv_stereographic rho=0.1 center=0.5,0.5",
-                      "inv_stereographic rho=0.1 center=1,2,3", "bogus"],
+                      "inv_stereographic rho=0.1 center=1,2,3",
+                      "constant value=1e200,0,0", "bogus"],
     "boundary.psi": ["constant value=0", "linear_x scale=1", "cos_theta",
                      "linear_x scale=1,2", "constant value=nan", "bogus"],
     "stepper.sigma": ["0.2", "0.5", "0", "-0.1", "nan"],

@@ -796,6 +796,27 @@ class TestCli:
         assert err.startswith("config error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["run", "twin"])
+    @pytest.mark.parametrize("text, named", [
+        ("target = sphere\nboundary.phi = north_pole\n"
+         "boundary.phi0 = constant value=1e200,0,0\n", "initial map"),
+        ("target = torus\nwarp.kind = linear_height\nwarp.a = 2\nwarp.b = 1\n"
+         "boundary.phi = constant value=0,-10\nboundary.phi0 = constant value=0,-10\n",
+         "linear_height"),
+        ("target = torus\nboundary.phi = constant value=nan,0\n", "initial map"),
+    ], ids=["overflowing_initial_map", "linear_height_on_the_torus", "nan_trace_on_the_torus"])
+    def test_refused_data_is_one_config_error_line(self, tmp_path, capsys, command,
+                                                   text, named):
+        # the initial map's squared norm overflows, and its projection would be
+        # 0; a + b * (last component) of a torus lift leaves the warp's bounds;
+        # a NaN trace passes the torus's distance test but not the start's
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text + "mesh.h = 0.25\nschedule.t_end = 0.01\n")
+        assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("flag", ["--h", "--t-end"])
     def test_non_finite_override_is_config_error(self, tmp_path, capsys, flag):
         assert main(["run", "heat_decay", flag, "nan", "--out", str(tmp_path / "out")]) == 1
@@ -848,6 +869,15 @@ class TestCli:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert (out / "report.json").exists()
+
+
+def test_a_detection_ball_wider_than_the_mesh_runs():
+    runs = [run_scenario("warp_coupled", h=0.25, write_artifacts=False,
+                         overrides={"thresholds.r_detect": r}) for r in ("1e200", "10")]
+    assert runs[0].exit_code == 0
+    wide, ref = ([(r.max_local_energy, r.crossings) for r in res.report.records]
+                 for res in runs)
+    assert wide == ref
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
