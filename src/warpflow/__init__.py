@@ -7,28 +7,15 @@ Finite-element simulator for the coupled parabolic-elliptic system
 
 on planar domains with Dirichlet data, plus a diagnostics engine checking
 the energy inequalities, concentration (bubbling) detection, and convergence
-to stationary maps.
+to stationary maps.  The root exports the pieces a run is built from; the
+rest is imported from its module (the run driver from `warpflow.scenario`).
 """
 
-from .boundary import BoundaryData, boundary_data_from_presets
-from .diagnostics import (CheckResult, ConvergenceReport, DiagnosticsReport,
-                          EnergyRecord, RunBounds, SingularityEvent,
-                          ThresholdConfig, check_singularity_counts,
-                          convergence_monitor, derive_verdicts,
-                          energy_functionals, hard_checks_pass,
-                          inequality_suite, singularity_detect)
-from .elliptic import EllipticSolution, harmonic_extension, solve_warped_laplace
-from .errors import (ConfigParseError, DegeneratePoint, InsufficientSeries,
-                     InvalidShapeParameters, NonPositiveCoefficient,
-                     SolverFailure, StepRejected, WarpflowError)
-from .flow import (FlowState, Schedule, StepperConfig, default_probe_centers,
-                   initial_state, run_flow, step, tension_residual)
-from .geometry import (FlatTorus, UnitSphere, WarpFunction, make_target,
-                       warp_force)
-from .mesh import (BallIndex, DomainMesh, build_mesh, dirichlet_energy,
-                   dump_mesh, local_energy_matrix, write_snapshot)
-from .scenario import (ScenarioConfig, ScenarioResult, TwinResult,
-                       build_scenario, builtin_scenarios, check_report_file,
-                       parse_config_text, resolve_config, run_scenario, twin_run)
+from .boundary import boundary_data_from_presets
+from .diagnostics import ThresholdConfig, inequality_suite, singularity_detect
+from .elliptic import solve_warped_laplace
+from .flow import Schedule, StepperConfig, initial_state, run_flow, step
+from .geometry import WarpFunction, make_target
+from .mesh import build_mesh
 
 __version__ = "0.1.0"

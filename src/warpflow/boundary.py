@@ -62,6 +62,8 @@ def _parse_spec(spec: str, kind: str):
             nums = [float(p) for p in parts]
         except ValueError as exc:
             raise ConfigParseError(f"non-numeric preset parameter {tok!r}") from exc
+        if not np.all(np.isfinite(nums)):
+            raise ConfigParseError(f"non-finite preset parameter {tok!r}")
         params[key] = nums[0] if len(nums) == 1 else tuple(nums)
     return tokens[0], params
 

@@ -13,16 +13,25 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import ConfigParseError, WarpflowError
-from .scenario import (builtin_scenarios, check_report_file, default_out_root,
-                       run_scenario, twin_run, write_json)
+from .scenario import (_load_config, builtin_scenarios, check_report_file, default_out_root,
+                       resolve_config, run_scenario, twin_run, write_json)
+
+
+def _named(name, fn, *args):
+    """fn(*args), its ConfigParseError prefixed with the config's name."""
+    try:
+        return fn(*args)
+    except ConfigParseError as exc:
+        raise ConfigParseError(f"{name}: {exc}") from exc
 
 
 def _run_one(args_tuple):
-    name, out_dir, h, t_end = args_tuple
-    result = run_scenario(name, out_dir=out_dir, h=h, t_end=t_end)
+    name, flat, out_dir, h, t_end = args_tuple
+    result = _named(name, run_scenario, flat, out_dir, h, t_end)
     rec = result.report.records
     summary = (f"{result.config.name}: steps={result.state.step_count} "
                f"E_g={rec[-1].e_g:.6g} events={len(result.report.events)} "
@@ -35,27 +44,30 @@ def _cmd_run(args) -> int:
         raise ConfigParseError(f"--jobs must be at least 1, got {args.jobs}")
     root = Path(args.out) if args.out else default_out_root()
     jobs = []
-    for name in args.config:
+    for name in args.config:        # every config parses before any runs
+        flat = _named(name, resolve_config, name)
+        _named(name, _load_config, flat, {"mesh.h": args.h, "schedule.t_end": args.t_end})
         out_dir = root / Path(name).stem if len(args.config) > 1 or args.out is None \
             else Path(args.out)
-        jobs.append((name, out_dir, args.h, args.t_end))
+        jobs.append((name, flat, out_dir, args.h, args.t_end))
+
+    def summarize(results):         # each summary as its run ends
+        code = 0
+        for rc, summary in results:
+            print(summary, flush=True)
+            code = max(code, rc)
+        return code
     if args.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_one, jobs))
-    else:
-        results = [_run_one(j) for j in jobs]
-    code = 0
-    for rc, summary in results:
-        print(summary)
-        code = max(code, rc)
-    return code
+            return summarize(pool.map(_run_one, jobs))
+    return summarize(map(_run_one, jobs))
 
 
 def _cmd_twin(args) -> int:
     result = twin_run(args.config, delta=args.delta)
     out = Path(args.out) if args.out else default_out_root() / f"{Path(args.config).stem}_twin"
     out.mkdir(parents=True, exist_ok=True)
-    write_json(result.to_dict(), out / "twin_report.json")
+    write_json(asdict(result), out / "twin_report.json")
     print(f"delta={result.delta:.6g} initial={result.initial_diff:.6g} "
           f"sup={result.sup_diff:.6g} amplification={result.amplification:.6g}")
     return 0

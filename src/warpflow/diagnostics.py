@@ -149,7 +149,7 @@ class RunBounds:
         phi = bdata.phi_ext
         c2 = (float(np.max(np.linalg.norm(phi, axis=1)))
               + float(np.sqrt(np.max(mesh.tri_grad_sq(phi))))
-              + float(np.max(np.linalg.norm(mesh.laplacian(phi), axis=1))))
+              + float(np.max(np.linalg.norm(mesh.laplacian(phi, mesh.stiffness @ phi), axis=1))))
         return cls(warp_lower=warp.lower, warp_upper=warp.upper,
                    energy_phi0=dirichlet_energy(mesh, bdata.phi0),
                    energy_psi_ext=dirichlet_energy(mesh, bdata.psi_ext),

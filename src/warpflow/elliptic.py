@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import SolverFailure
-from .mesh import DomainMesh, dot, triangle_mean
+from .mesh import DomainMesh, _dot, triangle_mean
 
 CG_RTOL = 1e-10
 
@@ -56,10 +56,8 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray = None,
     SolverFailure if the cap is hit before the tolerance.
     """
     n = b.shape[0]
-    if n == 0:
-        return np.zeros(0), 0.0, 0
     b = np.ascontiguousarray(b, dtype=float)
-    bnorm = math.sqrt(dot(b, b))
+    bnorm = math.sqrt(_dot(b, b))
     if bnorm == 0.0:
         return np.zeros(n), 0.0, 0
     if maxiter is None:
@@ -78,27 +76,27 @@ def cg_solve(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray = None,
             np.multiply(M, r, out=z)
             rr, rho = np.einsum("ij,j->i", rz, r)
         else:
-            rr = dot(r, r)
+            rr = _dot(r, r)
         if math.sqrt(rr) < atol:
             stalled = False
             break
         if not jacobi:
             # after the test: a z formed before it would cost a factor solve per call
             z[:] = M(r)
-            rho = dot(r, z)
+            rho = _dot(r, z)
         if p is None:
             p = z.copy()
         else:
             p *= rho / rho_prev
             p += z
         q = A @ p
-        alpha = rho / dot(p, q)
+        alpha = rho / _dot(p, q)
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
         iters += 1
     res = b - A @ x
-    rel = math.sqrt(dot(res, res)) / bnorm
+    rel = math.sqrt(_dot(res, res)) / bnorm
     if stalled and rel > rtol * 10:
         raise SolverFailure(
             f"CG stalled at relative residual {rel:.3e} after {iters} iterations")

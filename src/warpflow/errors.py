@@ -20,10 +20,6 @@ class NonPositiveCoefficient(WarpflowError):
 class SolverFailure(WarpflowError):
     """A linear solve missed its tolerance, or a step produced a non-finite state."""
 
-    def __init__(self, message, time=None):
-        super().__init__(message)
-        self.time = time
-
 
 class StepRejected(WarpflowError):
     """Internal control flow: a trial step moved a node too far and must be retried."""
@@ -35,8 +31,3 @@ class InsufficientSeries(WarpflowError):
 
 class ConfigParseError(WarpflowError):
     """A scenario config file could not be parsed."""
-
-    def __init__(self, message, path=None, line=None):
-        super().__init__(message)
-        self.path = path
-        self.line = line

@@ -92,8 +92,10 @@ class _FlowContext:
     It holds the mesh, target, warp, boundary data and StepperConfig, and the
     dt policy they fix: dt_cfl = sigma h and dt_min = DT_MIN_FACTOR h^2 for
     the configured mesh size h (tolerances elsewhere use the realized max
-    edge mesh.h).  Every state started from it (`start`, a twin pair's two
-    members too) shares it, so stats count every step call once.
+    edge mesh.h); a sigma whose dt_cfl lies below dt_min is refused
+    (ValueError), as no dt then fits the policy.  Every state started from
+    it (`start`, a twin pair's two members too) shares it, so stats count
+    every step call once.
     K_phi = (K phi)_I.  The theta-step matrix A = M_II + theta dt K_II is
     solved by Jacobi CG on one kept matrix and preconditioner, those of the
     last dt solved by CG, and each dt keeps its CG excess: iterations beyond
@@ -117,6 +119,9 @@ class _FlowContext:
             mesh, target, warp, bdata, config)
         h = mesh.target_h
         self.dt_cfl, self.dt_min = config.sigma * h, DT_MIN_FACTOR * h * h
+        if self.dt_cfl < self.dt_min:
+            raise ValueError(f"sigma = {config.sigma:g} is too small for h = {h:g}: the CFL "
+                             f"step sigma h lies below the dt floor {DT_MIN_FACTOR:g} h^2")
         self.K_II, self.K_phi, _ = dirichlet_split(mesh, mesh.stiffness, bdata.phi)
         self.potential = None if warp.kind == "constant" else WarpedBlock(mesh, bdata.psi)
         # CG excess per dt, the (t, dt) of the last solve, the one CG matrix
@@ -175,6 +180,8 @@ class _FlowContext:
 
         The state keeps u0 itself, not a copy, and makes it read-only."""
         mesh, phi = self.mesh, self.bdata.phi
+        if not np.all(np.einsum("ij,ij->i", u0, u0) < np.inf):
+            raise ValueError("initial map must be finite, with a finite squared norm")
         if float(np.max(self.target.distance(u0))) > 1e-9:
             raise ValueError("initial map must lie on the target manifold")
         if np.max(np.abs(u0[mesh.boundary] - phi[mesh.boundary])) != 0.0:
@@ -305,8 +312,8 @@ def step(state: FlowState, dt: float = None, enforce_cap: bool = True) -> FlowSt
 
     Raises StepRejected when the largest nodal move exceeds
     max_move_fraction * h (with enforce_cap) or the projection degenerates,
-    and SolverFailure with the time attached when a solve fails or the new
-    map or potential is not finite; dt control belongs to `march`.
+    and SolverFailure, whose message names the time, when a solve fails or
+    the new map or potential is not finite; dt control belongs to `march`.
     """
     mesh, ctx, config = state.mesh, state.ctx, state.ctx.config
     dt = ctx.dt_cfl if dt is None else float(dt)
@@ -327,7 +334,7 @@ def step(state: FlowState, dt: float = None, enforce_cap: bool = True) -> FlowSt
         if not np.all(np.isfinite(u_star)):
             raise SolverFailure("non-finite map after the step solve")
     except SolverFailure as exc:
-        raise SolverFailure(f"{exc} (at t = {state.t:.6g})", time=state.t) from exc
+        raise SolverFailure(f"{exc} (at t = {state.t:.6g})") from exc
 
     try:
         u_new = ctx.target.project_field(u_star)
@@ -354,8 +361,7 @@ def step(state: FlowState, dt: float = None, enforce_cap: bool = True) -> FlowSt
         if not np.all(np.isfinite(v_new)):
             raise SolverFailure("non-finite potential")
     except SolverFailure as exc:
-        raise SolverFailure(f"{exc} (at t = {state.t + dt:.6g})",
-                            time=state.t + dt) from exc
+        raise SolverFailure(f"{exc} (at t = {state.t + dt:.6g})") from exc
 
     ctx.stats["accepted_steps"] += 1
     return replace(state, u=u_new, v=v_new, t=state.t + dt, step_count=state.step_count + 1,
@@ -392,8 +398,7 @@ def march(states: list, t_end: float):
                 continue
             forced_run += 1
             if forced_run > MAX_FORCED_STEPS:
-                raise SolverFailure(
-                    f"persistent timestep underflow at t = {t:.6g}", time=t)
+                raise SolverFailure(f"persistent timestep underflow at t = {t:.6g}")
             forced = True
             new = [step(s, dt=dt_floor, enforce_cap=False) for s in states]
             controller = dt_cfl
@@ -437,11 +442,12 @@ def run_flow(state: FlowState, schedule: Schedule, thresholds: ThresholdConfig =
     RECORD_THREAD_MIN_TRIANGLES triangles each measure runs on one worker
     thread while the main thread takes the next step, with at most one record
     in flight.  Before it submits one, the main thread drains the last and
-    forms every cached field that the record or the next step reads, so the
-    worker only reads and the work done never depends on thread timing.  A
-    record's error is re-raised on the main thread, ahead of any error of the
-    step it overlapped, as the sequential order would raise it; no worker
-    outlives the run.  Both paths give the same records bit for bit.
+    forms every cached field that the record reads, so the worker only reads
+    and the work done never depends on thread timing; the next step forms
+    the forcing on the main thread.  A record's error is re-raised on the
+    main thread, ahead of any error of the step it overlapped, as the
+    sequential order would raise it; no worker outlives the run.  Both paths
+    give the same records bit for bit.
     """
     thresholds = thresholds or ThresholdConfig()
     mesh = state.mesh
@@ -494,7 +500,6 @@ def run_flow(state: FlowState, schedule: Schedule, thresholds: ThresholdConfig =
         drain()
         for form in (st.grad_sq_u, st.grad_sq_v, st.beta_tri, st.stiffness_u):
             form()
-        _forcing(st)
         pending = worker.submit(measure, st, kin_total)
 
     try:

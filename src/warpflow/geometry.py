@@ -132,9 +132,6 @@ class WarpFunction:
             g[..., 0] = 2.0 * np.pi * self.b * np.cos(2.0 * np.pi * y[..., 0])
         return g
 
-    def __repr__(self):
-        return f"WarpFunction({self.kind!r}, a={self.a}, b={self.b})"
-
 
 def warp_force(target, warp: WarpFunction, y, s):
     """Forcing term B_tangent(y) * s with s = |grad v|^2 evaluated pointwise,

@@ -32,7 +32,7 @@ from scipy.spatial import Delaunay
 from .errors import InvalidShapeParameters, NonPositiveCoefficient
 
 
-def dot(a: np.ndarray, b: np.ndarray) -> float:
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """a . b of two vectors, summed by einsum: no BLAS, so in one order whatever
     the BLAS thread count (np.dot, np.linalg.norm and np.vecdot may split a long
     sum across BLAS threads and change its last bits)."""
@@ -137,19 +137,18 @@ class DomainMesh:
         return np.einsum("tk,tk->t", G, G)
 
     def mass_sum(self, nodal: np.ndarray) -> float:
-        """sum_i m_i q_i of a nodal density q, the lumped integral; BLAS-free (`dot`)."""
-        return dot(self.lumped_mass, nodal)
+        """sum_i m_i q_i of a nodal density q, the lumped integral; BLAS-free (`_dot`)."""
+        return _dot(self.lumped_mass, nodal)
 
     def nodal_from_tri(self, tri_values: np.ndarray) -> np.ndarray:
         """Mass-weighted nodal average of a per-triangle quantity."""
         return self.nodal_mean_op @ tri_values
 
-    def laplacian(self, values: np.ndarray, K_values: np.ndarray = None) -> np.ndarray:
-        """Lumped-mass discrete Laplacian -M^{-1} K f; boundary rows zeroed.
-        K_values = stiffness @ values if known."""
-        vals = np.asarray(values, dtype=float)
-        m = self.lumped_mass if vals.ndim == 1 else self.lumped_mass[:, None]
-        lap = -(self.stiffness @ vals if K_values is None else K_values) / m
+    def laplacian(self, values: np.ndarray, K_values: np.ndarray) -> np.ndarray:
+        """Lumped-mass discrete Laplacian -M^{-1} K f of f = values, from
+        K_values = stiffness @ values; boundary rows zeroed."""
+        m = self.lumped_mass if np.ndim(values) == 1 else self.lumped_mass[:, None]
+        lap = -K_values / m
         lap[self.boundary_index] = 0.0
         return lap
 

@@ -30,7 +30,7 @@ from .boundary import boundary_data_from_presets
 from .diagnostics import (DiagnosticsReport, ThresholdConfig, derive_verdicts,
                           report_from_dict, report_to_dict)
 from .errors import (ConfigParseError, InvalidShapeParameters,
-                     NonPositiveCoefficient)
+                     NonPositiveCoefficient, SolverFailure)
 # step is unused here but stays bound: perfbench/child.py patches
 # scenario.step next to flow.step to stamp the first step of a run
 from .flow import (Schedule, StepperConfig, initial_state, march, run_flow, step,
@@ -72,22 +72,21 @@ _KEYS = {
 }
 
 
-def parse_config_text(text: str, path=None) -> dict:
+def parse_config_text(text: str) -> dict:
     flat = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigParseError(f"line {ln}: expected 'key = value', got {raw!r}",
-                                   path=path, line=ln)
+            raise ConfigParseError(f"line {ln}: expected 'key = value', got {raw!r}")
         key, val = (s.strip() for s in line.split("=", 1))
         if not key or not val:
-            raise ConfigParseError(f"line {ln}: empty key or value", path=path, line=ln)
+            raise ConfigParseError(f"line {ln}: empty key or value")
         if key in flat:
-            raise ConfigParseError(f"line {ln}: duplicate key {key!r}", path=path, line=ln)
+            raise ConfigParseError(f"line {ln}: duplicate key {key!r}")
         if key not in _KEYS:
-            raise ConfigParseError(f"line {ln}: unknown key {key!r}", path=path, line=ln)
+            raise ConfigParseError(f"line {ln}: unknown key {key!r}")
         flat[key] = val
     return flat
 
@@ -175,8 +174,8 @@ def resolve_config(name_or_path) -> dict:
     try:
         text = path.read_text()
     except OSError as exc:
-        raise ConfigParseError(f"cannot read config {path}: {exc}", path=str(path))
-    flat = parse_config_text(text, path=str(path))
+        raise ConfigParseError(f"cannot read config {path}: {exc}") from exc
+    flat = parse_config_text(text)
     flat.setdefault("name", Path(path.name).stem)
     return flat
 
@@ -321,9 +320,6 @@ class TwinResult:
     diffs: list = field(default_factory=list)
     underflow_times: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _l2_diff(mesh, u1, u2) -> float:
     du = u1 - u2
@@ -361,7 +357,10 @@ def twin_run(flat_or_path, delta: float = None, overrides: dict = None) -> TwinR
         u0p[mesh.boundary] = base.ctx.bdata.phi[mesh.boundary]
     # only the initial map differs: the perturbed member starts on the base
     # member's context, so both share its data and solver state
-    pert = base.ctx.start(u0p)
+    try:
+        pert = base.ctx.start(u0p)
+    except ValueError as exc:       # a delta so large that the perturbed map overflows
+        raise SolverFailure(f"perturbed initial map refused: {exc}") from exc
 
     times = [0.0]
     diffs = [_l2_diff(mesh, base.u, pert.u)]

@@ -325,7 +325,7 @@ class TestSingularityDetect:
 
 
 def test_diagnostics_loads_without_flow():
-    # a bare package (its __init__ imports every module) and warpflow.flow
+    # a bare package (its __init__ imports flow) and warpflow.flow
     # blocked: only diagnostics' own imports load, and none of them is flow
     path = Path(warpflow.diagnostics.__file__)
     code = ("import sys, types; pkg = types.ModuleType('warpflow'); "

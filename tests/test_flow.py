@@ -400,7 +400,21 @@ class TestStepMechanics:
         st = replace(st, u=u)
         with pytest.raises(SolverFailure, match="non-finite") as info:
             step(st)
-        assert info.value.time == st.t
+        assert str(info.value).endswith(f"(at t = {st.t:.6g})")
+
+    def test_non_finite_potential_is_a_solver_failure(self, monkeypatch):
+        flat = {**resolve_config("warp_coupled"), "mesh.h": "0.125"}
+        st, _ = build_scenario(ScenarioConfig.from_flat(flat))
+        real = warpflow.flow._solve_potential
+
+        def nan_potential(*args):
+            v, carry = real(*args)
+            return np.full_like(v, np.nan), carry
+        monkeypatch.setattr(warpflow.flow, "_solve_potential", nan_potential)
+        dt = st.ctx.dt_cfl / 4
+        with pytest.raises(SolverFailure, match="non-finite potential") as info:
+            step(st, dt=dt)
+        assert str(info.value).endswith(f"(at t = {st.t + dt:.6g})")
 
 
 class TestReferenceStep:
@@ -1009,7 +1023,7 @@ class TestDerivedFields:
         Ku_new = new.cache["stiffness_u"]
         tension_residual(new)
         assert new.stiffness_u() is Ku_new
-        lap = square16.laplacian(new.u)
+        lap = square16.laplacian(new.u, square16.stiffness @ new.u)
         assert rec.laplacian_proxy == float(np.dot(square16.lumped_mass,
                                                    np.einsum("ij,ij->i", lap, lap)))
         assert "stiffness_u" not in replace(new, u=np.array(new.u)).cache

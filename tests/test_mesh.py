@@ -279,7 +279,7 @@ def test_laplacian_exact_on_quadratic(square16):
     # structured diagonal split reproduces the five-point stencil, which is
     # exact on quadratics: lap(x^2 + y^2) = 4 at interior nodes
     f = square16.vertices[:, 0] ** 2 + square16.vertices[:, 1] ** 2
-    lap = square16.laplacian(f)
+    lap = square16.laplacian(f, square16.stiffness @ f)
     assert np.max(np.abs(lap[square16.interior] - 4.0)) < 1e-10
     assert np.array_equal(lap[square16.boundary], np.zeros(square16.boundary.sum()))
 

@@ -61,10 +61,11 @@ _VALUES = {
     "boundary.phi0": ["harmonic", "north_pole", "sine_bump amplitude=0.1",
                       "inv_stereographic rho=0.1 center=0.5,0.5",
                       "inv_stereographic rho=0.1 center=1,2,3",
-                      "constant value=1e200,0,0", "bogus"],
+                      "constant value=1e200,0,0", "sine_bump amplitude=inf",
+                      "constant value=1e300,0", "bogus"],
     "boundary.psi": ["constant value=0", "linear_x scale=1", "cos_theta",
                      "linear_x scale=1,2", "constant value=nan", "bogus"],
-    "stepper.sigma": ["0.2", "0.5", "0", "-0.1", "nan"],
+    "stepper.sigma": ["0.2", "0.5", "0", "-0.1", "nan", "1e-300"],
     "stepper.theta": ["0.5", "1", "0.3", "nan"],
     "stepper.max_move_fraction": ["0.1", "1", "0", "-1", "nan"],
     "thresholds.energy": ["1", "0.01", "0", "-1", "nan"],

@@ -84,6 +84,14 @@ def test_worker_records_equal_the_sequential_reference(square16, monkeypatch, ca
     state, schedule, thr = CASES[case](square16)
     _worker(monkeypatch, True)
     seen = _measured(monkeypatch)
+    formed_on = []                  # the thread of every cached field formed
+    real_derived = warpflow.flow.FlowState._derived
+
+    def derived(st, key, compute):
+        if st.cache.get(key) is None:
+            formed_on.append(threading.current_thread().name)
+        return real_derived(st, key, compute)
+    monkeypatch.setattr(warpflow.flow.FlowState, "_derived", derived)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)     # switch threads as often as the interpreter can
     try:
@@ -91,13 +99,14 @@ def test_worker_records_equal_the_sequential_reference(square16, monkeypatch, ca
     finally:
         sys.setswitchinterval(interval)
     # every record was measured off the main thread, on a state whose fields
-    # the record and the next step read were formed before: the worker only reads
+    # the record reads were formed before: the worker only reads, and the
+    # next step forms the forcing on the main thread
     formed = {"grad_sq_u", "grad_sq_v", "beta_tri", "stiffness_u"}
-    if case == "sphere":
-        formed.add("forcing")       # on the torus under a constant warp it is zero
+    main = threading.main_thread().name
     assert len(seen) == len(rep.records)
     for thread, cached in seen:
-        assert thread != threading.main_thread().name and formed <= cached
+        assert thread != main and formed <= cached
+    assert formed_on and set(formed_on) == {main}
     assert len(rep.records) == len(ref_records) > 2
     for got, want in zip(rep.records, ref_records):
         for name, value in vars(want).items():
@@ -154,7 +163,7 @@ def test_the_record_error_wins_over_the_step_it_overlapped(square16, monkeypatch
     def step(state, dt=None, enforce_cap=True):
         if state.step_count == 2:
             stepped.append(state.step_count)
-            raise SolverFailure("step from step 2", time=state.t)
+            raise SolverFailure("step from step 2")
         return real_step(state, dt=dt, enforce_cap=enforce_cap)
     monkeypatch.setattr(warpflow.flow, "step", step)
     with pytest.raises(RecordError) as info:

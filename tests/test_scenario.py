@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import json
 import os
 import re
@@ -19,6 +20,7 @@ from warpflow.cli import main
 from warpflow.diagnostics import ThresholdConfig
 from warpflow.errors import ConfigParseError
 from warpflow.flow import StepperConfig
+from warpflow.geometry import make_target
 from warpflow.scenario import (_KEYS, ScenarioConfig, build_scenario,
                                builtin_scenarios, check_report_file,
                                parse_config_text, resolve_config, run_scenario,
@@ -50,13 +52,12 @@ class TestConfigParsing:
     def test_missing_equals(self):
         with pytest.raises(ConfigParseError) as exc:
             parse_config_text("target = torus\nmesh.shape square\n")
-        assert exc.value.line == 2
-        assert "line 2" in str(exc.value)
+        assert str(exc.value).startswith("line 2:")
 
     def test_empty_value(self):
         with pytest.raises(ConfigParseError) as exc:
             parse_config_text("target =\n")
-        assert exc.value.line == 1
+        assert str(exc.value).startswith("line 1:")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigParseError) as exc:
@@ -133,6 +134,20 @@ class TestConfigParsing:
             documented.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
         assert documented == set(_KEYS)
 
+    def test_package_root_exports_what_the_readme_lists(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+        listing = section.split("The package root exports", 1)[1].split("\n\n", 1)[0]
+        documented = set(re.findall(r"`(\w+)`", listing)) - {"__version__"}
+        root = importlib.import_module("warpflow")
+        public = {name for name, obj in vars(root).items()
+                  if not name.startswith("_") and not inspect.ismodule(obj)}
+        assert public == documented
+        assert root.__version__
+        # the README's own root import names only exported pieces
+        imported = re.search(r"from warpflow import \(([^)]*)\)", section).group(1)
+        assert set(re.findall(r"\w+", imported)) <= documented
+
 
 class TestResolveConfig:
     def test_shipped_names(self):
@@ -158,6 +173,42 @@ class TestResolveConfig:
     def test_unknown_name(self):
         with pytest.raises(ConfigParseError):
             resolve_config("no_such_scenario")
+
+    def test_unreadable_path_is_a_config_error(self, tmp_path):
+        # a directory exists, so it is not looked up as a shipped name
+        with pytest.raises(ConfigParseError, match="cannot read config"):
+            resolve_config(tmp_path)
+
+
+class TestPresets:
+    XY = np.array([[0.0, 0.0], [0.5, 0.25], [1.0, -1.0]])
+
+    @pytest.mark.parametrize("spec, refusal", [
+        ("", "empty scalar preset"), ("linear_x scale", "malformed"),
+        ("linear_x scale=x", "non-numeric"), ("constant value=nan", "non-finite"),
+        ("linear_x scale=-inf", "non-finite"), ("linear_x scale=1e999", "non-finite"),
+        ("linear_x scale=1,nan", "non-finite")])
+    def test_malformed_spec_is_refused(self, spec, refusal):
+        with pytest.raises(ConfigParseError, match=refusal):
+            warpflow.boundary.evaluate_scalar_preset(spec, self.XY)
+
+    @pytest.mark.parametrize("name", ["north_pole", "equator_circle", "inv_stereographic",
+                                      "corotational"])
+    def test_sphere_only_preset_on_the_torus_is_refused(self, name):
+        with pytest.raises(ConfigParseError, match="needs the 2-sphere"):
+            warpflow.boundary.evaluate_map_preset(name, make_target("torus"), self.XY)
+
+    def test_unknown_presets_are_refused(self):
+        with pytest.raises(ConfigParseError, match="unknown map preset 'bogus'"):
+            warpflow.boundary.evaluate_map_preset("bogus", make_target("sphere"), self.XY)
+        with pytest.raises(ConfigParseError, match="unknown scalar preset 'bogus'"):
+            warpflow.boundary.evaluate_scalar_preset("bogus", self.XY)
+
+    def test_linear_y(self):
+        out = warpflow.boundary.evaluate_scalar_preset("linear_y scale=2", self.XY)
+        assert np.array_equal(out, 2.0 * self.XY[:, 1])
+        assert np.array_equal(warpflow.boundary.evaluate_scalar_preset("linear_y", self.XY),
+                              self.XY[:, 1])
 
 
 def _recorded_solves(run):
@@ -803,19 +854,75 @@ class TestCli:
         ("target = torus\nwarp.kind = linear_height\nwarp.a = 2\nwarp.b = 1\n"
          "boundary.phi = constant value=0,-10\nboundary.phi0 = constant value=0,-10\n",
          "linear_height"),
-        ("target = torus\nboundary.phi = constant value=nan,0\n", "initial map"),
-    ], ids=["overflowing_initial_map", "linear_height_on_the_torus", "nan_trace_on_the_torus"])
+        ("target = torus\nboundary.phi = constant value=nan,0\n", "non-finite preset"),
+        ("target = sphere\nwarp.kind = linear_height\nwarp.a = 2\nwarp.b = 1\n"
+         "boundary.phi = equator_circle kappa=1\nboundary.psi = constant value=nan\n",
+         "non-finite preset parameter 'value=nan'"),
+        ("target = torus\nboundary.phi = constant value=0,0\n"
+         "boundary.phi0 = sine_bump amplitude=inf\n", "non-finite preset parameter"),
+        ("target = torus\nboundary.phi = constant value=0,0\n"
+         "boundary.phi0 = constant value=1e300,0\n", "initial map must be finite"),
+    ], ids=["overflowing_initial_map", "linear_height_on_the_torus", "nan_trace_on_the_torus",
+            "nan_psi_value", "infinite_phi0_amplitude", "overflowing_map_on_the_torus"])
     def test_refused_data_is_one_config_error_line(self, tmp_path, capsys, command,
                                                    text, named):
         # the initial map's squared norm overflows, and its projection would be
         # 0; a + b * (last component) of a torus lift leaves the warp's bounds;
-        # a NaN trace passes the torus's distance test but not the start's
+        # a non-finite preset number is refused as it parses; a finite map whose
+        # squared norm overflows passes the torus's distance test but not the start's
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text + "mesh.h = 0.25\nschedule.t_end = 0.01\n")
         assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["run", "twin"])
+    @pytest.mark.parametrize("sigma", ["1e-300", "1e-7"])
+    def test_sigma_below_the_dt_floor_is_config_error(self, tmp_path, capsys, command,
+                                                      sigma):
+        # sigma h < DT_MIN_FACTOR h^2: 1e-300 overflowed the kinetic sum, 1e-7
+        # needs 8e5 steps; both are refused before the first step
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("target = sphere\nmesh.h = 0.125\nboundary.phi = equator_circle "
+                       f"kappa=1\nstepper.sigma = {sigma}\nschedule.t_end = 0.01\n")
+        assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "dt floor" in err
+        assert err.count("\n") == 1
+
+    def test_an_overflowing_twin_perturbation_is_a_solver_error(self, tmp_path, capsys):
+        # run never perturbs the map; twin's perturbed start is refused at t = 0
+        cfg = tmp_path / "kick.cfg"
+        cfg.write_text("target = torus\nmesh.h = 0.25\nboundary.phi = constant value=0,0\n"
+                       "boundary.phi0 = sine_bump\ntwin.delta = 1e200\n"
+                       "schedule.t_end = 0.01\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert main(["twin", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: perturbed initial map refused")
+
+    def test_several_configs_all_parse_before_any_runs(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("target = sphere\nmesh.h = 0.25\nfoo = 1\n")
+        out = tmp_path / "out"
+        assert main(["run", "harmonic_fixed_point", str(bad), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {bad}: line 3: unknown key 'foo'\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_config_refused_at_set_up_keeps_the_summaries_before_it(self, tmp_path,
+                                                                      capsys, jobs):
+        # the keys parse; the start refuses the initial map after heat_decay ran
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("target = torus\nboundary.phi = constant value=0,0\n"
+                       "boundary.phi0 = constant value=1e300,0\n")
+        assert main(["run", "heat_decay", str(bad), "--h", "0.25", "--t-end", "0.004",
+                     "--out", str(tmp_path / "out"), "--jobs", jobs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("heat_decay: steps=")
+        assert captured.err.startswith(f"config error: {bad}: initial map must be finite")
 
     @pytest.mark.parametrize("flag", ["--h", "--t-end"])
     def test_non_finite_override_is_config_error(self, tmp_path, capsys, flag):
