@@ -160,12 +160,11 @@ def boundary_data_from_presets(mesh: DomainMesh, target, phi_spec: str,
     if float(np.max(target.distance(phi[mesh.boundary]))) > 1e-9:
         raise ConfigParseError(f"boundary trace {phi_spec!r} does not lie on the {target.kind}")
     psi = evaluate_scalar_preset(psi_spec, xy)
+    name, params = _parse_spec(phi0_spec, "map")
+    if name == "harmonic":
+        _no_unknown_params(name, params)
+    phi0 = None if name == "harmonic" else evaluate_map_preset(phi0_spec, target, xy)
     try:
-        if phi0_spec.split()[0] == "harmonic":
-            _no_unknown_params("harmonic", _parse_spec(phi0_spec, "map")[1])
-            phi0 = None
-        else:
-            phi0 = evaluate_map_preset(phi0_spec, target, xy)
         return BoundaryData.build(mesh, target, phi, phi0, psi)
     except DegeneratePoint as exc:
         raise ConfigParseError(

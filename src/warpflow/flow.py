@@ -74,8 +74,19 @@ class StepperConfig:
             raise ValueError("sigma must lie in (0, 0.5]")
         if not 0.5 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0.5, 1]")
-        if self.max_move_fraction <= 0:
+        if not self.max_move_fraction > 0:
             raise ValueError("max_move_fraction must be positive")
+
+    def dt_policy(self, h: float) -> tuple:
+        """(dt_cfl, dt_min) = (sigma h, DT_MIN_FACTOR h^2) at mesh size h > 0;
+        a sigma whose dt_cfl lies below dt_min is refused, as no dt fits."""
+        if not h > 0:
+            raise ValueError(f"mesh size h must be positive, got {h!r}")
+        dt_cfl, dt_min = self.sigma * h, DT_MIN_FACTOR * h * h
+        if dt_cfl < dt_min:
+            raise ValueError(f"sigma = {self.sigma:g} is too small for h = {h:g}: the CFL "
+                             f"step sigma h lies below the dt floor {DT_MIN_FACTOR:g} h^2")
+        return dt_cfl, dt_min
 
 
 @dataclass
@@ -90,12 +101,10 @@ class _FlowContext:
     """The fixed data, solver stats and theta-step solves of one run.
 
     It holds the mesh, target, warp, boundary data and StepperConfig, and the
-    dt policy they fix: dt_cfl = sigma h and dt_min = DT_MIN_FACTOR h^2 for
-    the configured mesh size h (tolerances elsewhere use the realized max
-    edge mesh.h); a sigma whose dt_cfl lies below dt_min is refused
-    (ValueError), as no dt then fits the policy.  Every state started from
-    it (`start`, a twin pair's two members too) shares it, so stats count
-    every step call once.
+    dt policy they fix, StepperConfig.dt_policy at the configured mesh size
+    (tolerances elsewhere use the realized max edge mesh.h).  Every state
+    started from it (`start`, a twin pair's two members too) shares it, so
+    stats count every step call once.
     K_phi = (K phi)_I.  The theta-step matrix A = M_II + theta dt K_II is
     solved by Jacobi CG on one kept matrix and preconditioner, those of the
     last dt solved by CG, and each dt keeps its CG excess: iterations beyond
@@ -117,11 +126,7 @@ class _FlowContext:
                  config: StepperConfig):
         self.mesh, self.target, self.warp, self.bdata, self.config = (
             mesh, target, warp, bdata, config)
-        h = mesh.target_h
-        self.dt_cfl, self.dt_min = config.sigma * h, DT_MIN_FACTOR * h * h
-        if self.dt_cfl < self.dt_min:
-            raise ValueError(f"sigma = {config.sigma:g} is too small for h = {h:g}: the CFL "
-                             f"step sigma h lies below the dt floor {DT_MIN_FACTOR:g} h^2")
+        self.dt_cfl, self.dt_min = config.dt_policy(mesh.target_h)
         self.K_II, self.K_phi, _ = dirichlet_split(mesh, mesh.stiffness, bdata.phi)
         self.potential = None if warp.kind == "constant" else WarpedBlock(mesh, bdata.psi)
         # CG excess per dt, the (t, dt) of the last solve, the one CG matrix

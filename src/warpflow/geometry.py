@@ -85,6 +85,7 @@ def make_target(name: str):
     raise ValueError(f"unknown target manifold {name!r}")
 
 
+@dataclass
 class WarpFunction:
     """Positive warp factor beta on the target, with certified global bounds.
 
@@ -93,26 +94,26 @@ class WarpFunction:
       linear_height: beta(y) = a + b * y_K       (sphere only: y_K of a torus lift is unbounded)
       sinusoidal:    beta(y) = a + b * sin(2 pi y_1)  (torus; unit period)
 
-    lower/upper are the certified bounds lam, Lam used by the diagnostics.
+    lower/upper, the certified bounds lam, Lam of the diagnostics, are not fields.
     """
 
-    def __init__(self, kind: str, a: float, b: float = 0.0):
-        if kind not in ("constant", "linear_height", "sinusoidal"):
-            raise ValueError(f"unknown warp kind {kind!r}")
-        if kind == "constant":
-            if a <= 0:
+    kind: str = "constant"
+    a: float = 1.0
+    b: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in ("constant", "linear_height", "sinusoidal"):
+            raise ValueError(f"unknown warp kind {self.kind!r}")
+        self.a, self.b = float(self.a), float(self.b)
+        if self.kind == "constant":
+            if not self.a > 0:
                 raise NonPositiveCoefficient("constant warp needs a > 0")
-            lower = upper = a
+            self.lower = self.upper = self.a
         else:
-            lower, upper = a - abs(b), a + abs(b)
-            if lower <= 0:
+            self.lower, self.upper = self.a - abs(self.b), self.a + abs(self.b)
+            if not self.lower > 0:
                 raise NonPositiveCoefficient(
-                    f"warp bounds must be positive: a - |b| = {lower} <= 0")
-        self.kind = kind
-        self.a = float(a)
-        self.b = float(b)
-        self.lower = float(lower)
-        self.upper = float(upper)
+                    f"warp bounds must be positive: a - |b| = {self.lower} <= 0")
 
     def beta(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)

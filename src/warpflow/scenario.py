@@ -43,7 +43,7 @@ def _floats(text):
     return tuple(float(s) for s in text.split(","))
 
 
-# flat key -> (ScenarioConfig field, parser, what its parse error asks for)
+# flat key -> (ScenarioConfig field or "object.field", parser, what its parse error asks for)
 _KEYS = {
     "name": ("name", str, "text"),
     "seed": ("seed", int, "an integer"),
@@ -52,19 +52,19 @@ _KEYS = {
     "mesh.h": ("mesh_h", float, "a number"),
     "mesh.r_in": ("r_in", float, "a number"),
     "mesh.r_out": ("r_out", float, "a number"),
-    "warp.kind": ("warp_kind", str, "text"),
-    "warp.a": ("warp_a", float, "a number"),
-    "warp.b": ("warp_b", float, "a number"),
+    "warp.kind": ("warp.kind", str, "text"),
+    "warp.a": ("warp.a", float, "a number"),
+    "warp.b": ("warp.b", float, "a number"),
     "boundary.phi": ("phi_spec", str, "text"),
     "boundary.phi0": ("phi0_spec", str, "text"),
     "boundary.psi": ("psi_spec", str, "text"),
-    "stepper.sigma": ("sigma", float, "a number"),
-    "stepper.theta": ("theta", float, "a number"),
-    "stepper.max_move_fraction": ("max_move_fraction", float, "a number"),
-    "thresholds.energy": ("threshold_energy", float, "a number"),
-    "thresholds.r_detect": ("r_detect", float, "a number"),
-    "thresholds.r_grid": ("r_grid", _floats, "comma-separated numbers"),
-    "thresholds.persist_frames": ("persist_frames", int, "an integer"),
+    "stepper.sigma": ("stepper.sigma", float, "a number"),
+    "stepper.theta": ("stepper.theta", float, "a number"),
+    "stepper.max_move_fraction": ("stepper.max_move_fraction", float, "a number"),
+    "thresholds.energy": ("thresholds.energy", float, "a number"),
+    "thresholds.r_detect": ("thresholds.r_detect", float, "a number"),
+    "thresholds.r_grid": ("thresholds.r_grid", _floats, "comma-separated numbers"),
+    "thresholds.persist_frames": ("thresholds.persist_frames", int, "an integer"),
     "schedule.t_end": ("t_end", float, "a number"),
     "schedule.diag_stride": ("diag_stride", int, "an integer"),
     "schedule.snapshot_stride": ("snapshot_stride", int, "an integer"),
@@ -93,25 +93,21 @@ def parse_config_text(text: str) -> dict:
 
 @dataclass
 class ScenarioConfig:
+    """A run's parameters; its stepper, thresholds and warp are the objects
+    the run uses, each of which checks its own values."""
+
     name: str = "scenario"
     mesh_shape: str = "square"
     mesh_h: float = 1.0 / 32.0
     r_in: float = None
     r_out: float = None
     target_name: str = "sphere"
-    warp_kind: str = "constant"
-    warp_a: float = 1.0
-    warp_b: float = 0.0
+    warp: WarpFunction = field(default_factory=WarpFunction)
     phi_spec: str = "north_pole"
     phi0_spec: str = "harmonic"
     psi_spec: str = "constant value=0"
-    sigma: float = StepperConfig.sigma
-    theta: float = StepperConfig.theta
-    max_move_fraction: float = StepperConfig.max_move_fraction
-    threshold_energy: float = ThresholdConfig.energy
-    r_detect: float = ThresholdConfig.r_detect
-    r_grid: tuple = ThresholdConfig.r_grid
-    persist_frames: int = ThresholdConfig.persist_frames
+    stepper: StepperConfig = field(default_factory=StepperConfig)
+    thresholds: ThresholdConfig = field(default_factory=ThresholdConfig)
     t_end: float = 0.1
     diag_stride: int = 1
     snapshot_stride: int = 0
@@ -119,43 +115,50 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # every config, from a file, an override or a flag, passes this gate
-        for f in fields(self):
-            val = getattr(self, f.name)
-            if any(isinstance(x, float) and not math.isfinite(x)
-                   for x in (val if isinstance(val, tuple) else (val,))):
-                raise ConfigParseError(f"{f.name} must be finite, got {val!r}")
-        if self.t_end <= 0:
-            raise ConfigParseError(f"t_end must be positive, got {self.t_end!r}")
+        # every value that needs no mesh, the dt floor included; from_flat
+        # turns a ValueError into a ConfigParseError
+        if not self.t_end > 0:
+            raise ValueError(f"t_end must be positive, got {self.t_end!r}")
         for name in ("seed", "diag_stride", "snapshot_stride", "twin_delta"):
-            if getattr(self, name) < 0:
-                raise ConfigParseError(f"{name} must be non-negative, got {getattr(self, name)!r}")
-        if self.target_name not in ("sphere", "torus"):
-            raise ConfigParseError(f"unknown target {self.target_name!r}")
-        if self.warp_kind == "linear_height" and self.target_name == "torus":
-            raise ConfigParseError("warp.kind = linear_height needs target = sphere: on the "
-                                   "torus a + b * (last component) is unbounded")
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
+        if self.mesh_shape not in ("square", "disk", "annulus"):
+            raise ValueError(f"unknown mesh shape {self.mesh_shape!r}")
+        make_target(self.target_name)
+        self.stepper.dt_policy(self.mesh_h)
+        if self.warp.kind == "linear_height" and self.target_name == "torus":
+            raise ValueError("warp.kind = linear_height needs target = sphere: on the "
+                             "torus a + b * (last component) is unbounded")
         if self.mesh_shape == "annulus":
-            missing = [key for key, (name, _, _) in _KEYS.items()
-                       if name in ("r_in", "r_out") and getattr(self, name) is None]
+            missing = [k for k in ("mesh.r_in", "mesh.r_out") if getattr(self, _KEYS[k][0]) is None]
             if missing:
-                raise ConfigParseError(f"annulus config is missing {', '.join(missing)}")
+                raise ValueError(f"annulus config is missing {', '.join(missing)}")
 
     @classmethod
     def from_flat(cls, flat: dict) -> "ScenarioConfig":
-        """The config of a flat key dict; an unknown key or a value its parser
-        refuses is a ConfigParseError."""
+        """The config of a flat key dict; an unknown key, a value its parser
+        refuses, a non-finite number or a value out of range is a
+        ConfigParseError, raised before any mesh is built."""
         unknown = sorted(flat.keys() - _KEYS.keys())
         if unknown:
             raise ConfigParseError(f"unknown key(s) {', '.join(map(repr, unknown))}")
-        values = {}
+        values, nested = {}, {}
         for key, text in flat.items():
             name, parse, expected = _KEYS[key]
             try:
-                values[name] = parse(text)
+                value = parse(text)
             except ValueError as exc:
                 raise ConfigParseError(f"key {key!r}: expected {expected}, got {text!r}") from exc
-        return cls(**values)
+            if not all(math.isfinite(x) for x in np.ravel(value) if isinstance(x, float)):
+                raise ConfigParseError(f"key {key!r} must be finite, got {text!r}")
+            obj, _, attr = name.rpartition(".")
+            (nested.setdefault(obj, {}) if obj else values)[attr] = value
+        make = {f.name: f.default_factory for f in fields(cls)}
+        try:
+            values.update((obj, make[obj](**kw)) for obj, kw in nested.items())
+            return cls(**values)
+        except (ValueError, NonPositiveCoefficient) as exc:
+            raise ConfigParseError(str(exc)) from exc
 
 
 def builtin_scenarios() -> list:
@@ -191,23 +194,18 @@ def _load_config(flat_or_path, *patches) -> ScenarioConfig:
 
 
 def build_scenario(cfg: ScenarioConfig):
-    """(initial state, ThresholdConfig) of a run; a value the constructors
-    reject is a ConfigParseError."""
+    """The initial state of a run, from what of its config needs the mesh:
+    the mesh, the boundary data and the start.  A mesh the shape refuses, or
+    an initial map the start refuses, is a ConfigParseError."""
     try:
         mesh = build_mesh(cfg.mesh_shape, cfg.mesh_h, r_in=cfg.r_in, r_out=cfg.r_out)
-        target = make_target(cfg.target_name)
-        warp = WarpFunction(cfg.warp_kind, cfg.warp_a, cfg.warp_b)
-        stepper = StepperConfig(sigma=cfg.sigma, theta=cfg.theta,
-                                max_move_fraction=cfg.max_move_fraction)
-        thresholds = ThresholdConfig(energy=cfg.threshold_energy,
-                                     r_detect=cfg.r_detect, r_grid=cfg.r_grid,
-                                     persist_frames=cfg.persist_frames)
-    except (ValueError, InvalidShapeParameters, NonPositiveCoefficient) as exc:
+    except InvalidShapeParameters as exc:
         raise ConfigParseError(str(exc)) from exc
+    target = make_target(cfg.target_name)
     bdata = boundary_data_from_presets(mesh, target, cfg.phi_spec,
                                        cfg.phi0_spec, cfg.psi_spec)
     try:
-        return initial_state(mesh, target, warp, bdata, stepper), thresholds
+        return initial_state(mesh, target, cfg.warp, bdata, cfg.stepper)
     except ValueError as exc:           # the start refuses the initial map
         raise ConfigParseError(str(exc)) from exc
 
@@ -269,7 +267,7 @@ def run_scenario(flat_or_path, out_dir=None, h=None, t_end=None,
     """
     cfg = _load_config(flat_or_path, overrides, {"mesh.h": h, "schedule.t_end": t_end})
 
-    state, thresholds = build_scenario(cfg)
+    state = build_scenario(cfg)
 
     out = None
     snapshot_cb = None
@@ -287,10 +285,10 @@ def run_scenario(flat_or_path, out_dir=None, h=None, t_end=None,
     schedule = Schedule(t_end=cfg.t_end, diag_stride=cfg.diag_stride,
                         snapshot_stride=cfg.snapshot_stride,
                         snapshot_cb=snapshot_cb)
-    state, report = run_flow(state, schedule, thresholds)
+    state, report = run_flow(state, schedule, cfg.thresholds)
 
     exit_code = derive_verdicts(report, tension_residual(state)[1])
-    if cfg.warp_kind == "constant":
+    if cfg.warp.kind == "constant":
         report.notes.append("constant warp: potential decoupled, the harmonic extension of psi")
     if report.underflow_times:
         report.notes.append(
@@ -340,7 +338,7 @@ def twin_run(flat_or_path, delta: float = None, overrides: dict = None) -> TwinR
     cfg = _load_config(flat_or_path, overrides, {"twin.delta": delta})
     delta = cfg.twin_delta
 
-    base, _ = build_scenario(cfg)
+    base = build_scenario(cfg)
     mesh, target = base.mesh, base.ctx.target
 
     if delta == 0.0:

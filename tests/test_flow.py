@@ -82,6 +82,9 @@ class TestStepperConfig:
             StepperConfig(theta=0.3)
         with pytest.raises(ValueError):
             StepperConfig(theta=1.1)
+        for fraction in (0.0, float("nan")):    # a NaN cap would never reject a step
+            with pytest.raises(ValueError, match="max_move_fraction"):
+                StepperConfig(max_move_fraction=fraction)
 
     def test_dt_policy(self):
         m = build_mesh("square", 0.1)
@@ -90,6 +93,13 @@ class TestStepperConfig:
         assert m.target_h == 0.1
         assert ctx.dt_cfl == pytest.approx(0.02)
         assert ctx.dt_min == pytest.approx(1e-6 * 0.01)
+        assert StepperConfig(sigma=0.2).dt_policy(0.1) == (ctx.dt_cfl, ctx.dt_min)
+        for h in (0.0, -0.25, float("nan")):
+            with pytest.raises(ValueError, match="mesh size h must be positive"):
+                StepperConfig().dt_policy(h)
+        # sigma h = 2.5e-10 < DT_MIN_FACTOR h^2 = 6.25e-8
+        with pytest.raises(ValueError, match="dt floor"):
+            StepperConfig(sigma=1e-9).dt_policy(0.25)
 
 
 class TestInitialState:
@@ -394,7 +404,7 @@ class TestStepMechanics:
     def test_non_finite_state_is_a_solver_failure(self, theta):
         flat = {**resolve_config("warp_coupled"), "mesh.h": "0.125",
                 "stepper.theta": repr(theta)}
-        st, _ = build_scenario(ScenarioConfig.from_flat(flat))
+        st = build_scenario(ScenarioConfig.from_flat(flat))
         u = np.array(st.u)
         u[st.mesh.interior[len(st.mesh.interior) // 2]] = np.nan
         st = replace(st, u=u)
@@ -404,7 +414,7 @@ class TestStepMechanics:
 
     def test_non_finite_potential_is_a_solver_failure(self, monkeypatch):
         flat = {**resolve_config("warp_coupled"), "mesh.h": "0.125"}
-        st, _ = build_scenario(ScenarioConfig.from_flat(flat))
+        st = build_scenario(ScenarioConfig.from_flat(flat))
         real = warpflow.flow._solve_potential
 
         def nan_potential(*args):
@@ -750,7 +760,7 @@ class TestTimeOrder:
         def final(sigma):
             flat = {**resolve_config(name), "mesh.h": "0.03125",
                     "stepper.sigma": repr(sigma), "stepper.theta": repr(theta)}
-            st, _ = build_scenario(ScenarioConfig.from_flat(flat))
+            st = build_scenario(ScenarioConfig.from_flat(flat))
             for _ in range(round(t_end / st.ctx.dt_cfl)):
                 st = step(st)                      # a rejection raises
             assert st.t == pytest.approx(t_end, rel=1e-12)
@@ -819,7 +829,7 @@ class TestMarch:
 
         monkeypatch.setattr(warpflow.flow, "step", recording_step)
         flat = {**resolve_config("bubbling"), "mesh.h": "0.0625"}
-        st, _ = build_scenario(ScenarioConfig.from_flat(flat))
+        st = build_scenario(ScenarioConfig.from_flat(flat))
         t_end, dt_cfl = 0.02, st.ctx.dt_cfl
         for _ in march([st], t_end):
             pass

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,14 @@ class TestWarpFunction:
     def test_constant_positivity(self):
         with pytest.raises(NonPositiveCoefficient):
             WarpFunction("constant", 0.0)
+        with pytest.raises(NonPositiveCoefficient):
+            WarpFunction("constant", float("nan"))
+
+    def test_fields_are_kind_a_and_b(self):
+        # the bounds are derived attributes, so asdict echoes the three inputs
+        w = WarpFunction("linear_height", 2.0, 1.0)
+        assert asdict(w) == {"kind": "linear_height", "a": 2.0, "b": 1.0}
+        assert WarpFunction() == WarpFunction("constant", 1.0, 0.0)
 
     def test_linear_height(self):
         w = WarpFunction("linear_height", 2.0, 1.0)

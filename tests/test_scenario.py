@@ -5,6 +5,8 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from warpflow.cli import main
 from warpflow.diagnostics import ThresholdConfig
 from warpflow.errors import ConfigParseError
 from warpflow.flow import StepperConfig
-from warpflow.geometry import make_target
+from warpflow.geometry import WarpFunction, make_target
 from warpflow.scenario import (_KEYS, ScenarioConfig, build_scenario,
                                builtin_scenarios, check_report_file,
                                parse_config_text, resolve_config, run_scenario,
@@ -74,11 +76,11 @@ class TestConfigParsing:
         assert cfg.name == "demo"
         assert cfg.mesh_h == 0.125
         assert cfg.t_end == 0.004
-        assert cfg.r_grid == (0.1, 0.2)
+        assert cfg.thresholds.r_grid == (0.1, 0.2)
 
     def test_from_flat_r_grid(self):
         cfg = ScenarioConfig.from_flat({"thresholds.r_grid": "0.05, 0.1"})
-        assert cfg.r_grid == (0.05, 0.1)
+        assert cfg.thresholds.r_grid == (0.05, 0.1)
         with pytest.raises(ConfigParseError):
             ScenarioConfig.from_flat({"thresholds.r_grid": "a,b"})
 
@@ -117,14 +119,27 @@ class TestConfigParsing:
         cfg = ScenarioConfig.from_flat(resolve_config(p))
         default = ScenarioConfig()
         for key, (_, value) in self.ROUND_TRIP.items():
-            name = _KEYS[key][0]
-            assert getattr(cfg, name) == value != getattr(default, name), key
+            path = _KEYS[key][0].split(".")
+            assert (reduce(getattr, path, cfg) == value
+                    != reduce(getattr, path, default)), key
         build_scenario(cfg)                     # the values are valid together
+        # one definition per parameter: the config holds the run's stepper,
+        # thresholds and warp and mirrors none of their fields, and each
+        # stepper.*, thresholds.* and warp.* key reaches its object's field
+        own = {f.name for f in fields(ScenarioConfig)}
+        for obj, cls in (("stepper", StepperConfig), ("thresholds", ThresholdConfig),
+                         ("warp", WarpFunction)):
+            assert isinstance(getattr(cfg, obj), cls)
+            nested = {f.name for f in fields(cls)}
+            assert not own & nested, obj
+            assert {_KEYS[k][0] for k in _KEYS if k.startswith(obj + ".")} == {
+                f"{obj}.{name}" for name in nested}, obj
 
     def test_defaults_are_the_solver_defaults(self):
-        state, thresholds = build_scenario(ScenarioConfig())
-        assert state.ctx.config == StepperConfig()
-        assert thresholds == ThresholdConfig()
+        cfg = ScenarioConfig()
+        state = build_scenario(cfg)
+        assert state.ctx.config == cfg.stepper == StepperConfig()
+        assert cfg.thresholds == ThresholdConfig()
 
     def test_readme_lists_every_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -203,6 +218,12 @@ class TestPresets:
             warpflow.boundary.evaluate_map_preset("bogus", make_target("sphere"), self.XY)
         with pytest.raises(ConfigParseError, match="unknown scalar preset 'bogus'"):
             warpflow.boundary.evaluate_scalar_preset("bogus", self.XY)
+
+    def test_empty_initial_map_preset_is_refused(self):
+        mesh = warpflow.mesh.build_mesh("square", 0.25)
+        with pytest.raises(ConfigParseError, match="empty map preset"):
+            warpflow.boundary.boundary_data_from_presets(
+                mesh, make_target("sphere"), "north_pole", "", "constant value=0")
 
     def test_linear_y(self):
         out = warpflow.boundary.evaluate_scalar_preset("linear_y scale=2", self.XY)
@@ -910,6 +931,24 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == f"config error: {bad}: line 3: unknown key 'foo'\n"
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "stepper.sigma = 0.9", "thresholds.persist_frames = 0",
+        "warp.kind = linear_height\nwarp.a = 0.5\nwarp.b = 1", "warp.kind = cubic",
+        "mesh.shape = hexagon", "mesh.h = -0.25", "mesh.h = 0.25\nstepper.sigma = 1e-9"],
+        ids=["sigma", "persist_frames", "warp_bounds", "warp_kind", "mesh_shape",
+             "mesh_h", "sigma_floor"])
+    def test_a_bad_value_stops_run_before_any_config_runs(self, tmp_path, capsys, text):
+        # each value is refused as its config is read, with no mesh built
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"target = sphere\n{text}\n")
+        out = tmp_path / "out"
+        assert main(["run", "harmonic_fixed_point", str(bad), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith(f"config error: {bad}: ")
+        assert main(["twin", str(bad), "--out", str(out)]) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_a_config_refused_at_set_up_keeps_the_summaries_before_it(self, tmp_path,
