@@ -1,15 +1,17 @@
 """Variable-coefficient elliptic solves: -div(beta grad v) = f, v = psi on the boundary.
 
-Dirichlet conditions are imposed by elimination in `dirichlet_split` (never
-by penalty): the interior block A_II is solved by preconditioned conjugate
-gradients to relative tolerance 1e-10 with an iteration cap of
-50 * sqrt(#unknowns), and boundary rows carry the data exactly.  Two solves
-use it: `harmonic_extension` (the unit stiffness, Jacobi preconditioner) and
-`solve_warped_laplace`, which solves on a `WarpedBlock`: the interior block
-on a fixed pattern, re-weighted in place for each beta, with a sparse LU
-factorization of its first beta as the CG preconditioner.  The flow calls
-`solve_warped_laplace` only under a non-constant warp; under a constant one
-the potential is the harmonic extension of psi.
+Every linear solve of a run is one `cg_solve` (block CG) or one solve by a
+`lu_factor` (sparse LU).  Dirichlet conditions are imposed by elimination in
+`dirichlet_split` (never by penalty): the interior block A_II is solved by
+preconditioned CG to relative tolerance 1e-10 with an iteration cap of
+max(100, 50 sqrt(#unknowns)), and boundary rows carry the data exactly.
+Three kinds of solve use it: `harmonic_extension` at set-up (the unit
+stiffness, Jacobi preconditioner); the flow's theta step (Jacobi CG, or the
+LU factor of its matrix); and `solve_warped_laplace`, which solves on a
+`WarpedBlock`: the interior block on a fixed pattern, re-weighted in place
+for each beta, with the LU factor of its first beta as the CG
+preconditioner, under a non-constant warp only (under a constant one the
+potential is the harmonic extension of psi).
 """
 
 from __future__ import annotations
@@ -41,66 +43,79 @@ def jacobi_preconditioner(A: sp.csr_matrix) -> np.ndarray:
     return np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 1.0)
 
 
-def cg_solve(A: sp.csr_matrix, b: np.ndarray, x0: np.ndarray = None,
+def cg_solve(A: sp.csr_matrix, B: np.ndarray, x0: np.ndarray = None,
              rtol: float = CG_RTOL, maxiter: int = None, M=None):
-    """Preconditioned CG; returns (x, rel_residual, iterations).
+    """Preconditioned CG on each column of B, (n,) or (n, d), from x0 shaped
+    like B; returns (X shaped like B, worst relative residual, total iterations).
 
     M approximates A^{-1}: a vector is an inverse diagonal, applied as one
     multiply; a callable is applied to the residual (e.g. a factor's solve).
-    The default is jacobi_preconditioner(A).  The iteration is
-    scipy.sparse.linalg.cg's, operation for operation (start residual
-    b - A x0, stop once |r| < rtol |b|, the same true-residual check), so
-    both take the same steps; their iterates agree to round-off, since every
-    reduction here is a BLAS-free einsum.  Under an inverse diagonal, r.r
-    and r.z are one einsum over the rows of one (2, n) buffer.
-    SolverFailure if the cap is hit before the tolerance.
+    The default is jacobi_preconditioner(A).  Each column runs
+    scipy.sparse.linalg.cg's iteration, operation for operation (start
+    residual b - A x0, stop once |r| < rtol |b|, the same true-residual
+    check), so both take the same steps; their iterates agree to round-off,
+    since every reduction here is a BLAS-free einsum.  Under an inverse
+    diagonal, r.r and r.z are one einsum over the rows of one (2, n) buffer.
+    A zero column gives zeros in 0 iterations.  SolverFailure if a column
+    hits the cap before the tolerance.
     """
-    n = b.shape[0]
-    b = np.ascontiguousarray(b, dtype=float)
-    bnorm = math.sqrt(_dot(b, b))
-    if bnorm == 0.0:
-        return np.zeros(n), 0.0, 0
+    B = np.asarray(B, dtype=float)
+    n = B.shape[0]
     if maxiter is None:
         maxiter = max(100, int(50 * math.sqrt(n)))
     if M is None:
         M = jacobi_preconditioner(A)
     jacobi = isinstance(M, np.ndarray)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    rz = np.empty((2, n))
-    r, z = rz
-    r[:] = b - A @ x if x.any() else b
-    atol = rtol * bnorm
-    iters, stalled, p, rho_prev = 0, True, None, None
-    while iters < maxiter:
-        if jacobi:
-            np.multiply(M, r, out=z)
-            rr, rho = np.einsum("ij,j->i", rz, r)
-        else:
-            rr = _dot(r, r)
-        if math.sqrt(rr) < atol:
-            stalled = False
-            break
-        if not jacobi:
-            # after the test: a z formed before it would cost a factor solve per call
-            z[:] = M(r)
-            rho = _dot(r, z)
-        if p is None:
-            p = z.copy()
-        else:
-            p *= rho / rho_prev
-            p += z
-        q = A @ p
-        alpha = rho / _dot(p, q)
-        x += alpha * p
-        r -= alpha * q
-        rho_prev = rho
-        iters += 1
-    res = b - A @ x
-    rel = math.sqrt(_dot(res, res)) / bnorm
-    if stalled and rel > rtol * 10:
-        raise SolverFailure(
-            f"CG stalled at relative residual {rel:.3e} after {iters} iterations")
-    return x, rel, iters
+    cols = B if B.ndim == 2 else B[:, None]
+    guess = None if x0 is None else np.asarray(x0, dtype=float).reshape(cols.shape)
+    X, worst, total = np.zeros(cols.shape), 0.0, 0
+    r, z = rz = np.empty((2, n))
+    for d in range(cols.shape[1]):
+        b = np.ascontiguousarray(cols[:, d])
+        bnorm = math.sqrt(_dot(b, b))
+        if bnorm == 0.0:
+            continue
+        x = np.zeros(n) if guess is None else guess[:, d].copy()
+        r[:] = b - A @ x if x.any() else b
+        atol = rtol * bnorm
+        iters, stalled, p, rho_prev = 0, True, None, None
+        while iters < maxiter:
+            if jacobi:
+                np.multiply(M, r, out=z)
+                rr, rho = np.einsum("ij,j->i", rz, r)
+            else:
+                rr = _dot(r, r)
+            if math.sqrt(rr) < atol:
+                stalled = False
+                break
+            if not jacobi:
+                # after the test: a z formed before it would cost a factor solve per call
+                z[:] = M(r)
+                rho = _dot(r, z)
+            if p is None:
+                p = z.copy()
+            else:
+                p *= rho / rho_prev
+                p += z
+            q = A @ p
+            alpha = rho / _dot(p, q)
+            x += alpha * p
+            r -= alpha * q
+            rho_prev = rho
+            iters += 1
+        res = b - A @ x
+        rel = math.sqrt(_dot(res, res)) / bnorm
+        if stalled and rel > rtol * 10:
+            raise SolverFailure(
+                f"CG stalled at relative residual {rel:.3e} after {iters} iterations")
+        X[:, d] = x
+        worst, total = max(worst, rel), total + iters
+    return X.reshape(B.shape), worst, total
+
+
+def lu_factor(A: sp.spmatrix):
+    """Sparse LU of a square A (SuperLU, minimum degree on A^T + A); `.solve` applies A^{-1}."""
+    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
 def dirichlet_split(mesh: DomainMesh, K: sp.csr_matrix, boundary_values: np.ndarray):
@@ -113,21 +128,6 @@ def dirichlet_split(mesh: DomainMesh, K: sp.csr_matrix, boundary_values: np.ndar
     g = np.zeros(bv.shape)
     g[mesh.boundary] = bv[mesh.boundary]
     return K[I][:, I].tocsr(), (K @ g)[I], g
-
-
-def _solve_split(mesh, A_II, coupling, v, load, x0, M=None):
-    """Fill the interior rows of the padded data v from a `dirichlet_split`."""
-    I = mesh.interior
-    cols = v.reshape(len(v), -1)                  # a view: columns write into v
-    rhs = ((0.0 if load is None else np.asarray(load, dtype=float)[I]) - coupling
-           ).reshape(len(I), -1)
-    guess = None if x0 is None else np.asarray(x0, dtype=float)[I].reshape(len(I), -1)
-    rel, iters = 0.0, 0
-    for d in range(cols.shape[1]):
-        cols[I, d], r, n = cg_solve(A_II, rhs[:, d], M=M,
-                                    x0=None if guess is None else guess[:, d])
-        rel, iters = max(rel, r), iters + n
-    return v, rel, iters
 
 
 class WarpedBlock:
@@ -177,9 +177,11 @@ class WarpedBlock:
         aw = mesh.areas * beta_tri
         self.block.data[:] = self._to_block @ aw
         if self._M is None:
-            self._M = splu(self.block.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
-        v, rel, iters = _solve_split(mesh, self.block, self._to_load @ aw, self._g.copy(),
-                                     load, x0, self._M)
+            self._M = lu_factor(self.block).solve
+        I, v = mesh.interior, self._g.copy()
+        rhs = (0.0 if load is None else np.asarray(load, dtype=float)[I]) - self._to_load @ aw
+        v[I], rel, iters = cg_solve(self.block, rhs, M=self._M,
+                                    x0=None if x0 is None else np.asarray(x0, dtype=float)[I])
         return EllipticSolution(v=v, rel_residual=rel, iterations=iters, beta_tri=beta_tri)
 
 
@@ -198,10 +200,13 @@ def solve_warped_laplace(mesh: DomainMesh, beta_vertex: np.ndarray,
     return (WarpedBlock(mesh, psi) if block is None else block).solve(beta_vertex, load, x0)
 
 
-def harmonic_extension(mesh: DomainMesh, trace: np.ndarray) -> np.ndarray:
-    """Componentwise discrete harmonic extension of boundary data.
+def harmonic_extension(mesh: DomainMesh, trace: np.ndarray):
+    """(ext, iterations): the componentwise discrete harmonic extension of
+    boundary data, and the CG iterations it took.
 
     `trace` is full-length nodal data, (nv,) or (nv, d); only boundary rows
     are read.  Linear boundary data is reproduced exactly.
     """
-    return _solve_split(mesh, *dirichlet_split(mesh, mesh.stiffness, trace), None, None)[0]
+    A_II, coupling, ext = dirichlet_split(mesh, mesh.stiffness, trace)
+    ext[mesh.interior], _, iters = cg_solve(A_II, 0.0 - coupling)
+    return ext, iters

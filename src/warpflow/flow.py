@@ -40,13 +40,12 @@ from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .boundary import BoundaryData
 from .diagnostics import (DiagnosticsReport, EnergyRecord, RunBounds, ThresholdConfig,
                           energy_functionals)
 from .elliptic import (WarpedBlock, cg_solve, dirichlet_split, jacobi_preconditioner,
-                       solve_warped_laplace)
+                       lu_factor, solve_warped_laplace)
 from .errors import DegeneratePoint, SolverFailure, StepRejected
 from .geometry import warp_force
 from .mesh import (DomainMesh, ball_rows, local_energy_matrix, tri_energy_density,
@@ -114,12 +113,13 @@ class _FlowContext:
     key's (frozen while factored) plus FACTOR_ITERS, the kept matrix and the
     old factor are dropped and one sparse LU factor of the key's matrix
     solves all columns of its later steps.  So a context holds at most one
-    matrix and one factor, decided from counts, step_iterations counts CG
-    solves only and step_factors the builds.  `potential` is where the
-    potential is decided: a non-constant warp re-solves it every step on
-    this WarpedBlock (the fixed-pattern block and its cached factor); a
-    constant warp has None, and its potential is the harmonic extension of
-    psi for all time, solved nowhere in the flow.
+    matrix and one factor, decided from counts.  Its stats count the step
+    solves (CG iterations, solves by the factor, factor builds) and the
+    potential's, and carry the boundary data's setup_iterations.
+    `potential` is where the potential is decided: a non-constant warp
+    re-solves it every step on this WarpedBlock (the fixed-pattern block and
+    its cached factor); a constant warp has None, and its potential is the
+    harmonic extension of psi for all time, solved nowhere in the flow.
     """
 
     def __init__(self, mesh: DomainMesh, target, warp, bdata: BoundaryData,
@@ -145,9 +145,10 @@ class _FlowContext:
         self._flat_I, self._flat_B = ((rows[:, None] * d + np.arange(d)).ravel()
                                       for rows in (mesh.interior, mesh.boundary_index))
         self._phi_B = np.take(bdata.phi, self._flat_B)
-        self.stats = {"elliptic_solves": 0, "elliptic_iterations": 0,
-                      "step_iterations": 0, "step_factors": 0, "accepted_steps": 0,
-                      "rejected_steps": 0, "rejections": {"move_cap": 0, "projection": 0},
+        self.stats = {"setup_iterations": bdata.setup_iterations, "elliptic_solves": 0,
+                      "elliptic_iterations": 0, "step_iterations": 0, "step_lu_solves": 0,
+                      "step_factors": 0, "accepted_steps": 0, "rejected_steps": 0,
+                      "rejections": {"move_cap": 0, "projection": 0},
                       "max_elliptic_residual": 0.0}
 
     def step_matrix(self, dt: float):
@@ -165,19 +166,17 @@ class _FlowContext:
             if (math.frexp(self.dt_cfl / dt)[0] == 0.5 and self._excess.get(dt, 0)
                     >= self._excess.get(self._lu_dt, 0) + FACTOR_ITERS):
                 self._cg_dt = self._cg = self._lu_dt = self._lu = None  # free before factoring
-                A = self.step_matrix(dt)[0].tocsc()
-                self._lu_dt, self._lu = dt, splu(A, permc_spec="MMD_AT_PLUS_A")
+                self._lu_dt, self._lu = dt, lu_factor(self.step_matrix(dt)[0])
                 self.stats["step_factors"] += 1
         if dt == self._lu_dt:
+            self.stats["step_lu_solves"] += 1
             return self._lu.solve(rhs_I)
         if dt != self._cg_dt:
             self._cg_dt, self._cg = dt, self.step_matrix(dt)
         A, M = self._cg
-        X = np.empty_like(rhs_I)
-        for d in range(rhs_I.shape[1]):
-            X[:, d], _, iters = cg_solve(A, rhs_I[:, d], x0=x0_I[:, d], M=M)
-            self.stats["step_iterations"] += iters
-            self._excess[dt] = self._excess.get(dt, 0) + iters - LU_COL_ITERS
+        X, _, iters = cg_solve(A, rhs_I, x0=x0_I, M=M)
+        self.stats["step_iterations"] += iters
+        self._excess[dt] = self._excess.get(dt, 0) + iters - LU_COL_ITERS * rhs_I.shape[1]
         return X
 
     def start(self, u0: np.ndarray) -> "FlowState":

@@ -169,9 +169,6 @@ def _doubling_count(length: float, step: float, start: int = 1) -> int:
 
 
 def _square_mesh(target_h: float) -> DomainMesh:
-    if target_h > 1.0:
-        raise InvalidShapeParameters(
-            f"target_h={target_h} exceeds the unit square side")
     n = _doubling_count(1.0, target_h)
     xs = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
@@ -185,9 +182,6 @@ def _square_mesh(target_h: float) -> DomainMesh:
 
 
 def _disk_mesh(target_h: float) -> DomainMesh:
-    if target_h > 0.5:
-        raise InvalidShapeParameters(
-            f"target_h={target_h} too coarse for the unit disk")
     nr = _doubling_count(1.0, target_h)
     # ring k of radius k / nr holds 6 k points, odd rings turned by a quarter spacing
     k = np.arange(1, nr + 1)
@@ -200,12 +194,6 @@ def _disk_mesh(target_h: float) -> DomainMesh:
 
 
 def _annulus_mesh(r_in: float, r_out: float, target_h: float) -> DomainMesh:
-    if r_in <= 0 or r_out <= r_in:
-        raise InvalidShapeParameters(
-            f"annulus needs 0 < r_in < r_out, got r_in={r_in}, r_out={r_out}")
-    if 2.0 * target_h > r_out - r_in or 8.0 * target_h > 2.0 * np.pi * r_out:
-        raise InvalidShapeParameters(
-            f"target_h={target_h} too coarse for annulus({r_in}, {r_out})")
     nr = _doubling_count(r_out - r_in, target_h, start=2)
     nth = _doubling_count(2.0 * np.pi * r_out, target_h, start=8)
     radii = r_in + (r_out - r_in) * np.arange(nr + 1) / nr
@@ -225,6 +213,26 @@ def _annulus_mesh(r_in: float, r_out: float, target_h: float) -> DomainMesh:
     return DomainMesh(pts, tris.astype(np.int64), shape="annulus", target_h=target_h)
 
 
+def check_shape(shape: str, target_h: float, r_in: float = None, r_out: float = None):
+    """InvalidShapeParameters for `build_mesh` arguments refused without a mesh: a size
+    not positive or too coarse for the shape, an unknown shape, bad annulus radii."""
+    if not target_h > 0:
+        raise InvalidShapeParameters(f"target_h must be positive, got {target_h!r}")
+    if shape in ("square", "disk"):
+        coarse = target_h > (1.0 if shape == "square" else 0.5)
+    elif shape != "annulus":
+        raise InvalidShapeParameters(f"unknown shape {shape!r}")
+    elif r_in is None or r_out is None:
+        raise InvalidShapeParameters("annulus needs both radii, mesh.r_in and mesh.r_out")
+    elif not 0 < r_in < r_out:
+        raise InvalidShapeParameters(
+            f"annulus needs 0 < r_in < r_out, got r_in={r_in}, r_out={r_out}")
+    else:
+        coarse = 2.0 * target_h > r_out - r_in or 8.0 * target_h > 2.0 * np.pi * r_out
+    if coarse:
+        raise InvalidShapeParameters(f"target_h={target_h} too coarse for the {shape}")
+
+
 # largest off-diagonal stiffness entry build_mesh accepts, relative to max|K|
 WEAKLY_ACUTE_RTOL = 1e-12
 
@@ -233,22 +241,13 @@ def build_mesh(shape: str, target_h: float, r_in: float = None,
                r_out: float = None) -> DomainMesh:
     """Build a conforming, weakly acute triangulation with max edge <= 1.5 * target_h.
 
-    InvalidShapeParameters for a bad shape or size, for a mesh with no
-    interior vertex (nothing left to solve for), and for a mesh that is not
-    weakly acute.
+    InvalidShapeParameters for arguments `check_shape` refuses, for a mesh
+    with no interior vertex (nothing left to solve for), and for a mesh that
+    is not weakly acute.
     """
-    if target_h <= 0:
-        raise InvalidShapeParameters("target_h must be positive")
-    if shape == "square":
-        mesh = _square_mesh(target_h)
-    elif shape == "disk":
-        mesh = _disk_mesh(target_h)
-    elif shape == "annulus":
-        if r_in is None or r_out is None:
-            raise InvalidShapeParameters("annulus needs r_in and r_out")
-        mesh = _annulus_mesh(r_in, r_out, target_h)
-    else:
-        raise InvalidShapeParameters(f"unknown shape {shape!r}")
+    check_shape(shape, target_h, r_in, r_out)
+    mesh = (_annulus_mesh(r_in, r_out, target_h) if shape == "annulus"
+            else (_square_mesh if shape == "square" else _disk_mesh)(target_h))
     if mesh.h > 1.5 * target_h:
         raise InvalidShapeParameters(
             f"mesh generator exceeded edge budget: h={mesh.h} > 1.5*{target_h}")

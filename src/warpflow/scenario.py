@@ -36,7 +36,7 @@ from .errors import (ConfigParseError, InvalidShapeParameters,
 from .flow import (Schedule, StepperConfig, initial_state, march, run_flow, step,
                    tension_residual)
 from .geometry import WarpFunction, make_target
-from .mesh import build_mesh, dump_mesh, write_snapshot
+from .mesh import build_mesh, check_shape, dump_mesh, write_snapshot
 
 
 def _floats(text):
@@ -115,24 +115,19 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # every value that needs no mesh, the dt floor included; from_flat
-        # turns a ValueError into a ConfigParseError
+        # every value that needs no mesh, the dt floor and the shape's too;
+        # from_flat refuses each as a ConfigParseError
         if not self.t_end > 0:
             raise ValueError(f"t_end must be positive, got {self.t_end!r}")
         for name in ("seed", "diag_stride", "snapshot_stride", "twin_delta"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
-        if self.mesh_shape not in ("square", "disk", "annulus"):
-            raise ValueError(f"unknown mesh shape {self.mesh_shape!r}")
+        check_shape(self.mesh_shape, self.mesh_h, self.r_in, self.r_out)
         make_target(self.target_name)
         self.stepper.dt_policy(self.mesh_h)
         if self.warp.kind == "linear_height" and self.target_name == "torus":
             raise ValueError("warp.kind = linear_height needs target = sphere: on the "
                              "torus a + b * (last component) is unbounded")
-        if self.mesh_shape == "annulus":
-            missing = [k for k in ("mesh.r_in", "mesh.r_out") if getattr(self, _KEYS[k][0]) is None]
-            if missing:
-                raise ValueError(f"annulus config is missing {', '.join(missing)}")
 
     @classmethod
     def from_flat(cls, flat: dict) -> "ScenarioConfig":
@@ -157,7 +152,7 @@ class ScenarioConfig:
         try:
             values.update((obj, make[obj](**kw)) for obj, kw in nested.items())
             return cls(**values)
-        except (ValueError, NonPositiveCoefficient) as exc:
+        except (ValueError, NonPositiveCoefficient, InvalidShapeParameters) as exc:
             raise ConfigParseError(str(exc)) from exc
 
 

@@ -7,24 +7,24 @@ import warpflow.elliptic
 from brute_force import weighted_stiffness
 from warpflow.boundary import boundary_data_from_presets
 from warpflow.elliptic import (WarpedBlock, cg_solve, dirichlet_split,
-                               harmonic_extension, jacobi_preconditioner,
+                               harmonic_extension, jacobi_preconditioner, lu_factor,
                                solve_warped_laplace)
 from warpflow.errors import NonPositiveCoefficient, SolverFailure
 from warpflow.geometry import make_target
 from warpflow.mesh import build_mesh, triangle_mean
 
 
-def _capture_splits(monkeypatch):
-    """(A_II, load, padded data, preconditioner) of every WarpedBlock solve from
-    now on, copied as the solve hands them to its CG."""
+def _capture_solves(monkeypatch):
+    """(A_II, right-hand side, preconditioner) of every CG solve in the
+    elliptic module from now on, copied as a solve hands them to cg_solve."""
     seen = []
-    real = warpflow.elliptic._solve_split
+    real = warpflow.elliptic.cg_solve
 
-    def capture(mesh, A_II, coupling, v, load, x0, M=None):
-        seen.append((A_II.copy(), coupling.copy(), v.copy(), M))
-        return real(mesh, A_II, coupling, v, load, x0, M)
+    def capture(A, B, x0=None, M=None):
+        seen.append((A.copy(), np.array(B), M))
+        return real(A, B, x0=x0, M=M)
 
-    monkeypatch.setattr(warpflow.elliptic, "_solve_split", capture)
+    monkeypatch.setattr(warpflow.elliptic, "cg_solve", capture)
     return seen
 
 
@@ -70,10 +70,9 @@ class TestCgSolve:
         x, y = disk16.vertices[:, 0], disk16.vertices[:, 1]
         block = WarpedBlock(disk16, np.cos(2.0 * np.arctan2(y, x)))
         block.solve(1.0 + 0.5 * x)
-        splits = _capture_splits(monkeypatch)
+        solves = _capture_solves(monkeypatch)
         block.solve(2.0 - 0.3 * y)
-        A, load, _, M = splits[0]                   # M: the factor of the first beta
-        b = -load
+        A, b, M = solves[0]                         # M: the factor of the first beta
         xs, rel, iters = cg_solve(A, b, M=M)
         x_ref, iters_ref = self._scipy_reference(A, b, None,
                                                  spla.LinearOperator(A.shape, matvec=M))
@@ -93,6 +92,34 @@ class TestCgSolve:
         x, rel, iters = cg_solve(A[:0][:, :0], np.zeros(0))
         assert x.size == 0 and iters == 0
 
+    @pytest.mark.parametrize("preconditioner", ["jacobi", "factor"])
+    def test_block_solve_is_its_column_solves(self, disk16, preconditioner):
+        ii = disk16.interior
+
+        def theta_matrix(dt):
+            return (sp.diags(disk16.lumped_mass[ii]) + dt * disk16.stiffness[ii][:, ii]).tocsr()
+
+        A = theta_matrix(1e-3)
+        # the factor of another dt's matrix: CG still has iterations to take
+        M = None if preconditioner == "jacobi" else lu_factor(theta_matrix(1e-1)).solve
+        rng = np.random.default_rng(41)
+        B = rng.standard_normal((ii.size, 3))
+        X0 = B / disk16.lumped_mass[ii, None] + rng.standard_normal(B.shape)
+        for x0 in (None, X0):
+            X, rel, iters = cg_solve(A, B, x0=x0, M=M)
+            cols = [cg_solve(A, B[:, d], x0=None if x0 is None else x0[:, d], M=M)
+                    for d in range(3)]
+            assert X.shape == B.shape
+            assert np.array_equal(X, np.column_stack([c[0] for c in cols]))
+            assert iters == sum(c[2] for c in cols) and min(c[2] for c in cols) > 1
+            assert rel == max(c[1] for c in cols)
+        B[:, 1] = 0.0                               # a zero column: zeros, in 0 iterations
+        X, rel, iters = cg_solve(A, B, x0=X0, M=M)
+        assert np.array_equal(X[:, 1], np.zeros(ii.size))
+        kept = [cg_solve(A, B[:, d], x0=X0[:, d], M=M) for d in (0, 2)]
+        assert np.array_equal(X[:, [0, 2]], np.column_stack([c[0] for c in kept]))
+        assert iters == sum(c[2] for c in kept) and rel == max(c[1] for c in kept)
+
     def test_iteration_cap_raises(self, square16):
         ii = square16.interior
         A = square16.stiffness[ii][:, ii].tocsr()
@@ -107,7 +134,7 @@ class TestSolveDirichlet:
     def test_reproduces_linear_data(self, square16):
         # x is discretely harmonic on any conforming mesh
         x = square16.vertices[:, 0]
-        v = harmonic_extension(square16, x)
+        v, _ = harmonic_extension(square16, x)
         assert np.max(np.abs(v - x)) < 1e-9
         residual = (square16.stiffness @ v)[square16.interior]
         assert np.max(np.abs(residual)) <= 1e-9
@@ -115,7 +142,7 @@ class TestSolveDirichlet:
     def test_boundary_rows_exact(self, disk16):
         data = np.cos(3.0 * np.arctan2(disk16.vertices[:, 1],
                                        disk16.vertices[:, 0]))
-        v = harmonic_extension(disk16, data)
+        v, _ = harmonic_extension(disk16, data)
         b = disk16.boundary
         assert np.array_equal(v[b], data[b])
 
@@ -123,7 +150,7 @@ class TestSolveDirichlet:
         # square mesh is non-obtuse: interior values stay inside the data range
         rng = np.random.default_rng(12)
         data = rng.random(square16.num_vertices)
-        v = harmonic_extension(square16, data)
+        v, _ = harmonic_extension(square16, data)
         lo, hi = data[square16.boundary].min(), data[square16.boundary].max()
         assert v.min() >= lo - 1e-9
         assert v.max() <= hi + 1e-9
@@ -186,16 +213,16 @@ class TestWarpedBlock:
         rng = np.random.default_rng(21)
         psi = rng.standard_normal(m.num_vertices)
         block = WarpedBlock(m, psi)
-        splits = _capture_splits(monkeypatch)
+        solves = _capture_solves(monkeypatch)
         for _ in range(2):                      # the second call re-weights in place
             beta = 0.5 + rng.random(m.num_vertices)
-            block.solve(beta)
-            A, load, g, _ = splits[-1]
+            v = block.solve(beta).v
+            A, rhs, _ = solves[-1]
             A_ref, load_ref, g_ref = dirichlet_split(
                 m, weighted_stiffness(m, beta), psi)
             assert spla.norm(A - A_ref) <= 1e-14 * spla.norm(A_ref)
-            assert np.linalg.norm(load - load_ref) <= 1e-14 * np.linalg.norm(load_ref)
-            assert np.array_equal(g, g_ref)
+            assert np.linalg.norm(rhs + load_ref) <= 1e-14 * np.linalg.norm(load_ref)
+            assert np.array_equal(v[m.boundary], g_ref[m.boundary])
 
     def test_factor_preconditioned_solve_matches_jacobi(self, disk16):
         x, y = disk16.vertices[:, 0], disk16.vertices[:, 1]
@@ -247,8 +274,8 @@ class TestHarmonicExtension:
     def test_reproduces_linears(self, square16, disk16):
         for m in (square16, disk16):
             f = 1.0 + 2.0 * m.vertices[:, 0] - m.vertices[:, 1]
-            ext = harmonic_extension(m, f)
-            assert np.max(np.abs(ext - f)) < 1e-8
+            ext, iters = harmonic_extension(m, f)
+            assert np.max(np.abs(ext - f)) < 1e-8 and iters > 0
 
     @pytest.mark.parametrize("shape", ["square", "disk"])
     def test_harmonic_initial_map_is_the_extension_projected_once(self, shape):
@@ -257,8 +284,10 @@ class TestHarmonicExtension:
         m, sphere = build_mesh(shape, 1.0 / 32.0), make_target("sphere")
         bd = boundary_data_from_presets(m, sphere, "equator_circle kappa=1", "harmonic",
                                         "constant value=0")
-        ext = harmonic_extension(m, bd.phi)
+        ext, iters = harmonic_extension(m, bd.phi)
         assert np.array_equal(bd.phi_ext, ext)
+        # the data keep the CG iterations of both extensions
+        assert bd.setup_iterations == iters + harmonic_extension(m, bd.psi)[1] > 0
         I, B = m.interior, m.boundary_index       # the boundary rows are phi's own
         assert np.array_equal(bd.phi0[I], sphere.project_field(ext)[I])
         assert np.array_equal(bd.phi0[B], bd.phi[B])
@@ -278,8 +307,10 @@ class TestHarmonicExtension:
     def test_componentwise(self, square16):
         tr = np.column_stack([square16.vertices[:, 0],
                               np.ones(square16.num_vertices)])
-        ext = harmonic_extension(square16, tr)
+        ext, iters = harmonic_extension(square16, tr)
         assert ext.shape == tr.shape
+        # one block solve: the iterations of its two column solves
+        assert iters == sum(harmonic_extension(square16, tr[:, k])[1] for k in (0, 1))
         assert np.max(np.abs(ext[:, 0] - square16.vertices[:, 0])) < 1e-8
         assert np.max(np.abs(ext[:, 1] - 1.0)) < 1e-9
 

@@ -58,12 +58,12 @@ def _earn_a_factor(state, dt):
     raise AssertionError(f"no factor paid for at dt = {dt} after 100 solves")
 
 
-def _counted_splu(monkeypatch):
+def _counted_factors(monkeypatch):
     """A list that gains one entry per step factor built."""
     factored = []
-    real_splu = warpflow.flow.splu
-    monkeypatch.setattr(warpflow.flow, "splu",
-                        lambda *a, **k: factored.append(1) or real_splu(*a, **k))
+    real_lu_factor = warpflow.flow.lu_factor
+    monkeypatch.setattr(warpflow.flow, "lu_factor",
+                        lambda A: factored.append(1) or real_lu_factor(A))
     return factored
 
 
@@ -265,7 +265,7 @@ class TestStepMechanics:
         assert st.ctx.stats["elliptic_solves"] == 0 and solves == []
 
     def test_a_cheap_key_is_never_factored(self, square16, monkeypatch):
-        factored = _counted_splu(monkeypatch)
+        factored = _counted_factors(monkeypatch)
         st = _geodesic_start(square16)
         ctx = st.ctx
         # every dt: Jacobi CG on its matrix and inverse diagonal, kept while
@@ -286,7 +286,7 @@ class TestStepMechanics:
         assert factored == [] and ctx.stats["step_factors"] == 0
 
     def test_an_off_ladder_step_is_never_factored(self, square16, monkeypatch):
-        factored = _counted_splu(monkeypatch)
+        factored = _counted_factors(monkeypatch)
         st = _geodesic_start(square16)
         ctx = st.ctx
         dt = 0.4 * ctx.dt_cfl                      # a last step clipped to land on t_end
@@ -298,7 +298,7 @@ class TestStepMechanics:
 
     def test_a_key_is_factored_at_the_first_new_time_level_after_its_excess_pays(
             self, square16, monkeypatch):
-        factored = _counted_splu(monkeypatch)
+        factored = _counted_factors(monkeypatch)
         st = _geodesic_start(square16)
         ctx, dt = st.ctx, st.ctx.dt_cfl
 
@@ -346,9 +346,9 @@ class TestStepMechanics:
         st = _geodesic_start(square16)
         ctx, a, b = st.ctx, st.ctx.dt_cfl, st.ctx.dt_cfl / 2
         held = []                  # (factor held, CG matrix held) at each build
-        real_splu = warpflow.flow.splu
-        monkeypatch.setattr(warpflow.flow, "splu", lambda *args, **kw: held.append(
-            (ctx._lu, ctx._cg)) or real_splu(*args, **kw))
+        real_lu_factor = warpflow.flow.lu_factor
+        monkeypatch.setattr(warpflow.flow, "lu_factor", lambda A: held.append(
+            (ctx._lu, ctx._cg)) or real_lu_factor(A))
         st = step(_earn_a_factor(st, a), dt=a)
         assert ctx._lu_dt == a
         st = step(_earn_a_factor(st, b), dt=b)     # b's excess beat a's by FACTOR_ITERS

@@ -298,6 +298,71 @@ def test_one_step_matrix_and_clipped_or_forced_steps_on_cg(runner):
     assert len({dt for dt, _ in solves[first:]}) >= 2
 
 
+@pytest.mark.parametrize("runner", ["run_scenario", "twin_run"])
+def test_solver_stats_count_every_solve(runner, monkeypatch):
+    # every solve, wrapped where it is bound: the set-up extensions (Jacobi
+    # default) and the potential (its block's factor as M) call the elliptic
+    # module's cg_solve, the step CG flow's, and a step factor's solve is the
+    # solve of what flow's lu_factor returns
+    counts = dict.fromkeys(("setup_iterations", "elliptic_iterations", "step_iterations",
+                            "step_factors", "step_lu_solves", "step_cg_solves",
+                            "theta_solves"), 0)
+    real_cg, real_lu = warpflow.elliptic.cg_solve, warpflow.flow.lu_factor
+    real_theta, real_build = warpflow.flow._FlowContext.theta_solve, build_scenario
+    contexts = []
+
+    def elliptic_cg(*args, **kw):
+        out = real_cg(*args, **kw)
+        counts["setup_iterations" if kw.get("M") is None else "elliptic_iterations"] += out[2]
+        return out
+
+    def step_cg(*args, **kw):
+        out = real_cg(*args, **kw)
+        counts["step_iterations"] += out[2]
+        counts["step_cg_solves"] += 1
+        return out
+
+    class CountedFactor:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, rhs):
+            counts["step_lu_solves"] += 1
+            return self._lu.solve(rhs)
+
+    def lu_factor(A):
+        counts["step_factors"] += 1
+        return CountedFactor(real_lu(A))
+
+    def theta_solve(*args):
+        counts["theta_solves"] += 1
+        return real_theta(*args)
+
+    def build(cfg):
+        state = real_build(cfg)
+        contexts.append(state.ctx)
+        return state
+
+    monkeypatch.setattr(warpflow.elliptic, "cg_solve", elliptic_cg)
+    monkeypatch.setattr(warpflow.flow, "cg_solve", step_cg)
+    monkeypatch.setattr(warpflow.flow, "lu_factor", lu_factor)
+    monkeypatch.setattr(warpflow.flow._FlowContext, "theta_solve", theta_solve)
+    monkeypatch.setattr(warpflow.scenario, "build_scenario", build)
+    if runner == "run_scenario":     # the potential, the extensions and both step methods
+        stats = run_scenario("warp_coupled", overrides={"mesh.h": "0.0625"},
+                             write_artifacts=False).report.solver_stats
+        assert min(counts["setup_iterations"], counts["elliptic_iterations"]) > 0
+    else:                            # a pair on one context, factored as it goes
+        twin_run("stability_twin")
+        stats = contexts[0].stats
+    assert len(contexts) == 1 and counts["step_factors"] >= 1
+    assert min(counts["step_lu_solves"], counts["step_cg_solves"]) > 0
+    for key in ("setup_iterations", "step_iterations", "step_lu_solves", "step_factors",
+                "elliptic_iterations"):
+        assert stats[key] == counts[key], key
+    assert stats["step_lu_solves"] + counts["step_cg_solves"] == counts["theta_solves"]
+
+
 class TestRunScenario:
     def test_artifact_layout(self, tmp_path):
         out = tmp_path / "run"
@@ -333,9 +398,9 @@ class TestRunScenario:
 
     def test_report_counts_every_step_factor(self, tmp_path, monkeypatch):
         built = []
-        real_splu = warpflow.flow.splu
-        monkeypatch.setattr(warpflow.flow, "splu",
-                            lambda *a, **k: built.append(1) or real_splu(*a, **k))
+        real_lu_factor = warpflow.flow.lu_factor
+        monkeypatch.setattr(warpflow.flow, "lu_factor",
+                            lambda A: built.append(1) or real_lu_factor(A))
         out = tmp_path / "run"
         run_scenario("warp_coupled", out_dir=out,
                      overrides={"mesh.h": "0.0625", "schedule.t_end": "0.1"})
@@ -935,9 +1000,12 @@ class TestCli:
     @pytest.mark.parametrize("text", [
         "stepper.sigma = 0.9", "thresholds.persist_frames = 0",
         "warp.kind = linear_height\nwarp.a = 0.5\nwarp.b = 1", "warp.kind = cubic",
-        "mesh.shape = hexagon", "mesh.h = -0.25", "mesh.h = 0.25\nstepper.sigma = 1e-9"],
+        "mesh.shape = hexagon", "mesh.h = -0.25", "mesh.h = 0.25\nstepper.sigma = 1e-9",
+        "mesh.shape = annulus\nmesh.r_in = 2\nmesh.r_out = 1", "mesh.h = 2",
+        "mesh.shape = disk\nmesh.h = 0.75"],
         ids=["sigma", "persist_frames", "warp_bounds", "warp_kind", "mesh_shape",
-             "mesh_h", "sigma_floor"])
+             "mesh_h", "sigma_floor", "annulus_radii", "square_too_coarse",
+             "disk_too_coarse"])
     def test_a_bad_value_stops_run_before_any_config_runs(self, tmp_path, capsys, text):
         # each value is refused as its config is read, with no mesh built
         bad = tmp_path / "bad.cfg"
