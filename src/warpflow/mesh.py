@@ -215,11 +215,14 @@ def _annulus_mesh(r_in: float, r_out: float, target_h: float) -> DomainMesh:
 
 def check_shape(shape: str, target_h: float, r_in: float = None, r_out: float = None):
     """InvalidShapeParameters for `build_mesh` arguments refused without a mesh: a size
-    not positive or too coarse for the shape, an unknown shape, bad annulus radii."""
+    not positive or too coarse for the shape (a square of one cell a side has no
+    interior vertex), an unknown shape, bad annulus radii."""
     if not target_h > 0:
         raise InvalidShapeParameters(f"target_h must be positive, got {target_h!r}")
-    if shape in ("square", "disk"):
-        coarse = target_h > (1.0 if shape == "square" else 0.5)
+    if shape == "square":
+        coarse = _doubling_count(1.0, target_h) == 1
+    elif shape == "disk":
+        coarse = target_h > 0.5
     elif shape != "annulus":
         raise InvalidShapeParameters(f"unknown shape {shape!r}")
     elif r_in is None or r_out is None:
@@ -290,19 +293,27 @@ def ball_rows(mesh: DomainMesh, centers, radii) -> sp.csr_matrix:
                          shape=(len(rows), mesh.num_triangles))
 
 
-CELLS_PER_RADIUS = 16       # ball grid: cells per smallest radius, >= sqrt(mean area)
 CELL_MARGIN = 1e-9          # of (radius + largest |coordinate|): far above round-off
 LOCAL_ENERGY_BLOCK = 512    # balls per block of the build: bounds its transients
+LATTICE_TIE_RTOL = 1e-9     # of 9 r^2 / h^2: far above the round-off of `ball_triangles`
+
+
+def _clamped_radius(mesh: DomainMesh, radius: float) -> float:
+    """radius, at most the bounding box's diagonal: a ball that wide already
+    holds every triangle."""
+    V = mesh.vertices
+    return min(float(radius), math.dist(V.min(axis=0), V.max(axis=0)))
 
 
 @dataclass
 class BallIndex:
     """Sums of a per-triangle quantity over the balls of one radius about
-    every vertex, one row per vertex.  With barycenters binned into square cells
-    and P[j, i] the sum over the cells left of cell i in cell row j, a row of
-    `op` acts on [P.ravel(); dens]: -1 and +1 at the ends of each run of cells
-    wholly inside its ball (shrunk by CELL_MARGIN), and 1 at each triangle of a
-    cell its rim cuts that passes the exact rule of `ball_triangles`."""
+    every vertex, one row per vertex.  With barycenters binned into square
+    cells of side sqrt(mean triangle area) and P[j, i] the sum over the cells
+    left of cell i in cell row j, a row of `op` acts on [P.ravel(); dens]: -1
+    and +1 at the ends of each run of cells wholly inside its ball (shrunk by
+    CELL_MARGIN), and 1 at each triangle of a cell its rim cuts that passes
+    the exact rule of `ball_triangles`."""
 
     cells: np.ndarray = field(repr=False)   # (nt,) flat grid index of each barycenter
     grid: tuple                             # (ny, nx + 1)
@@ -318,10 +329,8 @@ class BallIndex:
 
     @classmethod
     def build(cls, mesh: DomainMesh, radius: float) -> "BallIndex":
-        # a ball as wide as the bounding box's diagonal already holds every triangle
-        V, nv = mesh.vertices, mesh.num_vertices
-        r = min(float(radius), math.dist(V.min(axis=0), V.max(axis=0)))
-        B, c = mesh.barycenters, max(r / CELLS_PER_RADIUS, math.sqrt(mesh.areas.mean()))
+        nv, r = mesh.num_vertices, _clamped_radius(mesh, radius)
+        B, c = mesh.barycenters, math.sqrt(mesh.areas.mean())
         lo = B.min(axis=0)
         ij = np.floor((B - lo) / c).astype(np.int64)
         nx, ny = (int(n) + 1 for n in ij.max(axis=0))
@@ -382,9 +391,72 @@ class BallIndex:
         return cls(cells, (ny, nx + 1), op)
 
 
-def local_energy_matrix(mesh: DomainMesh, radius: float) -> BallIndex:
+@dataclass
+class LatticeBalls:
+    """Sums of a per-triangle quantity over the radius-ball of every vertex of
+    the unit square of `_square_mesh`, n cells a side, with nothing stored per
+    vertex.  Cell (i, j) holds triangle 2 (i n + j), barycenter (i + 2/3,
+    j + 1/3) h, and triangle 2 (i n + j) + 1, barycenter (i + 1/3, j + 2/3) h.
+    So in units of (h/3)^2 the squared distance from vertex (p, q) to the
+    kind-k triangle of cell (p + di, q + dj) is the integer (3 di + a_k)^2 +
+    (3 dj + b_k)^2, (a, b) = (2, 1) or (1, 2), whatever the vertex: for each
+    (k, di) the cells in the ball form one run dj in [lo, hi].  A run's sum
+    is C_k[p + di, q + hi + 1] - C_k[p + di, q + lo], with C_k the prefix
+    sums along j of the kind-k densities, clamped to the row's ends; for all
+    vertices at once that is two slice updates."""
+
+    n: int
+    runs: tuple          # (k, di, lo, hi) of every run
+
+    @property
+    def nnz(self) -> int:
+        return 2 * len(self.runs)
+
+    def __matmul__(self, dens: np.ndarray) -> np.ndarray:
+        n = self.n
+        # C[k, i, n + j] = C_k[i, j]: 0 for j <= 0, the row total for j >= n
+        C = np.zeros((2, n, 3 * n + 1))
+        np.cumsum(dens.reshape(n, n, 2).transpose(2, 0, 1), axis=2,
+                  out=C[:, :, n + 1:2 * n + 1])
+        C[:, :, 2 * n + 1:] = C[:, :, 2 * n:2 * n + 1]
+        out = np.zeros((n + 1, n + 1))               # out[p, q]: vertex p (n + 1) + q
+        for k, di, lo, hi in self.runs:
+            p0, p1 = max(-di, 0), min(n - di, n + 1)   # vertices whose row p + di exists
+            rows = C[k, p0 + di:p1 + di]
+            out[p0:p1] += rows[:, n + hi + 1:2 * n + hi + 2]
+            out[p0:p1] -= rows[:, n + lo:2 * n + lo + 1]
+        return out.ravel()
+
+    @classmethod
+    def build(cls, n: int, r: float) -> "LatticeBalls | None":
+        """The runs of the radius-r ball on the n x n lattice, or None when
+        a lattice distance lies within LATTICE_TIE_RTOL of r: the float
+        barycenters of `ball_triangles` may then fall either side."""
+        T = 9.0 * r * r * n * n                   # r^2 in units of (h/3)^2
+        w = min(n, math.ceil(r * n) + 1)
+        d = np.arange(-w, w)                       # every di and dj of a cell in the ball
+        runs = []
+        for k, (a, b) in enumerate(((2, 1), (1, 2))):
+            D = ((3 * d + a) ** 2)[:, None] + ((3 * d + b) ** 2)[None, :]
+            if np.any(np.abs(D - T) <= LATTICE_TIE_RTOL * T):
+                return None
+            inside = D <= T
+            for i in np.flatnonzero(inside.any(axis=1)):
+                dj = d[inside[i]]
+                runs.append((k, int(d[i]), int(dj[0]), int(dj[-1])))
+        return cls(n, tuple(runs))
+
+
+def local_energy_matrix(mesh: DomainMesh, radius: float) -> "LatticeBalls | BallIndex":
     """Ball sums over the radius-ball of every vertex: (L @ tri_energy_density)[v]
-    is the Dirichlet energy in the ball at vertex v."""
+    is the Dirichlet energy in the ball at vertex v.  The square's lattice
+    takes `LatticeBalls` unless a lattice distance ties the radius; every
+    other mesh, and such a tie, takes `BallIndex`."""
+    n = math.isqrt(mesh.num_vertices) - 1
+    if mesh.shape == "square" and (n + 1) ** 2 == mesh.num_vertices:
+        lattice = LatticeBalls.build(n, _clamped_radius(mesh, radius))
+        if lattice is not None:
+            return lattice
     return BallIndex.build(mesh, radius)
 
 

@@ -11,7 +11,7 @@ from warpflow.boundary import boundary_data_from_presets
 from warpflow.diagnostics import ThresholdConfig
 from warpflow.errors import InvalidShapeParameters, NonPositiveCoefficient
 from warpflow.geometry import make_target
-from warpflow.mesh import (BallIndex, DomainMesh, ball_rows, ball_triangles,
+from warpflow.mesh import (BallIndex, DomainMesh, LatticeBalls, ball_rows, ball_triangles,
                            build_mesh, dirichlet_energy, dump_mesh,
                            local_energy_matrix, tri_energy_density,
                            triangle_mean, write_snapshot)
@@ -73,6 +73,8 @@ def test_shape_guards():
         build_mesh("square", 0.0)
     with pytest.raises(InvalidShapeParameters):
         build_mesh("square", 1.2)
+    with pytest.raises(InvalidShapeParameters, match="too coarse"):
+        build_mesh("square", 1.0)             # one cell a side: no interior vertex
     with pytest.raises(InvalidShapeParameters):
         build_mesh("disk", 0.6)
     with pytest.raises(InvalidShapeParameters):
@@ -147,7 +149,7 @@ def test_obtuse_mesh_is_refused(monkeypatch):
     assert _max_off_diagonal(obtuse) > 0.0
     monkeypatch.setattr(warpflow.mesh, "_square_mesh", lambda h: obtuse)
     with pytest.raises(InvalidShapeParameters, match="weakly acute"):
-        build_mesh("square", 1.0)
+        build_mesh("square", 0.75)       # within the edge budget, above one cell a side
 
 
 # -- geometry of the builders ------------------------------------------------
@@ -386,11 +388,56 @@ def test_ball_of_any_width_holds_every_triangle(mesh_name, request):
                           np.ones((m.num_vertices, m.num_triangles)))
 
 
+def test_a_radius_that_ties_a_lattice_distance_takes_the_ball_index(square16):
+    # sqrt(5) h / 3 is the distance from a vertex to its nearest barycenters:
+    # float rounding in ball_triangles decides each of them
+    radius = math.sqrt(5.0) / 3.0 / 16.0
+    L = local_energy_matrix(square16, radius)
+    assert isinstance(L, BallIndex)
+    assert np.array_equal(_membership(L, square16.num_triangles),
+                          _brute_force(square16, radius))
+
+
+@pytest.mark.parametrize("h", [1 / 32, 1 / 64])
+def test_lattice_ball_sums_match_the_ball_index(h):
+    m = build_mesh("square", h)
+    L, B = local_energy_matrix(m, 0.1), BallIndex.build(m, 0.1)
+    assert isinstance(L, LatticeBalls) and L.nnz == 2 * len(L.runs)
+    f = np.sin(3.0 * m.vertices[:, 0]) * np.cos(2.0 * m.vertices[:, 1])
+    dens = tri_energy_density(m, m.tri_grad_sq(f))
+    exact = B @ dens
+    assert np.max(np.abs(L @ dens - exact) / exact) <= 1e-14
+    # a sharp spike on a faint background, the threshold just below it: the
+    # crossings are the vertices whose ball holds the spike
+    t = m.num_triangles // 2 + 7
+    spiked = 1e-6 * dens / dens.max()
+    spiked[t] = 1.0
+    crossings = [np.flatnonzero(op @ spiked > 1.0 - 1e-12) for op in (L, B)]
+    assert np.array_equal(crossings[0], crossings[1])
+    assert np.array_equal(crossings[0], np.flatnonzero(_brute_force(m, 0.1)[:, t]))
+
+
+def test_lattice_ball_sums_keep_no_operator():
+    # the square's ball sums keep their runs only: the ball index kept ~3 MiB here
+    m = build_mesh("square", 1.0 / 64.0)
+    tracemalloc.start()
+    try:
+        L = local_energy_matrix(m, 0.1)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(L, LatticeBalls)
+    assert kept < 64 * 1024
+
+
+# the three tests below check the ball index itself, which the disk and the
+# annulus use; on the square, local_energy_matrix takes the lattice
+
 def test_local_energy_matrix_keeps_empty_rows(square16, monkeypatch):
     monkeypatch.setattr(warpflow.mesh, "LOCAL_ENERGY_BLOCK", 5)
     # below the nearest barycenter distance of the two corner vertices
     radius = 0.5 * square16.h / np.sqrt(2.0)
-    L = local_energy_matrix(square16, radius)
+    L = BallIndex.build(square16, radius)
     member = _membership(L, square16.num_triangles)
     assert np.array_equal(member, _brute_force(square16, radius))
     empty = ~member.any(axis=1)
@@ -403,7 +450,7 @@ def test_local_energy_matrix_is_a_fraction_of_the_membership_lists():
     # the square at h = 1/128 with r = 0.1 (warp_coupled_fine) holds
     # 15,683,200 (vertex, triangle-in-ball) pairs
     m = build_mesh("square", 1.0 / 128.0)
-    assert local_energy_matrix(m, 0.1).nnz <= 15_683_200 / 4
+    assert BallIndex.build(m, 0.1).nnz <= 15_683_200 / 4
 
 
 def test_local_energy_matrix_memory_stays_near_its_size():
@@ -411,7 +458,7 @@ def test_local_energy_matrix_memory_stays_near_its_size():
     m = build_mesh("square", 1.0 / 64.0)
     tracemalloc.start()
     try:
-        L = local_energy_matrix(m, 0.1)
+        L = BallIndex.build(m, 0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -997,6 +997,17 @@ class TestCli:
         assert captured.err == f"config error: {bad}: line 3: unknown key 'foo'\n"
         assert captured.out == "" and not out.exists()
 
+    def test_a_one_cell_square_stops_run_before_any_config_runs(self, tmp_path, capsys):
+        # mesh.h = 1 leaves the square one cell a side, with no interior vertex
+        sq = tmp_path / "sq.cfg"
+        sq.write_text("target = sphere\nmesh.h = 1\n")
+        out = tmp_path / "out"
+        assert main(["run", "heat_decay", str(sq), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith(f"config error: {sq}: ")
+        assert "too coarse for the square" in captured.err
+
     @pytest.mark.parametrize("text", [
         "stepper.sigma = 0.9", "thresholds.persist_frames = 0",
         "warp.kind = linear_height\nwarp.a = 0.5\nwarp.b = 1", "warp.kind = cubic",
