@@ -26,8 +26,9 @@ live once, in the `_FlowContext` that `initial_state` builds; a FlowState is
 the evolving (u, v, t) on it.  A state's triangle gradients, nodal forcing,
 K u and triangle beta are evaluated once, on first use, whether a retried
 step, a record or the next step asks for them, or carried from the state
-before where its step leaves them valid.  Each potential solve starts from
-the potential extrapolated linearly in t from the last two states.
+before where its step leaves them valid; `run_flow` measures every record in
+line, on the calling thread.  Each potential solve starts from the potential
+extrapolated linearly in t from the last two states.
 """
 
 from __future__ import annotations
@@ -35,15 +36,13 @@ from __future__ import annotations
 import copy
 import math
 import time as _time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .boundary import BoundaryData
-from .diagnostics import (DiagnosticsReport, EnergyRecord, RunBounds, ThresholdConfig,
-                          energy_functionals)
+from .diagnostics import DiagnosticsReport, RunBounds, ThresholdConfig, energy_functionals
 from .elliptic import (WarpedBlock, cg_solve, dirichlet_split, jacobi_preconditioner,
                        lu_factor, solve_warped_laplace)
 from .errors import DegeneratePoint, SolverFailure, StepRejected
@@ -57,9 +56,6 @@ MAX_FORCED_STEPS = 50
 # CG iterations that one LU column solve, and one LU factor build, cost
 LU_COL_ITERS = 6
 FACTOR_ITERS = 200
-# a run on a mesh of at least this many triangles measures each record on a
-# worker thread, overlapped with the next step (see run_flow)
-RECORD_THREAD_MIN_TRIANGLES = 32768
 
 
 @dataclass
@@ -295,14 +291,13 @@ def _forcing(state: FlowState) -> np.ndarray | None:
     return state._derived("forcing", compute)
 
 
-def tension_residual(state: FlowState):
-    """Tangential discrete tension field and its L2 norm (boundary rows zero)."""
+def tension_residual(state: FlowState) -> float:
+    """L2 norm of the tangential discrete tension field (boundary rows zero)."""
     mesh = state.mesh
     lap, F = mesh.laplacian(state.u, state.stiffness_u()), _forcing(state)
     R = state.ctx.target.project_tangent(state.u, lap if F is None else lap + F)
     R[mesh.boundary_index] = 0.0
-    norm = math.sqrt(mesh.mass_sum(np.einsum("ij,ij->i", R, R)))
-    return R, norm
+    return math.sqrt(mesh.mass_sum(np.einsum("ij,ij->i", R, R)))
 
 
 def _count_rejection(ctx: _FlowContext, reason: str):
@@ -438,20 +433,8 @@ def run_flow(state: FlowState, schedule: Schedule, thresholds: ThresholdConfig =
     initial and final states and each forced step's start; each state once),
     with its probe_centers ball energies and crossings (the vertices whose
     r_detect-ball energy exceeds thresholds.energy), the coordinates of every
-    crossing vertex, underflow times, and aggregate solver statistics.  The
-    loop appends records and never reads them back.
-
-    A record is `measure`, which only reads a finished state, then `commit`,
-    which appends it in order.  On a mesh of at least
-    RECORD_THREAD_MIN_TRIANGLES triangles each measure runs on one worker
-    thread while the main thread takes the next step, with at most one record
-    in flight.  Before it submits one, the main thread drains the last and
-    forms every cached field that the record reads, so the worker only reads
-    and the work done never depends on thread timing; the next step forms
-    the forcing on the main thread.  A record's error is re-raised on the
-    main thread, ahead of any error of the step it overlapped, as the
-    sequential order would raise it; no worker outlives the run.  Both paths
-    give the same records bit for bit.
+    crossing vertex, underflow times, and aggregate solver statistics.  Each
+    record is measured on the calling thread as soon as its state exists.
     """
     thresholds = thresholds or ThresholdConfig()
     mesh = state.mesh
@@ -465,71 +448,41 @@ def run_flow(state: FlowState, schedule: Schedule, thresholds: ThresholdConfig =
     report.probe_centers = centers
     probes = ball_rows(mesh, centers, radii)
     kin_total = 0.0
-    recorded = snapped = -1          # the step counts of the last record and snapshot
-    worker = (ThreadPoolExecutor(max_workers=1)
-              if mesh.num_triangles >= RECORD_THREAD_MIN_TRIANGLES else None)
-    pending = None                   # the record in flight on the worker
+    snapped = -1                     # the step count of the last snapshot
     wall0 = _time.perf_counter()
 
-    def measure(st: FlowState, kinetic_cum: float) -> EnergyRecord:
+    def record(st: FlowState):
+        if report.records and report.records[-1].step_count == st.step_count:
+            return
         rec = energy_functionals(st)
-        rec.kinetic_cum = kinetic_cum
+        rec.kinetic_cum = kin_total
         dens = tri_energy_density(mesh, st.grad_sq_u())
         local = L @ dens
         rec.max_local_energy = float(local.max())
         rec.ball_probes = (probes @ dens).reshape(len(centers), len(radii)).tolist()
         rec.crossings = {int(c): float(local[c])
                          for c in np.flatnonzero(local > thresholds.energy)}
-        return rec
-
-    def commit(rec: EnergyRecord):
         for c in rec.crossings:
             report.crossing_points.setdefault(c, [float(x) for x in mesh.vertices[c]])
         report.records.append(rec)
 
-    def drain():
-        nonlocal pending
-        if pending is not None:
-            done, pending = pending, None
-            commit(done.result())
-
-    def record(st: FlowState):
-        nonlocal recorded, pending
-        if st.step_count == recorded:
-            return
-        recorded = st.step_count
-        if worker is None:
-            commit(measure(st, kin_total))
-            return
-        drain()
-        for form in (st.grad_sq_u, st.grad_sq_v, st.beta_tri, st.stiffness_u):
-            form()
-        pending = worker.submit(measure, st, kin_total)
-
-    try:
-        record(state)
-        for (new_state,), forced in march([state], schedule.t_end):
-            if forced:
-                # operational blow-up: log it and record the state it started from
-                report.underflow_times.append(float(state.t))
-                record(state)
-            kin_total += new_state.last_rate ** 2 * new_state.last_dt
-            state = new_state
-            if forced or (schedule.diag_stride > 0
-                          and state.step_count % schedule.diag_stride == 0):
-                record(state)
-            if (not forced and schedule.snapshot_cb is not None
-                    and schedule.snapshot_stride > 0
-                    and state.step_count % schedule.snapshot_stride == 0):
-                schedule.snapshot_cb(state)
-                snapped = state.step_count
-        record(state)
-    finally:
-        if worker is not None:
-            try:
-                drain()
-            finally:
-                worker.shutdown()
+    record(state)
+    for (new_state,), forced in march([state], schedule.t_end):
+        if forced:
+            # operational blow-up: log it and record the state it started from
+            report.underflow_times.append(float(state.t))
+            record(state)
+        kin_total += new_state.last_rate ** 2 * new_state.last_dt
+        state = new_state
+        if forced or (schedule.diag_stride > 0
+                      and state.step_count % schedule.diag_stride == 0):
+            record(state)
+        if (not forced and schedule.snapshot_cb is not None
+                and schedule.snapshot_stride > 0
+                and state.step_count % schedule.snapshot_stride == 0):
+            schedule.snapshot_cb(state)
+            snapped = state.step_count
+    record(state)
     if schedule.snapshot_cb is not None and snapped != state.step_count:
         schedule.snapshot_cb(state)
 

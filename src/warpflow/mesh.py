@@ -244,9 +244,8 @@ def build_mesh(shape: str, target_h: float, r_in: float = None,
                r_out: float = None) -> DomainMesh:
     """Build a conforming, weakly acute triangulation with max edge <= 1.5 * target_h.
 
-    InvalidShapeParameters for arguments `check_shape` refuses, for a mesh
-    with no interior vertex (nothing left to solve for), and for a mesh that
-    is not weakly acute.
+    InvalidShapeParameters for arguments `check_shape` refuses and for a
+    mesh that is not weakly acute.
     """
     check_shape(shape, target_h, r_in, r_out)
     mesh = (_annulus_mesh(r_in, r_out, target_h) if shape == "annulus"
@@ -254,9 +253,6 @@ def build_mesh(shape: str, target_h: float, r_in: float = None,
     if mesh.h > 1.5 * target_h:
         raise InvalidShapeParameters(
             f"mesh generator exceeded edge budget: h={mesh.h} > 1.5*{target_h}")
-    if mesh.boundary.all():
-        raise InvalidShapeParameters(
-            f"target_h={target_h} leaves the {shape} mesh without an interior vertex")
     K = mesh.stiffness.tocoo()
     off = K.data[K.row != K.col]
     if off.size and off.max() > WEAKLY_ACUTE_RTOL * np.abs(K.data).max():

@@ -282,7 +282,7 @@ def run_scenario(flat_or_path, out_dir=None, h=None, t_end=None,
                         snapshot_cb=snapshot_cb)
     state, report = run_flow(state, schedule, cfg.thresholds)
 
-    exit_code = derive_verdicts(report, tension_residual(state)[1])
+    exit_code = derive_verdicts(report, tension_residual(state))
     if cfg.warp.kind == "constant":
         report.notes.append("constant warp: potential decoupled, the harmonic extension of psi")
     if report.underflow_times:
@@ -378,17 +378,17 @@ def check_report_file(path) -> int:
     """Re-derive every verdict of a stored report; 0 ok, 2 failure.
 
     The stored records, bounds, thresholds, crossing points and tension
-    residual go through `derive_verdicts`, as in a run.  Fails on a file that
-    does not parse into a report, a failed hard check, or stored events,
-    checks, convergence, v_norm or exit code that differ from the re-derived
-    ones.
+    residual go through `derive_verdicts`, as in a run.  Fails on a path that
+    cannot be read or does not parse into a report, a failed hard check, or
+    stored events, checks, convergence, v_norm or exit code that differ from
+    the re-derived ones.
     """
     try:
         with open(path) as f:
             payload = json.load(f)
         report = report_from_dict(payload)
         exit_code = derive_verdicts(report, report.convergence.residual_norm)
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+    except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
         print(f"malformed report: {type(exc).__name__}: {exc}")
         return 2
     for c in report.checks:

@@ -339,7 +339,7 @@ def test_diagnostics_loads_without_flow():
 
 
 def _monitor(rep, fin):
-    return convergence_monitor(rep.records, fin.mesh.h, tension_residual(fin)[1],
+    return convergence_monitor(rep.records, fin.mesh.h, tension_residual(fin),
                                rep.thresholds)
 
 

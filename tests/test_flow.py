@@ -1,4 +1,5 @@
 import math
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 
 import warpflow.elliptic
 import warpflow.flow
-from brute_force import reference_step, weighted_stiffness
+from brute_force import reference_step, sequential_run, weighted_stiffness
 from oracle_corotational import reduced_profile
 from warpflow.boundary import BoundaryData, boundary_data_from_presets
+from warpflow.cli import main as cli_main
 from warpflow.diagnostics import (HARD_CHECK_SLACK, ThresholdConfig, energy_functionals,
                                   inequality_suite, mono_tolerance)
 from warpflow.elliptic import CG_RTOL
@@ -70,6 +72,58 @@ def _counted_factors(monkeypatch):
 def _bump_data(mesh, amp=0.1):
     spec = f"sine_bump amplitude={amp}"
     return boundary_data_from_presets(mesh, TORUS, spec, spec, "constant value=0")
+
+
+def _sphere_start(mesh):
+    # a varying warp: every step re-solves the potential
+    bd = boundary_data_from_presets(mesh, SPHERE, "equator_circle kappa=1", "harmonic",
+                                    "linear_x")
+    return initial_state(mesh, SPHERE, WarpFunction("linear_height", 2.0, 1.0), bd,
+                         StepperConfig())
+
+
+def _torus_start(mesh, amp=0.1, **config):
+    return initial_state(mesh, TORUS, UNIT_WARP, _bump_data(mesh, amp),
+                         StepperConfig(**config))
+
+
+def _underflow_case(mesh):
+    # no trial step fits a 1e-9 h move cap: every step is a forced dt_min step
+    st = _torus_start(mesh, amp=0.4, max_move_fraction=1e-9)
+    return st, Schedule(t_end=3.0 * st.ctx.dt_min), ThresholdConfig()
+
+
+def _two_steps_case(mesh):
+    st = _torus_start(mesh)
+    return st, Schedule(t_end=2.0 * st.ctx.dt_cfl), ThresholdConfig()
+
+
+# name -> (mesh fixture, mesh -> (a fresh start, its schedule, its thresholds))
+RECORD_CASES = {
+    "sphere": ("square16", lambda m: (_sphere_start(m), Schedule(t_end=0.03),
+                                      ThresholdConfig())),
+    "torus_stride_2": ("square16", lambda m: (_torus_start(m),
+                                              Schedule(t_end=0.02, diag_stride=2),
+                                              ThresholdConfig(energy=1e-3))),
+    "torus_underflow": ("square16", _underflow_case),
+    # 32768 triangles: records of a mesh this size are measured in line too
+    "torus_square128": ("square128", _two_steps_case),
+}
+
+
+@pytest.fixture(scope="module")
+def square128():
+    return build_mesh("square", 1.0 / 128.0)
+
+
+def _failing_record(monkeypatch, at_step, exc):
+    real = warpflow.flow.energy_functionals
+
+    def fail(st):
+        if st.step_count == at_step:
+            raise exc
+        return real(st)
+    monkeypatch.setattr(warpflow.flow, "energy_functionals", fail)
 
 
 class TestStepperConfig:
@@ -163,7 +217,7 @@ class TestFixedPoints:
             bd.phi0 = np.column_stack([np.cos(x), np.sin(x),
                                        np.zeros(m.num_vertices)])
             st = initial_state(m, SPHERE, UNIT_WARP, bd, StepperConfig())
-            assert tension_residual(st)[1] < 1e-10
+            assert tension_residual(st) < 1e-10
 
 
 class TestStepMechanics:
@@ -703,6 +757,43 @@ class TestRunFlow:
         st = initial_state(square16, TORUS, UNIT_WARP, bd, cfg)
         with pytest.raises(SolverFailure):
             run_flow(st, Schedule(t_end=1.0))
+
+
+    @pytest.mark.parametrize("case", sorted(RECORD_CASES))
+    def test_records_equal_the_sequential_reference(self, request, monkeypatch, case):
+        mesh_fixture, start = RECORD_CASES[case]
+        mesh = request.getfixturevalue(mesh_fixture)
+        ref_records, ref_points, ref_underflow, ref_stats = sequential_run(*start(mesh))
+        state, schedule, thr = start(mesh)
+        measured_on = []            # the thread of every record measured
+        real = warpflow.flow.energy_functionals
+
+        def spy(st):
+            measured_on.append(threading.current_thread())
+            return real(st)
+        monkeypatch.setattr(warpflow.flow, "energy_functionals", spy)
+        _, rep = run_flow(state, schedule, thr)
+        assert measured_on == [threading.current_thread()] * len(rep.records)
+        assert len(rep.records) == len(ref_records) > 2
+        for got, want in zip(rep.records, ref_records):
+            for name, value in vars(want).items():
+                # floats, lists and dicts equal value for value
+                assert getattr(got, name) == value, (got.step_count, name)
+        assert rep.crossing_points == ref_points
+        assert rep.underflow_times == ref_underflow
+        assert bool(ref_underflow) == (case == "torus_underflow")
+        stats = dict(rep.solver_stats)
+        del stats["wall_seconds"]
+        assert stats == ref_stats
+
+    def test_a_failing_record_keeps_its_exception_and_exit_code(self, tmp_path, monkeypatch):
+        argv = ["run", "warp_coupled", "--h", "0.0625", "--t-end", "0.05",
+                "--out", str(tmp_path / "out")]
+        _failing_record(monkeypatch, 2, SolverFailure("record failed"))
+        assert cli_main(argv) == 3
+        _failing_record(monkeypatch, 2, FloatingPointError("record overflowed"))
+        with pytest.raises(FloatingPointError, match="record overflowed"):
+            cli_main(argv)
 
 
 class TestProbeCenters:

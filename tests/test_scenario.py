@@ -1077,6 +1077,15 @@ class TestCli:
         report.write_text(json.dumps(payload))
         assert main(["check", str(report)]) == 2
 
+    @pytest.mark.parametrize("name", ["missing.json", "a_directory"])
+    def test_check_of_an_unreadable_path_is_malformed(self, tmp_path, capsys, name):
+        (tmp_path / "a_directory").mkdir()
+        assert main(["check", str(tmp_path / name)]) == 2
+        captured = capsys.readouterr()
+        out = captured.out.splitlines()
+        assert len(out) == 1 and out[0].startswith("malformed report:")
+        assert captured.err == ""
+
     def test_twin_writes_report(self, tmp_path):
         out = tmp_path / "twin_out"
         code = main(["twin", "stability_twin", "--delta", "0", "--out", str(out)])
