@@ -43,8 +43,7 @@ def jacobi_preconditioner(A: sp.csr_matrix) -> np.ndarray:
     return np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 1.0)
 
 
-def cg_solve(A: sp.csr_matrix, B: np.ndarray, x0: np.ndarray = None,
-             rtol: float = CG_RTOL, maxiter: int = None, M=None):
+def cg_solve(A: sp.csr_matrix, B: np.ndarray, x0: np.ndarray = None, M=None):
     """Preconditioned CG on each column of B, (n,) or (n, d), from x0 shaped
     like B; returns (X shaped like B, worst relative residual, total iterations).
 
@@ -52,17 +51,16 @@ def cg_solve(A: sp.csr_matrix, B: np.ndarray, x0: np.ndarray = None,
     multiply; a callable is applied to the residual (e.g. a factor's solve).
     The default is jacobi_preconditioner(A).  Each column runs
     scipy.sparse.linalg.cg's iteration, operation for operation (start
-    residual b - A x0, stop once |r| < rtol |b|, the same true-residual
+    residual b - A x0, stop once |r| < CG_RTOL |b|, the same true-residual
     check), so both take the same steps; their iterates agree to round-off,
     since every reduction here is a BLAS-free einsum.  Under an inverse
     diagonal, r.r and r.z are one einsum over the rows of one (2, n) buffer.
     A zero column gives zeros in 0 iterations.  SolverFailure if a column
-    hits the cap before the tolerance.
+    hits the cap, max(100, 50 sqrt(n)) iterations, before the tolerance.
     """
     B = np.asarray(B, dtype=float)
     n = B.shape[0]
-    if maxiter is None:
-        maxiter = max(100, int(50 * math.sqrt(n)))
+    maxiter = max(100, int(50 * math.sqrt(n)))
     if M is None:
         M = jacobi_preconditioner(A)
     jacobi = isinstance(M, np.ndarray)
@@ -77,7 +75,7 @@ def cg_solve(A: sp.csr_matrix, B: np.ndarray, x0: np.ndarray = None,
             continue
         x = np.zeros(n) if guess is None else guess[:, d].copy()
         r[:] = b - A @ x if x.any() else b
-        atol = rtol * bnorm
+        atol = CG_RTOL * bnorm
         iters, stalled, p, rho_prev = 0, True, None, None
         while iters < maxiter:
             if jacobi:
@@ -105,7 +103,7 @@ def cg_solve(A: sp.csr_matrix, B: np.ndarray, x0: np.ndarray = None,
             iters += 1
         res = b - A @ x
         rel = math.sqrt(_dot(res, res)) / bnorm
-        if stalled and rel > rtol * 10:
+        if stalled and rel > CG_RTOL * 10:
             raise SolverFailure(
                 f"CG stalled at relative residual {rel:.3e} after {iters} iterations")
         X[:, d] = x

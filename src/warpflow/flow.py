@@ -56,6 +56,8 @@ MAX_FORCED_STEPS = 50
 # CG iterations that one LU column solve, and one LU factor build, cost
 LU_COL_ITERS = 6
 FACTOR_ITERS = 200
+# CFL steps, t_end / (sigma h), above which a config is refused
+MAX_PLANNED_STEPS = 100_000
 
 
 @dataclass
@@ -86,10 +88,16 @@ class StepperConfig:
 
 @dataclass
 class Schedule:
-    t_end: float
+    t_end: float = 0.1
     diag_stride: int = 1
     snapshot_stride: int = 0
-    snapshot_cb: object = None
+
+    def __post_init__(self):
+        if not self.t_end > 0:
+            raise ValueError(f"t_end must be positive, got {self.t_end!r}")
+        for name in ("diag_stride", "snapshot_stride"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
 
 
 class _FlowContext:
@@ -426,7 +434,8 @@ def default_probe_centers(mesh: DomainMesh) -> list:
         for a in anchors))
 
 
-def run_flow(state: FlowState, schedule: Schedule, thresholds: ThresholdConfig = None):
+def run_flow(state: FlowState, schedule: Schedule, thresholds: ThresholdConfig = None,
+             snapshot=None):
     """March to t_end with adaptive dt; returns (final state, DiagnosticsReport).
 
     The report carries one record per diag_stride accepted steps (plus the
@@ -435,14 +444,13 @@ def run_flow(state: FlowState, schedule: Schedule, thresholds: ThresholdConfig =
     r_detect-ball energy exceeds thresholds.energy), the coordinates of every
     crossing vertex, underflow times, and aggregate solver statistics.  Each
     record is measured on the calling thread as soon as its state exists.
+    `snapshot`, if given, is called with every snapshot_stride-th accepted
+    state that no forced step made, and with the final state once.
     """
     thresholds = thresholds or ThresholdConfig()
     mesh = state.mesh
     bounds = RunBounds.from_run(mesh, state.ctx.warp, state.ctx.bdata)
     report = DiagnosticsReport(records=[], bounds=bounds, thresholds=thresholds)
-    if schedule.t_end <= 0:
-        return state, report
-
     L = local_energy_matrix(mesh, thresholds.r_detect)
     centers, radii = default_probe_centers(mesh), thresholds.probe_radii()
     report.probe_centers = centers
@@ -477,14 +485,13 @@ def run_flow(state: FlowState, schedule: Schedule, thresholds: ThresholdConfig =
         if forced or (schedule.diag_stride > 0
                       and state.step_count % schedule.diag_stride == 0):
             record(state)
-        if (not forced and schedule.snapshot_cb is not None
-                and schedule.snapshot_stride > 0
+        if (not forced and snapshot is not None and schedule.snapshot_stride > 0
                 and state.step_count % schedule.snapshot_stride == 0):
-            schedule.snapshot_cb(state)
+            snapshot(state)
             snapped = state.step_count
     record(state)
-    if schedule.snapshot_cb is not None and snapped != state.step_count:
-        schedule.snapshot_cb(state)
+    if snapshot is not None and snapped != state.step_count:
+        snapshot(state)
 
     report.solver_stats = copy.deepcopy(state.ctx.stats)
     report.solver_stats["wall_seconds"] = _time.perf_counter() - wall0

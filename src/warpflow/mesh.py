@@ -168,17 +168,21 @@ def _doubling_count(length: float, step: float, start: int = 1) -> int:
     return n
 
 
-def _square_mesh(target_h: float) -> DomainMesh:
-    n = _doubling_count(1.0, target_h)
+def _square_lattice(n: int) -> tuple:
+    """(vertices, triangles) of the unit square's n x n lattice: vertex (i, j),
+    at (i, j) / n, is i (n + 1) + j; cells in (i, j) order, two triangles each."""
     xs = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    verts = np.column_stack([X.ravel(), Y.ravel()])
-    # vertex (i, j) is i (n + 1) + j; cells in (i, j) order, two triangles each
     I, J = np.meshgrid(np.arange(n, dtype=np.int64), np.arange(n), indexing="ij")
     v00 = (I * (n + 1) + J).ravel()
     v10, v01, v11 = v00 + (n + 1), v00 + 1, v00 + (n + 2)
-    tris = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
-    return DomainMesh(verts, tris, shape="square", target_h=target_h)
+    return (np.column_stack([X.ravel(), Y.ravel()]),
+            np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3))
+
+
+def _square_mesh(target_h: float) -> DomainMesh:
+    return DomainMesh(*_square_lattice(_doubling_count(1.0, target_h)), shape="square",
+                      target_h=target_h)
 
 
 def _disk_mesh(target_h: float) -> DomainMesh:
@@ -390,8 +394,8 @@ class BallIndex:
 @dataclass
 class LatticeBalls:
     """Sums of a per-triangle quantity over the radius-ball of every vertex of
-    the unit square of `_square_mesh`, n cells a side, with nothing stored per
-    vertex.  Cell (i, j) holds triangle 2 (i n + j), barycenter (i + 2/3,
+    the unit square of `_square_lattice`, n cells a side, with nothing stored
+    per vertex.  Cell (i, j) holds triangle 2 (i n + j), barycenter (i + 2/3,
     j + 1/3) h, and triangle 2 (i n + j) + 1, barycenter (i + 1/3, j + 2/3) h.
     So in units of (h/3)^2 the squared distance from vertex (p, q) to the
     kind-k triangle of cell (p + di, q + dj) is the integer (3 di + a_k)^2 +
@@ -445,14 +449,17 @@ class LatticeBalls:
 
 def local_energy_matrix(mesh: DomainMesh, radius: float) -> "LatticeBalls | BallIndex":
     """Ball sums over the radius-ball of every vertex: (L @ tri_energy_density)[v]
-    is the Dirichlet energy in the ball at vertex v.  The square's lattice
-    takes `LatticeBalls` unless a lattice distance ties the radius; every
-    other mesh, and such a tie, takes `BallIndex`."""
+    is the Dirichlet energy in the ball at vertex v.  A square mesh whose
+    vertex and triangle arrays are those of `_square_lattice` takes
+    `LatticeBalls` unless a lattice distance ties the radius; every other
+    mesh, and such a tie, takes `BallIndex`."""
     n = math.isqrt(mesh.num_vertices) - 1
     if mesh.shape == "square" and (n + 1) ** 2 == mesh.num_vertices:
-        lattice = LatticeBalls.build(n, _clamped_radius(mesh, radius))
-        if lattice is not None:
-            return lattice
+        vertices, triangles = _square_lattice(n)
+        if np.array_equal(mesh.vertices, vertices) and np.array_equal(mesh.triangles, triangles):
+            lattice = LatticeBalls.build(n, _clamped_radius(mesh, radius))
+            if lattice is not None:
+                return lattice
     return BallIndex.build(mesh, radius)
 
 

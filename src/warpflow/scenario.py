@@ -33,8 +33,8 @@ from .errors import (ConfigParseError, InvalidShapeParameters,
                      NonPositiveCoefficient, SolverFailure)
 # step is unused here but stays bound: perfbench/child.py patches
 # scenario.step next to flow.step to stamp the first step of a run
-from .flow import (Schedule, StepperConfig, initial_state, march, run_flow, step,
-                   tension_residual)
+from .flow import (MAX_PLANNED_STEPS, Schedule, StepperConfig, initial_state, march,
+                   run_flow, step, tension_residual)
 from .geometry import WarpFunction, make_target
 from .mesh import build_mesh, check_shape, dump_mesh, write_snapshot
 
@@ -65,9 +65,9 @@ _KEYS = {
     "thresholds.r_detect": ("thresholds.r_detect", float, "a number"),
     "thresholds.r_grid": ("thresholds.r_grid", _floats, "comma-separated numbers"),
     "thresholds.persist_frames": ("thresholds.persist_frames", int, "an integer"),
-    "schedule.t_end": ("t_end", float, "a number"),
-    "schedule.diag_stride": ("diag_stride", int, "an integer"),
-    "schedule.snapshot_stride": ("snapshot_stride", int, "an integer"),
+    "schedule.t_end": ("schedule.t_end", float, "a number"),
+    "schedule.diag_stride": ("schedule.diag_stride", int, "an integer"),
+    "schedule.snapshot_stride": ("schedule.snapshot_stride", int, "an integer"),
     "twin.delta": ("twin_delta", float, "a number"),
 }
 
@@ -93,8 +93,8 @@ def parse_config_text(text: str) -> dict:
 
 @dataclass
 class ScenarioConfig:
-    """A run's parameters; its stepper, thresholds and warp are the objects
-    the run uses, each of which checks its own values."""
+    """A run's parameters; its stepper, thresholds, warp and schedule are the
+    objects the run uses, each of which checks its own values."""
 
     name: str = "scenario"
     mesh_shape: str = "square"
@@ -108,23 +108,22 @@ class ScenarioConfig:
     psi_spec: str = "constant value=0"
     stepper: StepperConfig = field(default_factory=StepperConfig)
     thresholds: ThresholdConfig = field(default_factory=ThresholdConfig)
-    t_end: float = 0.1
-    diag_stride: int = 1
-    snapshot_stride: int = 0
+    schedule: Schedule = field(default_factory=Schedule)
     twin_delta: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
         # every value that needs no mesh, the dt floor and the shape's too;
         # from_flat refuses each as a ConfigParseError
-        if not self.t_end > 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end!r}")
-        for name in ("seed", "diag_stride", "snapshot_stride", "twin_delta"):
+        for name in ("seed", "twin_delta"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
         check_shape(self.mesh_shape, self.mesh_h, self.r_in, self.r_out)
         make_target(self.target_name)
-        self.stepper.dt_policy(self.mesh_h)
+        dt_cfl, _ = self.stepper.dt_policy(self.mesh_h)
+        if self.schedule.t_end > MAX_PLANNED_STEPS * dt_cfl:
+            raise ValueError(f"t_end = {self.schedule.t_end:g} plans more than "
+                             f"{MAX_PLANNED_STEPS} CFL steps of sigma h = {dt_cfl:g}")
         if self.warp.kind == "linear_height" and self.target_name == "torus":
             raise ValueError("warp.kind = linear_height needs target = sphere: on the "
                              "torus a + b * (last component) is unbounded")
@@ -264,23 +263,19 @@ def run_scenario(flat_or_path, out_dir=None, h=None, t_end=None,
 
     state = build_scenario(cfg)
 
-    out = None
-    snapshot_cb = None
+    out = snapshot = None
     if write_artifacts:
         out = Path(out_dir) if out_dir is not None else default_out_root() / cfg.name
         out.mkdir(parents=True, exist_ok=True)
-        if cfg.snapshot_stride > 0:
+        if cfg.schedule.snapshot_stride > 0:
             snap_dir = out / "snapshots"
             snap_dir.mkdir(exist_ok=True)
 
-            def snapshot_cb(st):
+            def snapshot(st):
                 write_snapshot(st.mesh, st.u, st.v,
                                snap_dir / f"step_{st.step_count:06d}.txt")
 
-    schedule = Schedule(t_end=cfg.t_end, diag_stride=cfg.diag_stride,
-                        snapshot_stride=cfg.snapshot_stride,
-                        snapshot_cb=snapshot_cb)
-    state, report = run_flow(state, schedule, cfg.thresholds)
+    state, report = run_flow(state, cfg.schedule, cfg.thresholds, snapshot)
 
     exit_code = derive_verdicts(report, tension_residual(state))
     if cfg.warp.kind == "constant":
@@ -359,7 +354,7 @@ def twin_run(flat_or_path, delta: float = None, overrides: dict = None) -> TwinR
     diffs = [_l2_diff(mesh, base.u, pert.u)]
     initial_diff = diffs[0]
     underflow_times = []
-    for (base, pert), forced in march([base, pert], cfg.t_end):
+    for (base, pert), forced in march([base, pert], cfg.schedule.t_end):
         if forced:
             underflow_times.append(times[-1])
         times.append(float(base.t))

@@ -120,12 +120,15 @@ class TestCgSolve:
         assert np.array_equal(X[:, [0, 2]], np.column_stack([c[0] for c in kept]))
         assert iters == sum(c[2] for c in kept) and rel == max(c[1] for c in kept)
 
-    def test_iteration_cap_raises(self, square16):
-        ii = square16.interior
-        A = square16.stiffness[ii][:, ii].tocsr()
-        b = np.ones(ii.size)
-        with pytest.raises(SolverFailure):
-            cg_solve(A, b, maxiter=1, rtol=1e-14)
+    def test_iteration_cap_raises(self, monkeypatch):
+        # a tolerance no residual reaches: the CG runs to its cap, 50 sqrt(63^2)
+        # iterations, and fails (at h = 1/64 its residual stays finite that long)
+        monkeypatch.setattr(warpflow.elliptic, "CG_RTOL", 1e-300)
+        mesh = build_mesh("square", 1 / 64)
+        ii = mesh.interior
+        A = mesh.stiffness[ii][:, ii].tocsr()
+        with pytest.raises(SolverFailure, match="after 3150 iterations"):
+            cg_solve(A, np.ones(ii.size))
 
 
 class TestSolveDirichlet:

@@ -557,9 +557,8 @@ class TestPotential:
         real = self.WARP.beta
         monkeypatch.setattr(self.WARP, "beta", lambda y: seen.append(y) or real(y))
         states = [st]
-        schedule = Schedule(t_end=4.0 * st.ctx.dt_cfl, diag_stride=1,
-                            snapshot_stride=1, snapshot_cb=states.append)
-        fin, rep = run_flow(st, schedule)
+        schedule = Schedule(t_end=4.0 * st.ctx.dt_cfl, diag_stride=1, snapshot_stride=1)
+        fin, rep = run_flow(st, schedule, snapshot=states.append)
         assert fin.step_count >= 4 and len(rep.records) == fin.step_count + 1
         assert [s.step_count for s in states] == list(range(fin.step_count + 1))
         # the initial state's beta came from its solve, before `seen`; every
@@ -591,14 +590,15 @@ class TestPotential:
 
 
 class TestRunFlow:
-    def test_zero_horizon_returns_empty_series(self, square16):
-        cfg = StepperConfig()
-        bd = _bump_data(square16)
-        st = initial_state(square16, TORUS, UNIT_WARP, bd, cfg)
-        fin, rep = run_flow(st, Schedule(t_end=0.0))
-        assert fin is st
-        assert rep.records == []
-        assert rep.crossing_points == {}
+    def test_a_schedule_out_of_range_is_refused(self):
+        # a run always has a horizon, so run_flow never returns a report
+        # without records (which derive_verdicts refuses)
+        for t_end in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="t_end must be positive"):
+                Schedule(t_end=t_end)
+        for stride in ("diag_stride", "snapshot_stride"):
+            with pytest.raises(ValueError, match=f"{stride} must be non-negative, got -1"):
+                Schedule(**{stride: -1})
 
     def test_heat_decay_rate(self, square16):
         # torus target, no curvature or warp force: each component obeys the
@@ -619,8 +619,8 @@ class TestRunFlow:
         st = initial_state(square16, TORUS, UNIT_WARP, bd, cfg)
         thr = ThresholdConfig(energy=1e-3)
         states = []
-        fin, rep = run_flow(st, Schedule(t_end=0.02, diag_stride=2, snapshot_stride=1,
-                                         snapshot_cb=states.append), thr)
+        fin, rep = run_flow(st, Schedule(t_end=0.02, diag_stride=2, snapshot_stride=1), thr,
+                            snapshot=states.append)
         recs = rep.records
         assert recs[0].t == 0.0 and recs[0].step_count == 0
         assert recs[-1].step_count == fin.step_count
@@ -666,9 +666,8 @@ class TestRunFlow:
         st = initial_state(square16, TORUS, UNIT_WARP, bd, cfg)
         for stride in (3, 1):
             seen = []
-            sched = Schedule(t_end=0.01, snapshot_stride=stride,
-                             snapshot_cb=lambda s: seen.append(s.step_count))
-            fin, _ = run_flow(st, sched)
+            fin, _ = run_flow(st, Schedule(t_end=0.01, snapshot_stride=stride),
+                              snapshot=lambda s: seen.append(s.step_count))
             assert seen
             assert all(c % stride == 0 for c in seen[:-1])
             assert seen[-1] == fin.step_count    # final state always snapshotted
@@ -1060,9 +1059,8 @@ class TestDerivedFields:
         st = initial_state(square16, SPHERE, warp, bd, cfg)
         seen = self._gradient_arguments(monkeypatch)
         states = [st]
-        schedule = Schedule(t_end=4.0 * st.ctx.dt_cfl, diag_stride=1,
-                            snapshot_stride=1, snapshot_cb=states.append)
-        fin, rep = run_flow(st, schedule)
+        schedule = Schedule(t_end=4.0 * st.ctx.dt_cfl, diag_stride=1, snapshot_stride=1)
+        fin, rep = run_flow(st, schedule, snapshot=states.append)
         assert fin.step_count >= 4 and len(rep.records) == fin.step_count + 1
         assert [s.step_count for s in states] == list(range(fin.step_count + 1))
         # every state was recorded and all but the last stepped from, yet

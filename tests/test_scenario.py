@@ -21,7 +21,7 @@ import warpflow.scenario
 from warpflow.cli import main
 from warpflow.diagnostics import ThresholdConfig
 from warpflow.errors import ConfigParseError
-from warpflow.flow import StepperConfig
+from warpflow.flow import MAX_PLANNED_STEPS, Schedule, StepperConfig
 from warpflow.geometry import WarpFunction, make_target
 from warpflow.scenario import (_KEYS, ScenarioConfig, build_scenario,
                                builtin_scenarios, check_report_file,
@@ -75,7 +75,7 @@ class TestConfigParsing:
         cfg = ScenarioConfig.from_flat(parse_config_text(GOOD_TEXT))
         assert cfg.name == "demo"
         assert cfg.mesh_h == 0.125
-        assert cfg.t_end == 0.004
+        assert cfg.schedule.t_end == 0.004
         assert cfg.thresholds.r_grid == (0.1, 0.2)
 
     def test_from_flat_r_grid(self):
@@ -93,6 +93,14 @@ class TestConfigParsing:
             ScenarioConfig.from_flat({"schedule.diag_stride": "1.5"})
         with pytest.raises(ConfigParseError, match="mesh.r_out"):
             ScenarioConfig.from_flat({"mesh.shape": "annulus", "mesh.r_in": "0.5"})
+
+    def test_planned_steps_are_bounded(self):
+        # t_end / (sigma h) CFL steps: a config at MAX_PLANNED_STEPS stands, above is refused
+        flat = {"mesh.h": "0.125", "stepper.sigma": "0.2"}
+        limit = MAX_PLANNED_STEPS * (0.2 * 0.125)
+        assert ScenarioConfig.from_flat({**flat, "schedule.t_end": repr(limit)})
+        with pytest.raises(ConfigParseError, match="plans more than"):
+            ScenarioConfig.from_flat({**flat, "schedule.t_end": repr(limit * (1 + 1e-12))})
 
     # a valid value for each key, none of them its default, and the field value
     ROUND_TRIP = {
@@ -124,11 +132,12 @@ class TestConfigParsing:
                     != reduce(getattr, path, default)), key
         build_scenario(cfg)                     # the values are valid together
         # one definition per parameter: the config holds the run's stepper,
-        # thresholds and warp and mirrors none of their fields, and each
-        # stepper.*, thresholds.* and warp.* key reaches its object's field
+        # thresholds, warp and schedule and mirrors none of their fields, and
+        # each stepper.*, thresholds.*, warp.* and schedule.* key reaches its
+        # object's field
         own = {f.name for f in fields(ScenarioConfig)}
         for obj, cls in (("stepper", StepperConfig), ("thresholds", ThresholdConfig),
-                         ("warp", WarpFunction)):
+                         ("warp", WarpFunction), ("schedule", Schedule)):
             assert isinstance(getattr(cfg, obj), cls)
             nested = {f.name for f in fields(cls)}
             assert not own & nested, obj
@@ -140,13 +149,22 @@ class TestConfigParsing:
         state = build_scenario(cfg)
         assert state.ctx.config == cfg.stepper == StepperConfig()
         assert cfg.thresholds == ThresholdConfig()
+        assert cfg.schedule == Schedule()
 
     def test_readme_lists_every_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         table = readme.split("All keys:", 1)[1].split("\n\n", 2)[1]
-        documented = set()
+        documented, default = set(), ScenarioConfig()
         for row in table.splitlines()[2:]:
-            documented.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
+            keys, values = (re.findall(r"`([^`]+)`", cell) for cell in row.split("|")[1:3])
+            documented.update(keys)
+            if set(keys) <= {"name", "mesh.r_in", "mesh.r_out"}:    # a default in prose
+                continue
+            # each listed default, read by its key's parser, is the value the key reaches
+            assert len(values) == len(keys), row
+            for key, text in zip(keys, values):
+                name, parse, _ = _KEYS[key]
+                assert parse(text) == reduce(getattr, name.split("."), default), key
         assert documented == set(_KEYS)
 
     def test_package_root_exports_what_the_readme_lists(self):
@@ -432,7 +450,7 @@ class TestRunScenario:
                            overrides={"schedule.t_end": "0.01"}, h=0.125,
                            t_end=0.002)
         assert res.config.mesh_h == 0.125
-        assert res.config.t_end == 0.002       # kwarg wins over override
+        assert res.config.schedule.t_end == 0.002      # kwarg wins over override
         assert res.state.t == pytest.approx(0.002, abs=1e-12)
         # h and t_end are patches of their keys
         keys = run_scenario("heat_decay", write_artifacts=False,
@@ -918,7 +936,7 @@ class TestCli:
         "stepper.max_move_fraction = nan", "schedule.t_end = nan",
         "boundary.phi = equator_circle kappa=1,2", "boundary.psi = linear_x scale=1,2",
         "boundary.phi0 = inv_stereographic rho=0.1 center=1,2,3",
-        "boundary.phi = constant value=0,0,2", "schedule.t_end = 0",
+        "boundary.phi = constant value=0,0,2", "schedule.t_end = 0", "schedule.t_end = -1",
         "stepper.max_move_fraction = 0", "thresholds.r_grid = 0.1,-0.2",
         "boundary.phi = equator_circle kapa=3", "boundary.phi0 = harmonic rho=0.1",
         "boundary.psi = linear_x scael=2", "boundary.phi0 = sine_bump amplitude=0.1",
@@ -930,7 +948,7 @@ class TestCli:
         cfg.write_text(f"target = sphere\n{line}\n")
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error:")
+        assert err.startswith("config error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["run", "twin"])
@@ -976,6 +994,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "dt floor" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["run", "twin"])
+    def test_too_many_planned_steps_is_config_error(self, tmp_path, capsys, command):
+        # sigma h lies above the dt floor, but t_end / (sigma h) plans 4e5 CFL
+        # steps: such a run had not ended after 15 s, and is now refused before
+        # any run starts
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("target = torus\nmesh.h = 0.125\nboundary.phi = constant value=0,0\n"
+                       "boundary.phi0 = sine_bump amplitude=0.1\nstepper.sigma = 2e-7\n"
+                       "schedule.t_end = 0.01\n")
+        assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"more than {MAX_PLANNED_STEPS} CFL steps" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_an_overflowing_twin_perturbation_is_a_solver_error(self, tmp_path, capsys):
         # run never perturbs the map; twin's perturbed start is refused at t = 0
