@@ -55,8 +55,8 @@ def cg_solve(A: sp.csr_matrix, B: np.ndarray, x0: np.ndarray = None, M=None):
     check), so both take the same steps; their iterates agree to round-off,
     since every reduction here is a BLAS-free einsum.  Under an inverse
     diagonal, r.r and r.z are one einsum over the rows of one (2, n) buffer.
-    A zero column gives zeros in 0 iterations.  SolverFailure if a column
-    hits the cap, max(100, 50 sqrt(n)) iterations, before the tolerance.
+    A zero column gives zeros in 0 iterations.  SolverFailure if B is not
+    finite, or a column breaks down or hits the cap, max(100, 50 sqrt(n)) iterations.
     """
     B = np.asarray(B, dtype=float)
     n = B.shape[0]
@@ -71,6 +71,8 @@ def cg_solve(A: sp.csr_matrix, B: np.ndarray, x0: np.ndarray = None, M=None):
     for d in range(cols.shape[1]):
         b = np.ascontiguousarray(cols[:, d])
         bnorm = math.sqrt(_dot(b, b))
+        if not math.isfinite(bnorm):
+            raise SolverFailure("CG got a non-finite right-hand side")
         if bnorm == 0.0:
             continue
         x = np.zeros(n) if guess is None else guess[:, d].copy()
@@ -103,7 +105,7 @@ def cg_solve(A: sp.csr_matrix, B: np.ndarray, x0: np.ndarray = None, M=None):
             iters += 1
         res = b - A @ x
         rel = math.sqrt(_dot(res, res)) / bnorm
-        if stalled and rel > CG_RTOL * 10:
+        if stalled and not rel <= CG_RTOL * 10:      # a NaN residual too
             raise SolverFailure(
                 f"CG stalled at relative residual {rel:.3e} after {iters} iterations")
         X[:, d] = x

@@ -324,8 +324,8 @@ def step(state: FlowState, dt: float = None, enforce_cap: bool = True) -> FlowSt
     """
     mesh, ctx, config = state.mesh, state.ctx, state.ctx.config
     dt = ctx.dt_cfl if dt is None else float(dt)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     u, m, I = state.u, mesh.lumped_mass, mesh.interior
     F = _forcing(state)
 

@@ -371,17 +371,14 @@ class BallIndex:
             dx, dy = (xy[pos] - np.repeat(X[:, k], per_ball) for k, xy in enumerate(B_sorted))
             keep = dx * dx + dy * dy <= r * r
             tri, ball = order[pos[keep]], np.repeat(np.arange(len(X)), per_ball)[keep]
-            # a row: -P[j, i0], +P[j, i1 + 1] per inside run, then its rim triangles
-            b_in = np.repeat(np.nonzero(inside)[0], 2)
-            n_in, n_rim = (np.bincount(g, minlength=len(X)) for g in (b_in, ball))
-            at = np.concatenate([np.arange(b_in.size) + (np.cumsum(n_rim) - n_rim)[b_in],
-                                 np.arange(ball.size) + np.cumsum(n_in)[ball]])
-            idx = np.empty(at.size, dtype=np.int32)
-            idx[at] = np.concatenate([(base + np.stack([i0, i1 + 1], axis=-1))[inside].ravel(),
-                                      ny * (nx + 1) + tri])
-            sgn = np.ones(at.size, dtype=np.int8)
-            sgn[at[:b_in.size:2]] = -1
-            blocks.append((n_in + n_rim, idx, sgn))
+            # a row, stably sorted: -P[j, i0], +P[j, i1 + 1] per inside run, then its rim triangles
+            rows = np.concatenate([np.repeat(np.nonzero(inside)[0], 2), ball])
+            at = np.argsort(rows, kind="stable")
+            idx = np.concatenate([(base + np.stack([i0, i1 + 1], axis=-1))[inside].ravel(),
+                                  ny * (nx + 1) + tri])[at].astype(np.int32)
+            sgn = np.ones(rows.size, dtype=np.int8)
+            sgn[:rows.size - ball.size:2] = -1
+            blocks.append((np.bincount(rows, minlength=len(X)), idx, sgn[at]))
         lengths, indices, signs = zip(*blocks)
         del blocks                                    # each block goes once it is copied
         indptr = np.concatenate([[0], np.cumsum(np.concatenate(lengths))])

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -37,39 +37,6 @@ from .flow import (MAX_PLANNED_STEPS, Schedule, StepperConfig, initial_state, ma
                    run_flow, step, tension_residual)
 from .geometry import WarpFunction, make_target
 from .mesh import build_mesh, check_shape, dump_mesh, write_snapshot
-
-
-def _floats(text):
-    return tuple(float(s) for s in text.split(","))
-
-
-# flat key -> (ScenarioConfig field or "object.field", parser, what its parse error asks for)
-_KEYS = {
-    "name": ("name", str, "text"),
-    "seed": ("seed", int, "an integer"),
-    "target": ("target_name", str, "text"),
-    "mesh.shape": ("mesh_shape", str, "text"),
-    "mesh.h": ("mesh_h", float, "a number"),
-    "mesh.r_in": ("r_in", float, "a number"),
-    "mesh.r_out": ("r_out", float, "a number"),
-    "warp.kind": ("warp.kind", str, "text"),
-    "warp.a": ("warp.a", float, "a number"),
-    "warp.b": ("warp.b", float, "a number"),
-    "boundary.phi": ("phi_spec", str, "text"),
-    "boundary.phi0": ("phi0_spec", str, "text"),
-    "boundary.psi": ("psi_spec", str, "text"),
-    "stepper.sigma": ("stepper.sigma", float, "a number"),
-    "stepper.theta": ("stepper.theta", float, "a number"),
-    "stepper.max_move_fraction": ("stepper.max_move_fraction", float, "a number"),
-    "thresholds.energy": ("thresholds.energy", float, "a number"),
-    "thresholds.r_detect": ("thresholds.r_detect", float, "a number"),
-    "thresholds.r_grid": ("thresholds.r_grid", _floats, "comma-separated numbers"),
-    "thresholds.persist_frames": ("thresholds.persist_frames", int, "an integer"),
-    "schedule.t_end": ("schedule.t_end", float, "a number"),
-    "schedule.diag_stride": ("schedule.diag_stride", int, "an integer"),
-    "schedule.snapshot_stride": ("schedule.snapshot_stride", int, "an integer"),
-    "twin.delta": ("twin_delta", float, "a number"),
-}
 
 
 def parse_config_text(text: str) -> dict:
@@ -97,19 +64,19 @@ class ScenarioConfig:
     objects the run uses, each of which checks its own values."""
 
     name: str = "scenario"
-    mesh_shape: str = "square"
-    mesh_h: float = 1.0 / 32.0
-    r_in: float = None
-    r_out: float = None
-    target_name: str = "sphere"
+    mesh_shape: str = field(default="square", metadata={"key": "mesh.shape"})
+    mesh_h: float = field(default=1.0 / 32.0, metadata={"key": "mesh.h"})
+    r_in: float = field(default=None, metadata={"key": "mesh.r_in"})
+    r_out: float = field(default=None, metadata={"key": "mesh.r_out"})
+    target_name: str = field(default="sphere", metadata={"key": "target"})
     warp: WarpFunction = field(default_factory=WarpFunction)
-    phi_spec: str = "north_pole"
-    phi0_spec: str = "harmonic"
-    psi_spec: str = "constant value=0"
+    phi_spec: str = field(default="north_pole", metadata={"key": "boundary.phi"})
+    phi0_spec: str = field(default="harmonic", metadata={"key": "boundary.phi0"})
+    psi_spec: str = field(default="constant value=0", metadata={"key": "boundary.psi"})
     stepper: StepperConfig = field(default_factory=StepperConfig)
     thresholds: ThresholdConfig = field(default_factory=ThresholdConfig)
     schedule: Schedule = field(default_factory=Schedule)
-    twin_delta: float = 1e-3
+    twin_delta: float = field(default=1e-3, metadata={"key": "twin.delta"})
     seed: int = 0
 
     def __post_init__(self):
@@ -153,6 +120,29 @@ class ScenarioConfig:
             return cls(**values)
         except (ValueError, NonPositiveCoefficient, InvalidShapeParameters) as exc:
             raise ConfigParseError(str(exc)) from exc
+
+
+def _floats(text):
+    return tuple(float(s) for s in text.split(","))
+
+
+_PARSERS = {"str": (str, "text"), "int": (int, "an integer"), "float": (float, "a number"),
+            "tuple": (_floats, "comma-separated numbers")}
+
+
+def _key_table(cls, prefix=""):
+    """flat key -> (field path, parser, parse-error words), by each field's annotation
+    text; a field holding an object gives "object.field" for each of its fields."""
+    keys = {}
+    for f in fields(cls):
+        if f.default_factory is MISSING:
+            keys[f.metadata.get("key", prefix + f.name)] = (prefix + f.name, *_PARSERS[f.type])
+        else:
+            keys.update(_key_table(f.default_factory, f"{f.name}."))
+    return keys
+
+
+_KEYS = _key_table(ScenarioConfig)
 
 
 def builtin_scenarios() -> list:

@@ -130,6 +130,23 @@ class TestCgSolve:
         with pytest.raises(SolverFailure, match="after 3150 iterations"):
             cg_solve(A, np.ones(ii.size))
 
+    def test_a_non_finite_rhs_raises_before_iterating(self, square16):
+        ii = square16.interior
+        b = np.ones(ii.size)
+        b[ii.size // 2] = np.nan
+        with pytest.raises(SolverFailure, match="non-finite right-hand side"):
+            cg_solve(square16.stiffness[ii][:, ii].tocsr(), b)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_a_breakdown_raises(self, square16, monkeypatch):
+        # at h = 1/16 the recursive residual underflows to zero first: alpha is
+        # 0/0, the iterate turns NaN, and a NaN true residual is a failure
+        monkeypatch.setattr(warpflow.elliptic, "CG_RTOL", 1e-300)
+        ii = square16.interior
+        A = square16.stiffness[ii][:, ii].tocsr()
+        with pytest.raises(SolverFailure, match="residual nan after 750 iterations"):
+            cg_solve(A, np.ones(ii.size))
+
 
 class TestSolveDirichlet:
     """The Dirichlet solve by elimination, as harmonic_extension runs it."""

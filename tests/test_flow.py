@@ -1,3 +1,4 @@
+import copy
 import math
 import threading
 from dataclasses import fields, replace
@@ -188,8 +189,11 @@ class TestInitialState:
         bd = _bump_data(square16)
         cfg = StepperConfig()
         st = initial_state(square16, TORUS, UNIT_WARP, bd, cfg)
-        with pytest.raises(ValueError):
-            step(st, dt=0.0)
+        stats = copy.deepcopy(st.ctx.stats)
+        for dt in (0.0, -1.0, math.nan, math.inf):   # refused before any solve
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                step(st, dt=dt)
+            assert st.ctx.stats == stats, dt
 
 
 class TestFixedPoints:
