@@ -3,7 +3,7 @@
 BoundaryData freezes everything the flow and diagnostics need about the data:
 the map trace phi, the initial map phi0 (on the target, agreeing with phi on
 the boundary exactly), the potential trace psi, and the componentwise
-harmonic extensions of both traces, with the CG iterations they took.
+harmonic extensions of both traces, with the LU factors they took (one or none).
 """
 
 from __future__ import annotations
@@ -24,23 +24,24 @@ class BoundaryData:
     psi: np.ndarray        # (nv,);  boundary rows are the trace of v
     phi_ext: np.ndarray = field(default=None, repr=False)
     psi_ext: np.ndarray = field(default=None, repr=False)
-    setup_iterations: int = 0     # the CG iterations of both extensions
+    setup_factors: int = 0        # the LU factors of both extensions: 0 or 1
 
     @classmethod
     def build(cls, mesh: DomainMesh, target, phi_vals: np.ndarray,
               phi0_vals: np.ndarray, psi_vals: np.ndarray) -> "BoundaryData":
         """Freeze the data; phi0 is phi0_vals projected onto the target, or
         with phi0_vals None the harmonic extension of phi_vals projected once,
-        as an array of its own (a flat target's projection returns its input)."""
+        as an array of its own (a flat target's projection returns its input).
+        Both traces are extended by one call, so by one factor at most."""
         phi = np.asarray(phi_vals, dtype=float)
-        phi_ext, phi_iters = harmonic_extension(mesh, phi)
+        psi = np.asarray(psi_vals, dtype=float)
+        ext, factors = harmonic_extension(mesh, np.column_stack([phi, psi]))
+        phi_ext, psi_ext = np.ascontiguousarray(ext[:, :-1]), ext[:, -1].copy()
         phi0 = np.array(target.project_field(
             phi_ext if phi0_vals is None else np.asarray(phi0_vals, dtype=float)))
         phi0[mesh.boundary] = phi[mesh.boundary]
-        psi = np.asarray(psi_vals, dtype=float)
-        psi_ext, psi_iters = harmonic_extension(mesh, psi)
         return cls(phi=phi, phi0=phi0, psi=psi, phi_ext=phi_ext, psi_ext=psi_ext,
-                   setup_iterations=phi_iters + psi_iters)
+                   setup_factors=factors)
 
 
 # -- analytic presets -------------------------------------------------------

@@ -4,14 +4,15 @@ Every linear solve of a run is one `cg_solve` (block CG) or one solve by a
 `lu_factor` (sparse LU).  Dirichlet conditions are imposed by elimination in
 `dirichlet_split` (never by penalty): the interior block A_II is solved by
 preconditioned CG to relative tolerance 1e-10 with an iteration cap of
-max(100, 50 sqrt(#unknowns)), and boundary rows carry the data exactly.
-Three kinds of solve use it: `harmonic_extension` at set-up (the unit
-stiffness, Jacobi preconditioner); the flow's theta step (Jacobi CG, or the
-LU factor of its matrix); and `solve_warped_laplace`, which solves on a
-`WarpedBlock`: the interior block on a fixed pattern, re-weighted in place
-for each beta, with the LU factor of its first beta as the CG
-preconditioner, under a non-constant warp only (under a constant one the
-potential is the harmonic extension of psi).
+max(100, 50 sqrt(#unknowns)), or by its LU factor, and boundary rows carry
+the data exactly.  Three kinds of solve use it: `harmonic_extension` at
+set-up (one LU factor of the unit stiffness for every column whose data are
+not constant; a constant column is its own extension and takes no solve);
+the flow's theta step (Jacobi CG, or the LU factor of its matrix); and
+`solve_warped_laplace`, which solves on a `WarpedBlock`: the interior block
+on a fixed pattern, re-weighted in place for each beta, with the LU factor
+of its first beta as the CG preconditioner, under a non-constant warp only
+(under a constant one the potential is the harmonic extension of psi).
 """
 
 from __future__ import annotations
@@ -43,13 +44,13 @@ def jacobi_preconditioner(A: sp.csr_matrix) -> np.ndarray:
     return np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 1.0)
 
 
-def cg_solve(A: sp.csr_matrix, B: np.ndarray, x0: np.ndarray = None, M=None):
+def cg_solve(A: sp.csr_matrix, B: np.ndarray, M, x0: np.ndarray = None):
     """Preconditioned CG on each column of B, (n,) or (n, d), from x0 shaped
     like B; returns (X shaped like B, worst relative residual, total iterations).
 
     M approximates A^{-1}: a vector is an inverse diagonal, applied as one
-    multiply; a callable is applied to the residual (e.g. a factor's solve).
-    The default is jacobi_preconditioner(A).  Each column runs
+    multiply (e.g. jacobi_preconditioner(A)); a callable is applied to the
+    residual (e.g. a factor's solve).  Each column runs
     scipy.sparse.linalg.cg's iteration, operation for operation (start
     residual b - A x0, stop once |r| < CG_RTOL |b|, the same true-residual
     check), so both take the same steps; their iterates agree to round-off,
@@ -61,8 +62,6 @@ def cg_solve(A: sp.csr_matrix, B: np.ndarray, x0: np.ndarray = None, M=None):
     B = np.asarray(B, dtype=float)
     n = B.shape[0]
     maxiter = max(100, int(50 * math.sqrt(n)))
-    if M is None:
-        M = jacobi_preconditioner(A)
     jacobi = isinstance(M, np.ndarray)
     cols = B if B.ndim == 2 else B[:, None]
     guess = None if x0 is None else np.asarray(x0, dtype=float).reshape(cols.shape)
@@ -144,9 +143,9 @@ class WarpedBlock:
     def __init__(self, mesh: DomainMesh, psi: np.ndarray):
         t, nv = mesh.triangles, mesh.num_vertices
         nt = t.shape[0]
-        # G[t, e, a] = d_e lambda_a of triangle t's vertex a; loc = unit element stiffness
-        G = np.asarray(mesh.grad_op[np.repeat(np.arange(2 * nt), 3),
-                                    np.repeat(t, 2, axis=0).ravel()]).reshape(nt, 2, 3)
+        # G[t, e, a] = d_e lambda_a of triangle t's vertex a, grad_op's data in
+        # its triangle-vertex order; loc = unit element stiffness
+        G = mesh.grad_op.data.reshape(nt, 2, 3)
         loc = np.einsum("tea,teb->tab", G, G).ravel()
         # element entries that vanish (right angle opposite the edge) vanish for any beta
         nz = loc != 0.0
@@ -201,12 +200,25 @@ def solve_warped_laplace(mesh: DomainMesh, beta_vertex: np.ndarray,
 
 
 def harmonic_extension(mesh: DomainMesh, trace: np.ndarray):
-    """(ext, iterations): the componentwise discrete harmonic extension of
-    boundary data, and the CG iterations it took.
+    """(ext, factors): the componentwise discrete harmonic extension of
+    boundary data, and the LU factors it built (0 or 1).
 
     `trace` is full-length nodal data, (nv,) or (nv, d); only boundary rows
-    are read.  Linear boundary data is reproduced exactly.
+    are read.  A column whose boundary values are all equal is that constant
+    everywhere, exactly; the other columns are solved together by one LU
+    factor of the interior stiffness.  Linear boundary data is reproduced to
+    round-off.  SolverFailure if the boundary data are not finite.
     """
-    A_II, coupling, ext = dirichlet_split(mesh, mesh.stiffness, trace)
-    ext[mesh.interior], _, iters = cg_solve(A_II, 0.0 - coupling)
-    return ext, iters
+    trace = np.asarray(trace, dtype=float)
+    cols = trace.reshape(trace.shape[0], -1)
+    data = cols[mesh.boundary_index]
+    if not np.all(np.isfinite(data)):
+        raise SolverFailure("harmonic extension got non-finite boundary data")
+    vary = np.any(data != data[0], axis=0)
+    ext = np.empty(cols.shape)
+    ext[:, ~vary] = data[0, ~vary]
+    if vary.any():
+        A_II, coupling, g = dirichlet_split(mesh, mesh.stiffness, cols[:, vary])
+        g[mesh.interior] = lu_factor(A_II).solve(0.0 - coupling)
+        ext[:, vary] = g
+    return ext.reshape(trace.shape), int(vary.any())

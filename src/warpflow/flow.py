@@ -119,7 +119,7 @@ class _FlowContext:
     solves all columns of its later steps.  So a context holds at most one
     matrix and one factor, decided from counts.  Its stats count the step
     solves (CG iterations, solves by the factor, factor builds) and the
-    potential's, and carry the boundary data's setup_iterations.
+    potential's, and carry the boundary data's setup_factors.
     `potential` is where the potential is decided: a non-constant warp
     re-solves it every step on this WarpedBlock (the fixed-pattern block and
     its cached factor); a constant warp has None, and its potential is the
@@ -149,7 +149,7 @@ class _FlowContext:
         self._flat_I, self._flat_B = ((rows[:, None] * d + np.arange(d)).ravel()
                                       for rows in (mesh.interior, mesh.boundary_index))
         self._phi_B = np.take(bdata.phi, self._flat_B)
-        self.stats = {"setup_iterations": bdata.setup_iterations, "elliptic_solves": 0,
+        self.stats = {"setup_factors": bdata.setup_factors, "elliptic_solves": 0,
                       "elliptic_iterations": 0, "step_iterations": 0, "step_lu_solves": 0,
                       "step_factors": 0, "accepted_steps": 0, "rejected_steps": 0,
                       "rejections": {"move_cap": 0, "projection": 0},

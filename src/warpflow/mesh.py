@@ -217,27 +217,42 @@ def _annulus_mesh(r_in: float, r_out: float, target_h: float) -> DomainMesh:
     return DomainMesh(pts, tris.astype(np.int64), shape="annulus", target_h=target_h)
 
 
+# the most vertices check_shape accepts: the square at h = 1/512, 4x the 1/256 rung
+MAX_VERTICES = 263_169
+
+
 def check_shape(shape: str, target_h: float, r_in: float = None, r_out: float = None):
     """InvalidShapeParameters for `build_mesh` arguments refused without a mesh: a size
-    not positive or too coarse for the shape (a square of one cell a side has no
-    interior vertex), an unknown shape, bad annulus radii."""
+    not positive, too coarse for the shape (a square of one cell a side has no
+    interior vertex) or so fine that the mesh would have more than MAX_VERTICES
+    vertices, an unknown shape, bad annulus radii."""
     if not target_h > 0:
         raise InvalidShapeParameters(f"target_h must be positive, got {target_h!r}")
-    if shape == "square":
-        coarse = _doubling_count(1.0, target_h) == 1
-    elif shape == "disk":
-        coarse = target_h > 0.5
-    elif shape != "annulus":
-        raise InvalidShapeParameters(f"unknown shape {shape!r}")
-    elif r_in is None or r_out is None:
-        raise InvalidShapeParameters("annulus needs both radii, mesh.r_in and mesh.r_out")
-    elif not 0 < r_in < r_out:
-        raise InvalidShapeParameters(
-            f"annulus needs 0 < r_in < r_out, got r_in={r_in}, r_out={r_out}")
-    else:
-        coarse = 2.0 * target_h > r_out - r_in or 8.0 * target_h > 2.0 * np.pi * r_out
+    try:        # the vertex count of each generator, in closed form
+        if shape == "square":
+            n = _doubling_count(1.0, target_h)
+            coarse, count = n == 1, (n + 1) ** 2
+        elif shape == "disk":
+            nr = _doubling_count(1.0, target_h)
+            coarse, count = target_h > 0.5, 1 + 3 * nr * (nr + 1)
+        elif shape != "annulus":
+            raise InvalidShapeParameters(f"unknown shape {shape!r}")
+        elif r_in is None or r_out is None:
+            raise InvalidShapeParameters("annulus needs both radii, mesh.r_in and mesh.r_out")
+        elif not 0 < r_in < r_out:
+            raise InvalidShapeParameters(
+                f"annulus needs 0 < r_in < r_out, got r_in={r_in}, r_out={r_out}")
+        else:
+            coarse = 2.0 * target_h > r_out - r_in or 8.0 * target_h > 2.0 * np.pi * r_out
+            count = ((_doubling_count(r_out - r_in, target_h, start=2) + 1)
+                     * _doubling_count(2.0 * np.pi * r_out, target_h, start=8))
+    except OverflowError:       # a count of cells past the largest float
+        coarse, count = False, math.inf
     if coarse:
         raise InvalidShapeParameters(f"target_h={target_h} too coarse for the {shape}")
+    if count > MAX_VERTICES:
+        raise InvalidShapeParameters(f"target_h={target_h} too fine for the {shape}: more "
+                                     f"than MAX_VERTICES = {MAX_VERTICES} vertices")
 
 
 # largest off-diagonal stiffness entry build_mesh accepts, relative to max|K|
@@ -484,19 +499,23 @@ def triangle_mean(mesh: DomainMesh, beta_vertex: np.ndarray) -> np.ndarray:
 # -- plain-text formats ----------------------------------------------------
 
 def dump_mesh(mesh: DomainMesh, path) -> None:
-    """Header (counts), coordinate rows, index rows, one boundary-flag row."""
-    rows = [f"{mesh.num_vertices} {mesh.num_triangles}\n"]
-    rows += [f"{x:.17g} {y:.17g}\n" for x, y in mesh.vertices.tolist()]
-    rows += [f"{i} {j} {k}\n" for i, j, k in mesh.triangles.tolist()]
-    rows.append(" ".join("1" if b else "0" for b in mesh.boundary.tolist()) + "\n")
+    """Header (counts), coordinate rows, index rows, one boundary-flag row;
+    written in blocks of rows, so no transient holds the whole file."""
+    V, T = mesh.vertices, mesh.triangles
     with open(path, "w") as f:
-        f.write("".join(rows))
+        f.write(f"{mesh.num_vertices} {mesh.num_triangles}\n")
+        for s in range(0, len(V), 4096):
+            f.write("".join([f"{x:.17g} {y:.17g}\n" for x, y in V[s:s + 4096].tolist()]))
+        for s in range(0, len(T), 4096):
+            f.write("".join([f"{i} {j} {k}\n" for i, j, k in T[s:s + 4096].tolist()]))
+        f.write(" ".join("1" if b else "0" for b in mesh.boundary.tolist()) + "\n")
 
 
 def write_snapshot(mesh: DomainMesh, u: np.ndarray, v: np.ndarray, path) -> None:
-    """One row per vertex, u components then v, mesh vertex ordering."""
-    rows = [f"{mesh.num_vertices} {u.shape[1] + 1}\n"]
-    rows += [" ".join(f"{x:.17g}" for x in row) + "\n"
-             for row in np.column_stack([u, v]).tolist()]
+    """One row per vertex, u components then v, mesh vertex ordering; written
+    in blocks of rows."""
     with open(path, "w") as f:
-        f.write("".join(rows))
+        f.write(f"{mesh.num_vertices} {u.shape[1] + 1}\n")
+        for s in range(0, mesh.num_vertices, 4096):
+            f.write("".join([" ".join(f"{x:.17g}" for x in row) + "\n" for row in
+                             np.column_stack([u[s:s + 4096], v[s:s + 4096]]).tolist()]))

@@ -34,7 +34,7 @@ class TestCgSolve:
         A = square16.stiffness[ii][:, ii].tocsr()
         rng = np.random.default_rng(11)
         b = rng.standard_normal(ii.size)
-        x, rel, iters = cg_solve(A, b)
+        x, rel, iters = cg_solve(A, b, jacobi_preconditioner(A))
         assert rel <= 1e-9
         assert iters > 0
         x_ref = spla.spsolve(A.tocsc(), b)
@@ -82,14 +82,14 @@ class TestCgSolve:
     def test_zero_rhs_shortcut(self, square16):
         ii = square16.interior
         A = square16.stiffness[ii][:, ii].tocsr()
-        x, rel, iters = cg_solve(A, np.zeros(ii.size))
+        x, rel, iters = cg_solve(A, np.zeros(ii.size), jacobi_preconditioner(A))
         assert np.array_equal(x, np.zeros(ii.size))
         assert (rel, iters) == (0.0, 0)
 
     def test_empty_system(self, square16):
         ii = square16.interior
         A = square16.stiffness[ii][:, ii].tocsr()
-        x, rel, iters = cg_solve(A[:0][:, :0], np.zeros(0))
+        x, rel, iters = cg_solve(A[:0][:, :0], np.zeros(0), np.ones(0))
         assert x.size == 0 and iters == 0
 
     @pytest.mark.parametrize("preconditioner", ["jacobi", "factor"])
@@ -101,7 +101,8 @@ class TestCgSolve:
 
         A = theta_matrix(1e-3)
         # the factor of another dt's matrix: CG still has iterations to take
-        M = None if preconditioner == "jacobi" else lu_factor(theta_matrix(1e-1)).solve
+        M = (jacobi_preconditioner(A) if preconditioner == "jacobi"
+             else lu_factor(theta_matrix(1e-1)).solve)
         rng = np.random.default_rng(41)
         B = rng.standard_normal((ii.size, 3))
         X0 = B / disk16.lumped_mass[ii, None] + rng.standard_normal(B.shape)
@@ -128,14 +129,15 @@ class TestCgSolve:
         ii = mesh.interior
         A = mesh.stiffness[ii][:, ii].tocsr()
         with pytest.raises(SolverFailure, match="after 3150 iterations"):
-            cg_solve(A, np.ones(ii.size))
+            cg_solve(A, np.ones(ii.size), jacobi_preconditioner(A))
 
     def test_a_non_finite_rhs_raises_before_iterating(self, square16):
         ii = square16.interior
         b = np.ones(ii.size)
         b[ii.size // 2] = np.nan
+        A = square16.stiffness[ii][:, ii].tocsr()
         with pytest.raises(SolverFailure, match="non-finite right-hand side"):
-            cg_solve(square16.stiffness[ii][:, ii].tocsr(), b)
+            cg_solve(A, b, jacobi_preconditioner(A))
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_a_breakdown_raises(self, square16, monkeypatch):
@@ -145,7 +147,7 @@ class TestCgSolve:
         ii = square16.interior
         A = square16.stiffness[ii][:, ii].tocsr()
         with pytest.raises(SolverFailure, match="residual nan after 750 iterations"):
-            cg_solve(A, np.ones(ii.size))
+            cg_solve(A, np.ones(ii.size), jacobi_preconditioner(A))
 
 
 class TestSolveDirichlet:
@@ -251,10 +253,10 @@ class TestWarpedBlock:
         first = solve_warped_laplace(disk16, 1.0 + 0.5 * x, psi, block=block)
         I = disk16.interior
         for beta in (1.0 + 0.5 * x + 0.2 * y * y, 2.0 - 0.3 * y):
-            # reference: cg_solve's Jacobi default on the assembled split
+            # reference: Jacobi CG on the assembled split
             K = weighted_stiffness(disk16, beta)
             A, load, plain = dirichlet_split(disk16, K, psi)
-            plain[I], _, jacobi_iters = cg_solve(A, -load)
+            plain[I], _, jacobi_iters = cg_solve(A, -load, jacobi_preconditioner(A))
             pre = solve_warped_laplace(disk16, beta, psi, block=block)
             assert pre.rel_residual <= 1e-10
             assert np.linalg.norm(pre.v - plain) <= 1e-9 * np.linalg.norm(plain)
@@ -290,12 +292,74 @@ class TestWarpedBlock:
             WarpedBlock(square16, psi).solve(beta)
 
 
+def _count_factors(monkeypatch):
+    """A list that gains one entry per elliptic.lu_factor call from now on."""
+    built, real = [], warpflow.elliptic.lu_factor
+    monkeypatch.setattr(warpflow.elliptic, "lu_factor", lambda A: built.append(1) or real(A))
+    return built
+
+
 class TestHarmonicExtension:
     def test_reproduces_linears(self, square16, disk16):
         for m in (square16, disk16):
             f = 1.0 + 2.0 * m.vertices[:, 0] - m.vertices[:, 1]
-            ext, iters = harmonic_extension(m, f)
-            assert np.max(np.abs(ext - f)) < 1e-8 and iters > 0
+            ext, factors = harmonic_extension(m, f)
+            assert np.max(np.abs(ext - f)) < 1e-12 and factors == 1
+
+    @pytest.mark.parametrize("value", [0.0, 3.0, -0.7])
+    def test_a_constant_column_is_its_own_extension_and_builds_no_factor(
+            self, disk16, value, monkeypatch):
+        built = _count_factors(monkeypatch)
+        ext, factors = harmonic_extension(disk16, np.full((disk16.num_vertices, 2), value))
+        assert np.array_equal(ext, np.full((disk16.num_vertices, 2), value))
+        assert factors == 0 and built == []
+        # only boundary rows are read: interior values do not make a column vary
+        trace = np.full(disk16.num_vertices, value)
+        trace[disk16.interior] = np.arange(disk16.interior.size)
+        ext, factors = harmonic_extension(disk16, trace)
+        assert np.array_equal(ext, np.full(disk16.num_vertices, value))
+        assert factors == 0 and built == []
+
+    @pytest.mark.parametrize("mesh_name", ["square16", "disk16", "annulus8"])
+    def test_varying_columns_match_jacobi_cg_by_one_factor(self, mesh_name, request,
+                                                           monkeypatch):
+        m = request.getfixturevalue(mesh_name)
+        x, y = m.vertices[:, 0], m.vertices[:, 1]
+        trace = np.column_stack([np.cos(3.0 * np.arctan2(y, x)), np.full(x.size, 2.0),
+                                 x * y, np.zeros(x.size)])
+        built = _count_factors(monkeypatch)
+        ext, factors = harmonic_extension(m, trace)
+        assert factors == len(built) == 1
+        A, load, ref = dirichlet_split(m, m.stiffness, trace[:, [0, 2]])
+        ref[m.interior], _, _ = cg_solve(A, -load, jacobi_preconditioner(A))
+        assert np.max(np.abs(ext[:, [0, 2]] - ref)) <= 1e-9
+        assert np.array_equal(ext[:, 1], np.full(x.size, 2.0))
+        assert np.array_equal(ext[:, 3], np.zeros(x.size))
+        B = m.boundary
+        assert np.array_equal(ext[B], trace[B])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_trace_raises(self, square16, bad):
+        trace = np.ones((square16.num_vertices, 2))
+        trace[square16.boundary_index[3], 0] = bad
+        with pytest.raises(SolverFailure, match="non-finite boundary data"):
+            harmonic_extension(square16, trace)
+        trace[:, 0] = bad                           # a constant column too
+        with pytest.raises(SolverFailure, match="non-finite boundary data"):
+            harmonic_extension(square16, trace)
+
+    @pytest.mark.parametrize("phi, psi, factors", [
+        ("equator_circle kappa=1", "linear_x", 1), ("north_pole", "linear_x", 1),
+        ("equator_circle kappa=1", "constant value=0.5", 1),
+        ("north_pole", "constant value=0", 0)])
+    def test_one_build_makes_at_most_one_factor(self, disk16, phi, psi, factors, monkeypatch):
+        # phi and psi are extended together: one factor if either varies
+        built = _count_factors(monkeypatch)
+        bd = boundary_data_from_presets(disk16, make_target("sphere"), phi, "harmonic", psi)
+        assert bd.setup_factors == len(built) == factors
+        assert bd.phi_ext.flags.c_contiguous and bd.psi_ext.flags.c_contiguous
+        for ext, trace in ((bd.phi_ext, bd.phi), (bd.psi_ext, bd.psi)):
+            assert np.max(np.abs(ext - harmonic_extension(disk16, trace)[0])) < 1e-15
 
     @pytest.mark.parametrize("shape", ["square", "disk"])
     def test_harmonic_initial_map_is_the_extension_projected_once(self, shape):
@@ -304,10 +368,10 @@ class TestHarmonicExtension:
         m, sphere = build_mesh(shape, 1.0 / 32.0), make_target("sphere")
         bd = boundary_data_from_presets(m, sphere, "equator_circle kappa=1", "harmonic",
                                         "constant value=0")
-        ext, iters = harmonic_extension(m, bd.phi)
+        ext, factors = harmonic_extension(m, bd.phi)
         assert np.array_equal(bd.phi_ext, ext)
-        # the data keep the CG iterations of both extensions
-        assert bd.setup_iterations == iters + harmonic_extension(m, bd.psi)[1] > 0
+        # the data keep the factors of both extensions: psi is constant, phi is not
+        assert bd.setup_factors == factors == 1
         I, B = m.interior, m.boundary_index       # the boundary rows are phi's own
         assert np.array_equal(bd.phi0[I], sphere.project_field(ext)[I])
         assert np.array_equal(bd.phi0[B], bd.phi[B])
@@ -327,10 +391,8 @@ class TestHarmonicExtension:
     def test_componentwise(self, square16):
         tr = np.column_stack([square16.vertices[:, 0],
                               np.ones(square16.num_vertices)])
-        ext, iters = harmonic_extension(square16, tr)
-        assert ext.shape == tr.shape
-        # one block solve: the iterations of its two column solves
-        assert iters == sum(harmonic_extension(square16, tr[:, k])[1] for k in (0, 1))
-        assert np.max(np.abs(ext[:, 0] - square16.vertices[:, 0])) < 1e-8
-        assert np.max(np.abs(ext[:, 1] - 1.0)) < 1e-9
-
+        ext, factors = harmonic_extension(square16, tr)
+        assert ext.shape == tr.shape and factors == 1
+        assert np.max(np.abs(ext[:, 0] - harmonic_extension(square16, tr[:, 0])[0])) < 1e-15
+        assert np.max(np.abs(ext[:, 0] - square16.vertices[:, 0])) < 1e-12
+        assert np.array_equal(ext[:, 1], np.ones(square16.num_vertices))

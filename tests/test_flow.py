@@ -289,13 +289,14 @@ class TestStepMechanics:
         assert st.ctx.stats["elliptic_solves"] == solves0 + 1
 
     def test_only_a_varying_warp_factors_the_potential(self, square16, monkeypatch):
+        # the data first: their extensions take a factor of their own
+        bd = boundary_data_from_presets(square16, SPHERE, "equator_circle kappa=1",
+                                        "harmonic", "linear_x")
         factored = []
         real_splu = warpflow.elliptic.splu
         monkeypatch.setattr(warpflow.elliptic, "splu",
                             lambda *a, **k: factored.append(1) or real_splu(*a, **k))
         cfg = StepperConfig()
-        bd = boundary_data_from_presets(square16, SPHERE, "equator_circle kappa=1",
-                                        "harmonic", "linear_x")
         st = initial_state(square16, SPHERE, UNIT_WARP, bd, cfg)
         for _ in range(3):
             st = step(st, dt=1e-3)
@@ -1127,8 +1128,7 @@ class TestDerivedFields:
         tension_residual(new)
         assert new.stiffness_u() is Ku_new
         lap = square16.laplacian(new.u, square16.stiffness @ new.u)
-        assert rec.laplacian_proxy == float(np.dot(square16.lumped_mass,
-                                                   np.einsum("ij,ij->i", lap, lap)))
+        assert rec.laplacian_proxy == square16.mass_sum(np.einsum("ij,ij->i", lap, lap))
         assert "stiffness_u" not in replace(new, u=np.array(new.u)).cache
         # theta = 1 has no explicit Laplacian part: the step forms no product
         full = StepperConfig(theta=1.0)

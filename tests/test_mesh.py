@@ -12,7 +12,7 @@ from warpflow.diagnostics import ThresholdConfig
 from warpflow.errors import InvalidShapeParameters, NonPositiveCoefficient
 from warpflow.geometry import make_target
 from warpflow.mesh import (BallIndex, DomainMesh, LatticeBalls, ball_rows, ball_triangles,
-                           build_mesh, dirichlet_energy, dump_mesh,
+                           build_mesh, check_shape, dirichlet_energy, dump_mesh,
                            local_energy_matrix, tri_energy_density,
                            triangle_mean, write_snapshot)
 from warpflow.flow import default_probe_centers
@@ -87,6 +87,23 @@ def test_shape_guards():
         build_mesh("hexagon", 0.1)
 
 
+@pytest.mark.parametrize("shape, kwargs", [("square", {}), ("disk", {}),
+                                           ("annulus", {"r_in": 0.5, "r_out": 1.0})])
+@pytest.mark.parametrize("h", [1e-4, 1 / 1024, 5e-324])
+def test_a_mesh_past_max_vertices_is_refused_before_it_is_built(shape, kwargs, h):
+    # h = 1e-4 gives the square 268M vertices; 5e-324 a cell count past the floats
+    with pytest.raises(InvalidShapeParameters, match="too fine"):
+        build_mesh(shape, h, **kwargs)
+
+
+def test_max_vertices_is_the_square_at_h_1_512():
+    assert warpflow.mesh.MAX_VERTICES == 513 ** 2
+    check_shape("square", 1 / 512)
+    check_shape("disk", 1 / 256)                  # 197377 vertices
+    with pytest.raises(InvalidShapeParameters, match="too fine"):
+        check_shape("square", 1 / 512 * (1 - 1e-9))
+
+
 def test_degenerate_triangle_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
     tris = np.array([[0, 1, 2]])
@@ -110,8 +127,20 @@ def test_nonconforming_mesh_rejected():
     ("disk", 0.3, {}), ("annulus", 1 / 64, {"r_in": 0.5, "r_out": 1.0}),
     ("annulus", 0.3, {"r_in": 0.3, "r_out": 1.2}),
 ])
-def test_meshes_match_the_per_cell_lattice_and_row_wise_edge_table(shape, h, kwargs):
+def test_meshes_match_the_per_cell_lattice_and_row_wise_edge_table(shape, h, kwargs,
+                                                                    monkeypatch):
     m = build_mesh(shape, h, **kwargs)
+    # check_shape's closed-form vertex count is the mesh's: a bound of
+    # exactly that many passes it, one fewer refuses it
+    monkeypatch.setattr(warpflow.mesh, "MAX_VERTICES", m.num_vertices)
+    check_shape(shape, h, **kwargs)
+    monkeypatch.setattr(warpflow.mesh, "MAX_VERTICES", m.num_vertices - 1)
+    with pytest.raises(InvalidShapeParameters, match="too fine"):
+        check_shape(shape, h, **kwargs)
+    # grad_op's data are d_e lambda_a in triangle-vertex order, as its entries say
+    nt, t = m.num_triangles, m.triangles
+    entries = m.grad_op[np.repeat(np.arange(2 * nt), 3), np.repeat(t, 2, axis=0).ravel()]
+    assert np.array_equal(m.grad_op.data, np.asarray(entries).ravel())
     if shape == "square":
         verts, tris = square_lattice(h)
         assert np.array_equal(m.vertices, verts)
@@ -550,4 +579,27 @@ def test_writers_match_the_row_at_a_time_output(mesh_name, request, tmp_path):
         v = rng.standard_normal(m.num_vertices)
         write_snapshot(m, u, v, tmp_path / "a.txt")
         _write_snapshot_per_row(m, u, v, tmp_path / "b.txt")
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+
+@pytest.mark.parametrize("shape", ["square", "disk"])
+def test_writers_hold_no_whole_file_transient(shape, tmp_path):
+    # at h = 1/64 (4225 and 12481 vertices: more than one block of rows) the
+    # writers that joined the whole file first peaked at 2.25 and 7.15 MiB
+    # (dump_mesh) and 1.33 and 3.93 MiB (write_snapshot); a block of rows
+    # peaks near 1.0 and 1.3 MiB, whatever the mesh size
+    m = build_mesh(shape, 1 / 64)
+    rng = np.random.default_rng(10)
+    u, v = rng.standard_normal((m.num_vertices, 3)), rng.standard_normal(m.num_vertices)
+    for write, per_row in ((lambda p: dump_mesh(m, p), lambda p: _dump_mesh_per_row(m, p)),
+                           (lambda p: write_snapshot(m, u, v, p),
+                            lambda p: _write_snapshot_per_row(m, u, v, p))):
+        tracemalloc.start()
+        try:
+            write(tmp_path / "a.txt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2 ** 20
+        per_row(tmp_path / "b.txt")                 # across block boundaries too
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()

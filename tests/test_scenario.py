@@ -102,6 +102,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigParseError, match="plans more than"):
             ScenarioConfig.from_flat({**flat, "schedule.t_end": repr(limit * (1 + 1e-12))})
 
+    def test_a_mesh_past_max_vertices_is_refused(self):
+        # the square at h = 1e-4 has 268M vertices; t_end keeps its planned steps
+        # under MAX_PLANNED_STEPS, so only the vertex bound refuses it
+        with pytest.raises(ConfigParseError, match="too fine for the square"):
+            ScenarioConfig.from_flat({"mesh.h": "0.0001", "schedule.t_end": "0.001"})
+        assert ScenarioConfig.from_flat({"mesh.h": repr(1 / 512), "schedule.t_end": "0.001"})
+
     # a valid value for each key, none of them its default, and the field value
     ROUND_TRIP = {
         "name": ("demo", "demo"), "seed": ("7", 7), "target": ("torus", "torus"),
@@ -316,22 +323,42 @@ def test_one_step_matrix_and_clipped_or_forced_steps_on_cg(runner):
     assert len({dt for dt, _ in solves[first:]}) >= 2
 
 
+@pytest.mark.parametrize("name", builtin_scenarios())
+def test_only_varying_shipped_data_take_a_setup_factor(name):
+    # warp_coupled's psi and geodesic_square's phi vary on the boundary; the
+    # other four shipped traces are constant, so their extensions solve nothing
+    ctx = build_scenario(ScenarioConfig.from_flat(resolve_config(name))).ctx
+    assert ctx.stats["setup_factors"] == (name in ("warp_coupled", "geodesic_square"))
+
+
 @pytest.mark.parametrize("runner", ["run_scenario", "twin_run"])
 def test_solver_stats_count_every_solve(runner, monkeypatch):
-    # every solve, wrapped where it is bound: the set-up extensions (Jacobi
-    # default) and the potential (its block's factor as M) call the elliptic
-    # module's cg_solve, the step CG flow's, and a step factor's solve is the
-    # solve of what flow's lu_factor returns
-    counts = dict.fromkeys(("setup_iterations", "elliptic_iterations", "step_iterations",
+    # every solve, wrapped where it is bound: a factor the elliptic module
+    # builds inside the set-up extensions, the potential's CG (its block's
+    # factor as M) in the elliptic module, the step CG flow's, and a step
+    # factor's solve is the solve of what flow's lu_factor returns
+    counts = dict.fromkeys(("setup_factors", "elliptic_iterations", "step_iterations",
                             "step_factors", "step_lu_solves", "step_cg_solves",
                             "theta_solves"), 0)
     real_cg, real_lu = warpflow.elliptic.cg_solve, warpflow.flow.lu_factor
+    real_ext, real_elliptic_lu = warpflow.boundary.harmonic_extension, warpflow.elliptic.lu_factor
     real_theta, real_build = warpflow.flow._FlowContext.theta_solve, build_scenario
-    contexts = []
+    contexts, in_setup = [], []
+
+    def harmonic_extension(*args):
+        in_setup.append(1)
+        try:
+            return real_ext(*args)
+        finally:
+            in_setup.pop()
+
+    def elliptic_lu(A):
+        counts["setup_factors"] += bool(in_setup)
+        return real_elliptic_lu(A)
 
     def elliptic_cg(*args, **kw):
         out = real_cg(*args, **kw)
-        counts["setup_iterations" if kw.get("M") is None else "elliptic_iterations"] += out[2]
+        counts["elliptic_iterations"] += out[2]
         return out
 
     def step_cg(*args, **kw):
@@ -361,6 +388,8 @@ def test_solver_stats_count_every_solve(runner, monkeypatch):
         contexts.append(state.ctx)
         return state
 
+    monkeypatch.setattr(warpflow.boundary, "harmonic_extension", harmonic_extension)
+    monkeypatch.setattr(warpflow.elliptic, "lu_factor", elliptic_lu)
     monkeypatch.setattr(warpflow.elliptic, "cg_solve", elliptic_cg)
     monkeypatch.setattr(warpflow.flow, "cg_solve", step_cg)
     monkeypatch.setattr(warpflow.flow, "lu_factor", lu_factor)
@@ -369,13 +398,14 @@ def test_solver_stats_count_every_solve(runner, monkeypatch):
     if runner == "run_scenario":     # the potential, the extensions and both step methods
         stats = run_scenario("warp_coupled", overrides={"mesh.h": "0.0625"},
                              write_artifacts=False).report.solver_stats
-        assert min(counts["setup_iterations"], counts["elliptic_iterations"]) > 0
+        assert counts["setup_factors"] == 1 and counts["elliptic_iterations"] > 0
     else:                            # a pair on one context, factored as it goes
         twin_run("stability_twin")
         stats = contexts[0].stats
+        assert counts["setup_factors"] == 0         # its data are constant
     assert len(contexts) == 1 and counts["step_factors"] >= 1
     assert min(counts["step_lu_solves"], counts["step_cg_solves"]) > 0
-    for key in ("setup_iterations", "step_iterations", "step_lu_solves", "step_factors",
+    for key in ("setup_factors", "step_iterations", "step_lu_solves", "step_factors",
                 "elliptic_iterations"):
         assert stats[key] == counts[key], key
     assert stats["step_lu_solves"] + counts["step_cg_solves"] == counts["theta_solves"]
@@ -1008,6 +1038,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert f"more than {MAX_PLANNED_STEPS} CFL steps" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "twin"])
+    def test_a_mesh_past_max_vertices_is_config_error(self, tmp_path, capsys, command):
+        # 268M vertices: refused from the config, before any array is allocated
+        cfg = tmp_path / "fine.cfg"
+        cfg.write_text("mesh.h = 0.0001\nschedule.t_end = 0.001\n")
+        assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "MAX_VERTICES" in err
+        assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_an_overflowing_twin_perturbation_is_a_solver_error(self, tmp_path, capsys):
