@@ -1,7 +1,9 @@
 """Variable-coefficient elliptic solves: -div(beta grad v) = f, v = psi on the boundary.
 
 Every linear solve of a run is one `cg_solve` (block CG) or one solve by a
-`lu_factor` (sparse LU).  Dirichlet conditions are imposed by elimination in
+`lu_factor` (sparse LU, built one column panel at a time, so that building it
+lifts the process high-water mark no higher than the factor it keeps; see
+PANEL_SIZE).  Dirichlet conditions are imposed by elimination in
 `dirichlet_split` (never by penalty): the interior block A_II is solved by
 preconditioned CG to relative tolerance 1e-10 with an iteration cap of
 max(100, 50 sqrt(#unknowns)), or by its LU factor, and boundary rows carry
@@ -112,9 +114,19 @@ def cg_solve(A: sp.csr_matrix, B: np.ndarray, M, x0: np.ndarray = None):
     return X.reshape(B.shape), worst, total
 
 
+# SuperLU factors PANEL_SIZE columns at a time, in a dense workspace of
+# PANEL_SIZE x n doubles.  At its default width of 20 that workspace lifts the
+# process high-water mark above the RSS the factor keeps: by 2.5 MiB on the
+# square's h = 1/128 step matrix, by 10.4 MiB at 1/256.  At width 1, 2 or 4 the
+# mark stays at the RSS after the factor, solves take as long, and the factor
+# builds faster (medians on 2 vCPUs: 32 -> 25 ms at 1/128, 207 -> 168 ms at 1/256).
+PANEL_SIZE = 1
+
+
 def lu_factor(A: sp.spmatrix):
-    """Sparse LU of a square A (SuperLU, minimum degree on A^T + A); `.solve` applies A^{-1}."""
-    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    """Sparse LU of a square A (SuperLU, minimum degree on A^T + A, panels of
+    PANEL_SIZE columns); `.solve` applies A^{-1}."""
+    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=PANEL_SIZE)
 
 
 def dirichlet_split(mesh: DomainMesh, K: sp.csr_matrix, boundary_values: np.ndarray):

@@ -3,12 +3,14 @@
 A DomainMesh bundles the triangulation with everything the solvers need:
 triangle areas, the lumped mass vector, the P1 gradient operator grad_op
 (2 nt x nv; row 2 t + e holds d_e lambda_i of the vertices of triangle t, in
-triangle-vertex order, so grad_op @ f is d_e f on every triangle), the two
-averaging operators tri_mean_op (nt x nv, 1/3 at each vertex of a triangle)
-and nodal_mean_op (nv x nt, area_t / (3 m_v) at each triangle t of vertex v,
-so nodal_mean_op @ q is the mass-weighted nodal average of q), and the
+triangle-vertex order, so grad_op @ f is d_e f on every triangle) and the
 unit stiffness grad_op^T diag(area) grad_op; a weight w per triangle gives
-the stiffness of -div(w grad .) as grad_op^T diag(area w) grad_op.
+the stiffness of -div(w grad .) as grad_op^T diag(area w) grad_op.  Three
+values are built on first use and then kept, since many runs read none of
+them: the barycenters, and the two averaging operators tri_mean_op (nt x nv,
+1/3 at each vertex of a triangle) and nodal_mean_op (nv x nt, area_t / (3 m_v)
+at each triangle t of vertex v, so nodal_mean_op @ q is the mass-weighted
+nodal average of q).
 
 Disk meshes place vertices on concentric rings with the angular count
 growing linearly with radius (quasi-uniform, no slivers) and let a Delaunay
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,14 +48,12 @@ class DomainMesh:
     triangles: np.ndarray         # (nt, 3), positively oriented
     shape: str
     target_h: float
-    # derived from the vertices and triangles by _finalize
+    # derived from the vertices and triangles by _finalize; barycenters,
+    # tri_mean_op and nodal_mean_op are cached properties below
     boundary: np.ndarray = field(init=False)                      # (nv,) bool
     h: float = field(init=False)                                  # realized max edge length
     areas: np.ndarray = field(init=False, repr=False)
     grad_op: sp.csr_matrix = field(init=False, repr=False)        # (2 nt, nv)
-    tri_mean_op: sp.csr_matrix = field(init=False, repr=False)    # (nt, nv)
-    nodal_mean_op: sp.csr_matrix = field(init=False, repr=False)  # (nv, nt)
-    barycenters: np.ndarray = field(init=False, repr=False)       # (nt, 2)
     lumped_mass: np.ndarray = field(init=False, repr=False)       # (nv,)
     stiffness: sp.csr_matrix = field(init=False, repr=False)      # (nv, nv)
     interior: np.ndarray = field(init=False, repr=False)          # interior vertex ids
@@ -74,7 +75,6 @@ class DomainMesh:
         if np.any(det <= 0):
             raise InvalidShapeParameters("degenerate (zero-area) triangle in mesh")
         self.areas = 0.5 * det
-        self.barycenters = v[t].mean(axis=1)
 
         # g[t, e, i] = d_e lambda_i; grad lambda_i = (y_j - y_k, x_k - x_j) / 2A, ijk cyclic
         pj, pk = v[np.roll(t, -1, axis=1)], v[np.roll(t, -2, axis=1)]   # (nt, 3, 2)
@@ -86,16 +86,8 @@ class DomainMesh:
             shape=(2 * nt, self.num_vertices))
         self.stiffness = stiffness_from_tri_weights(self, np.ones(nt))
 
-        nv, tv = self.num_vertices, t.ravel()
-        self.lumped_mass = m = np.bincount(tv, np.repeat(self.areas / 3.0, 3), nv)
-        # both averages built from their CSR arrays: no product temporaries
-        self.tri_mean_op = sp.csr_matrix(
-            (np.full(3 * nt, 1.0 / 3.0), tv, np.arange(0, 3 * nt + 1, 3)), shape=(nt, nv))
-        order = np.argsort(tv, kind="stable")        # incidences by vertex
-        tri, vert = order // 3, tv[order]
-        self.nodal_mean_op = sp.csr_matrix(
-            (self.areas[tri] / (3.0 * m[vert]), tri,
-             np.concatenate([[0], np.cumsum(np.bincount(tv, minlength=nv))])), shape=(nv, nt))
+        nv = self.num_vertices
+        self.lumped_mass = np.bincount(t.ravel(), np.repeat(self.areas / 3.0, 3), nv)
 
         # edge keys e0 nv + e1 (e0 < e1) sort as the rows (e0, e1) of a row-wise unique
         a, b = t.ravel().astype(np.int64), np.roll(t, -1, axis=1).ravel()
@@ -109,6 +101,31 @@ class DomainMesh:
         self.interior = np.flatnonzero(~self.boundary)
         self.boundary_index = np.flatnonzero(self.boundary)
         self.interior.flags.writeable = self.boundary_index.flags.writeable = False
+
+    # -- built on first use, then kept: a run that never reads one holds none ---
+
+    @cached_property
+    def barycenters(self) -> np.ndarray:
+        """(nt, 2) triangle barycenters."""
+        return self.vertices[self.triangles].mean(axis=1)
+
+    @cached_property
+    def tri_mean_op(self) -> sp.csr_matrix:
+        """(nt, nv), 1/3 at each vertex of a triangle; built from its CSR arrays."""
+        nt = self.num_triangles
+        return sp.csr_matrix((np.full(3 * nt, 1.0 / 3.0), self.triangles.ravel(),
+                              np.arange(0, 3 * nt + 1, 3)), shape=(nt, self.num_vertices))
+
+    @cached_property
+    def nodal_mean_op(self) -> sp.csr_matrix:
+        """(nv, nt), area_t / (3 m_v) at each triangle t of vertex v; built from
+        its CSR arrays."""
+        nv, nt, tv = self.num_vertices, self.num_triangles, self.triangles.ravel()
+        order = np.argsort(tv, kind="stable")        # incidences by vertex
+        tri, vert = order // 3, tv[order]
+        return sp.csr_matrix(
+            (self.areas[tri] / (3.0 * self.lumped_mass[vert]), tri,
+             np.concatenate([[0], np.cumsum(np.bincount(tv, minlength=nv))])), shape=(nv, nt))
 
     # -- basic queries -------------------------------------------------
 

@@ -4,6 +4,7 @@ import copy
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from warpflow.diagnostics import energy_functionals
 from warpflow.flow import _solve_potential, default_probe_centers, march
@@ -55,6 +56,23 @@ def two_ball_reference(records, r_grid):
 def weighted_stiffness(mesh, beta_vertex):
     """Stiffness of -div(beta grad .) with beta averaged over each triangle."""
     return stiffness_from_tri_weights(mesh, triangle_mean(mesh, beta_vertex))
+
+
+def eager_averages(mesh):
+    """(barycenters, tri_mean_op, nodal_mean_op) by the formulas a DomainMesh
+    once ran for every mesh as it was built, whether a run read them or not."""
+    v, t = mesh.vertices, mesh.triangles
+    nt, nv, tv = t.shape[0], mesh.num_vertices, t.ravel()
+    barycenters = v[t].mean(axis=1)
+    m = np.bincount(tv, np.repeat(mesh.areas / 3.0, 3), nv)
+    tri_mean_op = sp.csr_matrix(
+        (np.full(3 * nt, 1.0 / 3.0), tv, np.arange(0, 3 * nt + 1, 3)), shape=(nt, nv))
+    order = np.argsort(tv, kind="stable")
+    tri, vert = order // 3, tv[order]
+    nodal_mean_op = sp.csr_matrix(
+        (mesh.areas[tri] / (3.0 * m[vert]), tri,
+         np.concatenate([[0], np.cumsum(np.bincount(tv, minlength=nv))])), shape=(nv, nt))
+    return barycenters, tri_mean_op, nodal_mean_op
 
 
 def square_lattice(target_h):

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -396,3 +402,51 @@ class TestHarmonicExtension:
         assert np.max(np.abs(ext[:, 0] - harmonic_extension(square16, tr[:, 0])[0])) < 1e-15
         assert np.max(np.abs(ext[:, 0] - square16.vertices[:, 0])) < 1e-12
         assert np.array_equal(ext[:, 1], np.ones(square16.num_vertices))
+
+
+# the factor is built and measured in a fresh process, whose high-water mark
+# before the call is its own; reads ru_maxrss in KiB and /proc/self/statm
+_FACTOR_TRANSIENT = """
+import json, os, resource
+import numpy as np, scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
+from warpflow.elliptic import dirichlet_split, lu_factor
+from warpflow.flow import StepperConfig
+from warpflow.mesh import build_mesh
+
+def rss():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2 ** 20
+
+def high_water():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+h, cfg = 1 / 128, StepperConfig()
+mesh = build_mesh("square", h)
+K_II = dirichlet_split(mesh, mesh.stiffness, np.zeros(mesh.num_vertices))[0]
+A = (sp.diags(mesh.lumped_mass[mesh.interior])
+     + (cfg.theta * cfg.dt_policy(h)[0]) * K_II).tocsr()
+B = np.random.default_rng(4).standard_normal((A.shape[0], 3))
+before = high_water()
+lu = lu_factor(A)
+after, kept = high_water(), rss()
+X, ref = lu.solve(B), spsolve(A.tocsc(), B)
+err = float(np.max(np.linalg.norm(X - ref, axis=0) / np.linalg.norm(ref, axis=0)))
+print(json.dumps({"before": before, "after": after, "kept": kept, "err": err}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads ru_maxrss in KiB and /proc/self/statm")
+def test_a_factor_lifts_the_high_water_mark_no_higher_than_it_keeps():
+    # SuperLU's default panel of 20 columns lifted the mark ~2.7 MiB above
+    # both on this h = 1/128 step matrix
+    src = Path(warpflow.elliptic.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-B", "-c", _FACTOR_TRANSIENT], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    m = json.loads(proc.stdout)
+    assert m["after"] <= max(m["before"], m["kept"]) + 1.0, m
+    assert m["err"] <= 1e-12, m

@@ -3,9 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import warpflow.mesh
-from brute_force import (ball_energy, disk_points, edge_table, nearest_vertex,
+import warpflow.scenario
+from brute_force import (ball_energy, disk_points, eager_averages, edge_table, nearest_vertex,
                          square_lattice, weighted_stiffness)
 from warpflow.boundary import boundary_data_from_presets
 from warpflow.diagnostics import ThresholdConfig
@@ -16,6 +18,7 @@ from warpflow.mesh import (BallIndex, DomainMesh, LatticeBalls, ball_rows, ball_
                            local_energy_matrix, tri_energy_density,
                            triangle_mean, write_snapshot)
 from warpflow.flow import default_probe_centers
+from warpflow.scenario import twin_run
 
 
 # -- constructors -----------------------------------------------------------
@@ -304,6 +307,39 @@ def test_averaging_operators_match_the_scatter_and_the_mean(mesh_name, request):
     # the nodal average of a constant is that constant (rows sum to one)
     assert np.allclose(m.nodal_from_tri(np.full(m.num_triangles, 2.5)), 2.5,
                        rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+AVERAGES = ("barycenters", "tri_mean_op", "nodal_mean_op")
+
+
+def test_a_twin_run_builds_none_of_the_mesh_averages(monkeypatch):
+    # stability_twin (torus target, constant warp, no records) reads none of them
+    meshes, real = [], warpflow.scenario.build_mesh
+
+    def build(*args, **kwargs):
+        meshes.append(real(*args, **kwargs))
+        return meshes[-1]
+    monkeypatch.setattr(warpflow.scenario, "build_mesh", build)
+    twin_run("stability_twin")
+    assert len(meshes) == 1
+    assert not set(AVERAGES) & set(vars(meshes[0]))
+
+
+@pytest.mark.parametrize("mesh_name", ["square16", "disk16", "annulus8"])
+def test_mesh_averages_built_on_first_use_equal_the_eager_formulas(mesh_name, request):
+    m = request.getfixturevalue(mesh_name)
+    m = DomainMesh(m.vertices.copy(), m.triangles.copy(), m.shape, m.target_h)
+    assert not set(AVERAGES) & set(vars(m))
+    for name, ref in zip(AVERAGES, eager_averages(m)):
+        got = getattr(m, name)
+        assert getattr(m, name) is got          # built once, then kept
+        if sp.issparse(ref):
+            assert got.shape == ref.shape
+            for part in ("data", "indices", "indptr"):
+                a, b = getattr(got, part), getattr(ref, part)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (name, part)
+        else:
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), name
 
 
 def test_laplacian_exact_on_quadratic(square16):
