@@ -136,6 +136,12 @@ class RunBounds:
     domain_area: float
     h: float
 
+    def __post_init__(self):
+        # the suite divides by both; a stored report may hold any number
+        for name in ("warp_lower", "domain_area"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+
     @property
     def budget(self) -> float:
         return self.energy_phi0 + self.warp_upper * self.energy_psi_ext
@@ -186,15 +192,15 @@ def energy_functionals(state) -> EnergyRecord:
     gradients, K u and beta are the state's own, evaluated once per state.
     """
     mesh = state.mesh
-    g2u, g2v = state.grad_sq_u(), state.grad_sq_v()
+    g2u, g2v = state.grad_sq_u, state.grad_sq_v
     dens_u = tri_energy_density(mesh, g2u)
     dens_v = tri_energy_density(mesh, g2v)
-    beta_tri = state.beta_tri()
+    beta_tri = state.beta_tri
     e_u = float(dens_u.sum())
     e_v = float(dens_v.sum())
     e_beta_v = float((beta_tri * dens_v).sum())
 
-    lap = mesh.laplacian(state.u, state.stiffness_u())
+    lap = mesh.laplacian(state.u, state.stiffness_u)
     proxy = mesh.mass_sum(np.einsum("ij,ij->i", lap, lap))
 
     mean = np.einsum("i,ij->j", mesh.lumped_mass, state.u) / mesh.domain_area
@@ -294,17 +300,18 @@ def inequality_suite(records, bounds: RunBounds, thresholds: ThresholdConfig,
         tolerance=kin_slack,
         detail="integral of |du/dt|^2 bounded by the energy budget"))
 
-    # warp sandwich: lam <= E_beta_v / E_v <= Lam whenever E_v > 0
-    ok = True
-    worst_ratio = None
+    # warp sandwich: lam <= E_beta_v / E_v <= Lam whenever E_v > 0; a failure
+    # reports the ratio farthest outside [lam, Lam], the first on a tie
+    worst_ratio = worst_gap = None
     for r in records:
         if r.e_v > 1e-14:
             ratio = r.e_beta_v / r.e_v
-            if not (bounds.warp_lower - 1e-9 <= ratio <= bounds.warp_upper + 1e-9):
-                ok = False
-                worst_ratio = ratio
+            gap = max(bounds.warp_lower - ratio, ratio - bounds.warp_upper)
+            if (not bounds.warp_lower - 1e-9 <= ratio <= bounds.warp_upper + 1e-9
+                    and (worst_gap is None or gap > worst_gap)):
+                worst_ratio, worst_gap = ratio, gap
     checks.append(CheckResult(
-        name="warp_sandwich", passed=ok, hard=True,
+        name="warp_sandwich", passed=worst_ratio is None, hard=True,
         constants={} if worst_ratio is None else {"ratio": worst_ratio},
         tolerance=1e-9, detail="lam <= E_beta_v/E_v <= Lam"))
 

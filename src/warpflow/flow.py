@@ -24,11 +24,11 @@ matrices stay few; `_FlowContext` decides how each is solved.
 A run's fixed data (mesh, target, warp, boundary data and StepperConfig)
 live once, in the `_FlowContext` that `initial_state` builds; a FlowState is
 the evolving (u, v, t) on it.  A state's triangle gradients, nodal forcing,
-K u and triangle beta are evaluated once, on first use, whether a retried
-step, a record or the next step asks for them, or carried from the state
-before where its step leaves them valid; `run_flow` measures every record in
-line, on the calling thread.  Each potential solve starts from the potential
-extrapolated linearly in t from the last two states.
+K u and triangle beta are read-only cached properties, formed on first use by
+a retried step, a record or the next step, unless the carry that
+`_solve_potential` gives each new state with its potential seeds them;
+`run_flow` measures every record in line, on the calling thread.  Each warped
+solve starts from the potential extrapolated linearly in t from the last two.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import copy
 import math
 import time as _time
 from dataclasses import InitVar, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -194,18 +195,22 @@ class _FlowContext:
             raise ValueError("initial map must lie on the target manifold")
         if np.max(np.abs(u0[mesh.boundary] - phi[mesh.boundary])) != 0.0:
             raise ValueError("initial map must equal the boundary trace on the boundary")
-        v0, carry = ((np.array(self.bdata.psi_ext, dtype=float), None) if self.potential is None
-                     else _solve_potential(self, u0))
+        v0, carry = _solve_potential(self, u0)
         return FlowState(u=u0, v=v0, ctx=self, carry=carry)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass
 class FlowState:
     """The map u and potential v at time t on a run's context, and what the
-    step that made it measured (all zero at t = 0).  `step` builds states and
-    nothing changes one afterwards, bar its cache of derived fields: its
-    |grad u|^2 and |grad v|^2, forcing, K u and triangle beta, each formed
-    once, by whichever of a step, a retry or a record asks first, and kept."""
+    step that made it measured (all zero at t = 0).  Nothing changes a state
+    once `step` builds it: its |grad u|^2, |grad v|^2, forcing, K u and triangle
+    beta are read-only cached properties, formed once by whichever of a step, a
+    retry or a record asks first, or seeded by the `carry` it is built with."""
 
     u: np.ndarray
     v: np.ndarray
@@ -218,49 +223,64 @@ class FlowState:
     last_move: float = 0.0
     last_dt: float = 0.0
     v_prev: np.ndarray = field(default=None, repr=False)
-    # read-only fields derived from (u, v), each evaluated on first use; a new
-    # state's starts from `carry`, the fields its step left valid
-    cache: dict = field(init=False, default_factory=dict, repr=False, compare=False)
     carry: InitVar[dict] = None
 
     def __post_init__(self, carry):
-        # the cache relies on u and v never changing once the state is built
+        # the cached values rely on u and v never changing once the state is built
         self.u.flags.writeable = self.v.flags.writeable = False
-        self.cache.update(carry or {})
+        vars(self).update(carry or {})
 
     @property
     def mesh(self) -> DomainMesh:
         return self.ctx.mesh
 
-    def _derived(self, key, compute):
-        val = self.cache.get(key)
-        if val is None:
-            val = self.cache[key] = compute()
-            val.flags.writeable = False
-        return val
-
+    @cached_property
     def grad_sq_u(self) -> np.ndarray:
-        """Per-triangle |grad u|^2, evaluated once per state."""
-        return self._derived("grad_sq_u", lambda: self.mesh.tri_grad_sq(self.u))
+        """Per-triangle |grad u|^2."""
+        return _read_only(self.mesh.tri_grad_sq(self.u))
 
+    @cached_property
     def stiffness_u(self) -> np.ndarray:
-        """K u (the unit stiffness times u), evaluated once per state."""
-        return self._derived("stiffness_u", lambda: self.mesh.stiffness @ self.u)
+        """K u (the unit stiffness times u)."""
+        return _read_only(self.mesh.stiffness @ self.u)
 
+    @cached_property
     def beta_tri(self) -> np.ndarray:
-        """Triangle mean of beta(u), evaluated once per state or kept from its solve."""
-        return self._derived("beta_tri",
-                             lambda: triangle_mean(self.mesh, self.ctx.warp.beta(self.u)))
+        """Triangle mean of beta(u), unless the potential's solve seeded it."""
+        return _read_only(triangle_mean(self.mesh, self.ctx.warp.beta(self.u)))
 
+    @cached_property
     def grad_sq_v(self) -> np.ndarray:
-        """Per-triangle |grad v|^2, evaluated once per state or carried forward."""
-        return self._derived("grad_sq_v", lambda: self.mesh.tri_grad_sq(self.v))
+        """Per-triangle |grad v|^2, unless carried from the state before."""
+        return _read_only(self.mesh.tri_grad_sq(self.v))
+
+    @cached_property
+    def forcing(self) -> np.ndarray | None:
+        """Nodal explicit forcing: curvature term minus warp drift term; None
+        where it is identically zero (a flat target under a constant warp).  A
+        flat target takes no curvature term.  It reads the state's own
+        |grad u|^2 and |grad v|^2, which stay cached for its record."""
+        ctx, mesh, F = self.ctx, self.mesh, 0.0
+        if ctx.target.flat and ctx.potential is None:
+            return None
+        if not ctx.target.flat:
+            F = ctx.target.curvature_force(self.u, mesh.nodal_from_tri(self.grad_sq_u))
+        if ctx.potential is not None:
+            F = F - warp_force(ctx.target, ctx.warp, self.u, mesh.nodal_from_tri(self.grad_sq_v))
+        return _read_only(F)
 
 
-def _solve_potential(ctx: _FlowContext, u, state: "FlowState" = None, dt: float = 0.0):
-    """(v, carry): the potential of the map u, and the triangle mean of beta(u)
-    its solve formed, for the new state's cache; the solve starts from the
-    potential of `state`, if any, extrapolated linearly to state.t + dt."""
+def _solve_potential(ctx: _FlowContext, u, state: FlowState = None, dt: float = 0.0):
+    """(v, carry): the potential of a new state of map u, stepped by dt from
+    `state` (None at t = 0), and the cached values it starts with.  Under a
+    constant warp v is psi's extension (a copy at t = 0, then the parent's)
+    and carry the parent's |grad v|^2 and beta where formed; else v is the
+    warped solve from `state`'s v extrapolated to t + dt, and carry its beta."""
+    if ctx.potential is None:
+        if state is None:
+            return np.array(ctx.bdata.psi_ext, dtype=float), {}
+        formed = vars(state)
+        return state.v, {k: formed[k] for k in ("grad_sq_v", "beta_tri") if k in formed}
     x0 = None if state is None else state.v if state.v_prev is None else \
         state.v + (dt / state.last_dt) * (state.v - state.v_prev)
     sol = solve_warped_laplace(ctx.mesh, ctx.warp.beta(u), ctx.bdata.psi, x0=x0,
@@ -279,30 +299,10 @@ def initial_state(mesh: DomainMesh, target, warp, bdata: BoundaryData,
         np.array(bdata.phi0, dtype=float))
 
 
-def _forcing(state: FlowState) -> np.ndarray | None:
-    """Nodal explicit forcing: curvature term minus warp drift term, once per
-    state; None where it is identically zero (a flat target under a constant
-    warp).  A flat target takes no curvature term.  It reads the state's own
-    |grad u|^2 and |grad v|^2, which stay in its cache for its record."""
-    ctx = state.ctx
-    if ctx.target.flat and ctx.potential is None:
-        return None
-
-    def compute():
-        mesh, F = state.mesh, 0.0
-        if not ctx.target.flat:
-            F = ctx.target.curvature_force(state.u, mesh.nodal_from_tri(state.grad_sq_u()))
-        if ctx.potential is not None:
-            s = mesh.nodal_from_tri(state.grad_sq_v())
-            F = F - warp_force(ctx.target, ctx.warp, state.u, s)
-        return F
-    return state._derived("forcing", compute)
-
-
 def tension_residual(state: FlowState) -> float:
     """L2 norm of the tangential discrete tension field (boundary rows zero)."""
     mesh = state.mesh
-    lap, F = mesh.laplacian(state.u, state.stiffness_u()), _forcing(state)
+    lap, F = mesh.laplacian(state.u, state.stiffness_u), state.forcing
     R = state.ctx.target.project_tangent(state.u, lap if F is None else lap + F)
     R[mesh.boundary_index] = 0.0
     return math.sqrt(mesh.mass_sum(np.einsum("ij,ij->i", R, R)))
@@ -327,13 +327,13 @@ def step(state: FlowState, dt: float = None, enforce_cap: bool = True) -> FlowSt
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     u, m, I = state.u, mesh.lumped_mass, mesh.interior
-    F = _forcing(state)
+    F = state.forcing
 
     try:
         theta = config.theta
         rhs = m[:, None] * (u if F is None else u + dt * F)
         if theta != 1.0:
-            rhs -= ((1.0 - theta) * dt) * state.stiffness_u()
+            rhs -= ((1.0 - theta) * dt) * state.stiffness_u
         rhs_I = np.take(rhs, I, axis=0) - (theta * dt) * ctx.K_phi
         X = ctx.theta_solve(dt, state.t, rhs_I, np.take(u, I, axis=0))
         u_star = u.copy()                  # C order: reshape(-1) is a view
@@ -360,11 +360,7 @@ def step(state: FlowState, dt: float = None, enforce_cap: bool = True) -> FlowSt
             f"nodal move {move:.3e} exceeds {config.max_move_fraction} * h")
 
     try:
-        if ctx.potential is None:      # v and beta do not depend on u: keep the parent's
-            v_new, carry = state.v, {k: state.cache[k] for k in ("grad_sq_v", "beta_tri")
-                                     if k in state.cache}
-        else:
-            v_new, carry = _solve_potential(ctx, u_new, state, dt)
+        v_new, carry = _solve_potential(ctx, u_new, state, dt)
         if not np.all(np.isfinite(v_new)):
             raise SolverFailure("non-finite potential")
     except SolverFailure as exc:
@@ -464,7 +460,7 @@ def run_flow(state: FlowState, schedule: Schedule, thresholds: ThresholdConfig =
             return
         rec = energy_functionals(st)
         rec.kinetic_cum = kin_total
-        dens = tri_energy_density(mesh, st.grad_sq_u())
+        dens = tri_energy_density(mesh, st.grad_sq_u)
         local = L @ dens
         rec.max_local_energy = float(local.max())
         rec.ball_probes = (probes @ dens).reshape(len(centers), len(radii)).tolist()

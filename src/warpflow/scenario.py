@@ -99,7 +99,9 @@ class ScenarioConfig:
     def from_flat(cls, flat: dict) -> "ScenarioConfig":
         """The config of a flat key dict; an unknown key, a value its parser
         refuses, a non-finite number or a value out of range is a
-        ConfigParseError, raised before any mesh is built."""
+        ConfigParseError, raised before any mesh is built.  Each value is
+        parsed as str(value), the text a config file would hold, so 3.7 is
+        no seed and a float patch round-trips exactly."""
         unknown = sorted(flat.keys() - _KEYS.keys())
         if unknown:
             raise ConfigParseError(f"unknown key(s) {', '.join(map(repr, unknown))}")
@@ -107,7 +109,7 @@ class ScenarioConfig:
         for key, text in flat.items():
             name, parse, expected = _KEYS[key]
             try:
-                value = parse(text)
+                value = parse(str(text))
             except ValueError as exc:
                 raise ConfigParseError(f"key {key!r}: expected {expected}, got {text!r}") from exc
             if not all(math.isfinite(x) for x in np.ravel(value) if isinstance(x, float)):

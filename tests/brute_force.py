@@ -164,7 +164,7 @@ def sequential_run(state, schedule, thresholds):
             return
         rec = energy_functionals(st)
         rec.kinetic_cum = kin
-        dens = tri_energy_density(mesh, st.grad_sq_u())
+        dens = tri_energy_density(mesh, st.grad_sq_u)
         local = L @ dens
         rec.max_local_energy = float(local.max())
         rec.ball_probes = (probes @ dens).reshape(len(centers), len(radii)).tolist()

@@ -75,6 +75,13 @@ def test_threshold_config_validation():
         (0.05, 0.1, 0.2)
 
 
+@pytest.mark.parametrize("name", ["warp_lower", "domain_area"])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_run_bounds_refuse_a_non_positive_divisor(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be positive"):
+        _bounds(**{name: value})
+
+
 def test_run_bounds_budget():
     b = _bounds(energy_phi0=2.0, energy_psi_ext=4.0, warp_upper=3.0)
     assert b.budget == pytest.approx(14.0)
@@ -157,6 +164,17 @@ class TestInequalitySuite:
         checks = inequality_suite(bad, rep.bounds, ThresholdConfig())
         sandwich = next(c for c in checks if c.name == "warp_sandwich")
         assert not sandwich.passed            # warp upper bound is 3
+
+    def test_warp_sandwich_reports_the_worst_violation(self):
+        # lam = 1, Lam = 3: ratios 10 (7 above Lam) and 4 (1 above), largest
+        # first; then a tie at 0.5 below lam against 3.5, and the first stays
+        recs = [_rec(0.0, e_v=1.0, e_beta_v=2.0), _rec(0.1, e_v=1.0, e_beta_v=10.0),
+                _rec(0.2, e_v=1.0, e_beta_v=4.0)]
+        tie = [_rec(0.0, e_v=1.0, e_beta_v=0.5), _rec(0.1, e_v=1.0, e_beta_v=3.5)]
+        for records, worst in ((recs, 10.0), (tie, 0.5), (tie[::-1], 3.5)):
+            checks = inequality_suite(records, _bounds(warp_upper=3.0), ThresholdConfig())
+            sandwich = next(c for c in checks if c.name == "warp_sandwich")
+            assert not sandwich.passed and sandwich.constants == {"ratio": worst}
 
     def test_kinetic_budget_violation_detected(self, coupled_run):
         _, rep = coupled_run

@@ -1,4 +1,5 @@
 import copy
+import functools
 import math
 import threading
 from dataclasses import fields, replace
@@ -17,8 +18,8 @@ from warpflow.diagnostics import (HARD_CHECK_SLACK, ThresholdConfig, energy_func
 from warpflow.elliptic import CG_RTOL
 from warpflow.elliptic import solve_warped_laplace
 from warpflow.errors import NonPositiveCoefficient, SolverFailure, StepRejected
-from warpflow.flow import (FACTOR_ITERS, LU_COL_ITERS, Schedule,
-                           StepperConfig, _forcing, default_probe_centers, initial_state,
+from warpflow.flow import (FACTOR_ITERS, LU_COL_ITERS, FlowState, Schedule,
+                           StepperConfig, default_probe_centers, initial_state,
                            march, run_flow, step, tension_residual)
 from warpflow.geometry import WarpFunction, make_target, warp_force
 from warpflow.mesh import DomainMesh, build_mesh, dirichlet_energy, triangle_mean
@@ -568,11 +569,11 @@ class TestPotential:
         assert [s.step_count for s in states] == list(range(fin.step_count + 1))
         # the initial state's beta came from its solve, before `seen`; every
         # later state's from the solve of the step that made it, which the
-        # record then reads from the state's cache
+        # record then reads as the state's cached property
         assert len(used) == fin.step_count + 1
         for s in states:
             assert sum(y is s.u for y in seen) == (s is not st)
-            beta = s.cache["beta_tri"]
+            beta = vars(s)["beta_tri"]
             assert beta is used[s.step_count].beta_tri
             assert np.array_equal(beta, triangle_mean(square16, real(s.u)))
             with pytest.raises(ValueError):
@@ -584,7 +585,7 @@ class TestPotential:
         far[:, 2] = -10.0                         # beta = 2 + y_3 < 0 off the sphere
         bad = replace(st, u=far)
         with pytest.raises(NonPositiveCoefficient):
-            bad.beta_tri()
+            bad.beta_tri
         with pytest.raises(NonPositiveCoefficient):
             energy_functionals(bad)
 
@@ -992,8 +993,30 @@ class TestMarch:
         assert all(snapshot(s) == made[id(s)] for s in yielded)
 
 
+DERIVED = ("grad_sq_u", "grad_sq_v", "stiffness_u", "beta_tri", "forcing")
+
+
+def _formed(state) -> set:
+    """The names of the derived values the state holds: formed or carried."""
+    return DERIVED & vars(state).keys()
+
+
 class TestDerivedFields:
     """Each state's gradients, forcing and K u are evaluated once, and only its own."""
+
+    @pytest.mark.parametrize("warp", [UNIT_WARP, WarpFunction("linear_height", 2.0, 1.0)])
+    def test_derived_values_are_read_only_cached_properties(self, square16, warp):
+        bd = boundary_data_from_presets(square16, SPHERE, "equator_circle kappa=1",
+                                        "harmonic", "linear_x")
+        st = initial_state(square16, SPHERE, warp, bd, StepperConfig())
+        # a warped start's solve seeds its beta; a constant warp's starts with nothing
+        assert _formed(st) == (set() if warp is UNIT_WARP else {"beta_tri"})
+        for name in DERIVED:
+            assert isinstance(vars(FlowState)[name], functools.cached_property)
+            val = getattr(st, name)
+            assert vars(st)[name] is val and getattr(st, name) is val
+            assert isinstance(val, np.ndarray) and not val.flags.writeable
+        assert _formed(st) == set(DERIVED)
 
     @staticmethod
     def _gradient_arguments(monkeypatch):
@@ -1029,8 +1052,8 @@ class TestDerivedFields:
         step(st)
         energy_functionals(st)
         assert sum(x is st.u for x in seen) == 1
-        g2u = st.grad_sq_u()
-        assert st.cache["grad_sq_u"] is g2u and not g2u.flags.writeable
+        g2u = st.grad_sq_u
+        assert vars(st)["grad_sq_u"] is g2u and not g2u.flags.writeable
 
     def test_flat_target_under_a_constant_warp_takes_no_forcing(self, square16,
                                                                 monkeypatch):
@@ -1042,7 +1065,7 @@ class TestDerivedFields:
             step(st, dt=0.01)
         new = step(st, dt=1e-7)
         assert st.ctx.stats["rejections"]["move_cap"] == 1 and new.step_count == 1
-        assert seen == [] and _forcing(st) is None and "forcing" not in st.cache
+        assert seen == [] and vars(st)["forcing"] is None and st.forcing is None
         assert np.array_equal(st.u, u0) and not st.u.flags.writeable
 
     def test_flat_target_under_a_warp_takes_the_drift_alone(self, square16, monkeypatch):
@@ -1051,9 +1074,9 @@ class TestDerivedFields:
         bd = boundary_data_from_presets(square16, TORUS, spec, spec, "linear_x")
         st = initial_state(square16, TORUS, warp, bd, StepperConfig())
         seen = self._gradient_arguments(monkeypatch)
-        F = _forcing(st)
+        F = st.forcing
         assert len(seen) == 1 and seen[0] is st.v          # |grad v|^2 only
-        drift = warp_force(TORUS, warp, st.u, square16.nodal_from_tri(st.grad_sq_v()))
+        drift = warp_force(TORUS, warp, st.u, square16.nodal_from_tri(st.grad_sq_v))
         assert np.array_equal(F, -drift) and np.any(F != 0.0)
 
     @pytest.mark.parametrize("warp", [UNIT_WARP, WarpFunction("linear_height", 2.0, 1.0)])
@@ -1094,44 +1117,44 @@ class TestDerivedFields:
         assert chains[0][0].v is not chains[1][0].v
         assert sum(x is c[0].v for c in chains for x in seen) == 2
         for first, *rest in chains:
-            g2v, beta = first.grad_sq_v(), first.beta_tri()
+            g2v, beta = first.grad_sq_v, first.beta_tri
             assert not g2v.flags.writeable and not beta.flags.writeable
             assert len(rest) >= 4 and all(
-                s.v is first.v and s.grad_sq_v() is g2v and s.beta_tri() is beta
+                s.v is first.v and s.grad_sq_v is g2v and s.beta_tri is beta
                 for s in rest)
-            assert replace(rest[-1], u=np.array(rest[-1].u)).cache == {}
+            assert _formed(replace(rest[-1], u=np.array(rest[-1].u))) == set()
 
     def test_replaced_state_does_not_inherit_the_cache(self, square16):
         cfg = StepperConfig()
         st = initial_state(square16, SPHERE, UNIT_WARP, _geodesic_data(square16), cfg)
-        F = _forcing(st)
+        F = st.forcing
         rng = np.random.default_rng(5)
         w = SPHERE.project_tangent(st.u, rng.standard_normal(st.u.shape))
         w[square16.boundary] = 0.0
         pert = replace(st, u=SPHERE.project_field(st.u + 1e-3 * w))
-        assert pert.cache == {}
-        assert not np.array_equal(_forcing(pert), F)
-        assert np.array_equal(_forcing(replace(st, u=np.array(st.u))), F)
+        assert _formed(pert) == set()
+        assert not np.array_equal(pert.forcing, F)
+        assert np.array_equal(replace(st, u=np.array(st.u)).forcing, F)
 
     def test_stiffness_product_is_kept_read_only_and_exact(self, square16):
         cfg = StepperConfig(theta=0.5)
         st = initial_state(square16, SPHERE, UNIT_WARP, _geodesic_data(square16), cfg)
         new = step(st)
-        Ku = st.cache["stiffness_u"]                # the step formed it
+        Ku = vars(st)["stiffness_u"]                # the step formed it
         assert np.array_equal(Ku, square16.stiffness @ st.u)
-        assert st.stiffness_u() is Ku
+        assert st.stiffness_u is Ku
         with pytest.raises(ValueError):
             Ku[0, 0] = 0.0
         # a record and the tension residual of the next state share one product
         rec = energy_functionals(new)
-        Ku_new = new.cache["stiffness_u"]
+        Ku_new = vars(new)["stiffness_u"]
         tension_residual(new)
-        assert new.stiffness_u() is Ku_new
+        assert new.stiffness_u is Ku_new
         lap = square16.laplacian(new.u, square16.stiffness @ new.u)
         assert rec.laplacian_proxy == square16.mass_sum(np.einsum("ij,ij->i", lap, lap))
-        assert "stiffness_u" not in replace(new, u=np.array(new.u)).cache
+        assert "stiffness_u" not in vars(replace(new, u=np.array(new.u)))
         # theta = 1 has no explicit Laplacian part: the step forms no product
         full = StepperConfig(theta=1.0)
         st1 = initial_state(square16, SPHERE, UNIT_WARP, _geodesic_data(square16), full)
         step(st1)
-        assert "stiffness_u" not in st1.cache
+        assert "stiffness_u" not in vars(st1)

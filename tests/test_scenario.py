@@ -94,6 +94,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigParseError, match="mesh.r_out"):
             ScenarioConfig.from_flat({"mesh.shape": "annulus", "mesh.r_in": "0.5"})
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 3.7), ("schedule.diag_stride", 2.9), ("seed", True),
+        ("thresholds.r_grid", (0.1, 0.2)), ("mesh.h", [0.1])])
+    def test_a_value_that_is_not_its_text_is_refused(self, key, value):
+        # each value is parsed as the text a config file would hold: a float
+        # is no integer (3.7 once became seed 3), a sequence no number list
+        with pytest.raises(ConfigParseError, match=re.escape(repr(key))):
+            ScenarioConfig.from_flat({key: value})
+        with pytest.raises(ConfigParseError):
+            warpflow.scenario._load_config("heat_decay", {key: value})
+
+    def test_a_number_patch_round_trips_exactly(self):
+        cfg = warpflow.scenario._load_config(
+            "heat_decay", {"seed": 3, "mesh.h": 0.1, "schedule.t_end": 1 / 3,
+                           "thresholds.r_grid": "0.1, 0.2"})
+        assert (cfg.seed, cfg.mesh_h, cfg.schedule.t_end) == (3, 0.1, 1 / 3)
+        assert cfg.thresholds.r_grid == (0.1, 0.2)
+
     def test_planned_steps_are_bounded(self):
         # t_end / (sigma h) CFL steps: a config at MAX_PLANNED_STEPS stands, above is refused
         flat = {"mesh.h": "0.125", "stepper.sigma": "0.2"}
@@ -835,6 +853,13 @@ class TestCheckReportFile:
         assert main(["check", str(path)]) == 2
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 1 and out[0].startswith("malformed report:")
+
+    @pytest.mark.parametrize("name", ["warp_lower", "domain_area"])
+    def test_zero_bound_is_malformed(self, tmp_path, bubbling_report, capsys, name):
+        bounds = {**bubbling_report["bounds"], name: 0.0}
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({**bubbling_report, "bounds": bounds}))
+        self._check_malformed(path, capsys)
 
     def test_non_json_report_is_malformed(self, tmp_path, capsys):
         path = tmp_path / "report.json"
