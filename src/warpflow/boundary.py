@@ -151,6 +151,18 @@ def evaluate_scalar_preset(spec: str, xy: np.ndarray) -> np.ndarray:
     return out
 
 
+def evaluate_presets(target, phi_spec: str, phi0_spec: str, psi_spec: str, xy: np.ndarray):
+    """(phi, phi0, psi) of the preset specs at the points xy, phi0 None for
+    "harmonic"; ConfigParseError for a spec no preset takes, which an empty
+    xy finds without a mesh."""
+    name, params = _parse_spec(phi0_spec, "map")
+    if name == "harmonic":
+        _no_unknown_params(name, params)
+    return (evaluate_map_preset(phi_spec, target, xy),
+            None if name == "harmonic" else evaluate_map_preset(phi0_spec, target, xy),
+            evaluate_scalar_preset(psi_spec, xy))
+
+
 def boundary_data_from_presets(mesh: DomainMesh, target, phi_spec: str,
                                phi0_spec: str, psi_spec: str) -> BoundaryData:
     """Assemble BoundaryData from preset strings; phi0 = "harmonic" extends phi.
@@ -158,15 +170,9 @@ def boundary_data_from_presets(mesh: DomainMesh, target, phi_spec: str,
     ConfigParseError when the trace of phi does not lie on the target, or
     the initial map cannot be projected onto it.
     """
-    xy = mesh.vertices
-    phi = evaluate_map_preset(phi_spec, target, xy)
+    phi, phi0, psi = evaluate_presets(target, phi_spec, phi0_spec, psi_spec, mesh.vertices)
     if float(np.max(target.distance(phi[mesh.boundary]))) > 1e-9:
         raise ConfigParseError(f"boundary trace {phi_spec!r} does not lie on the {target.kind}")
-    psi = evaluate_scalar_preset(psi_spec, xy)
-    name, params = _parse_spec(phi0_spec, "map")
-    if name == "harmonic":
-        _no_unknown_params(name, params)
-    phi0 = None if name == "harmonic" else evaluate_map_preset(phi0_spec, target, xy)
     try:
         return BoundaryData.build(mesh, target, phi, phi0, psi)
     except DegeneratePoint as exc:

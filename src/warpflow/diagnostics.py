@@ -185,11 +185,14 @@ def mono_tolerance(dt: float, h: float, e_g0: float) -> float:
 
 # -- record construction ----------------------------------------------------
 
-def energy_functionals(state) -> EnergyRecord:
-    """The record of a flow state: its energies, and the dt and rate of the
-    step that made it (0 at t = 0).  The run-level fields (kinetic_cum, local
-    energy, probes and crossings) are left empty for run_flow to fill.  The
-    gradients, K u and beta are the state's own, evaluated once per state.
+def energy_functionals(state, kinetic_cum: float, L, probes,
+                       thresholds: ThresholdConfig) -> EnergyRecord:
+    """The whole record of a flow state: its energies, the dt and rate of the
+    step that made it (0 at t = 0), the run's kinetic_cum, and from its energy
+    density the r_detect-ball sums L @ dens (their maximum, and the crossings:
+    the vertices above thresholds.energy) and probes @ dens, one row of
+    ball_probes per probe centre.  The gradients, K u and beta are the state's
+    own, evaluated once per state.
     """
     mesh = state.mesh
     g2u, g2v = state.grad_sq_u, state.grad_sq_v
@@ -211,13 +214,16 @@ def energy_functionals(state) -> EnergyRecord:
 
     grad4_u = float(np.sum(mesh.areas * g2u * g2u))
     grad4_v = float(np.sum(mesh.areas * g2v * g2v))
+    local = L @ dens_u
 
     return EnergyRecord(
         t=state.t, e_u=e_u, e_v=e_v, e_beta_v=e_beta_v, e_g=e_u - e_beta_v,
-        kinetic_cum=0.0, laplacian_proxy=proxy,
+        kinetic_cum=kinetic_cum, laplacian_proxy=proxy,
         rate_l2=state.last_rate, l2_centered=l2c, l4_centered=l4c,
         grad4_u=grad4_u, grad4_v=grad4_v,
-        max_local_energy=0.0, dt=state.last_dt, step_count=state.step_count)
+        max_local_energy=float(local.max()), dt=state.last_dt, step_count=state.step_count,
+        ball_probes=(probes @ dens_u).reshape(-1, len(thresholds.probe_radii())).tolist(),
+        crossings={int(c): float(local[c]) for c in np.flatnonzero(local > thresholds.energy)})
 
 
 # -- inequality suite --------------------------------------------------------

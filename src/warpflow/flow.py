@@ -48,8 +48,7 @@ from .elliptic import (WarpedBlock, cg_solve, dirichlet_split, jacobi_preconditi
                        lu_factor, solve_warped_laplace)
 from .errors import DegeneratePoint, SolverFailure, StepRejected
 from .geometry import warp_force
-from .mesh import (DomainMesh, ball_rows, local_energy_matrix, tri_energy_density,
-                   triangle_mean)
+from .mesh import DomainMesh, ball_rows, local_energy_matrix, triangle_mean
 
 DT_MIN_FACTOR = 1e-6
 # forced (timestep underflow) steps in a row before the run fails
@@ -448,27 +447,15 @@ def run_flow(state: FlowState, schedule: Schedule, thresholds: ThresholdConfig =
     bounds = RunBounds.from_run(mesh, state.ctx.warp, state.ctx.bdata)
     report = DiagnosticsReport(records=[], bounds=bounds, thresholds=thresholds)
     L = local_energy_matrix(mesh, thresholds.r_detect)
-    centers, radii = default_probe_centers(mesh), thresholds.probe_radii()
-    report.probe_centers = centers
-    probes = ball_rows(mesh, centers, radii)
+    report.probe_centers = default_probe_centers(mesh)
+    probes = ball_rows(mesh, report.probe_centers, thresholds.probe_radii())
     kin_total = 0.0
     snapped = -1                     # the step count of the last snapshot
     wall0 = _time.perf_counter()
 
     def record(st: FlowState):
-        if report.records and report.records[-1].step_count == st.step_count:
-            return
-        rec = energy_functionals(st)
-        rec.kinetic_cum = kin_total
-        dens = tri_energy_density(mesh, st.grad_sq_u)
-        local = L @ dens
-        rec.max_local_energy = float(local.max())
-        rec.ball_probes = (probes @ dens).reshape(len(centers), len(radii)).tolist()
-        rec.crossings = {int(c): float(local[c])
-                         for c in np.flatnonzero(local > thresholds.energy)}
-        for c in rec.crossings:
-            report.crossing_points.setdefault(c, [float(x) for x in mesh.vertices[c]])
-        report.records.append(rec)
+        if not report.records or report.records[-1].step_count != st.step_count:
+            report.records.append(energy_functionals(st, kin_total, L, probes, thresholds))
 
     record(state)
     for (new_state,), forced in march([state], schedule.t_end):
@@ -488,6 +475,8 @@ def run_flow(state: FlowState, schedule: Schedule, thresholds: ThresholdConfig =
     record(state)
     if snapshot is not None and snapped != state.step_count:
         snapshot(state)
+    report.crossing_points = {c: [float(x) for x in mesh.vertices[c]]
+                              for rec in report.records for c in rec.crossings}
 
     report.solver_stats = copy.deepcopy(state.ctx.stats)
     report.solver_stats["wall_seconds"] = _time.perf_counter() - wall0

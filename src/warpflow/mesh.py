@@ -197,26 +197,20 @@ def _square_lattice(n: int) -> tuple:
             np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3))
 
 
-def _square_mesh(target_h: float) -> DomainMesh:
-    return DomainMesh(*_square_lattice(_doubling_count(1.0, target_h)), shape="square",
-                      target_h=target_h)
-
-
-def _disk_mesh(target_h: float) -> DomainMesh:
-    nr = _doubling_count(1.0, target_h)
-    # ring k of radius k / nr holds 6 k points, odd rings turned by a quarter spacing
+def _disk_rings(nr: int) -> tuple:
+    """(vertices, triangles) of the unit disk with nr rings: ring k of radius
+    k / nr holds 6 k points, odd rings turned by a quarter spacing; Delaunay
+    stitches the rings."""
     k = np.arange(1, nr + 1)
     r, n = np.repeat(k / nr, 6 * k), np.repeat(6 * k, 6 * k)
     j = np.arange(n.size) - np.repeat(3 * k * (k - 1), 6 * k)      # index on its ring
     th = np.repeat(0.5 * np.pi * (k % 2) / (6 * k), 6 * k) + 2.0 * np.pi * j / n
     pts = np.vstack([[[0.0, 0.0]], np.column_stack([r * np.cos(th), r * np.sin(th)])])
-    tris = Delaunay(pts).simplices
-    return DomainMesh(pts, tris.astype(np.int64), shape="disk", target_h=target_h)
+    return pts, Delaunay(pts).simplices.astype(np.int64)
 
 
-def _annulus_mesh(r_in: float, r_out: float, target_h: float) -> DomainMesh:
-    nr = _doubling_count(r_out - r_in, target_h, start=2)
-    nth = _doubling_count(2.0 * np.pi * r_out, target_h, start=8)
+def _annulus_lattice(r_in: float, r_out: float, nr: int, nth: int) -> tuple:
+    """(vertices, triangles) of the annulus with nr cells across and nth around."""
     radii = r_in + (r_out - r_in) * np.arange(nr + 1) / nr
     # structured lattice: same angular count on every ring, quad cells split
     # by a diagonal; triangle count 2*nth*nr doubles exactly in each index
@@ -231,27 +225,29 @@ def _annulus_mesh(r_in: float, r_out: float, target_h: float) -> DomainMesh:
     d = (k + 1) * nth + (j + 1) % nth
     tris = np.concatenate([np.column_stack([a, c, d]),
                            np.column_stack([a, d, b])])
-    return DomainMesh(pts, tris.astype(np.int64), shape="annulus", target_h=target_h)
+    return pts, tris.astype(np.int64)
 
 
 # the most vertices check_shape accepts: the square at h = 1/512, 4x the 1/256 rung
 MAX_VERTICES = 263_169
 
 
-def check_shape(shape: str, target_h: float, r_in: float = None, r_out: float = None):
-    """InvalidShapeParameters for `build_mesh` arguments refused without a mesh: a size
-    not positive, too coarse for the shape (a square of one cell a side has no
-    interior vertex) or so fine that the mesh would have more than MAX_VERTICES
-    vertices, an unknown shape, bad annulus radii."""
+def check_shape(shape: str, target_h: float, r_in: float = None, r_out: float = None) -> tuple:
+    """The cell counts `build_mesh` builds the shape from: (n,) cells a side of
+    the square, (nr,) rings of the disk, (nr, nth) cells across and around the
+    annulus.  InvalidShapeParameters for arguments refused without a mesh: a
+    size not positive, too coarse for the shape (a square of one cell a side
+    has no interior vertex) or so fine that the mesh would have more than
+    MAX_VERTICES vertices, an unknown shape, bad annulus radii."""
     if not target_h > 0:
         raise InvalidShapeParameters(f"target_h must be positive, got {target_h!r}")
     try:        # the vertex count of each generator, in closed form
         if shape == "square":
-            n = _doubling_count(1.0, target_h)
-            coarse, count = n == 1, (n + 1) ** 2
+            counts = (_doubling_count(1.0, target_h),)
+            coarse, vertices = counts[0] == 1, (counts[0] + 1) ** 2
         elif shape == "disk":
-            nr = _doubling_count(1.0, target_h)
-            coarse, count = target_h > 0.5, 1 + 3 * nr * (nr + 1)
+            counts = (_doubling_count(1.0, target_h),)
+            coarse, vertices = target_h > 0.5, 1 + 3 * counts[0] * (counts[0] + 1)
         elif shape != "annulus":
             raise InvalidShapeParameters(f"unknown shape {shape!r}")
         elif r_in is None or r_out is None:
@@ -261,15 +257,17 @@ def check_shape(shape: str, target_h: float, r_in: float = None, r_out: float = 
                 f"annulus needs 0 < r_in < r_out, got r_in={r_in}, r_out={r_out}")
         else:
             coarse = 2.0 * target_h > r_out - r_in or 8.0 * target_h > 2.0 * np.pi * r_out
-            count = ((_doubling_count(r_out - r_in, target_h, start=2) + 1)
-                     * _doubling_count(2.0 * np.pi * r_out, target_h, start=8))
+            counts = (_doubling_count(r_out - r_in, target_h, start=2),
+                      _doubling_count(2.0 * np.pi * r_out, target_h, start=8))
+            vertices = (counts[0] + 1) * counts[1]
     except OverflowError:       # a count of cells past the largest float
-        coarse, count = False, math.inf
+        coarse, vertices = False, math.inf
     if coarse:
         raise InvalidShapeParameters(f"target_h={target_h} too coarse for the {shape}")
-    if count > MAX_VERTICES:
+    if vertices > MAX_VERTICES:
         raise InvalidShapeParameters(f"target_h={target_h} too fine for the {shape}: more "
                                      f"than MAX_VERTICES = {MAX_VERTICES} vertices")
+    return counts
 
 
 # largest off-diagonal stiffness entry build_mesh accepts, relative to max|K|
@@ -283,9 +281,10 @@ def build_mesh(shape: str, target_h: float, r_in: float = None,
     InvalidShapeParameters for arguments `check_shape` refuses and for a
     mesh that is not weakly acute.
     """
-    check_shape(shape, target_h, r_in, r_out)
-    mesh = (_annulus_mesh(r_in, r_out, target_h) if shape == "annulus"
-            else (_square_mesh if shape == "square" else _disk_mesh)(target_h))
+    counts = check_shape(shape, target_h, r_in, r_out)
+    arrays = (_annulus_lattice(r_in, r_out, *counts) if shape == "annulus"
+              else (_square_lattice if shape == "square" else _disk_rings)(*counts))
+    mesh = DomainMesh(*arrays, shape=shape, target_h=target_h)
     if mesh.h > 1.5 * target_h:
         raise InvalidShapeParameters(
             f"mesh generator exceeded edge budget: h={mesh.h} > 1.5*{target_h}")

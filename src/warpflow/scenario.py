@@ -17,16 +17,18 @@ Identical config + seed reproduces series.csv byte for byte.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
+import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .boundary import boundary_data_from_presets
+from .boundary import boundary_data_from_presets, evaluate_presets
 from .diagnostics import (DiagnosticsReport, ThresholdConfig, derive_verdicts,
                           report_from_dict, report_to_dict)
 from .errors import (ConfigParseError, InvalidShapeParameters,
@@ -80,13 +82,15 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # every value that needs no mesh, the dt floor and the shape's too;
-        # from_flat refuses each as a ConfigParseError
+        # every value that needs no mesh, the dt floor, the shape's and the
+        # preset specs' too (evaluated at no point); from_flat refuses each
+        # as a ConfigParseError
         for name in ("seed", "twin_delta"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
         check_shape(self.mesh_shape, self.mesh_h, self.r_in, self.r_out)
-        make_target(self.target_name)
+        evaluate_presets(make_target(self.target_name), self.phi_spec, self.phi0_spec,
+                         self.psi_spec, np.zeros((0, 2)))
         dt_cfl, _ = self.stepper.dt_policy(self.mesh_h)
         if self.schedule.t_end > MAX_PLANNED_STEPS * dt_cfl:
             raise ValueError(f"t_end = {self.schedule.t_end:g} plans more than "
@@ -296,6 +300,7 @@ class TwinResult:
     sup_diff: float
     final_diff: float
     amplification: float
+    solver_stats: dict            # the shared context's counts, and wall_seconds
     times: list = field(default_factory=list)
     diffs: list = field(default_factory=list)
     underflow_times: list = field(default_factory=list)
@@ -315,7 +320,8 @@ def twin_run(flat_or_path, delta: float = None, overrides: dict = None) -> TwinR
     identically zero.  Both runs march together under run_flow's dt
     controller and share one solver context, so they take the same dt
     sequence, solve each step alike and survive timestep underflow the same
-    way; underflow_times lists where it struck.
+    way; underflow_times lists where it struck, and solver_stats holds
+    that context's counts and the march's wall_seconds, as a run's report does.
     """
     cfg = _load_config(flat_or_path, overrides, {"twin.delta": delta})
     delta = cfg.twin_delta
@@ -346,16 +352,19 @@ def twin_run(flat_or_path, delta: float = None, overrides: dict = None) -> TwinR
     diffs = [_l2_diff(mesh, base.u, pert.u)]
     initial_diff = diffs[0]
     underflow_times = []
+    wall0 = time.perf_counter()
     for (base, pert), forced in march([base, pert], cfg.schedule.t_end):
         if forced:
             underflow_times.append(times[-1])
         times.append(float(base.t))
         diffs.append(_l2_diff(mesh, base.u, pert.u))
 
+    stats = copy.deepcopy(base.ctx.stats)
+    stats["wall_seconds"] = time.perf_counter() - wall0
     sup_diff = max(diffs)
     amp = sup_diff / initial_diff if initial_diff > 0 else 0.0
     return TwinResult(delta=delta, initial_diff=initial_diff, sup_diff=sup_diff,
-                      final_diff=diffs[-1], amplification=amp,
+                      final_diff=diffs[-1], amplification=amp, solver_stats=stats,
                       times=times, diffs=diffs, underflow_times=underflow_times)
 
 

@@ -146,6 +146,19 @@ def reference_step(state, dt):
     return u_new, v_new, move, math.sqrt(float(np.einsum("i,i->", m, dd))) / dt
 
 
+def record_operators(mesh, thresholds):
+    """(L, probes) as run_flow builds them: the r_detect-ball sums about every
+    vertex, and one ball row per (probe centre, radius)."""
+    return (local_energy_matrix(mesh, thresholds.r_detect),
+            ball_rows(mesh, default_probe_centers(mesh), thresholds.probe_radii()))
+
+
+def record_of(state, kinetic_cum, thresholds):
+    """energy_functionals' record of `state` on the operators run_flow builds."""
+    return energy_functionals(state, kinetic_cum, *record_operators(state.mesh, thresholds),
+                              thresholds)
+
+
 def sequential_run(state, schedule, thresholds):
     """(records, crossing_points, underflow_times, solver stats) of
     run_flow(state, schedule, thresholds), every record measured on the
@@ -154,25 +167,13 @@ def sequential_run(state, schedule, thresholds):
     step, each forced step's start and the forced step itself, and the end,
     each state once."""
     mesh = state.mesh
-    L = local_energy_matrix(mesh, thresholds.r_detect)
-    centers, radii = default_probe_centers(mesh), thresholds.probe_radii()
-    probes = ball_rows(mesh, centers, radii)
+    L, probes = record_operators(mesh, thresholds)
     records, points, underflow, kin = [], {}, [], 0.0
 
     def record(st):
         if records and records[-1].step_count == st.step_count:
             return
-        rec = energy_functionals(st)
-        rec.kinetic_cum = kin
-        dens = tri_energy_density(mesh, st.grad_sq_u)
-        local = L @ dens
-        rec.max_local_energy = float(local.max())
-        rec.ball_probes = (probes @ dens).reshape(len(centers), len(radii)).tolist()
-        rec.crossings = {int(c): float(local[c])
-                         for c in np.flatnonzero(local > thresholds.energy)}
-        for c in rec.crossings:
-            points.setdefault(c, [float(x) for x in mesh.vertices[c]])
-        records.append(rec)
+        records.append(energy_functionals(st, kin, L, probes, thresholds))
 
     record(state)
     for (new,), forced in march([state], schedule.t_end):
@@ -184,4 +185,7 @@ def sequential_run(state, schedule, thresholds):
         if forced or state.step_count % schedule.diag_stride == 0:
             record(state)
     record(state)
+    for rec in records:
+        for c in rec.crossings:
+            points.setdefault(c, [float(x) for x in mesh.vertices[c]])
     return records, points, underflow, copy.deepcopy(state.ctx.stats)

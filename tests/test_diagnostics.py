@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import warpflow.diagnostics
-from brute_force import nearest_vertex, two_ball_reference
+from brute_force import nearest_vertex, record_of, two_ball_reference
 from warpflow.boundary import boundary_data_from_presets
 from warpflow.diagnostics import (EnergyRecord, RunBounds,
                                   SingularityEvent, ThresholdConfig,
                                   _fit_two_ball, check_singularity_counts,
-                                  convergence_monitor, energy_functionals,
+                                  convergence_monitor,
                                   hard_checks_pass, inequality_suite,
                                   mono_tolerance, record_from_dict,
                                   record_to_dict, report_from_dict,
@@ -94,16 +94,16 @@ class TestEnergyFunctionals:
                                         "equator_circle kappa=1", "harmonic",
                                         "linear_x")
         st = initial_state(square16, SPHERE, warp, bd, StepperConfig())
-        rec = energy_functionals(st)
+        rec = record_of(st, 0.0, ThresholdConfig())
         assert rec.e_u == pytest.approx(dirichlet_energy(square16, st.u), rel=1e-14)
         assert rec.e_v == pytest.approx(dirichlet_energy(square16, st.v), rel=1e-14)
         assert rec.e_beta_v == pytest.approx(2.0 * rec.e_v, rel=1e-14)
         assert rec.e_g == pytest.approx(rec.e_u - rec.e_beta_v, rel=1e-14)
-        # no step made the initial state; run_flow fills kinetic_cum
+        # no step made the initial state; kinetic_cum is the one passed in
         assert (rec.kinetic_cum, rec.rate_l2, rec.dt) == (0.0, 0.0, 0.0)
         nxt = step(st, dt=1e-3)
-        rec = energy_functionals(nxt)
-        assert (rec.rate_l2, rec.dt, rec.kinetic_cum) == (nxt.last_rate, 1e-3, 0.0)
+        rec = record_of(nxt, 0.25, ThresholdConfig())
+        assert (rec.rate_l2, rec.dt, rec.kinetic_cum) == (nxt.last_rate, 1e-3, 0.25)
         assert rec.rate_l2 > 0.0
 
     def test_centered_moments_vanish_for_constant_map(self, square16):
@@ -111,7 +111,7 @@ class TestEnergyFunctionals:
                                         "north_pole", "constant value=0")
         st = initial_state(square16, SPHERE, WarpFunction("constant", 1.0),
                            bd, StepperConfig())
-        rec = energy_functionals(st)
+        rec = record_of(st, 0.0, ThresholdConfig())
         assert rec.l2_centered == pytest.approx(0.0, abs=1e-25)
         assert rec.l4_centered == pytest.approx(0.0, abs=1e-25)
 

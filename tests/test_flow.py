@@ -9,7 +9,8 @@ import pytest
 
 import warpflow.elliptic
 import warpflow.flow
-from brute_force import reference_step, sequential_run, weighted_stiffness
+from brute_force import (record_of, record_operators, reference_step, sequential_run,
+                         weighted_stiffness)
 from oracle_corotational import reduced_profile
 from warpflow.boundary import BoundaryData, boundary_data_from_presets
 from warpflow.cli import main as cli_main
@@ -22,7 +23,8 @@ from warpflow.flow import (FACTOR_ITERS, LU_COL_ITERS, FlowState, Schedule,
                            StepperConfig, default_probe_centers, initial_state,
                            march, run_flow, step, tension_residual)
 from warpflow.geometry import WarpFunction, make_target, warp_force
-from warpflow.mesh import DomainMesh, build_mesh, dirichlet_energy, triangle_mean
+from warpflow.mesh import (DomainMesh, build_mesh, dirichlet_energy, tri_energy_density,
+                           triangle_mean)
 from warpflow.scenario import ScenarioConfig, build_scenario, resolve_config, run_scenario
 
 SPHERE = make_target("sphere")
@@ -121,10 +123,10 @@ def square128():
 def _failing_record(monkeypatch, at_step, exc):
     real = warpflow.flow.energy_functionals
 
-    def fail(st):
+    def fail(st, *args):
         if st.step_count == at_step:
             raise exc
-        return real(st)
+        return real(st, *args)
     monkeypatch.setattr(warpflow.flow, "energy_functionals", fail)
 
 
@@ -587,7 +589,7 @@ class TestPotential:
         with pytest.raises(NonPositiveCoefficient):
             bad.beta_tri
         with pytest.raises(NonPositiveCoefficient):
-            energy_functionals(bad)
+            record_of(bad, 0.0, ThresholdConfig())
 
     def test_warp_coupled_potential_iterations_are_pinned(self):
         # 94 with each solve started from the last potential, 81 extrapolated
@@ -650,6 +652,33 @@ class TestRunFlow:
         assert rep.crossing_points == {
             c: list(square16.vertices[c]) for r in recs for c in r.crossings}
         assert rep.solver_stats["accepted_steps"] == fin.step_count
+
+    def test_energy_functionals_builds_the_whole_record(self, square16):
+        bd = _bump_data(square16)
+        st = initial_state(square16, TORUS, UNIT_WARP, bd, StepperConfig())
+        thr = ThresholdConfig(energy=1e-3)
+        L, probes = record_operators(square16, thr)
+        states = [st]
+        _, rep = run_flow(st, Schedule(t_end=0.02, diag_stride=1, snapshot_stride=1), thr,
+                          snapshot=states.append)
+        assert len(rep.records) == len(states) > 2
+        for rec, s in zip(rep.records, states):
+            # one call gives the record run_flow keeps, kinetic_cum as passed
+            assert energy_functionals(s, rec.kinetic_cum, L, probes, thr) == rec
+            # the ball sums of the energy density formed afresh from u
+            dens = tri_energy_density(square16, square16.tri_grad_sq(s.u))
+            local = L @ dens
+            assert rec.max_local_energy == float(local.max())
+            assert rec.ball_probes == (probes @ dens).reshape(
+                len(rep.probe_centers), len(thr.probe_radii())).tolist()
+            assert rec.crossings == {int(c): float(local[c])
+                                     for c in np.flatnonzero(local > thr.energy)}
+        # the crossing points: the union of the records' crossings, in order of
+        # first crossing, at their exact coordinates
+        union = list(dict.fromkeys(c for r in rep.records for c in r.crossings))
+        assert len({tuple(r.crossings) for r in rep.records}) > 1
+        assert list(rep.crossing_points.items()) == [
+            (c, square16.vertices[c].tolist()) for c in union]
 
     def test_ball_probes_cover_doubled_radii(self, square16):
         cfg = StepperConfig()
@@ -773,9 +802,9 @@ class TestRunFlow:
         measured_on = []            # the thread of every record measured
         real = warpflow.flow.energy_functionals
 
-        def spy(st):
+        def spy(st, *args):
             measured_on.append(threading.current_thread())
-            return real(st)
+            return real(st, *args)
         monkeypatch.setattr(warpflow.flow, "energy_functionals", spy)
         _, rep = run_flow(state, schedule, thr)
         assert measured_on == [threading.current_thread()] * len(rep.records)
@@ -1050,7 +1079,7 @@ class TestDerivedFields:
                            StepperConfig())
         seen = self._gradient_arguments(monkeypatch)
         step(st)
-        energy_functionals(st)
+        record_of(st, 0.0, ThresholdConfig())
         assert sum(x is st.u for x in seen) == 1
         g2u = st.grad_sq_u
         assert vars(st)["grad_sq_u"] is g2u and not g2u.flags.writeable
@@ -1107,10 +1136,10 @@ class TestDerivedFields:
         seen = self._gradient_arguments(monkeypatch)
         chains = [[st], [st.ctx.start(st.u)]]     # two members on one context
         for chain in chains:
-            energy_functionals(chain[0])
+            record_of(chain[0], 0.0, ThresholdConfig())
         for members, _ in march([c[0] for c in chains], 4.0 * st.ctx.dt_cfl):
             for chain, s in zip(chains, members):
-                energy_functionals(s)
+                record_of(s, 0.0, ThresholdConfig())
                 chain.append(s)
         # v and beta do not depend on u: each chain forms |grad v|^2 and its
         # beta once, and every later state keeps the same read-only arrays
@@ -1146,7 +1175,7 @@ class TestDerivedFields:
         with pytest.raises(ValueError):
             Ku[0, 0] = 0.0
         # a record and the tension residual of the next state share one product
-        rec = energy_functionals(new)
+        rec = record_of(new, 0.0, ThresholdConfig())
         Ku_new = vars(new)["stiffness_u"]
         tension_residual(new)
         assert new.stiffness_u is Ku_new

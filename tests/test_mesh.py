@@ -179,7 +179,7 @@ def test_obtuse_mesh_is_refused(monkeypatch):
     tris = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
     obtuse = DomainMesh(verts, tris, shape="square", target_h=1.0)
     assert _max_off_diagonal(obtuse) > 0.0
-    monkeypatch.setattr(warpflow.mesh, "_square_mesh", lambda h: obtuse)
+    monkeypatch.setattr(warpflow.mesh, "_square_lattice", lambda n: (verts, tris))
     with pytest.raises(InvalidShapeParameters, match="weakly acute"):
         build_mesh("square", 0.75)       # within the edge budget, above one cell a side
 

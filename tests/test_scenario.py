@@ -577,6 +577,18 @@ class TestTwinRun:
         twin_run("stability_twin", overrides=overrides)
         assert len(calls) == 2 * per_setup
 
+    def test_the_result_carries_the_shared_context_s_solver_stats(self, monkeypatch):
+        built, real = [], warpflow.scenario.build_scenario
+        monkeypatch.setattr(warpflow.scenario, "build_scenario",
+                            lambda cfg: built.append(real(cfg)) or built[-1])
+        res = twin_run("stability_twin", overrides={"mesh.h": "0.0625",
+                                                    "schedule.t_end": "0.02"})
+        stats, ctx = dict(res.solver_stats), built[0].ctx
+        assert stats.pop("wall_seconds") > 0.0
+        assert stats == ctx.stats and stats["rejections"] is not ctx.stats["rejections"]
+        # both members count each of their steps
+        assert stats["accepted_steps"] == 2 * (len(res.times) - 1) > 0
+
     def test_times_match_run_flow_records(self):
         overrides = {"mesh.h": "0.0625", "schedule.t_end": "0.01",
                      "schedule.diag_stride": "1"}
@@ -1112,10 +1124,13 @@ class TestCli:
         "warp.kind = linear_height\nwarp.a = 0.5\nwarp.b = 1", "warp.kind = cubic",
         "mesh.shape = hexagon", "mesh.h = -0.25", "mesh.h = 0.25\nstepper.sigma = 1e-9",
         "mesh.shape = annulus\nmesh.r_in = 2\nmesh.r_out = 1", "mesh.h = 2",
-        "mesh.shape = disk\nmesh.h = 0.75"],
+        "mesh.shape = disk\nmesh.h = 0.75", "boundary.phi = nonsense",
+        "boundary.psi = linear_x scal=2", "boundary.phi0 = harmonic x=1",
+        "boundary.phi = equator_circle kappa=1,2"],
         ids=["sigma", "persist_frames", "warp_bounds", "warp_kind", "mesh_shape",
              "mesh_h", "sigma_floor", "annulus_radii", "square_too_coarse",
-             "disk_too_coarse"])
+             "disk_too_coarse", "phi_preset", "psi_parameter", "phi0_parameter",
+             "phi_parameter_shape"])
     def test_a_bad_value_stops_run_before_any_config_runs(self, tmp_path, capsys, text):
         # each value is refused as its config is read, with no mesh built
         bad = tmp_path / "bad.cfg"
@@ -1192,6 +1207,7 @@ class TestCli:
         text = (out / "twin_report.json").read_text()
         payload = json.loads(text)
         assert payload["sup_diff"] == 0.0
+        assert payload["solver_stats"]["accepted_steps"] == 2 * (len(payload["times"]) - 1)
         assert text == json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def test_module_runs_in_subprocess(self, tmp_path):

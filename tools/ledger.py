@@ -92,16 +92,10 @@ def scenario_entry(out: Path, result) -> dict:
 
 def twin_entry(scenario, seed: int) -> dict:
     """The ledger entry of `twin_run("stability_twin")` at `seed`."""
-    built = []                        # the base member, whose context both share
-    real = scenario.build_scenario
-    scenario.build_scenario = lambda cfg: built.append(real(cfg)) or built[-1]
-    try:
-        twin = scenario.twin_run("stability_twin", overrides={"seed": str(seed)})
-    finally:
-        scenario.build_scenario = real
+    twin = scenario.twin_run("stability_twin", overrides={"seed": str(seed)})
     return {"sha256": {key: _sha256(np.asarray(getattr(twin, key), dtype=np.float64).tobytes())
                        for key in ("times", "diffs")},
-            "solver_stats": _flat(built[0].ctx.stats), "steps": len(twin.times) - 1}
+            "solver_stats": _flat(twin.solver_stats), "steps": len(twin.times) - 1}
 
 
 def build_ledger() -> dict:
