@@ -17,8 +17,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .errors import ConfigParseError, WarpflowError
-from .scenario import (_load_config, builtin_scenarios, check_report_file, default_out_root,
-                       resolve_config, run_scenario, twin_run, write_json)
+from .scenario import (_load_config, build_scenario, builtin_scenarios, check_report_file,
+                       default_out_root, resolve_config, run_scenario, twin_run, write_json)
 
 
 def _named(name, fn, *args):
@@ -30,8 +30,8 @@ def _named(name, fn, *args):
 
 
 def _run_one(args_tuple):
-    name, flat, out_dir, h, t_end = args_tuple
-    result = _named(name, run_scenario, flat, out_dir, h, t_end)
+    name, flat, out_dir, overrides = args_tuple
+    result = _named(name, run_scenario, flat, out_dir, overrides)
     rec = result.report.records
     summary = (f"{result.config.name}: steps={result.state.step_count} "
                f"E_g={rec[-1].e_g:.6g} events={len(result.report.events)} "
@@ -42,14 +42,22 @@ def _run_one(args_tuple):
 def _cmd_run(args) -> int:
     if args.jobs < 1:
         raise ConfigParseError(f"--jobs must be at least 1, got {args.jobs}")
-    root = Path(args.out) if args.out else default_out_root()
-    jobs = []
+    overrides = {"mesh.h": args.h, "schedule.t_end": args.t_end}
+    configs = []
     for name in args.config:        # every config parses before any runs
         flat = _named(name, resolve_config, name)
-        _named(name, _load_config, flat, {"mesh.h": args.h, "schedule.t_end": args.t_end})
-        out_dir = root / Path(name).stem if len(args.config) > 1 or args.out is None \
-            else Path(args.out)
-        jobs.append((name, flat, out_dir, args.h, args.t_end))
+        configs.append((name, flat, _named(name, _load_config, flat, overrides)))
+    names = [cfg.name for _, _, cfg in configs]
+    if len(set(names)) < len(names):
+        raise ConfigParseError(f"two runs named {max(names, key=names.count)!r}")
+    several = len(configs) > 1
+    if several:                     # a refusal that needs the mesh stops every run too
+        for name, _, cfg in configs:
+            _named(name, build_scenario, cfg)
+    # one run writes to --out, several to --out/<name>; run_scenario places a run without it
+    out = Path(args.out) if args.out else None
+    jobs = [(name, flat, out / cfg.name if out and several else out, overrides)
+            for name, flat, cfg in configs]
 
     def summarize(results):         # each summary as its run ends
         code = 0
@@ -57,15 +65,16 @@ def _cmd_run(args) -> int:
             print(summary, flush=True)
             code = max(code, rc)
         return code
-    if args.jobs > 1 and len(jobs) > 1:
+    if args.jobs > 1 and several:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             return summarize(pool.map(_run_one, jobs))
     return summarize(map(_run_one, jobs))
 
 
 def _cmd_twin(args) -> int:
-    result = twin_run(args.config, delta=args.delta)
-    out = Path(args.out) if args.out else default_out_root() / f"{Path(args.config).stem}_twin"
+    flat = resolve_config(args.config)
+    result = twin_run(flat, {"twin.delta": args.delta})
+    out = Path(args.out) if args.out else default_out_root() / f"{flat['name']}_twin"
     out.mkdir(parents=True, exist_ok=True)
     write_json(asdict(result), out / "twin_report.json")
     print(f"delta={result.delta:.6g} initial={result.initial_diff:.6g} "

@@ -41,9 +41,8 @@ class EllipticSolution:
 
 
 def jacobi_preconditioner(A: sp.csr_matrix) -> np.ndarray:
-    """1 / A_ii, with 1 where the diagonal is not positive."""
-    diag = A.diagonal()
-    return np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 1.0)
+    """1 / A_ii of a positive diagonal, as a step matrix's (mass plus stiffness) is."""
+    return 1.0 / A.diagonal()
 
 
 def cg_solve(A: sp.csr_matrix, B: np.ndarray, M, x0: np.ndarray = None):
@@ -77,7 +76,7 @@ def cg_solve(A: sp.csr_matrix, B: np.ndarray, M, x0: np.ndarray = None):
         if bnorm == 0.0:
             continue
         x = np.zeros(n) if guess is None else guess[:, d].copy()
-        r[:] = b - A @ x if x.any() else b
+        r[:] = b - A @ x
         atol = CG_RTOL * bnorm
         iters, stalled, p, rho_prev = 0, True, None, None
         while iters < maxiter:

@@ -254,19 +254,17 @@ class FlowState:
         return _read_only(self.mesh.tri_grad_sq(self.v))
 
     @cached_property
-    def forcing(self) -> np.ndarray | None:
-        """Nodal explicit forcing: curvature term minus warp drift term; None
-        where it is identically zero (a flat target under a constant warp).  A
-        flat target takes no curvature term.  It reads the state's own
-        |grad u|^2 and |grad v|^2, which stay cached for its record."""
+    def forcing(self) -> np.ndarray:
+        """Nodal explicit forcing: curvature term minus warp drift term; a flat
+        target takes no curvature term, so a flat one under a constant warp gets
+        a 0-d zero and forms no gradient.  It reads the state's own |grad u|^2
+        and |grad v|^2, which stay cached for its record."""
         ctx, mesh, F = self.ctx, self.mesh, 0.0
-        if ctx.target.flat and ctx.potential is None:
-            return None
         if not ctx.target.flat:
             F = ctx.target.curvature_force(self.u, mesh.nodal_from_tri(self.grad_sq_u))
         if ctx.potential is not None:
             F = F - warp_force(ctx.target, ctx.warp, self.u, mesh.nodal_from_tri(self.grad_sq_v))
-        return _read_only(F)
+        return _read_only(np.asarray(F))
 
 
 def _solve_potential(ctx: _FlowContext, u, state: FlowState = None, dt: float = 0.0):
@@ -301,8 +299,8 @@ def initial_state(mesh: DomainMesh, target, warp, bdata: BoundaryData,
 def tension_residual(state: FlowState) -> float:
     """L2 norm of the tangential discrete tension field (boundary rows zero)."""
     mesh = state.mesh
-    lap, F = mesh.laplacian(state.u, state.stiffness_u), state.forcing
-    R = state.ctx.target.project_tangent(state.u, lap if F is None else lap + F)
+    lap = mesh.laplacian(state.u, state.stiffness_u)
+    R = state.ctx.target.project_tangent(state.u, lap + state.forcing)
     R[mesh.boundary_index] = 0.0
     return math.sqrt(mesh.mass_sum(np.einsum("ij,ij->i", R, R)))
 
@@ -326,11 +324,11 @@ def step(state: FlowState, dt: float = None, enforce_cap: bool = True) -> FlowSt
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     u, m, I = state.u, mesh.lumped_mass, mesh.interior
-    F = state.forcing
 
     try:
         theta = config.theta
-        rhs = m[:, None] * (u if F is None else u + dt * F)
+        rhs = u + dt * state.forcing
+        rhs *= m[:, None]               # in place: one (nv, d) temporary a step, not two
         if theta != 1.0:
             rhs -= ((1.0 - theta) * dt) * state.stiffness_u
         rhs_I = np.take(rhs, I, axis=0) - (theta * dt) * ctx.K_phi

@@ -84,7 +84,9 @@ class ScenarioConfig:
     def __post_init__(self):
         # every value that needs no mesh, the dt floor, the shape's and the
         # preset specs' too (evaluated at no point); from_flat refuses each
-        # as a ConfigParseError
+        # as a ConfigParseError.  The name names the run's directory.
+        if self.name in ("", ".", "..") or Path(self.name).name != self.name:
+            raise ValueError(f"name must be one plain path component, got {self.name!r}")
         for name in ("seed", "twin_delta"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
@@ -173,13 +175,12 @@ def resolve_config(name_or_path) -> dict:
     return flat
 
 
-def _load_config(flat_or_path, *patches) -> ScenarioConfig:
+def _load_config(flat_or_path, overrides: dict = None) -> ScenarioConfig:
     """The ScenarioConfig of a flat key dict, a path or a shipped name, its
-    keys patched by each of `patches` in turn (a None value patches nothing)."""
+    keys patched by `overrides` (a None value patches nothing)."""
     flat = dict(resolve_config(flat_or_path) if isinstance(flat_or_path, (str, Path))
                 else flat_or_path)
-    for patch in patches:
-        flat.update((k, v) for k, v in (patch or {}).items() if v is not None)
+    flat.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     return ScenarioConfig.from_flat(flat)
 
 
@@ -247,15 +248,15 @@ def default_out_root() -> Path:
     return Path(os.environ.get("WARPFLOW_OUT", "warpflow_out"))
 
 
-def run_scenario(flat_or_path, out_dir=None, h=None, t_end=None,
-                 overrides: dict = None, write_artifacts: bool = True) -> ScenarioResult:
+def run_scenario(flat_or_path, out_dir=None, overrides: dict = None,
+                 write_artifacts: bool = True) -> ScenarioResult:
     """Run one scenario end to end; returns the result with its exit code.
 
     `flat_or_path` is a flat key dict (from parse/resolve), a config path or
-    a shipped name.  `overrides` patches its flat keys, then `h` and `t_end`
-    patch `mesh.h` and `schedule.t_end`.
+    a shipped name; `overrides` patches its flat keys.  The artifacts go to
+    `out_dir`, by default $WARPFLOW_OUT/<name>.
     """
-    cfg = _load_config(flat_or_path, overrides, {"mesh.h": h, "schedule.t_end": t_end})
+    cfg = _load_config(flat_or_path, overrides)
 
     state = build_scenario(cfg)
 
@@ -311,8 +312,8 @@ def _l2_diff(mesh, u1, u2) -> float:
     return math.sqrt(mesh.mass_sum(np.einsum("ij,ij->i", du, du)))
 
 
-def twin_run(flat_or_path, delta: float = None, overrides: dict = None) -> TwinResult:
-    """Two lockstep runs differing only by a tangential O(delta) kick to phi0.
+def twin_run(flat_or_path, overrides: dict = None) -> TwinResult:
+    """Two lockstep runs differing only by a tangential kick of size twin.delta to phi0.
 
     The perturbation is seeded white noise projected to the tangent space,
     zeroed on the boundary and scaled so its largest nodal norm is delta;
@@ -323,7 +324,7 @@ def twin_run(flat_or_path, delta: float = None, overrides: dict = None) -> TwinR
     way; underflow_times lists where it struck, and solver_stats holds
     that context's counts and the march's wall_seconds, as a run's report does.
     """
-    cfg = _load_config(flat_or_path, overrides, {"twin.delta": delta})
+    cfg = _load_config(flat_or_path, overrides)
     delta = cfg.twin_delta
 
     base = build_scenario(cfg)

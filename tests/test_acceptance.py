@@ -207,9 +207,9 @@ def test_criterion_07_singularity_detection(shipped_runs, acceptance_log):
 
 def test_criterion_08_twin_uniqueness_surrogate(acceptance_log):
     flat = resolve_config("heat_decay")
-    zero = twin_run(dict(flat), delta=0.0)
-    one = twin_run(dict(flat), delta=1e-3)
-    half = twin_run(dict(flat), delta=5e-4)
+    zero = twin_run(flat, overrides={"twin.delta": 0.0})
+    one = twin_run(flat, overrides={"twin.delta": 1e-3})
+    half = twin_run(flat, overrides={"twin.delta": 5e-4})
     ratio = one.sup_diff / half.sup_diff if half.sup_diff > 0 else float("inf")
     ok = (zero.sup_diff == 0.0 and zero.final_diff == 0.0
           and one.amplification <= 2.0 and half.amplification <= 2.0
@@ -223,7 +223,8 @@ def test_criterion_08_twin_uniqueness_surrogate(acceptance_log):
 
 def test_criterion_09_fitted_constant_stability(shipped_runs, acceptance_log):
     res32, _, _ = shipped_runs["warp_coupled"]
-    res64 = run_scenario("warp_coupled", h=1.0 / 64.0, write_artifacts=False)
+    res64 = run_scenario("warp_coupled", overrides={"mesh.h": 1.0 / 64.0},
+                         write_artifacts=False)
 
     def constants(res):
         out = {}

@@ -1094,7 +1094,9 @@ class TestDerivedFields:
             step(st, dt=0.01)
         new = step(st, dt=1e-7)
         assert st.ctx.stats["rejections"]["move_cap"] == 1 and new.step_count == 1
-        assert seen == [] and vars(st)["forcing"] is None and st.forcing is None
+        F = vars(st)["forcing"]             # a read-only 0-d zero, formed with no gradient
+        assert seen == [] and F is st.forcing and F.shape == () and F == 0.0
+        assert not F.flags.writeable
         assert np.array_equal(st.u, u0) and not st.u.flags.writeable
 
     def test_flat_target_under_a_warp_takes_the_drift_alone(self, square16, monkeypatch):

@@ -3,10 +3,11 @@
 
 Every config the CLI accepts or refuses must end in one of its exit codes
 (0 ok, 1 config error, 2 failed check, 3 solver error), never in an uncaught
-exception, and `twin` must refuse exactly the configs `run` refuses; every
-report a run writes must hold only finite record numbers, `warpflow check`
-on it must return that run's exit code, and a run that exits 0 must fail no
-hard check.  Examples are derandomized, so a failure reproduces.
+exception, and `twin` must refuse exactly the configs `run` refuses, as must
+a `run` of another config and it, before the other runs; every report a run
+writes must hold only finite record numbers, `warpflow check` on it must
+return that run's exit code, and a run that exits 0 must fail no hard check.
+Examples are derandomized, so a failure reproduces.
 """
 
 import json
@@ -123,3 +124,34 @@ def test_random_config_runs_end_in_an_exit_code(text):
         twin_rc = main(["twin", str(cfg), "--out", str(Path(tmp) / "twin")])
         assert twin_rc in (0, 1, 3)
         assert (twin_rc == 1) == (rc == 1)
+
+
+# the keys a run's set-up reads, with values that mostly pass the reading, so
+# that some configs are refused only once the mesh exists: a trace off the
+# target, or an initial map the target cannot take
+_SETUP_VALUES = {
+    "target": ["sphere", "torus"],
+    "mesh.shape": ["square", "disk"],
+    "boundary.phi": ["north_pole", "equator_circle kappa=1", "constant value=0,0",
+                     "constant value=0,0,0", "constant value=0,0,2"],
+    "boundary.phi0": ["harmonic", "sine_bump amplitude=0.1", "sine_bump amplitude=100",
+                      "constant value=1e300,0"],
+}
+
+
+@st.composite
+def _setup_configs(draw):
+    lines = [f"{k} = {draw(st.sampled_from(v))}" for k, v in _SETUP_VALUES.items()]
+    return "\n".join(lines + ["mesh.h = 0.25", "schedule.t_end = 0.005"]) + "\n"
+
+
+@settings(**SETTINGS)
+@given(_setup_configs())
+def test_a_config_run_refuses_stops_a_run_of_several_before_any_runs(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "random.cfg"
+        cfg.write_text(text)
+        if main(["run", str(cfg), "--out", str(Path(tmp) / "alone")]) == 1:
+            out = Path(tmp) / "pair"
+            assert main(["run", "harmonic_fixed_point", str(cfg), "--out", str(out)]) == 1
+            assert not out.exists()

@@ -206,6 +206,16 @@ class TestConfigParsing:
         imported = re.search(r"from warpflow import \(([^)]*)\)", section).group(1)
         assert set(re.findall(r"\w+", imported)) <= documented
 
+    @pytest.mark.parametrize("name", ["", ".", "..", "../esc", "a/b", "/abs"])
+    def test_a_name_that_is_not_one_path_component_is_refused(self, tmp_path, monkeypatch,
+                                                              name):
+        # the name names the run's directory under $WARPFLOW_OUT
+        monkeypatch.setenv("WARPFLOW_OUT", str(tmp_path / "w"))
+        flat = {**parse_config_text(GOOD_TEXT), "name": name}
+        with pytest.raises(ConfigParseError, match="name must be one plain path component"):
+            run_scenario(flat)
+        assert not any(tmp_path.iterdir())
+
 
 class TestResolveConfig:
     def test_shipped_names(self):
@@ -322,7 +332,7 @@ def test_one_step_matrix_and_clipped_or_forced_steps_on_cg(runner):
     def run(name, overrides):
         if runner == "run_scenario":
             return lambda: run_scenario(name, overrides=overrides, write_artifacts=False)
-        return lambda: twin_run(name, delta=1e-3, overrides=overrides)
+        return lambda: twin_run(name, overrides={**overrides, "twin.delta": 1e-3})
 
     ctx, solves = _recorded_solves(run("heat_decay", CLIPPED_RUN))
     ladder = {ctx.dt_cfl / 2 ** k for k in range(64)}
@@ -493,14 +503,14 @@ class TestRunScenario:
         run_scenario("harmonic_fixed_point")
         assert (root / "harmonic_fixed_point" / "series.csv").exists()
 
-    def test_overrides_and_kwargs(self, tmp_path):
+    def test_overrides_patch_the_flat_keys(self, tmp_path):
         res = run_scenario("heat_decay", out_dir=tmp_path / "o",
-                           overrides={"schedule.t_end": "0.01"}, h=0.125,
-                           t_end=0.002)
+                           overrides={"mesh.h": 0.125, "schedule.t_end": 0.002, "target": None})
         assert res.config.mesh_h == 0.125
-        assert res.config.schedule.t_end == 0.002      # kwarg wins over override
+        assert res.config.schedule.t_end == 0.002
+        assert res.config.target_name == "torus"       # a None value patches nothing
         assert res.state.t == pytest.approx(0.002, abs=1e-12)
-        # h and t_end are patches of their keys
+        # a number patches its key as its text does
         keys = run_scenario("heat_decay", write_artifacts=False,
                             overrides={"mesh.h": "0.125", "schedule.t_end": "0.002"})
         assert keys.config == res.config
@@ -540,8 +550,8 @@ class TestRunScenario:
 
 class TestTwinRun:
     def test_zero_delta_is_bitwise_identical(self):
-        res = twin_run("heat_decay", delta=0.0,
-                       overrides={"mesh.h": "0.0625", "schedule.t_end": "0.01"})
+        res = twin_run("heat_decay", overrides={"mesh.h": "0.0625", "schedule.t_end": "0.01",
+                                                "twin.delta": 0.0})
         assert res.initial_diff == 0.0
         assert res.sup_diff == 0.0
         assert res.final_diff == 0.0
@@ -550,19 +560,19 @@ class TestTwinRun:
     def test_zero_delta_stays_identical_across_the_factored_step(self):
         # warp_coupled's CFL key pays for a step factor within this run: both
         # members must move from CG to the one factor at the same step
-        res = twin_run("warp_coupled", delta=0.0,
-                       overrides={"mesh.h": "0.0625", "schedule.t_end": "0.05"})
+        res = twin_run("warp_coupled", overrides={"mesh.h": "0.0625", "schedule.t_end": "0.05",
+                                                  "twin.delta": 0.0})
         assert len(res.times) > 2
         assert res.sup_diff == 0.0
 
     def test_small_perturbation_is_stable(self):
         overrides = {"mesh.h": "0.0625", "schedule.t_end": "0.01"}
-        res = twin_run("heat_decay", delta=1e-3, overrides=overrides)
+        res = twin_run("heat_decay", overrides={**overrides, "twin.delta": 1e-3})
         assert 0.0 < res.initial_diff <= 1e-3 + 1e-12
         assert res.amplification <= 2.0
         assert res.sup_diff <= 2e-3
         assert len(res.times) == len(res.diffs)
-        half = twin_run("heat_decay", delta=5e-4, overrides=overrides)
+        half = twin_run("heat_decay", overrides={**overrides, "twin.delta": 5e-4})
         assert 1.6 <= res.sup_diff / half.sup_diff <= 2.4
 
     def test_perturbed_data_reuses_the_base_extensions(self, monkeypatch):
@@ -592,7 +602,7 @@ class TestTwinRun:
     def test_times_match_run_flow_records(self):
         overrides = {"mesh.h": "0.0625", "schedule.t_end": "0.01",
                      "schedule.diag_stride": "1"}
-        twin = twin_run("heat_decay", delta=0.0, overrides=overrides)
+        twin = twin_run("heat_decay", overrides={**overrides, "twin.delta": 0.0})
         run = run_scenario("heat_decay", overrides=overrides, write_artifacts=False)
         assert twin.times == [r.t for r in run.report.records]
         assert twin.underflow_times == run.report.underflow_times == []
@@ -601,12 +611,12 @@ class TestTwinRun:
         t_end = 3.0 * warpflow.flow.DT_MIN_FACTOR * 0.0625 * 0.0625   # 3 dt_min
         overrides = {"mesh.h": "0.0625", "schedule.t_end": repr(t_end),
                      "stepper.max_move_fraction": "1e-9"}
-        res = twin_run("heat_decay", delta=1e-3, overrides=overrides)
+        res = twin_run("heat_decay", overrides={**overrides, "twin.delta": 1e-3})
         assert res.underflow_times
         assert res.underflow_times[0] == 0.0
         assert res.times[-1] >= t_end - 1e-14
         assert len(res.times) == len(res.diffs)
-        zero = twin_run("heat_decay", delta=0.0, overrides=overrides)
+        zero = twin_run("heat_decay", overrides={**overrides, "twin.delta": 0.0})
         assert zero.times == res.times
         assert zero.underflow_times == res.underflow_times
         assert zero.sup_diff == 0.0
@@ -631,8 +641,8 @@ class TestTwinRun:
         # the perturbed member differs only in phi0: its data are not rebuilt
         monkeypatch.setattr(warpflow.boundary.BoundaryData, "build", classmethod(
             lambda cls, *a, **k: built.append(1) or real_build(cls, *a, **k)))
-        twin_run("bubbling", delta=1e-3,
-                 overrides={"mesh.h": "0.0625", "schedule.t_end": "0.001"})
+        twin_run("bubbling", overrides={"mesh.h": "0.0625", "schedule.t_end": "0.001",
+                                        "twin.delta": 1e-3})
         assert len(made) == 1 and len(built) == 1
         assert all(ctx is made[0] for ctx in calls)
         stats = made[0].stats
@@ -750,7 +760,8 @@ class TestBenchmarkHooks:
 class TestCheckReportFile:
     def _fresh_report(self, tmp_path) -> Path:
         out = tmp_path / "run"
-        run_scenario("heat_decay", out_dir=out, h=0.125, t_end=0.004)
+        run_scenario("heat_decay", out_dir=out,
+                     overrides={"mesh.h": 0.125, "schedule.t_end": 0.004})
         return out / "report.json"
 
     def test_clean_report_passes(self, tmp_path, capsys):
@@ -779,7 +790,8 @@ class TestCheckReportFile:
     @pytest.fixture(scope="class")
     def bubbling_report(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("bubbling")
-        res = run_scenario("bubbling", out_dir=out, h=0.0625, t_end=0.004)
+        res = run_scenario("bubbling", out_dir=out,
+                           overrides={"mesh.h": 0.0625, "schedule.t_end": 0.004})
         assert res.report.events and res.exit_code == 0
         return json.loads((out / "report.json").read_text())
 
@@ -967,6 +979,31 @@ class TestCli:
         rows = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1)
         assert rows[-1, 0] == pytest.approx(0.002, abs=1e-12)
 
+    def test_a_run_is_placed_by_its_config_s_name(self, tmp_path, monkeypatch, capsys):
+        # the name, not the file's stem, names the directory, in the CLI and the library alike
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("WARPFLOW_OUT", "w")
+        Path("my.cfg").write_text(GOOD_TEXT.replace("name = demo", "name = foo"))
+        assert main(["run", "my.cfg"]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(f"-> {Path('w', 'foo')}")
+        assert sorted(p.name for p in Path("w").iterdir()) == ["foo"]
+        assert run_scenario("my.cfg").out_dir == Path("w", "foo")
+        assert main(["twin", "my.cfg"]) == 0
+        assert sorted(p.name for p in Path("w").iterdir()) == ["foo", "foo_twin"]
+        assert Path("w", "foo", "series.csv").exists()
+        assert Path("w", "foo_twin", "twin_report.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_two_runs_of_one_name_are_a_config_error(self, tmp_path, capsys, jobs):
+        other = tmp_path / "other.cfg"
+        other.write_text(GOOD_TEXT.replace("name = demo", "name = heat_decay"))
+        out = tmp_path / "out"
+        for configs in (["heat_decay", "heat_decay"], ["heat_decay", str(other)]):
+            assert main(["run", *configs, "--out", str(out), "--jobs", jobs]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            assert captured.err == "config error: two runs named 'heat_decay'\n"
+
     def test_run_parallel_jobs(self, tmp_path):
         args = ["run", "harmonic_fixed_point", "heat_decay", "--h", "0.125",
                 "--t-end", "0.004"]
@@ -1144,17 +1181,27 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_a_config_refused_at_set_up_keeps_the_summaries_before_it(self, tmp_path,
-                                                                      capsys, jobs):
-        # the keys parse; the start refuses the initial map after heat_decay ran
+    @pytest.mark.parametrize("text, refusal", [
+        ("target = torus\nboundary.phi = constant value=0,0\n"
+         "boundary.phi0 = constant value=1e300,0", "initial map must be finite"),
+        ("target = sphere\nboundary.phi = constant value=0,0,0",
+         "boundary trace 'constant value=0,0,0' does not lie on the sphere"),
+        ("target = sphere\nboundary.phi = constant value=0,0,2",
+         "boundary trace 'constant value=0,0,2' does not lie on the sphere"),
+        ("target = sphere\nboundary.phi0 = sine_bump amplitude=100",
+         "initial map 'sine_bump amplitude=100' cannot be projected onto the sphere")],
+        ids=["start_overflows", "phi_at_the_center", "phi_off_the_sphere", "phi0_too_large"])
+    def test_a_config_refused_at_set_up_stops_every_run(self, tmp_path, capsys, monkeypatch,
+                                                        text, refusal, jobs):
+        # the keys parse; the set-up refuses the config before heat_decay runs
         bad = tmp_path / "bad.cfg"
-        bad.write_text("target = torus\nboundary.phi = constant value=0,0\n"
-                       "boundary.phi0 = constant value=1e300,0\n")
+        bad.write_text(text + "\n")
+        monkeypatch.setenv("WARPFLOW_OUT", str(tmp_path / "out"))
         assert main(["run", "heat_decay", str(bad), "--h", "0.25", "--t-end", "0.004",
-                     "--out", str(tmp_path / "out"), "--jobs", jobs]) == 1
+                     "--jobs", jobs]) == 1
         captured = capsys.readouterr()
-        assert captured.out.startswith("heat_decay: steps=")
-        assert captured.err.startswith(f"config error: {bad}: initial map must be finite")
+        assert captured.out == "" and not (tmp_path / "out").exists()
+        assert captured.err.startswith(f"config error: {bad}: {refusal}")
 
     @pytest.mark.parametrize("flag", ["--h", "--t-end"])
     def test_non_finite_override_is_config_error(self, tmp_path, capsys, flag):
@@ -1183,7 +1230,8 @@ class TestCli:
 
     def test_check_exit_codes(self, tmp_path):
         out = tmp_path / "for_check"
-        run_scenario("heat_decay", out_dir=out, h=0.125, t_end=0.004)
+        run_scenario("heat_decay", out_dir=out,
+                     overrides={"mesh.h": 0.125, "schedule.t_end": 0.004})
         report = out / "report.json"
         assert main(["check", str(report)]) == 0
         payload = json.loads(report.read_text())
@@ -1221,8 +1269,9 @@ class TestCli:
 
 
 def test_a_detection_ball_wider_than_the_mesh_runs():
-    runs = [run_scenario("warp_coupled", h=0.25, write_artifacts=False,
-                         overrides={"thresholds.r_detect": r}) for r in ("1e200", "10")]
+    runs = [run_scenario("warp_coupled", write_artifacts=False,
+                         overrides={"mesh.h": 0.25, "thresholds.r_detect": r})
+            for r in ("1e200", "10")]
     assert runs[0].exit_code == 0
     wide, ref = ([(r.max_local_energy, r.crossings) for r in res.report.records]
                  for res in runs)

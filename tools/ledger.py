@@ -108,7 +108,8 @@ def build_ledger() -> dict:
         jobs.append(("warp_coupled_h128", "warp_coupled", FINE_H))
         for key, name, h in jobs:
             out = Path(tmp) / key
-            runs[key] = scenario_entry(out, scenario.run_scenario(name, out_dir=out, h=h))
+            runs[key] = scenario_entry(out, scenario.run_scenario(
+                name, out_dir=out, overrides={"mesh.h": h}))
     for seed in TWIN_SEEDS:
         runs[f"stability_twin_seed{seed}"] = twin_entry(scenario, seed)
     machine = {"cpu": _cpu(), "python": platform.python_version(),
