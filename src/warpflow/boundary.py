@@ -14,6 +14,7 @@ import numpy as np
 
 from .elliptic import harmonic_extension
 from .errors import ConfigParseError, DegeneratePoint
+from .geometry import ON_TARGET_TOL
 from .mesh import DomainMesh
 
 
@@ -171,7 +172,7 @@ def boundary_data_from_presets(mesh: DomainMesh, target, phi_spec: str,
     the initial map cannot be projected onto it.
     """
     phi, phi0, psi = evaluate_presets(target, phi_spec, phi0_spec, psi_spec, mesh.vertices)
-    if float(np.max(target.distance(phi[mesh.boundary]))) > 1e-9:
+    if float(np.max(target.distance(phi[mesh.boundary]))) > ON_TARGET_TOL:
         raise ConfigParseError(f"boundary trace {phi_spec!r} does not lie on the {target.kind}")
     try:
         return BoundaryData.build(mesh, target, phi, phi0, psi)

@@ -109,6 +109,11 @@ class CheckResult:
     tolerance: float
     detail: str
 
+    def __post_init__(self):
+        # plain Python numbers, so stored and printed constants never show numpy types
+        self.constants = {k: int(v) if isinstance(v, (int, np.integer)) else float(v)
+                          for k, v in self.constants.items()}
+
 
 @dataclass
 class ConvergenceReport:
@@ -158,7 +163,7 @@ class RunBounds:
               + float(np.max(np.linalg.norm(mesh.laplacian(phi, mesh.stiffness @ phi), axis=1))))
         return cls(warp_lower=warp.lower, warp_upper=warp.upper,
                    energy_phi0=dirichlet_energy(mesh, bdata.phi0),
-                   energy_psi_ext=dirichlet_energy(mesh, bdata.psi_ext),
+                   energy_psi_ext=float(tri_energy_density(mesh, g2).sum()),
                    grad4_psi_ext=float(np.sum(mesh.areas * g2 * g2)),
                    phi_c2_proxy=c2, domain_area=mesh.domain_area, h=mesh.h)
 
@@ -261,6 +266,16 @@ def inequality_suite(records, bounds: RunBounds, thresholds: ThresholdConfig,
     if len(records) < 2:
         raise InsufficientSeries("inequality suite needs at least 2 records")
     checks = []
+
+    def bound(name, key, value, budget, slack, detail):
+        checks.append(CheckResult(name=name, passed=bool(value <= budget + slack), hard=True,
+                                  constants={key: value, "budget": budget},
+                                  tolerance=slack, detail=detail))
+
+    def profile(name, constants, detail):
+        checks.append(CheckResult(name=name, passed=True, hard=False, constants=constants,
+                                  tolerance=0.0, detail=detail))
+
     e_g0 = records[0].e_g
     h = bounds.h
 
@@ -285,26 +300,14 @@ def inequality_suite(records, bounds: RunBounds, thresholds: ThresholdConfig,
 
     # (b) Dirichlet bounds and kinetic budget
     budget = bounds.budget
-    max_eu = max(r.e_u for r in records)
-    checks.append(CheckResult(
-        name="dirichlet_bound_u", passed=bool(max_eu <= budget + HARD_CHECK_SLACK),
-        hard=True, constants={"max_e_u": max_eu, "budget": budget},
-        tolerance=HARD_CHECK_SLACK,
-        detail="E_u(t) <= E(phi0) + Lam*E(psi_ext) at every record"))
-    v_budget = (bounds.warp_upper / bounds.warp_lower) * bounds.energy_psi_ext
-    max_ev = max(r.e_v for r in records)
-    checks.append(CheckResult(
-        name="dirichlet_bound_v", passed=bool(max_ev <= v_budget + HARD_CHECK_SLACK),
-        hard=True, constants={"max_e_v": max_ev, "budget": v_budget},
-        tolerance=HARD_CHECK_SLACK,
-        detail="E_v(t) <= (Lam/lam)*E(psi_ext) at every record"))
-    kin_total = records[-1].kinetic_cum
-    kin_slack = HARD_CHECK_SLACK + float(allowance[-1])
-    checks.append(CheckResult(
-        name="kinetic_budget", passed=bool(kin_total <= budget + kin_slack),
-        hard=True, constants={"kinetic_total": kin_total, "budget": budget},
-        tolerance=kin_slack,
-        detail="integral of |du/dt|^2 bounded by the energy budget"))
+    bound("dirichlet_bound_u", "max_e_u", max(r.e_u for r in records), budget,
+          HARD_CHECK_SLACK, "E_u(t) <= E(phi0) + Lam*E(psi_ext) at every record")
+    bound("dirichlet_bound_v", "max_e_v", max(r.e_v for r in records),
+          (bounds.warp_upper / bounds.warp_lower) * bounds.energy_psi_ext,
+          HARD_CHECK_SLACK, "E_v(t) <= (Lam/lam)*E(psi_ext) at every record")
+    bound("kinetic_budget", "kinetic_total", records[-1].kinetic_cum, budget,
+          HARD_CHECK_SLACK + float(allowance[-1]),
+          "integral of |du/dt|^2 bounded by the energy budget")
 
     # warp sandwich: lam <= E_beta_v / E_v <= Lam whenever E_v > 0; a failure
     # reports the ratio farthest outside [lam, Lam], the first on a tie
@@ -324,10 +327,8 @@ def inequality_suite(records, bounds: RunBounds, thresholds: ThresholdConfig,
     # (c) two-ball comparison, envelope constants
     c1, c2, samples = _fit_two_ball(records, thresholds.probe_radii(),
                                      thresholds.r_grid)
-    checks.append(CheckResult(
-        name="two_ball", passed=True, hard=False,
-        constants={"C1": c1, "C2": c2, "samples": samples}, tolerance=0.0,
-        detail="local energy growth E(t;B_r) - E(s;B_2r) <= C1 (t-s)/r^2 + C2 (t-s)"))
+    profile("two_ball", {"C1": c1, "C2": c2, "samples": samples},
+            "local energy growth E(t;B_r) - E(s;B_2r) <= C1 (t-s)/r^2 + C2 (t-s)")
 
     # (d) quartic interpolation bound on the mean-free map
     c_lady = 0.0
@@ -336,10 +337,8 @@ def inequality_suite(records, bounds: RunBounds, thresholds: ThresholdConfig,
         denom = r.l2_centered * (grad2 + r.l2_centered / bounds.domain_area)
         if denom > 1e-28:
             c_lady = max(c_lady, r.l4_centered / denom)
-    checks.append(CheckResult(
-        name="ladyzhenskaya", passed=True, hard=False,
-        constants={"C_lady": c_lady}, tolerance=0.0,
-        detail="int |u-mean|^4 <= C int |u-mean|^2 (int |grad u|^2 + |O|^-1 int |u-mean|^2)"))
+    profile("ladyzhenskaya", {"C_lady": c_lady},
+            "int |u-mean|^4 <= C int |u-mean|^2 (int |grad u|^2 + |O|^-1 int |u-mean|^2)")
 
     # time weights for the space-time integrals (trapezoid on record times)
     w = np.zeros(len(records))
@@ -356,11 +355,9 @@ def inequality_suite(records, bounds: RunBounds, thresholds: ThresholdConfig,
     r_det = thresholds.r_detect
     rhs0 = sup_local * (proxy_int + grad2_int / (r_det * r_det))
     c_struwe = lhs / rhs0 if rhs0 > 1e-28 else 0.0
-    checks.append(CheckResult(
-        name="grad4_budget", passed=True, hard=False,
-        constants={"C_struwe": c_struwe, "radius": r_det}, tolerance=0.0,
-        detail="int int |grad u|^4 <= C sup_ball E * (int int |D^2 u|^2_proxy + r^-2 int int |grad u|^2);"
-               " |D^2 u|^2 replaced by the lumped discrete-Laplacian square"))
+    profile("grad4_budget", {"C_struwe": c_struwe, "radius": r_det},
+            "int int |grad u|^4 <= C sup_ball E * (int int |D^2 u|^2_proxy + r^-2 int int |grad u|^2);"
+            " |D^2 u|^2 replaced by the lumped discrete-Laplacian square")
 
     # (f) second-order energy budget, |D^2 u|^2 -> laplacian_proxy
     T = ts[-1] - ts[0]
@@ -368,19 +365,13 @@ def inequality_suite(records, bounds: RunBounds, thresholds: ThresholdConfig,
     rhs_w = ((1.0 + T / (r_det * r_det)) * budget
              + (T / (r_det * r_det)) * (bounds.grad4_psi_ext + bounds.phi_c2_proxy ** 2))
     c_w22 = lhs_w / rhs_w if rhs_w > 1e-28 and lhs_w > 1e-14 else 0.0
-    checks.append(CheckResult(
-        name="w22_budget", passed=True, hard=False,
-        constants={"C_w22": c_w22, "radius": r_det}, tolerance=0.0,
-        detail="E(u(T)) + int int |D^2 u|^2_proxy bounded by budget terms;"
-               " |D^2 u|^2 replaced by the lumped discrete-Laplacian square,"
-               " C2 norm of the trace replaced by a discrete sup proxy"))
+    profile("w22_budget", {"C_w22": c_w22, "radius": r_det},
+            "E(u(T)) + int int |D^2 u|^2_proxy bounded by budget terms;"
+            " |D^2 u|^2 replaced by the lumped discrete-Laplacian square,"
+            " C2 norm of the trace replaced by a discrete sup proxy")
 
     if events is not None and len(events) > 0:
         checks.append(check_singularity_counts(events, bounds, thresholds))
-    # plain Python numbers, so stored and printed constants never show numpy types
-    for c in checks:
-        c.constants = {k: int(v) if isinstance(v, (int, np.integer)) else float(v)
-                       for k, v in c.constants.items()}
     return checks
 
 
@@ -522,7 +513,7 @@ def derive_verdicts(report: DiagnosticsReport, residual_norm: float) -> int:
     proxy = np.array([r.laplacian_proxy for r in records])
     report.v_norm = (max(math.sqrt(2.0 * r.e_u) for r in records)
                      + max(r.grad4_v for r in records) ** 0.25 + records[-1].kinetic_cum
-                     + float(np.trapezoid(proxy, ts)))
+                     + float((np.diff(ts) * (proxy[1:] + proxy[:-1]) / 2.0).sum()))
     return 0 if hard_checks_pass(report.checks) else 2
 
 

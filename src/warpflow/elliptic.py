@@ -11,9 +11,9 @@ the data exactly.  Three kinds of solve use it: `harmonic_extension` at
 set-up (one LU factor of the unit stiffness for every column whose data are
 not constant; a constant column is its own extension and takes no solve);
 the flow's theta step (Jacobi CG, or the LU factor of its matrix); and
-`solve_warped_laplace`, which solves on a `WarpedBlock`: the interior block
-on a fixed pattern, re-weighted in place for each beta, with the LU factor
-of its first beta as the CG preconditioner, under a non-constant warp only
+`solve_warped_laplace`, which re-weights a `WarpedBlock`, the interior block
+on a fixed pattern, in place for each beta and solves by CG with the LU factor
+of the first beta as preconditioner, under a non-constant warp only
 (under a constant one the potential is the harmonic extension of psi).
 """
 
@@ -141,14 +141,16 @@ def dirichlet_split(mesh: DomainMesh, K: sp.csr_matrix, boundary_values: np.ndar
 
 
 class WarpedBlock:
-    """The split of -div(beta grad .) with data psi, re-weighted in place for each beta.
+    """The split of -div(beta grad .) with data psi, which `solve_warped_laplace`
+    re-weights in place for each beta.
 
-    Built once per (mesh, psi): the interior block's pattern comes from
-    `dirichlet_split` of the element connectivity, and two sparse maps take
-    the triangle weights area * beta_tri to the block's data and to the load
-    psi puts on interior rows.  The block of the first beta is factored once
-    (sparse LU) and preconditions CG for every later beta; a stale factor
-    costs iterations, never accuracy.
+    Built once per (mesh, psi): `matrix` is the interior block on the pattern
+    `dirichlet_split` takes from the element connectivity, `g` the data (psi on
+    boundary rows, 0 inside), and `to_matrix` and `to_load` take the triangle
+    weights area * beta_tri to its entries and to the load g puts on interior
+    rows.  `factor`, the LU solve of the first beta's block that the first
+    solve builds, preconditions CG for every later beta; a stale factor costs
+    iterations, never accuracy.
     """
 
     def __init__(self, mesh: DomainMesh, psi: np.ndarray):
@@ -168,31 +170,12 @@ class WarpedBlock:
         keys, slot = np.unique(rows * nv + cols, return_inverse=True)
         pattern = sp.csr_matrix((np.arange(1.0, len(keys) + 1), (keys // nv, keys % nv)),
                                 shape=(nv, nv))
-        self.block, _, self._g = dirichlet_split(mesh, pattern, psi)
+        self.matrix, _, self.g = dirichlet_split(mesh, pattern, psi)
         per_slot = sp.csr_matrix((loc, (slot.ravel(), tri)), shape=(len(keys), nt))
-        self._to_block = per_slot[self.block.data.astype(np.int64) - 1]
-        load = sp.csr_matrix((loc * self._g[cols], (rows, tri)), shape=(nv, nt))
-        self._to_load = load[mesh.interior]
-        self._mesh = mesh
-        self._M = None
-
-    def solve(self, beta_vertex: np.ndarray, load: np.ndarray = None,
-              x0: np.ndarray = None) -> EllipticSolution:
-        """The solve for the vertex coefficient beta_vertex: forms its triangle
-        mean (NonPositiveCoefficient unless positive), re-weights the block and
-        the data's load, factors the first block and solves by CG from x0."""
-        mesh = self._mesh
-        beta_tri = triangle_mean(mesh, beta_vertex)
-        beta_tri.flags.writeable = False
-        aw = mesh.areas * beta_tri
-        self.block.data[:] = self._to_block @ aw
-        if self._M is None:
-            self._M = lu_factor(self.block).solve
-        I, v = mesh.interior, self._g.copy()
-        rhs = (0.0 if load is None else np.asarray(load, dtype=float)[I]) - self._to_load @ aw
-        v[I], rel, iters = cg_solve(self.block, rhs, M=self._M,
-                                    x0=None if x0 is None else np.asarray(x0, dtype=float)[I])
-        return EllipticSolution(v=v, rel_residual=rel, iterations=iters, beta_tri=beta_tri)
+        self.to_matrix = per_slot[self.matrix.data.astype(np.int64) - 1]
+        load = sp.csr_matrix((loc * self.g[cols], (rows, tri)), shape=(nv, nt))
+        self.to_load = load[mesh.interior]
+        self.factor = None
 
 
 def solve_warped_laplace(mesh: DomainMesh, beta_vertex: np.ndarray,
@@ -200,14 +183,26 @@ def solve_warped_laplace(mesh: DomainMesh, beta_vertex: np.ndarray,
                          x0: np.ndarray = None, block: WarpedBlock = None) -> EllipticSolution:
     """Weak P1 solution of -div(beta grad v) = f with trace psi.
 
-    `source` (optional) is a nodal density, integrated with the lumped mass.
-    `block` is a WarpedBlock of this mesh, kept across solves; it carries its
-    own boundary data.  `psi`, a full-length nodal array whose boundary
-    entries carry the data, is read only to build a block for this call when
-    no `block` is given.
+    Forms the triangle mean of beta_vertex (NonPositiveCoefficient unless
+    positive), re-weights the block and the data's load, factors the block on
+    its first solve and solves by CG from x0.  `source` (optional) is a nodal
+    density, integrated with the lumped mass.  `block` is a WarpedBlock of
+    this mesh, kept across solves; it carries its own boundary data.  `psi`,
+    a full-length nodal array whose boundary entries carry the data, is read
+    only to build a block for this call when no `block` is given.
     """
-    load = None if source is None else mesh.lumped_mass * np.asarray(source, dtype=float)
-    return (WarpedBlock(mesh, psi) if block is None else block).solve(beta_vertex, load, x0)
+    block = WarpedBlock(mesh, psi) if block is None else block
+    beta_tri = triangle_mean(mesh, beta_vertex)
+    beta_tri.flags.writeable = False
+    aw = mesh.areas * beta_tri
+    block.matrix.data[:] = block.to_matrix @ aw
+    if block.factor is None:
+        block.factor = lu_factor(block.matrix).solve
+    I, v = mesh.interior, block.g.copy()
+    load = 0.0 if source is None else (mesh.lumped_mass * np.asarray(source, dtype=float))[I]
+    v[I], rel, iters = cg_solve(block.matrix, load - block.to_load @ aw, M=block.factor,
+                                x0=None if x0 is None else np.asarray(x0, dtype=float)[I])
+    return EllipticSolution(v=v, rel_residual=rel, iterations=iters, beta_tri=beta_tri)
 
 
 def harmonic_extension(mesh: DomainMesh, trace: np.ndarray):

@@ -47,7 +47,7 @@ from .diagnostics import DiagnosticsReport, RunBounds, ThresholdConfig, energy_f
 from .elliptic import (WarpedBlock, cg_solve, dirichlet_split, jacobi_preconditioner,
                        lu_factor, solve_warped_laplace)
 from .errors import DegeneratePoint, SolverFailure, StepRejected
-from .geometry import warp_force
+from .geometry import ON_TARGET_TOL, warp_force
 from .mesh import DomainMesh, ball_rows, local_energy_matrix, triangle_mean
 
 DT_MIN_FACTOR = 1e-6
@@ -190,7 +190,7 @@ class _FlowContext:
         mesh, phi = self.mesh, self.bdata.phi
         if not np.all(np.einsum("ij,ij->i", u0, u0) < np.inf):
             raise ValueError("initial map must be finite, with a finite squared norm")
-        if float(np.max(self.target.distance(u0))) > 1e-9:
+        if float(np.max(self.target.distance(u0))) > ON_TARGET_TOL:
             raise ValueError("initial map must lie on the target manifold")
         if np.max(np.abs(u0[mesh.boundary] - phi[mesh.boundary])) != 0.0:
             raise ValueError("initial map must equal the boundary trace on the boundary")

@@ -23,6 +23,8 @@ import numpy as np
 
 from .errors import DegeneratePoint, NonPositiveCoefficient
 
+ON_TARGET_TOL = 1e-9   # the largest target.distance of a point that lies on the target
+
 
 @dataclass(frozen=True)
 class UnitSphere:

@@ -327,6 +327,7 @@ def ball_rows(mesh: DomainMesh, centers, radii) -> sp.csr_matrix:
 CELL_MARGIN = 1e-9          # of (radius + largest |coordinate|): far above round-off
 LOCAL_ENERGY_BLOCK = 512    # balls per block of the build: bounds its transients
 LATTICE_TIE_RTOL = 1e-9     # of 9 r^2 / h^2: far above the round-off of `ball_triangles`
+WRITE_ROWS = 4096           # rows per write of the text formats: no transient holds the file
 
 
 def _clamped_radius(mesh: DomainMesh, radius: float) -> float:
@@ -520,10 +521,10 @@ def dump_mesh(mesh: DomainMesh, path) -> None:
     V, T = mesh.vertices, mesh.triangles
     with open(path, "w") as f:
         f.write(f"{mesh.num_vertices} {mesh.num_triangles}\n")
-        for s in range(0, len(V), 4096):
-            f.write("".join([f"{x:.17g} {y:.17g}\n" for x, y in V[s:s + 4096].tolist()]))
-        for s in range(0, len(T), 4096):
-            f.write("".join([f"{i} {j} {k}\n" for i, j, k in T[s:s + 4096].tolist()]))
+        for s in range(0, len(V), WRITE_ROWS):
+            f.write("".join([f"{x:.17g} {y:.17g}\n" for x, y in V[s:s + WRITE_ROWS].tolist()]))
+        for s in range(0, len(T), WRITE_ROWS):
+            f.write("".join([f"{i} {j} {k}\n" for i, j, k in T[s:s + WRITE_ROWS].tolist()]))
         f.write(" ".join("1" if b else "0" for b in mesh.boundary.tolist()) + "\n")
 
 
@@ -532,6 +533,6 @@ def write_snapshot(mesh: DomainMesh, u: np.ndarray, v: np.ndarray, path) -> None
     in blocks of rows."""
     with open(path, "w") as f:
         f.write(f"{mesh.num_vertices} {u.shape[1] + 1}\n")
-        for s in range(0, mesh.num_vertices, 4096):
+        for s in range(0, mesh.num_vertices, WRITE_ROWS):
             f.write("".join([" ".join(f"{x:.17g}" for x in row) + "\n" for row in
-                             np.column_stack([u[s:s + 4096], v[s:s + 4096]]).tolist()]))
+                             np.column_stack([u[s:s + WRITE_ROWS], v[s:s + WRITE_ROWS]]).tolist()]))

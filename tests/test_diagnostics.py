@@ -11,7 +11,7 @@ import pytest
 import warpflow.diagnostics
 from brute_force import nearest_vertex, record_of, two_ball_reference
 from warpflow.boundary import boundary_data_from_presets
-from warpflow.diagnostics import (EnergyRecord, RunBounds,
+from warpflow.diagnostics import (CheckResult, EnergyRecord, RunBounds,
                                   SingularityEvent, ThresholdConfig,
                                   _fit_two_ball, check_singularity_counts,
                                   convergence_monitor,
@@ -196,6 +196,25 @@ class TestInequalitySuite:
         ]
         checks = inequality_suite(recs, b, ThresholdConfig())
         assert next(c for c in checks if c.name == "energy_monotonicity").passed
+
+    @pytest.mark.parametrize("name, field, key", [
+        ("dirichlet_bound_u", "e_u", "max_e_u"),
+        ("dirichlet_bound_v", "e_v", "max_e_v"),
+        ("kinetic_budget", "kinetic_cum", "kinetic_total")])
+    def test_a_bound_passes_at_budget_plus_slack_and_fails_above(self, name, field, key):
+        # e_g != 0 and two steps, so the kinetic slack carries an allowance
+        recs = [_rec(0.0, step_count=0, e_g=1.0), _rec(0.01, step_count=2, e_g=0.5)]
+        b = _bounds(warp_upper=3.0, energy_psi_ext=0.5)
+
+        def check(value):
+            bad = recs[:-1] + [dataclasses.replace(recs[-1], **{field: value})]
+            return next(c for c in inequality_suite(bad, b, ThresholdConfig()) if c.name == name)
+        ref = check(0.0)
+        assert ref.tolerance > 0.0 and ref.constants["budget"] > 0.0
+        edge = ref.constants["budget"] + ref.tolerance
+        at, above = check(edge), check(np.nextafter(edge, np.inf))
+        assert at.passed and at.constants == {key: edge, "budget": ref.constants["budget"]}
+        assert not above.passed and above.tolerance == ref.tolerance
 
     def test_ladyzhenskaya_zero_for_constant_map(self, square16):
         bd = boundary_data_from_presets(square16, SPHERE, "north_pole",
@@ -464,6 +483,12 @@ class TestSerialization:
         for c in rep.checks:
             if c.name in by_name:
                 assert by_name[c.name] == c.passed
+
+    def test_a_check_result_holds_plain_numbers(self):
+        c = CheckResult(name="n", passed=True, hard=False, tolerance=0.0, detail="",
+                        constants={"K": np.int64(3), "C": np.float64(0.5)})
+        assert c.constants == {"K": 3, "C": 0.5}
+        assert [type(v) for v in c.constants.values()] == [int, float]
 
     def test_check_constants_are_plain_numbers(self, coupled_run):
         _, rep = coupled_run

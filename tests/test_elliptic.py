@@ -74,10 +74,11 @@ class TestCgSolve:
 
     def test_warped_block_factor_matches_scipy(self, disk16, monkeypatch):
         x, y = disk16.vertices[:, 0], disk16.vertices[:, 1]
-        block = WarpedBlock(disk16, np.cos(2.0 * np.arctan2(y, x)))
-        block.solve(1.0 + 0.5 * x)
+        psi = np.cos(2.0 * np.arctan2(y, x))
+        block = WarpedBlock(disk16, psi)
+        solve_warped_laplace(disk16, 1.0 + 0.5 * x, psi, block=block)
         solves = _capture_solves(monkeypatch)
-        block.solve(2.0 - 0.3 * y)
+        solve_warped_laplace(disk16, 2.0 - 0.3 * y, psi, block=block)
         A, b, M = solves[0]                         # M: the factor of the first beta
         xs, rel, iters = cg_solve(A, b, M=M)
         x_ref, iters_ref = self._scipy_reference(A, b, None,
@@ -244,7 +245,7 @@ class TestWarpedBlock:
         solves = _capture_solves(monkeypatch)
         for _ in range(2):                      # the second call re-weights in place
             beta = 0.5 + rng.random(m.num_vertices)
-            v = block.solve(beta).v
+            v = solve_warped_laplace(m, beta, psi, block=block).v
             A, rhs, _ = solves[-1]
             A_ref, load_ref, g_ref = dirichlet_split(
                 m, weighted_stiffness(m, beta), psi)
@@ -282,9 +283,10 @@ class TestWarpedBlock:
             own.beta_tri[0] = 1.0
 
     def test_rejects_nonpositive_beta(self, square16):
-        block = WarpedBlock(square16, np.zeros(square16.num_vertices))
+        psi = np.zeros(square16.num_vertices)
+        block = WarpedBlock(square16, psi)
         with pytest.raises(NonPositiveCoefficient):
-            block.solve(np.zeros(square16.num_vertices))
+            solve_warped_laplace(square16, np.zeros(square16.num_vertices), psi, block=block)
 
     def test_nan_beta_is_refused_not_solved(self, square16):
         # NaN <= 0 is False: a check written that way let one NaN vertex
@@ -295,7 +297,7 @@ class TestWarpedBlock:
         with pytest.raises(NonPositiveCoefficient):
             solve_warped_laplace(square16, beta, psi)
         with pytest.raises(NonPositiveCoefficient):
-            WarpedBlock(square16, psi).solve(beta)
+            solve_warped_laplace(square16, beta, psi, block=WarpedBlock(square16, psi))
 
 
 def _count_factors(monkeypatch):

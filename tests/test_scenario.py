@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import json
@@ -1304,3 +1305,21 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     (series_1, diff_1), (series_2, diff_2) = outs
     assert series_1 == series_2
     assert diff_1 == diff_2
+
+
+# numpy names new in 2.0: the package supports numpy >= 1.24, which has none of them
+NUMPY_2_NAMES = {"trapezoid", "vecdot", "cumulative_sum", "cumulative_prod", "unstack",
+                 "isdtype", "concat", "permute_dims", "matrix_transpose", "astype", "pow"}
+
+
+def test_the_package_calls_no_numpy_name_new_in_2_0():
+    used = []
+    for path in sorted(Path(warpflow.scenario.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr in NUMPY_2_NAMES
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                used.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+            elif (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")
+                  and any(a.name in NUMPY_2_NAMES for a in node.names)):
+                used.append(f"{path.name}:{node.lineno} from {node.module} import")
+    assert used == []

@@ -4,9 +4,9 @@
     python3 tools/ledger.py --diff OLD.json NEW.json
 
 The first form runs, with the `src/` of the checkout this file lives in,
-the six shipped scenarios, `warp_coupled` at mesh.h = 1/128 and
-`twin_run("stability_twin")` at seeds 0 and 1601, and writes one JSON with,
-per run:
+every shipped scenario (`scenario.builtin_scenarios()`, six today),
+`warp_coupled` at mesh.h = 1/128 and `twin_run("stability_twin")` at seeds
+0 and 1601, and writes one JSON with, per run:
 
 * the SHA-256 of `series.csv`, `mesh.txt` and `report.json`, the last with
   `solver_stats.wall_seconds` removed (the one value that reads the clock);
@@ -42,8 +42,6 @@ import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 
-SCENARIOS = ("bubbling", "geodesic_square", "harmonic_fixed_point", "heat_decay",
-             "stability_twin", "warp_coupled")
 FINE_H = 0.0078125
 TWIN_SEEDS = (0, 1601)
 
@@ -104,7 +102,7 @@ def build_ledger() -> dict:
 
     runs = {}
     with tempfile.TemporaryDirectory(prefix="ledger-") as tmp:
-        jobs = [(name, name, None) for name in SCENARIOS]
+        jobs = [(name, name, None) for name in scenario.builtin_scenarios()]
         jobs.append(("warp_coupled_h128", "warp_coupled", FINE_H))
         for key, name, h in jobs:
             out = Path(tmp) / key
