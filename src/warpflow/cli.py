@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import ConfigParseError, WarpflowError
 from .scenario import (_load_config, build_scenario, builtin_scenarios, check_report_file,
-                       default_out_root, resolve_config, run_scenario, twin_run, write_json)
+                       resolve_config, run_dir, run_scenario, twin_run, write_json)
 
 
 def _named(name, fn, *args):
@@ -74,8 +74,7 @@ def _cmd_run(args) -> int:
 def _cmd_twin(args) -> int:
     flat = resolve_config(args.config)
     result = twin_run(flat, {"twin.delta": args.delta})
-    out = Path(args.out) if args.out else default_out_root() / f"{flat['name']}_twin"
-    out.mkdir(parents=True, exist_ok=True)
+    out = run_dir(f"{flat['name']}_twin", args.out)
     write_json(asdict(result), out / "twin_report.json")
     print(f"delta={result.delta:.6g} initial={result.initial_diff:.6g} "
           f"sup={result.sup_diff:.6g} amplification={result.amplification:.6g}")

@@ -5,12 +5,16 @@ class WarpflowError(Exception):
     """Base class for all package errors."""
 
 
+class ConfigParseError(WarpflowError):
+    """A config is refused: unparsed, out of range, or its run directory unmakeable."""
+
+
+class InvalidShapeParameters(ConfigParseError):
+    """Domain shape parameters are inconsistent (e.g. annulus with r_in >= r_out)."""
+
+
 class DegeneratePoint(WarpflowError):
     """A point too close to the singular locus of a projection (e.g. sphere center)."""
-
-
-class InvalidShapeParameters(WarpflowError):
-    """Domain shape parameters are inconsistent (e.g. annulus with r_in >= r_out)."""
 
 
 class NonPositiveCoefficient(WarpflowError):
@@ -27,7 +31,3 @@ class StepRejected(WarpflowError):
 
 class InsufficientSeries(WarpflowError):
     """A diagnostic needs more recorded frames than the report contains."""
-
-
-class ConfigParseError(WarpflowError):
-    """A scenario config file could not be parsed."""

@@ -58,6 +58,8 @@ LU_COL_ITERS = 6
 FACTOR_ITERS = 200
 # CFL steps, t_end / (sigma h), above which a config is refused
 MAX_PLANNED_STEPS = 100_000
+# the march ends within this of t_end, so a t_end at or below it is refused
+END_SLACK = 1e-14
 
 
 @dataclass
@@ -93,8 +95,8 @@ class Schedule:
     snapshot_stride: int = 0
 
     def __post_init__(self):
-        if not self.t_end > 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end!r}")
+        if not self.t_end > END_SLACK:
+            raise ValueError(f"t_end must be positive, above {END_SLACK:g}, got {self.t_end!r}")
         for name in ("diag_stride", "snapshot_stride"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
@@ -387,7 +389,7 @@ def march(states: list, t_end: float):
     """
     dt_cfl, dt_floor = states[0].ctx.dt_cfl, states[0].ctx.dt_min
     controller, forced_run = dt_cfl, 0
-    while states[0].t < t_end - 1e-14:
+    while states[0].t < t_end - END_SLACK:
         t = states[0].t
         dt = min(controller, t_end - t)
         try:

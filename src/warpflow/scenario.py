@@ -31,8 +31,7 @@ import numpy as np
 from .boundary import boundary_data_from_presets, evaluate_presets
 from .diagnostics import (DiagnosticsReport, ThresholdConfig, derive_verdicts,
                           report_from_dict, report_to_dict)
-from .errors import (ConfigParseError, InvalidShapeParameters,
-                     NonPositiveCoefficient, SolverFailure)
+from .errors import ConfigParseError, NonPositiveCoefficient, SolverFailure
 # step is unused here but stays bound: perfbench/child.py patches
 # scenario.step next to flow.step to stamp the first step of a run
 from .flow import (MAX_PLANNED_STEPS, Schedule, StepperConfig, initial_state, march,
@@ -85,7 +84,7 @@ class ScenarioConfig:
         # every value that needs no mesh, the dt floor, the shape's and the
         # preset specs' too (evaluated at no point); from_flat refuses each
         # as a ConfigParseError.  The name names the run's directory.
-        if self.name in ("", ".", "..") or Path(self.name).name != self.name:
+        if self.name in ("", ".", "..") or "\0" in self.name or Path(self.name).name != self.name:
             raise ValueError(f"name must be one plain path component, got {self.name!r}")
         for name in ("seed", "twin_delta"):
             if not getattr(self, name) >= 0:
@@ -126,7 +125,7 @@ class ScenarioConfig:
         try:
             values.update((obj, make[obj](**kw)) for obj, kw in nested.items())
             return cls(**values)
-        except (ValueError, NonPositiveCoefficient, InvalidShapeParameters) as exc:
+        except (ValueError, NonPositiveCoefficient) as exc:
             raise ConfigParseError(str(exc)) from exc
 
 
@@ -188,10 +187,7 @@ def build_scenario(cfg: ScenarioConfig):
     """The initial state of a run, from what of its config needs the mesh:
     the mesh, the boundary data and the start.  A mesh the shape refuses, or
     an initial map the start refuses, is a ConfigParseError."""
-    try:
-        mesh = build_mesh(cfg.mesh_shape, cfg.mesh_h, r_in=cfg.r_in, r_out=cfg.r_out)
-    except InvalidShapeParameters as exc:
-        raise ConfigParseError(str(exc)) from exc
+    mesh = build_mesh(cfg.mesh_shape, cfg.mesh_h, r_in=cfg.r_in, r_out=cfg.r_out)
     target = make_target(cfg.target_name)
     bdata = boundary_data_from_presets(mesh, target, cfg.phi_spec,
                                        cfg.phi0_spec, cfg.psi_spec)
@@ -244,8 +240,16 @@ def write_series_csv(report: DiagnosticsReport, path) -> None:
                 r.max_local_energy, r.dt)) + "\n")
 
 
-def default_out_root() -> Path:
-    return Path(os.environ.get("WARPFLOW_OUT", "warpflow_out"))
+def run_dir(name: str, out_dir) -> Path:
+    """`out_dir`, or else $WARPFLOW_OUT/<name> (warpflow_out/<name> if unset), made
+    with its parents; one it cannot make is a ConfigParseError that names it."""
+    out = Path(out_dir) if out_dir is not None else Path(
+        os.environ.get("WARPFLOW_OUT", "warpflow_out"), name)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigParseError(f"cannot make the run directory {str(out)!r}: {exc}") from exc
+    return out
 
 
 def run_scenario(flat_or_path, out_dir=None, overrides: dict = None,
@@ -254,7 +258,7 @@ def run_scenario(flat_or_path, out_dir=None, overrides: dict = None,
 
     `flat_or_path` is a flat key dict (from parse/resolve), a config path or
     a shipped name; `overrides` patches its flat keys.  The artifacts go to
-    `out_dir`, by default $WARPFLOW_OUT/<name>.
+    `run_dir(name, out_dir)`, by default $WARPFLOW_OUT/<name>.
     """
     cfg = _load_config(flat_or_path, overrides)
 
@@ -262,11 +266,9 @@ def run_scenario(flat_or_path, out_dir=None, overrides: dict = None,
 
     out = snapshot = None
     if write_artifacts:
-        out = Path(out_dir) if out_dir is not None else default_out_root() / cfg.name
-        out.mkdir(parents=True, exist_ok=True)
+        out = run_dir(cfg.name, out_dir)
         if cfg.schedule.snapshot_stride > 0:
-            snap_dir = out / "snapshots"
-            snap_dir.mkdir(exist_ok=True)
+            snap_dir = run_dir(cfg.name, out / "snapshots")
 
             def snapshot(st):
                 write_snapshot(st.mesh, st.u, st.v,

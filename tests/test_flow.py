@@ -608,6 +608,13 @@ class TestRunFlow:
             with pytest.raises(ValueError, match=f"{stride} must be non-negative, got -1"):
                 Schedule(**{stride: -1})
 
+    @pytest.mark.parametrize("t_end", [1e-14, 1e-15])
+    def test_a_t_end_within_the_march_s_end_slack_is_refused(self, t_end):
+        # the march stops within END_SLACK of t_end, so such a run would take no step
+        assert t_end <= warpflow.flow.END_SLACK
+        with pytest.raises(ValueError, match="t_end must be positive"):
+            Schedule(t_end=t_end)
+
     def test_heat_decay_rate(self, square16):
         # torus target, no curvature or warp force: each component obeys the
         # scalar heat equation; the bump mode decays like exp(-2 pi^2 t)

@@ -76,11 +76,12 @@ _VALUES = {
     "schedule.diag_stride": ["1", "2", "0", "-1"],
     "schedule.snapshot_stride": ["0", "1", "-1"],
     "twin.delta": ["0.001", "nan"],
+    "name": ["plain", "a\0b", "a/b", "..", "a" * 300],
 }
 # mesh.h and schedule.t_end are always set, so every run stays coarse and
 # short, and so is seed, which only twin reads
 _H = ["0.125", "0.25", "0.5", "1", "0", "nan"]
-_T_END = ["0.005", "0.01", "0", "nan"]
+_T_END = ["0.005", "0.01", "0", "nan", "1e-14", "1e-15"]
 _SEED = ["0", "1", "-1", "x"]
 
 

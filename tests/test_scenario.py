@@ -21,7 +21,7 @@ import warpflow.mesh
 import warpflow.scenario
 from warpflow.cli import main
 from warpflow.diagnostics import ThresholdConfig
-from warpflow.errors import ConfigParseError
+from warpflow.errors import ConfigParseError, InvalidShapeParameters
 from warpflow.flow import MAX_PLANNED_STEPS, Schedule, StepperConfig
 from warpflow.geometry import WarpFunction, make_target
 from warpflow.scenario import (_KEYS, ScenarioConfig, build_scenario,
@@ -1268,6 +1268,73 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert (out / "report.json").exists()
 
+    @staticmethod
+    def _config_error_line(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("command", ["run", "twin"])
+    def test_a_name_holding_a_nul_is_refused_before_anything_is_made(
+            self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.setenv("WARPFLOW_OUT", str(tmp_path / "w"))
+        cfg = tmp_path / "nul.cfg"
+        cfg.write_text(GOOD_TEXT.replace("name = demo", "name = a\0b"))
+        assert main([command, str(cfg)]) == 1
+        assert "name must be one plain path component" in self._config_error_line(capsys)
+        assert not (tmp_path / "w").exists()
+
+    @pytest.mark.parametrize("command", ["run", "twin"])
+    def test_an_out_under_a_regular_file_is_a_config_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(GOOD_TEXT)
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "x"
+        assert main([command, str(cfg), "--out", str(out)]) == 1
+        assert f"cannot make the run directory {str(out)!r}" in self._config_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["run", "twin"])
+    def test_a_name_too_long_for_a_directory_is_a_config_error(self, tmp_path, monkeypatch,
+                                                              capsys, command):
+        monkeypatch.setenv("WARPFLOW_OUT", str(tmp_path / "w"))
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(GOOD_TEXT.replace("name = demo", "name = " + "a" * 300))
+        assert main([command, str(cfg)]) == 1
+        assert "cannot make the run directory" in self._config_error_line(capsys)
+        assert list((tmp_path / "w").iterdir()) == []
+
+    def test_a_file_named_snapshots_in_out_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "snap.cfg"
+        cfg.write_text(GOOD_TEXT + "schedule.snapshot_stride = 1\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "snapshots").write_text("")
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        err = self._config_error_line(capsys)
+        assert f"cannot make the run directory {str(out / 'snapshots')!r}" in err
+
+    @pytest.mark.parametrize("command", ["run", "twin"])
+    def test_a_t_end_within_the_march_s_end_slack_is_a_config_error(
+            self, tmp_path, monkeypatch, capsys, command):
+        # the march would take no step, so a run would end with one record and no checks
+        monkeypatch.setenv("WARPFLOW_OUT", str(tmp_path / "w"))
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(GOOD_TEXT.replace("schedule.t_end = 0.004", "schedule.t_end = 1e-14"))
+        assert main([command, str(cfg)]) == 1
+        assert "t_end must be positive" in self._config_error_line(capsys)
+        assert not (tmp_path / "w").exists()
+
+    def test_a_t_end_just_above_the_end_slack_takes_one_step(self, tmp_path):
+        result = run_scenario(parse_config_text(GOOD_TEXT), out_dir=tmp_path / "out",
+                              overrides={"schedule.t_end": "2e-14"})
+        assert result.state.step_count == 1 and result.state.t == 2e-14
+        assert len(result.report.records) == 2
+
+
+def test_a_mesh_refusal_is_a_config_error():
+    assert issubclass(InvalidShapeParameters, ConfigParseError)
+
 
 def test_a_detection_ball_wider_than_the_mesh_runs():
     runs = [run_scenario("warp_coupled", write_artifacts=False,
@@ -1323,3 +1390,18 @@ def test_the_package_calls_no_numpy_name_new_in_2_0():
                   and any(a.name in NUMPY_2_NAMES for a in node.names)):
                 used.append(f"{path.name}:{node.lineno} from {node.module} import")
     assert used == []
+
+
+def test_only_run_dir_makes_a_directory():
+    # one function places and makes every run's directory, and refuses one it cannot make
+    makers = []
+    for path in sorted(Path(warpflow.scenario.__file__).parent.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        defs = [n for n in nodes if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for call in nodes:
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr in ("mkdir", "makedirs")):
+                inner = max((d for d in defs if d.lineno <= call.lineno <= d.end_lineno),
+                            key=lambda d: d.lineno, default=None)
+                makers.append(f"{path.stem}.{inner.name if inner else '<module>'}")
+    assert makers == ["scenario.run_dir"]
